@@ -21,11 +21,15 @@ identities over intervals sorted by start and by end:
 
 (using that Te_i <= t implies Ts_i < t, and Ts_i >= t implies Te_i > t).
 The weighted overlap sum is the difference of the two terms.
+
+Each contract has one implementation here and its oracle in
+``tests/core/test_contention.py``: :meth:`IntervalOverlapIndex.overlap_sum`
+and :meth:`ContentionComputer.compute` are checked against the O(n²)
+pairwise sums within tolerance, and the ten feature arrays of a seeded
+5k-row store are pinned bit-for-bit by SHA-256 golden fingerprints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +101,10 @@ class IntervalOverlapIndex:
         self._w_by_te, self._wte_by_te = tables(self._te_sorted, order_e)
 
         # All-nonnegative data (true for every contention weighting: rates,
-        # stream counts, instance counts, wall-clock times) lets the lean
-        # eval path drop its |x| calls: every prefix sum is then >= 0, so
+        # stream counts, instance counts, wall-clock times) lets the
+        # evaluation drop its |x| calls: every prefix sum is then >= 0, so
         # abs() is exactly the identity.  ``nonneg=True`` asserts the weight
-        # property and skips the scan (the groupby builder knows it by
+        # property and skips the scan (ContentionComputer knows it by
         # construction); None means "detect".
         self._nonneg = bool(
             (self.n == 0 or self._ts_sorted[0] >= 0.0)
@@ -124,6 +128,13 @@ class IntervalOverlapIndex:
         Self-exclusion is the caller's job: if the query interval is itself
         a member with weight ``w_k``, subtract ``w_k * (b - a)``.  Returns
         shape ``(q,)`` for 1-D weights, ``(q, k)`` for ``(n, k)`` weights.
+
+        The queries are sorted before the binary searches:
+        ``np.searchsorted`` pays a branch misprediction per bisection step
+        when consecutive queries land in unrelated parts of the array, so
+        sorted queries search several times faster, and the argsort +
+        scatter overhead is small for batch queries.  The search results
+        are the same integers in either order.
         """
         a, b = self._check_queries(a, b)
         if self.n == 0:
@@ -132,30 +143,7 @@ class IntervalOverlapIndex:
 
         # Counts/sums via searchsorted against the sorted arrays.
         # {Te <= t}: side='right' on te_sorted.
-        idx_te_a = np.searchsorted(self._te_sorted, a, side="right")
-        idx_te_b = np.searchsorted(self._te_sorted, b, side="right")
         # {Ts < t}: side='left' on ts_sorted; {Ts <= t}: side='right'.
-        idx_ts_b = np.searchsorted(self._ts_sorted, b, side="left")
-        idx_ts_a_le = np.searchsorted(self._ts_sorted, a, side="right")
-        out = self._eval(idx_te_a, idx_te_b, idx_ts_b, idx_ts_a_le, a, b)
-        return out.T if self._multi else out[0]
-
-    def overlap_sum_fast(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:meth:`overlap_sum` with sorted-query binary searches.
-
-        ``np.searchsorted`` pays a branch misprediction per bisection step
-        when consecutive queries land in unrelated parts of the array;
-        pre-sorting the queries makes each search several times faster, and
-        for batch queries the argsort + scatter overhead is small.  The
-        search results are the same integers either way, so the output is
-        bit-identical to :meth:`overlap_sum` (the groupby contention engine
-        relies on this for its parity fingerprint).
-        """
-        a, b = self._check_queries(a, b)
-        if self.n == 0:
-            out = np.zeros((a.size, self._w_by_ts.shape[0]))
-            return out if self._multi else out[:, 0]
-
         order_a = np.argsort(a)
         order_b = np.argsort(b)
         a_sorted = a[order_a]
@@ -169,59 +157,12 @@ class IntervalOverlapIndex:
         idx_ts_b = np.empty(b.size, dtype=np.intp)
         idx_ts_b[order_b] = np.searchsorted(self._ts_sorted, b_sorted, side="left")
         nonneg = self._nonneg and bool(a_sorted.size == 0 or a_sorted[0] >= 0.0)
-        out = self._eval_lean(
+        out = self._eval_identity(
             idx_te_a, idx_te_b, idx_ts_b, idx_ts_a_le, a, b, nonneg
         )
         return out.T if self._multi else out[0]
 
-    def _eval(
-        self,
-        idx_te_a: np.ndarray,
-        idx_te_b: np.ndarray,
-        idx_ts_b: np.ndarray,
-        idx_ts_a_le: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-    ) -> np.ndarray:
-        """Reference evaluation of the prefix-sum identity, shape (k, q).
-
-        This is the pre-optimisation arithmetic, kept verbatim (modulo the
-        transposed table layout) as the baseline :meth:`overlap_sum` body;
-        :meth:`_eval_lean` is the allocation-free variant and must stay
-        bit-identical to it.
-        """
-        w_te_le_a = self._w_by_te[:, idx_te_a]
-        w_te_le_b = self._w_by_te[:, idx_te_b]
-        wte_le_a = self._wte_by_te[:, idx_te_a]
-        wte_le_b = self._wte_by_te[:, idx_te_b]
-        w_ts_lt_b = self._w_by_ts[:, idx_ts_b]
-        w_ts_le_a = self._w_by_ts[:, idx_ts_a_le]
-        wts_lt_b = self._wts_by_ts[:, idx_ts_b]
-        wts_le_a = self._wts_by_ts[:, idx_ts_a_le]
-
-        a_row = a[None, :]
-        b_row = b[None, :]
-        term_min = wte_le_b + b_row * (w_ts_lt_b - w_te_le_b) - wte_le_a
-        term_max = a_row * (w_ts_le_a - w_te_le_a) + (wts_lt_b - wts_le_a)
-        out = term_min - term_max
-        # The prefix sums feeding the identity can be ~1e14 while the true
-        # answer is exactly zero; double-precision cancellation then leaves
-        # residue of either sign.  Clamp anything within 1e-12 of the
-        # intermediate magnitude to zero (overlaps that small are
-        # physically meaningless).
-        noise = 1e-12 * (
-            np.abs(wte_le_b)
-            + np.abs(wte_le_a)
-            + np.abs(b_row) * (w_ts_lt_b + w_te_le_b)
-            + np.abs(a_row) * (w_ts_le_a + w_te_le_a)
-            + np.abs(wts_lt_b)
-            + np.abs(wts_le_a)
-        )
-        out[np.abs(out) <= noise] = 0.0
-        np.maximum(out, 0.0, out=out)
-        return out
-
-    def _eval_lean(
+    def _eval_identity(
         self,
         idx_te_a: np.ndarray,
         idx_te_b: np.ndarray,
@@ -231,11 +172,12 @@ class IntervalOverlapIndex:
         b: np.ndarray,
         nonneg: bool,
     ) -> np.ndarray:
-        """Same identity and clamp as :meth:`_eval`, bit-for-bit, but with
-        in-place updates on the gathered buffers (the gathers are the only
-        allocations that survive) and, when ``nonneg`` is True, the |x|
-        calls elided — on all-nonnegative data abs() is the identity, so
-        the elision cannot change a single bit.
+        """The prefix-sum identity and its noise clamp, shape (k, q).
+
+        Updates run in place on the gathered buffers (the gathers are the
+        only allocations that survive).  When ``nonneg`` is True the |x|
+        calls are elided: on all-nonnegative data abs() is the identity,
+        so the elision cannot change a single bit.
         """
         w_te_le_a = self._w_by_te[:, idx_te_a]
         w_te_le_b = self._w_by_te[:, idx_te_b]
@@ -248,8 +190,13 @@ class IntervalOverlapIndex:
 
         a_row = a[None, :]
         b_row = b[None, :]
-        # Noise bound first (it reads every gather), then the gathers double
-        # as scratch for the terms.  Sum order matches _eval exactly.
+        # The prefix sums feeding the identity can be ~1e14 while the true
+        # answer is exactly zero; double-precision cancellation then leaves
+        # residue of either sign.  Anything within 1e-12 of the
+        # intermediate magnitude is clamped to zero (overlaps that small
+        # are physically meaningless).  The noise bound comes first (it
+        # reads every gather), then the gathers double as scratch for the
+        # terms.  Both branches sum in the same order.
         if nonneg:
             noise = np.add(wte_le_b, wte_le_a)
             scratch = np.add(w_ts_lt_b, w_te_le_b)
@@ -299,10 +246,11 @@ class ActiveOverlapIndex:
     intervals always overlap the full query window.
 
     Queries are vectorized two ways: one call answers the weighted-overlap
-    sum for a whole batch of query windows in O(q log n), and ``weights``
-    may be a 2-D ``(n, k)`` column stack so ``k`` different weightings of
-    the *same* intervals (e.g. a transfer population weighted by rate and
-    by stream count) share a single pair of binary searches per query.
+    sum for a whole batch of query windows ``[a, b_j]`` in O(q log n), and
+    ``weights`` may be a 2-D ``(n, k)`` column stack so ``k`` different
+    weightings of the *same* intervals (e.g. a transfer population
+    weighted by rate and by stream count) share one binary search per
+    query.
 
     Parameters
     ----------
@@ -316,10 +264,9 @@ class ActiveOverlapIndex:
     def __init__(self, te: np.ndarray, weights: np.ndarray) -> None:
         te = np.asarray(te, dtype=np.float64).ravel()
         w = np.asarray(weights, dtype=np.float64)
-        self._multi = w.ndim == 2
-        if not self._multi:
+        if w.ndim != 2:
             w = w.reshape(-1, 1)
-        if w.ndim != 2 or w.shape[0] != te.size:
+        if w.shape[0] != te.size:
             raise ValueError("weights must have shape (n,) or (n, k)")
         self.n = te.size
         finite = np.isfinite(te)
@@ -333,45 +280,19 @@ class ActiveOverlapIndex:
             [zero, np.cumsum(w_f[order] * te_f[order][:, None], axis=0)]
         )
 
-    def overlap_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``sum_i w_i * max(0, min(te_i, b) - a)`` per query.
-
-        ``a`` and ``b`` broadcast against each other; requires ``b > a``.
-        The caller guarantees every indexed interval starts at or before
-        ``a`` (true by construction for an active-transfer population
-        queried at the current time).  Returns shape ``(q,)`` for 1-D
-        weights, ``(q, k)`` for ``(n, k)`` weights.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if np.any(b <= a):
-            raise ValueError("queries must have b > a")
-        k = self._w_cum.shape[1]
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        if self.n == 0:
-            out = np.zeros(shape + (k,))
-            return out if self._multi else out[..., 0]
-        # Ends in (a, b] contribute w*(te - a); ends > b contribute w*(b - a).
-        idx_a = np.searchsorted(self._te_sorted, a, side="right")
-        idx_b = np.searchsorted(self._te_sorted, b, side="right")
-        span = (b - a)[..., None]
-        mid = (self._wte_cum[idx_b] - self._wte_cum[idx_a]) - a[..., None] * (
-            self._w_cum[idx_b] - self._w_cum[idx_a]
-        )
-        tail = span * (self._w_cum[-1] - self._w_cum[idx_b])
-        out = mid + tail + self._w_inf * span
-        np.maximum(out, 0.0, out=out)
-        return out if self._multi else out[..., 0]
-
     def window_sums(self, a: float, b: np.ndarray) -> np.ndarray:
-        """Scalar-``a`` fast path of :meth:`overlap_sum`; always ``(q, k)``.
+        """``sum_i w_i * max(0, min(te_i, b) - a)`` per query end ``b``.
+
+        Returns shape ``(q, k)`` (``k = 1`` for 1-D weights); requires
+        ``b > a``.  The caller guarantees every indexed interval starts at
+        or before ``a`` (true by construction for an active-transfer
+        population queried at the current time).
 
         The serving fix-point issues many small queries anchored at one
         ``now``; resolving ``a`` as a python float once (one scalar binary
         search, no broadcast resolution, method-dispatch ``searchsorted``)
         strips the per-call numpy wrapper overhead that dominates at
-        ``q ~ 1``.  Arithmetic is element-for-element the same as
-        :meth:`overlap_sum`, so results are bit-identical.
+        ``q ~ 1``.
         """
         a = float(a)
         b = np.asarray(b, dtype=np.float64)
@@ -380,6 +301,7 @@ class ActiveOverlapIndex:
         k = self._w_cum.shape[1]
         if self.n == 0:
             return np.zeros((b.size, k))
+        # Ends in (a, b] contribute w*(te - a); ends > b contribute w*(b - a).
         idx_a = int(self._te_sorted.searchsorted(a, side="right"))
         idx_b = self._te_sorted.searchsorted(b, side="right")
         span = (b - a)[:, None]
@@ -392,18 +314,7 @@ class ActiveOverlapIndex:
         return out
 
 
-@dataclass
-class _EndpointIndexes:
-    """Overlap indexes for one endpoint's transfer activity (legacy engine)."""
-
-    out_rate: IntervalOverlapIndex      # weights = R_i, transfers sourced here
-    in_rate: IntervalOverlapIndex       # weights = R_i, transfers arriving here
-    out_streams: IntervalOverlapIndex   # weights = min(C,F)*P, sourced here
-    in_streams: IntervalOverlapIndex   # weights = min(C,F)*P, arriving here
-    touch_instances: IntervalOverlapIndex  # weights = min(C,F), either side
-
-
-# Weight columns of the merged per-endpoint index (groupby engine).
+# Weight columns of the merged per-endpoint index.
 _COL_OUT_RATE = 0
 _COL_IN_RATE = 1
 _COL_OUT_STREAMS = 2
@@ -426,81 +337,34 @@ class ContentionComputer:
     computes competing load from the *entire* log even when modeling a
     single edge.
 
-    Two engines produce bit-identical output (``repro-tools bench``
-    fingerprints the equivalence):
-
-    ``"groupby"`` (default)
-        Endpoint labels are factorised to integer codes once; per-endpoint
-        row groups come from one stable argsort instead of per-endpoint
-        string scans (the legacy builder was O(endpoints x rows) in string
-        comparisons).  Each endpoint gets ONE merged
-        :class:`IntervalOverlapIndex` over the transfers touching it, with
-        five zero-padded weight columns (out/in rate, out/in streams,
-        touching instances) — zero-padding is exact, see the index
-        docstring — and source-side + destination-side queries are
-        answered in a single batched call: 4 binary searches per endpoint
-        instead of 40.
-    ``"legacy"``
-        The original per-endpoint mask builder with five separate 1-D
-        indexes; kept as the parity oracle and bench baseline.
+    Endpoint labels are factorised to integer codes once; per-endpoint row
+    groups come from one stable argsort instead of per-endpoint string
+    scans.  Each endpoint gets ONE merged :class:`IntervalOverlapIndex`
+    over the transfers touching it, with five zero-padded weight columns
+    (out/in rate, out/in streams, touching instances) — zero-padding is
+    exact, see the index docstring — and source-side + destination-side
+    queries are answered in a single batched call: 4 binary searches per
+    endpoint.  ``tests/core/test_contention.py`` holds the oracle: an
+    O(n²) pairwise sum, plus golden fingerprints of the feature arrays.
     """
 
-    def __init__(self, store: LogStore, engine: str = "groupby") -> None:
-        if engine not in ("groupby", "legacy"):
-            raise ValueError(f"engine must be 'groupby' or 'legacy', got {engine!r}")
+    def __init__(self, store: LogStore) -> None:
         if len(store) == 0:
             raise ValueError("cannot build contention indexes from empty log")
         self._store = store
-        self.engine = engine
-        if engine == "legacy":
-            data = store.raw()
-            self._ts = data["ts"]
-            self._te = data["te"]
-            self._src = data["src"]
-            self._dst = data["dst"]
-            inst = np.minimum(data["c"], data["nf"]).astype(np.float64)
-            self._streams = inst * data["p"]
-        else:
-            # Zero-copy read-only views: the full-store copy raw() makes is
-            # measurable at bench scale, and the groupby engine never writes.
-            self._ts = store.column_view("ts")
-            self._te = store.column_view("te")
-            self._src = store.column_view("src")
-            self._dst = store.column_view("dst")
-            inst = np.minimum(
-                store.column_view("c"), store.column_view("nf")
-            ).astype(np.float64)
-            self._streams = inst * store.column_view("p")
+        # Zero-copy read-only views: the full-store copy raw() makes is
+        # measurable at bench scale, and the computer never writes.
+        self._ts = store.column_view("ts")
+        self._te = store.column_view("te")
+        inst = np.minimum(
+            store.column_view("c"), store.column_view("nf")
+        ).astype(np.float64)
+        self._streams = inst * store.column_view("p")
         self._rate = store.rates
         self._instances = inst
-        if engine == "legacy":
-            self._indexes: dict[str, _EndpointIndexes] = {}
-            for ep in set(self._src) | set(self._dst):
-                self._indexes[str(ep)] = self._build_endpoint(str(ep))
-        else:
-            self._build_groupby()
+        self._build()
 
-    # -- legacy engine -----------------------------------------------------
-
-    def _build_endpoint(self, ep: str) -> _EndpointIndexes:
-        is_out = self._src == ep
-        is_in = self._dst == ep
-        touches = is_out | is_in
-
-        def idx(mask: np.ndarray, w: np.ndarray) -> IntervalOverlapIndex:
-            return IntervalOverlapIndex(self._ts[mask], self._te[mask], w[mask])
-
-        return _EndpointIndexes(
-            out_rate=idx(is_out, self._rate),
-            in_rate=idx(is_in, self._rate),
-            out_streams=idx(is_out, self._streams),
-            in_streams=idx(is_in, self._streams),
-            touch_instances=idx(touches, self._instances),
-        )
-
-    # -- groupby engine ----------------------------------------------------
-
-    def _build_groupby(self) -> None:
+    def _build(self) -> None:
         # Endpoint labels come pre-factorised (and memoised) by the store;
         # see LogStore.endpoint_codes for why this beats np.unique.
         self.endpoints_, self._src_code, self._dst_code = self._store.endpoint_codes()
@@ -576,12 +440,7 @@ class ContentionComputer:
         out = {name: np.zeros(n) for name in _FEATURE_KEYS}
         dur = te - ts
 
-        if self.engine == "legacy":
-            self._compute_legacy(subset, out, ts, te, dur, rate, streams, instances)
-        else:
-            self._compute_groupby(
-                subset, out, ts, te, dur, rate, streams, instances, full
-            )
+        self._fill(subset, out, ts, te, dur, rate, streams, instances, full)
 
         # Numerical floor: the self-subtraction above cancels two numbers of
         # magnitude ~w_k * duration, which can leave residue of either sign
@@ -598,45 +457,7 @@ class ContentionComputer:
                 v[v < 1e-9 * np.maximum(self_weight[key], 1.0)] = 0.0
         return out
 
-    def _compute_legacy(self, subset, out, ts, te, dur, rate, streams, instances):
-        src = self._src[subset]
-        dst = self._dst[subset]
-        # Group queries per endpoint so each index is queried in bulk.
-        for ep, idxs in self._indexes.items():
-            at_src = np.nonzero(src == ep)[0]
-            at_dst = np.nonzero(dst == ep)[0]
-            if at_src.size:
-                a, b, d = ts[at_src], te[at_src], dur[at_src]
-                # Outgoing sets at the source include k itself: subtract
-                # the self term w_k * duration before scaling.
-                out["K_sout"][at_src] = (
-                    idxs.out_rate.overlap_sum(a, b) - rate[at_src] * d
-                ) / d
-                out["S_sout"][at_src] = (
-                    idxs.out_streams.overlap_sum(a, b) - streams[at_src] * d
-                ) / d
-                out["K_sin"][at_src] = idxs.in_rate.overlap_sum(a, b) / d
-                out["S_sin"][at_src] = idxs.in_streams.overlap_sum(a, b) / d
-                out["G_src"][at_src] = (
-                    idxs.touch_instances.overlap_sum(a, b) - instances[at_src] * d
-                ) / d
-            if at_dst.size:
-                a, b, d = ts[at_dst], te[at_dst], dur[at_dst]
-                out["K_din"][at_dst] = (
-                    idxs.in_rate.overlap_sum(a, b) - rate[at_dst] * d
-                ) / d
-                out["S_din"][at_dst] = (
-                    idxs.in_streams.overlap_sum(a, b) - streams[at_dst] * d
-                ) / d
-                out["K_dout"][at_dst] = idxs.out_rate.overlap_sum(a, b) / d
-                out["S_dout"][at_dst] = idxs.out_streams.overlap_sum(a, b) / d
-                out["G_dst"][at_dst] = (
-                    idxs.touch_instances.overlap_sum(a, b) - instances[at_dst] * d
-                ) / d
-
-    def _compute_groupby(
-        self, subset, out, ts, te, dur, rate, streams, instances, full=False
-    ):
+    def _fill(self, subset, out, ts, te, dur, rate, streams, instances, full):
         if full:
             # subset is arange(n): the grouping is exactly the one cached at
             # build time, so skip the two argsorts.
@@ -661,7 +482,7 @@ class ContentionComputer:
             # index; one concatenated call does 4 binary searches total.
             a = np.concatenate([ts[at_src], ts[at_dst]])
             b = np.concatenate([te[at_src], te[at_dst]])
-            res = self._merged[e].overlap_sum_fast(a, b)
+            res = self._merged[e].overlap_sum(a, b)
             rs = res[:ns]
             rd = res[ns:]
             if ns:

@@ -12,13 +12,7 @@ then the two checks that gate CI:
 - the vectorized (C, P) sweep (:class:`~repro.serve.SweepAdvisor`) must
   rank bit-identically to the scalar
   :class:`~repro.core.advisor.TunableAdvisor` on a fitted model, and the
-  fleet scheduler's predicted makespan must not exceed FIFO's;
-- the flattened forest kernel (:class:`~repro.ml.forest.FlattenedForest`)
-  must predict bit-identically to the per-tree reference loop, and the
-  fused training histogram kernel must grow the exact trees the legacy
-  per-feature kernel grows (SHA-256 prediction fingerprints);
-- the group-by contention engine must emit the exact feature arrays the
-  legacy per-endpoint engine emits, for full and subset computes.
+  fleet scheduler's predicted makespan must not exceed FIFO's.
 
 Timings are reported (median/p95/best per path, serial-vs-parallel
 wall-clock for the fit) but never gated — wall-clock depends on the host
@@ -88,20 +82,6 @@ def _make_store(
     return LogStore.from_records(recs)
 
 
-def _array_fingerprint(*arrays: np.ndarray) -> str:
-    """SHA-256 over exact array bytes (dtype + shape + raw data) — any
-    least-significant-bit difference in any array changes the digest."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        h.update(str(arr.dtype).encode())
-        h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 def _timed(fn, rounds: int) -> dict:
     times = []
     for _ in range(rounds):
@@ -128,8 +108,6 @@ class BenchReport:
     serve_bench: dict = field(default_factory=dict)
     advise: dict = field(default_factory=dict)
     shards: dict = field(default_factory=dict)
-    forest: dict = field(default_factory=dict)
-    contention: dict = field(default_factory=dict)
 
     @property
     def parity_ok(self) -> bool:
@@ -142,8 +120,6 @@ class BenchReport:
             and self.advise.get("parity_ok")
             and self.advise.get("planner_ok")
             and self.shards.get("parity_ok", True)
-            and self.forest.get("parity_ok", True)
-            and self.contention.get("parity_ok", True)
         )
 
     def as_dict(self) -> dict:
@@ -158,8 +134,6 @@ class BenchReport:
             "serve_bench": self.serve_bench,
             "advise": self.advise,
             "shards": self.shards,
-            "forest": self.forest,
-            "contention_groupby": self.contention,
         }
 
     def render(self) -> str:
@@ -196,36 +170,6 @@ class BenchReport:
                 f"  speedup                 {cache['speedup']:9.2f}x",
                 f"  hits / misses           {cache['hits']} / {cache['misses']}",
                 f"  arrays bit-identical    {cache['parity_ok']}",
-            ]
-        fo = self.forest
-        if fo:
-            lines += [
-                "",
-                f"forest kernel ({fo['n_trees']} trees, "
-                f"{fo['n_rows_full']}x{fo['n_features']} full / "
-                f"{fo['n_rows_request']} request rows):",
-                f"  predict full  loop      {fo['loop_full_s'] * 1e3:9.2f} ms",
-                f"  predict full  kernel    {fo['flat_full_s'] * 1e3:9.2f} ms "
-                f"({fo['full_speedup']:.1f}x)",
-                f"  predict req.  loop      {fo['loop_request_s'] * 1e3:9.2f} ms",
-                f"  predict req.  kernel    {fo['flat_request_s'] * 1e3:9.2f} ms "
-                f"({fo['request_speedup']:.1f}x)",
-                f"  train legacy kernel     {fo['train_legacy_s'] * 1e3:9.2f} ms",
-                f"  train fused kernel      {fo['train_fused_s'] * 1e3:9.2f} ms "
-                f"({fo['train_speedup']:.1f}x, "
-                f"rmse ratio {fo['train_rmse_ratio']:.4f})",
-                f"  kernel bit-ident. loop  {fo['parity_ok']}",
-            ]
-        co = self.contention
-        if co:
-            lines += [
-                "",
-                f"contention engine ({co['n_rows']} rows, "
-                f"{co['n_endpoints']} endpoints):",
-                f"  legacy build+compute    {co['legacy_s'] * 1e3:9.2f} ms",
-                f"  groupby build+compute   {co['groupby_s'] * 1e3:9.2f} ms",
-                f"  speedup                 {co['speedup']:9.2f}x",
-                f"  features bit-identical  {co['parity_ok']}",
             ]
         sb = self.serve_bench
         if sb:
@@ -382,151 +326,6 @@ def _run_hot_paths(report: BenchReport, rounds: int, quick: bool,
         report.hot_paths["jsonl_ingest"] = _timed(
             lambda: read_jsonl(jsonl_path), rounds
         )
-
-
-def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
-                      seed: int) -> None:
-    """Flattened-forest + fused-training parity and head-to-head timings.
-
-    The bit-identity gate: ``predict`` (flattened kernel) must match
-    ``predict_tree_loop`` (per-tree reference) exactly, on both the full
-    test shape and a request-sized batch (the serving regime, where
-    per-tree python dispatch dominates the loop).
-
-    The fused-vs-legacy *training* kernels optimise the same gain
-    objective but their histogram sums round differently at the ulp level
-    (global vs per-feature cumsum, sibling subtraction), so grown trees
-    may differ on exact gain ties — see :mod:`repro.ml.tree`.  Their
-    train-RMSE equivalence is recorded (``train_rmse_ratio``) but only
-    sanity-bounded, never bit-gated.
-    """
-    from repro.ml.gbt import GradientBoostingRegressor
-
-    rng = np.random.default_rng(seed + 7)
-    n = 800 if quick else 3000
-    trees = 20 if quick else 100
-    n_features = 15
-    X = rng.uniform(size=(n, n_features))
-    y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.05, n)
-
-    def make(kernel: str) -> GradientBoostingRegressor:
-        return GradientBoostingRegressor(
-            n_estimators=trees, max_depth=4, random_state=0,
-            tree_kernel=kernel,
-        )
-
-    train_rounds = max(1, rounds - 2)
-    fused_t = _timed(lambda: make("fused").fit(X, y), train_rounds)
-    legacy_t = _timed(lambda: make("legacy").fit(X, y), train_rounds)
-    fused = make("fused").fit(X, y)
-    legacy = make("legacy").fit(X, y)
-
-    X_full = rng.uniform(size=(2_000 if quick else 10_000, n_features))
-    X_request = X_full[:100]
-
-    flat_full = fused.predict(X_full)
-    loop_full = fused.predict_tree_loop(X_full)
-    flat_request = fused.predict(X_request)
-    loop_request = fused.predict_tree_loop(X_request)
-
-    flat_fp = _array_fingerprint(flat_full, flat_request)
-    loop_fp = _array_fingerprint(loop_full, loop_request)
-    # Training-kernel equivalence is statistical, not bitwise: both must
-    # reach the same accuracy on the training objective (within 2%).
-    fused_rmse = fused.train_scores_[-1]
-    legacy_rmse = legacy.train_scores_[-1]
-    rmse_ratio = fused_rmse / legacy_rmse if legacy_rmse else float("inf")
-    train_equiv = bool(abs(rmse_ratio - 1.0) < 0.02)
-
-    flat_full_t = _timed(lambda: fused.predict(X_full), rounds)
-    loop_full_t = _timed(lambda: fused.predict_tree_loop(X_full), rounds)
-    flat_req_t = _timed(lambda: fused.predict(X_request), rounds)
-    loop_req_t = _timed(lambda: fused.predict_tree_loop(X_request), rounds)
-
-    report.forest = {
-        "n_trees": len(fused.trees_),
-        "n_features": n_features,
-        "n_rows_full": int(X_full.shape[0]),
-        "n_rows_request": int(X_request.shape[0]),
-        "flat_full_s": flat_full_t["median_s"],
-        "loop_full_s": loop_full_t["median_s"],
-        "full_speedup": (
-            loop_full_t["median_s"] / flat_full_t["median_s"]
-            if flat_full_t["median_s"] else 0.0
-        ),
-        "flat_request_s": flat_req_t["median_s"],
-        "loop_request_s": loop_req_t["median_s"],
-        "request_speedup": (
-            loop_req_t["median_s"] / flat_req_t["median_s"]
-            if flat_req_t["median_s"] else 0.0
-        ),
-        "train_fused_s": fused_t["median_s"],
-        "train_legacy_s": legacy_t["median_s"],
-        "train_speedup": (
-            legacy_t["median_s"] / fused_t["median_s"]
-            if fused_t["median_s"] else 0.0
-        ),
-        "flat_fingerprint": flat_fp,
-        "loop_fingerprint": loop_fp,
-        "train_rmse_ratio": float(rmse_ratio),
-        "train_equiv_ok": train_equiv,
-        "parity_ok": bool(flat_fp == loop_fp and train_equiv),
-    }
-
-
-def _run_contention_bench(report: BenchReport, rounds: int, quick: bool,
-                          seed: int) -> None:
-    """Group-by vs legacy contention engine: exact parity + speedup.
-
-    Both engines build their per-endpoint indexes and run one full
-    feature compute per round; the group-by engine's feature arrays must
-    be bit-identical to the legacy engine's on the full store *and* on a
-    random subset (the incremental-refit path)."""
-    from repro.core.contention import _FEATURE_KEYS, ContentionComputer
-
-    # Full mode runs at a scale where the legacy row loop's python
-    # overhead dominates; the speedup keeps widening with row count.
-    n = 2_000 if quick else 30_000
-    n_endpoints = 12
-    store = _make_store(n, n_endpoints=n_endpoints, seed=seed + 3,
-                        horizon=500_000.0)
-    rng = np.random.default_rng(seed + 4)
-    subset = np.sort(rng.choice(n, size=n // 3, replace=False))
-
-    legacy = ContentionComputer(store, engine="legacy")
-    groupby = ContentionComputer(store, engine="groupby")
-    legacy_full = legacy.compute()
-    groupby_full = groupby.compute()
-    legacy_sub = legacy.compute(subset)
-    groupby_sub = groupby.compute(subset)
-
-    legacy_fp = _array_fingerprint(*(legacy_full[k] for k in _FEATURE_KEYS))
-    groupby_fp = _array_fingerprint(*(groupby_full[k] for k in _FEATURE_KEYS))
-    subset_ok = all(
-        np.array_equal(legacy_sub[k], groupby_sub[k]) for k in _FEATURE_KEYS
-    )
-
-    legacy_t = _timed(
-        lambda: ContentionComputer(store, engine="legacy").compute(), rounds
-    )
-    groupby_t = _timed(
-        lambda: ContentionComputer(store, engine="groupby").compute(), rounds
-    )
-
-    report.contention = {
-        "n_rows": n,
-        "n_endpoints": n_endpoints,
-        "legacy_s": legacy_t["median_s"],
-        "groupby_s": groupby_t["median_s"],
-        "speedup": (
-            legacy_t["median_s"] / groupby_t["median_s"]
-            if groupby_t["median_s"] else 0.0
-        ),
-        "legacy_fingerprint": legacy_fp,
-        "groupby_fingerprint": groupby_fp,
-        "subset_parity_ok": bool(subset_ok),
-        "parity_ok": bool(legacy_fp == groupby_fp and subset_ok),
-    }
 
 
 def _run_fit_parity(report: BenchReport, workers: int, quick: bool,
@@ -761,8 +560,6 @@ def run_bench(
     rounds = rounds if rounds is not None else (3 if quick else 5)
     report = BenchReport(quick=quick, workers=worker_count)
     _run_hot_paths(report, rounds, quick, seed)
-    _run_forest_bench(report, rounds, quick, seed)
-    _run_contention_bench(report, rounds, quick, seed)
     _run_fit_parity(report, worker_count, quick, seed)
     _run_cache_bench(report, quick, seed)
     _run_serve_bench(report, worker_count, quick, seed)

@@ -12,6 +12,13 @@ the regularisation knobs that matter for the reproduction: shrinkage
 (``learning_rate``), L2 leaf penalty (``reg_lambda``), complexity penalty
 (``gamma``), ``min_child_weight``, row subsampling and per-tree column
 subsampling, plus early stopping on a validation split.
+
+Trees grow with the fused histogram kernel of :mod:`repro.ml.tree`, and
+:meth:`GradientBoostingRegressor.predict` runs the flattened all-trees
+kernel of :mod:`repro.ml.forest`.  Their oracles live in ``tests/``: a
+golden fingerprint of the grown trees (``tests/ml/test_tree.py``) and a
+per-tree ``predict_binned`` loop that ``predict`` must match bit for bit
+(``tests/ml/test_forest.py``).
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ class GradientBoostingRegressor:
         fails to improve for this many consecutive rounds.
     random_state:
         Seed for row/column subsampling.
-    tree_kernel:
-        Histogram kernel for split finding: ``"fused"`` (single-bincount
-        accumulation + sibling subtraction, the default) or ``"legacy"``
-        (per-feature loop, kept as the bench baseline).
 
     Examples
     --------
@@ -76,7 +79,6 @@ class GradientBoostingRegressor:
         max_bins: int = 256,
         early_stopping_rounds: int | None = None,
         random_state: int | None = None,
-        tree_kernel: str = "fused",
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -86,10 +88,6 @@ class GradientBoostingRegressor:
             raise ValueError("subsample must be in (0, 1]")
         if not 0.0 < colsample_bytree <= 1.0:
             raise ValueError("colsample_bytree must be in (0, 1]")
-        if tree_kernel not in ("fused", "legacy"):
-            raise ValueError(
-                f"tree_kernel must be 'fused' or 'legacy', got {tree_kernel!r}"
-            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.tree_params = TreeGrowthParams(
@@ -103,7 +101,6 @@ class GradientBoostingRegressor:
         self.max_bins = max_bins
         self.early_stopping_rounds = early_stopping_rounds
         self.random_state = random_state
-        self.tree_kernel = tree_kernel
 
         self.trees_: list[RegressionTree] = []
         self.base_score_: float = 0.0
@@ -129,6 +126,8 @@ class GradientBoostingRegressor:
             raise ValueError(f"bad shapes X{X.shape} y{y.shape}")
         if X.shape[0] < 2:
             raise ValueError("need at least 2 samples")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains NaN or infinite values")
         n, self.n_features_ = X.shape
         rng = np.random.default_rng(self.random_state)
 
@@ -145,6 +144,8 @@ class GradientBoostingRegressor:
         if eval_set is not None:
             X_val, y_val = eval_set
             y_val = np.asarray(y_val, dtype=np.float64).ravel()
+            if not np.isfinite(y_val).all():
+                raise ValueError("eval_set target contains NaN or infinite values")
             val_codes = self.binner_.transform(np.asarray(X_val, dtype=np.float64))
             val_pred = np.full(y_val.shape[0], self.base_score_)
 
@@ -174,7 +175,7 @@ class GradientBoostingRegressor:
             else:
                 cols = None
 
-            tree = RegressionTree(self.tree_params, self.max_bins, self.tree_kernel)
+            tree = RegressionTree(self.tree_params, self.max_bins)
             if rows is None:
                 tree.fit_binned(codes, grad, hess, n_bins, feature_subset=cols)
             else:
@@ -229,20 +230,6 @@ class GradientBoostingRegressor:
         X = self._check_predict_input(X)
         codes = self.binner_.transform(X)
         return self._ensure_forest().predict_binned(codes)
-
-    def predict_tree_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree prediction loop (the pre-flattening code path).
-
-        Kept as the parity oracle for the forest kernel: ``predict`` must be
-        bit-identical to this, which ``repro-tools bench`` fingerprints and
-        ``tests/ml/test_forest.py`` asserts over randomized models.
-        """
-        X = self._check_predict_input(X)
-        codes = self.binner_.transform(X)
-        out = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict_binned(codes)
-        return out
 
     def staged_predict(self, X: np.ndarray):
         """Yield predictions after each boosting round (for learning curves).

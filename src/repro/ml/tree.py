@@ -14,25 +14,15 @@ Split finding is histogram-based: features are pre-binned by
 :class:`repro.ml.binning.QuantileBinner` and per-node (G, H) histograms are
 accumulated with ``np.bincount`` — O(n) per feature per node, no sorting.
 
-Two histogram kernels are available (``kernel=`` on the constructor):
+One ``np.bincount`` over ``offset + code`` keys accumulates *all*
+features' histograms at once, the gain scan runs vectorised over the
+concatenated bin space, and each split computes the histogram for the
+smaller child only — the larger child is ``parent - sibling`` (LightGBM's
+subtraction trick), skipping roughly half the histogram work per level.
 
-``"fused"`` (default)
-    One ``np.bincount`` over ``offset + code`` keys accumulates *all*
-    features' histograms at once, the gain scan runs vectorised over the
-    concatenated bin space, and each split computes the histogram for the
-    smaller child only — the larger child is ``parent - sibling``
-    (LightGBM's subtraction trick), skipping roughly half the histogram
-    work per level.
-``"legacy"``
-    The original per-feature loop.  Kept as the head-to-head baseline for
-    ``repro-tools bench`` (``gbt_training`` speedup is measured against
-    it).
-
-Both kernels optimise the same gain objective; the fused kernel's
-histogram sums round differently at the ulp level (global vs per-feature
-cumsum order, sibling subtraction), so grown trees may differ on exact
-gain ties — accuracy is equivalent, and prediction-side parity gates
-operate on a fixed fitted model, not across training kernels.
+The oracles live in ``tests/ml/test_tree.py``: a brute-force per-feature
+``bincount`` + ``cumsum`` split scan that the root split must match, and a
+golden fingerprint of the trees grown on seeded data.
 """
 
 from __future__ import annotations
@@ -97,13 +87,9 @@ class RegressionTree:
         self,
         params: TreeGrowthParams | None = None,
         max_bins: int = 256,
-        kernel: str = "fused",
     ):
-        if kernel not in ("fused", "legacy"):
-            raise ValueError(f"kernel must be 'fused' or 'legacy', got {kernel!r}")
         self.params = params or TreeGrowthParams()
         self.max_bins = max_bins
-        self.kernel = kernel
         # Flat node arrays, filled by _grow().
         self.node_feature_: np.ndarray | None = None  # int32, _LEAF for leaves
         self.node_bin_: np.ndarray | None = None      # int32 split bin code
@@ -123,6 +109,8 @@ class RegressionTree:
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError(f"bad shapes X{X.shape} y{y.shape}")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains NaN or infinite values")
         self._binner = QuantileBinner(self.max_bins).fit(X)
         codes = self._binner.transform(X)
         # Squared error with yhat = 0: g = -y, h = 1; leaf weight -G/(H+λ)
@@ -231,40 +219,38 @@ class RegressionTree:
         feat_gain = np.zeros(n_features, dtype=np.float64)
         feat_count = np.zeros(n_features, dtype=np.int64)
 
-        fused = self.kernel == "fused"
-        if fused:
-            # Concatenated bin space: feature f's bins live at
-            # [offsets[f], offsets[f+1]); one bincount over offset+code keys
-            # fills every feature's histogram in a single pass.
-            nb = np.asarray(n_bins, dtype=np.int64)
-            offsets = np.zeros(n_features + 1, dtype=np.int64)
-            np.cumsum(nb, out=offsets[1:])
-            total_bins = int(offsets[-1])
-            pos_feat = np.repeat(np.arange(n_features, dtype=np.int64), nb)
-            allowed = np.zeros(total_bins, dtype=bool)
-            for f in np.asarray(feature_subset, dtype=np.int64):
-                if nb[f] >= 2:
-                    # Valid cuts are "after bin b" for b in [0, nb-2].
-                    allowed[offsets[f] : offsets[f] + nb[f] - 1] = True
-            off_codes = codes.astype(np.int64) + offsets[:-1][None, :]
+        # Concatenated bin space: feature f's bins live at
+        # [offsets[f], offsets[f+1]); one bincount over offset+code keys
+        # fills every feature's histogram in a single pass.
+        nb = np.asarray(n_bins, dtype=np.int64)
+        offsets = np.zeros(n_features + 1, dtype=np.int64)
+        np.cumsum(nb, out=offsets[1:])
+        total_bins = int(offsets[-1])
+        pos_feat = np.repeat(np.arange(n_features, dtype=np.int64), nb)
+        allowed = np.zeros(total_bins, dtype=bool)
+        for f in np.asarray(feature_subset, dtype=np.int64):
+            if nb[f] >= 2:
+                # Valid cuts are "after bin b" for b in [0, nb-2].
+                allowed[offsets[f] : offsets[f] + nb[f] - 1] = True
+        off_codes = codes.astype(np.int64) + offsets[:-1][None, :]
 
-            def node_hist(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                keys = off_codes[rows].reshape(-1)
-                hg = np.bincount(
-                    keys,
-                    weights=np.repeat(grad[rows], n_features),
-                    minlength=total_bins,
-                )
-                hh = np.bincount(
-                    keys,
-                    weights=np.repeat(hess[rows], n_features),
-                    minlength=total_bins,
-                )
-                return hg, hh
+        def node_hist(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            keys = off_codes[rows].reshape(-1)
+            hg = np.bincount(
+                keys,
+                weights=np.repeat(grad[rows], n_features),
+                minlength=total_bins,
+            )
+            hh = np.bincount(
+                keys,
+                weights=np.repeat(hess[rows], n_features),
+                minlength=total_bins,
+            )
+            return hg, hh
 
         all_rows = np.arange(codes.shape[0], dtype=np.int64)
-        # Stack of (node_id, depth, row_indices, hist_g, hist_h); histograms
-        # ride along only in the fused kernel (None = compute on demand).
+        # Stack of (node_id, depth, row_indices, hist_g, hist_h); a None
+        # histogram is computed on demand.
         stack: list = [(0, 0, all_rows, None, None)]
         next_free = 1
 
@@ -277,16 +263,11 @@ class RegressionTree:
             if depth >= p.max_depth or h_tot < 2.0 * p.min_child_weight:
                 continue
 
-            if fused:
-                if hist_g is None:
-                    hist_g, hist_h = node_hist(rows)
-                best = self._best_split_fused(
-                    hist_g, hist_h, g_tot, h_tot, offsets, allowed, pos_feat
-                )
-            else:
-                best = self._best_split(
-                    codes, grad, hess, rows, g_tot, h_tot, n_bins, feature_subset
-                )
+            if hist_g is None:
+                hist_g, hist_h = node_hist(rows)
+            best = self._best_split_fused(
+                hist_g, hist_h, g_tot, h_tot, offsets, allowed, pos_feat
+            )
             if best is None:
                 continue
             bfeat, bbin, bgain = best
@@ -307,7 +288,7 @@ class RegressionTree:
             left[node_id] = next_free
             right[node_id] = next_free + 1
             hg_l = hh_l = hg_r = hh_r = None
-            if fused and depth + 1 < p.max_depth:
+            if depth + 1 < p.max_depth:
                 # Sibling subtraction: bincount only the smaller child, the
                 # larger one is parent minus sibling.  Children at max depth
                 # never split, so their histograms are never materialised.
@@ -385,60 +366,3 @@ class RegressionTree:
             return None
         f = int(pos_feat[b])
         return f, int(b - offsets[f]), float(gains[b])
-
-    def _best_split(
-        self,
-        codes: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        rows: np.ndarray,
-        g_tot: float,
-        h_tot: float,
-        n_bins: np.ndarray,
-        feature_subset: np.ndarray,
-    ) -> tuple[int, int, float] | None:
-        """Scan histogram cut points over the feature subset; return the best
-        (feature, bin, gain) with gain > 0, or None."""
-        p = self.params
-        parent_score = g_tot * g_tot / (h_tot + p.reg_lambda)
-        g_rows = grad[rows]
-        h_rows = hess[rows]
-
-        best_gain = 0.0
-        best_feat = -1
-        best_bin = -1
-        for f in feature_subset:
-            nb = int(n_bins[f])
-            if nb < 2:
-                continue
-            col = codes[rows, f]
-            hist_g = np.bincount(col, weights=g_rows, minlength=nb)
-            hist_h = np.bincount(col, weights=h_rows, minlength=nb)
-            # Cut after bin b: left = bins [0..b], for b in [0, nb-2].
-            gl = np.cumsum(hist_g)[:-1]
-            hl = np.cumsum(hist_h)[:-1]
-            gr = g_tot - gl
-            hr = h_tot - hl
-            dl = hl + p.reg_lambda
-            dr = hr + p.reg_lambda
-            # With reg_lambda == 0 an empty side has a zero denominator;
-            # such cuts are never valid splits, so mask them out.
-            ok = (
-                (hl >= p.min_child_weight)
-                & (hr >= p.min_child_weight)
-                & (dl > 0.0)
-                & (dr > 0.0)
-            )
-            if not ok.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent_score) - p.gamma
-            gains[~ok] = -np.inf
-            b = int(np.argmax(gains))
-            if gains[b] > best_gain:
-                best_gain = float(gains[b])
-                best_feat = int(f)
-                best_bin = b
-        if best_feat < 0:
-            return None
-        return best_feat, best_bin, best_gain

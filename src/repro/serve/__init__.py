@@ -69,7 +69,6 @@ from repro.serve.advise import (
 from repro.serve.active_set import (
     ActiveSet,
     ActiveSetStats,
-    EndpointState,
     view_from_dict,
     view_to_dict,
 )
@@ -124,7 +123,6 @@ from repro.serve.stream import (
 __all__ = [
     "ActiveSet",
     "ActiveSetStats",
-    "EndpointState",
     "view_to_dict",
     "view_from_dict",
     "BatchOnlinePredictor",

@@ -16,7 +16,7 @@ not one per update — and endpoints outside the burst pay nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.obs import MetricsRegistry, Observability
 __all__ = [
     "ActiveSet",
     "ActiveSetStats",
-    "EndpointState",
     "view_to_dict",
     "view_from_dict",
 ]
@@ -145,7 +144,7 @@ for _name, (_metric, _help) in _ACTIVE_METRICS.items():
 del _name, _metric, _help
 
 
-# Weight columns of EndpointState.merged, in the order the fix-point
+# Weight columns of an endpoint's index, in the order the fix-point
 # consumes them (out-rate, out-streams, in-rate, in-streams, instances).
 _M_OUT_RATE = 0
 _M_OUT_STREAMS = 1
@@ -155,45 +154,19 @@ _M_TOUCH = 4
 _M_COLS = 5
 
 
-@dataclass(frozen=True)
-class EndpointState:
-    """Bulk-query indexes over one endpoint's in-flight transfers.
-
-    Mirrors :class:`~repro.core.contention.ContentionComputer`'s
-    per-endpoint view.  ``outgoing`` and ``incoming`` are two-column
-    weight indexes (column 0: rate, for the K features; column 1: stream
-    count, for S), so one query answers both; ``touch_instances`` covers
-    transfers touching the endpoint on either side (the G features).
-
-    ``merged`` stacks all five weightings over the union of touching
-    transfers (``_M_*`` column order, zero weight where a transfer does
-    not play that role), so the batch fix-point answers one endpoint's
-    whole feature row with a single pair of binary searches — zero
-    weights add exactly ``0.0`` to every prefix sum, so each column is
-    bit-identical to its standalone index.
-    """
-
-    outgoing: ActiveOverlapIndex
-    incoming: ActiveOverlapIndex
-    touch_instances: ActiveOverlapIndex
-    merged: ActiveOverlapIndex
-
-
 def _build_state(
     endpoint: str,
     out_views: list[ActiveTransferView],
     in_views: list[ActiveTransferView],
-) -> EndpointState:
-    def rate_streams(views: list[ActiveTransferView]) -> ActiveOverlapIndex:
-        te = np.array([v.expected_end for v in views], dtype=np.float64)
-        w = np.array([(v.rate, v.streams) for v in views], dtype=np.float64)
-        return ActiveOverlapIndex(te, w.reshape(len(views), 2))
-
+) -> ActiveOverlapIndex:
+    """One index over every transfer touching ``endpoint``, with the five
+    ``_M_*`` weight columns (zero where a transfer does not play that
+    role), so the batch fix-point answers the endpoint's whole feature row
+    with one binary search per query."""
     # A degenerate self-loop (src == dst == endpoint) appears in both view
     # lists but must count once toward the G (instance) features.
     touching = out_views + [v for v in in_views if v.src != endpoint]
     te = np.array([v.expected_end for v in touching], dtype=np.float64)
-    instances = np.array([v.instances for v in touching], dtype=np.float64)
     weights = np.zeros((len(touching), _M_COLS), dtype=np.float64)
     n_out = len(out_views)
     for i, v in enumerate(out_views):
@@ -205,13 +178,8 @@ def _build_state(
     for i, v in enumerate(touching[n_out:], start=n_out):
         weights[i, _M_IN_RATE] = v.rate
         weights[i, _M_IN_STREAMS] = v.streams
-    weights[:, _M_TOUCH] = instances
-    return EndpointState(
-        outgoing=rate_streams(out_views),
-        incoming=rate_streams(in_views),
-        touch_instances=ActiveOverlapIndex(te, instances),
-        merged=ActiveOverlapIndex(te, weights),
-    )
+    weights[:, _M_TOUCH] = [v.instances for v in touching]
+    return ActiveOverlapIndex(te, weights)
 
 
 class ActiveSet:
@@ -225,7 +193,7 @@ class ActiveSet:
         active.complete(tid)                          # completion / failure
 
     Feature queries go through :meth:`endpoint_state`, which returns the
-    (lazily rebuilt) prefix-sum indexes for one endpoint.
+    (lazily rebuilt) prefix-sum index for one endpoint.
 
     By default malformed mutations raise (``KeyError`` for unknown or
     duplicate ids, ``ValueError`` for bad values) — correct for replay,
@@ -246,7 +214,7 @@ class ActiveSet:
         # prefix sums bit-identical.
         self._by_src: dict[str, dict[int, None]] = {}
         self._by_dst: dict[str, dict[int, None]] = {}
-        self._state: dict[str, EndpointState] = {}
+        self._state: dict[str, ActiveOverlapIndex] = {}
         registry = obs.registry if obs is not None else None
         self.stats = ActiveSetStats(registry)
         self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
@@ -375,8 +343,12 @@ class ActiveSet:
 
     # -- queries -----------------------------------------------------------
 
-    def endpoint_state(self, endpoint: str) -> EndpointState:
-        """The endpoint's bulk-query indexes (rebuilt only if dirtied)."""
+    def endpoint_state(self, endpoint: str) -> ActiveOverlapIndex:
+        """The endpoint's bulk-query index (rebuilt only if dirtied).
+
+        Its ``window_sums(now, b)`` returns one column per ``_M_*`` role:
+        out-rate, out-streams, in-rate, in-streams, touching instances.
+        """
         state = self._state.get(endpoint)
         if state is None:
             span = (

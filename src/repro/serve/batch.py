@@ -767,9 +767,10 @@ class BatchOnlinePredictor:
         vectorized query per role.
 
         ``states`` is the optional pre-resolved ``(src_states,
-        dst_states)`` pair (one :class:`~repro.serve.active_set
-        .EndpointState` per unique endpoint, hoisted once per fix-point by
-        :meth:`_fixpoint`); when None each group resolves lazily.
+        dst_states)`` pair (one endpoint index from
+        :meth:`~repro.serve.active_set.ActiveSet.endpoint_state` per unique
+        endpoint, hoisted once per fix-point by :meth:`_fixpoint`); when
+        None each group resolves lazily.
         """
         n = idx.size
         # One zeroed backing block; the returned dict holds row views.
@@ -804,10 +805,9 @@ class BatchOnlinePredictor:
                 )
                 b = t_end[pos]
                 d = durations[pos]
-                # One query over the endpoint's merged 5-column index
-                # answers all five roles (vs three separate index probes);
-                # see EndpointState.merged for the bit-identity argument.
-                sums = state.merged.window_sums(now, b)
+                # One query over the endpoint's 5-column index answers all
+                # five roles.
+                sums = state.window_sums(now, b)
                 out[k_out][pos] = sums[:, _M_OUT_RATE] / d
                 out[s_out][pos] = sums[:, _M_OUT_STREAMS] / d
                 out[k_in][pos] = sums[:, _M_IN_RATE] / d

@@ -1,6 +1,8 @@
 """Tests for the Eq. 2 contention computation, including a full check of
 the prefix-sum sweep against a naive O(n^2) reference implementation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,40 +182,59 @@ class TestContentionComputer:
             assert out["K_dout"][k] == 0.0
 
 
+# SHA-256 of the ten feature arrays (FEATURE_KEYS order) on the golden
+# store below.  Computed with the per-endpoint legacy engine and with the
+# merged group-by engine before the legacy one was retired; both gave
+# exactly these digests.
+GOLDEN_FULL = "b269bbad9b3921d6f55f9f3bcdcff112a4623504954c9c1901e25b97363c82af"
+GOLDEN_SUBSET = "944cfc5580ce7d195bac480827368d4125826e625979b36f75f0d808f5acde84"
+
+FEATURE_KEYS = (
+    "K_sout", "K_sin", "K_dout", "K_din",
+    "S_sout", "S_sin", "S_dout", "S_din",
+    "G_src", "G_dst",
+)
+
+
+def features_fingerprint(out):
+    """SHA-256 over exact array bytes (dtype + shape + raw data): any
+    least-significant-bit change in any feature changes the digest."""
+    h = hashlib.sha256()
+    for key in FEATURE_KEYS:
+        arr = np.ascontiguousarray(out[key])
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_store():
+    return make_random_store(n=5000, n_endpoints=8, seed=21, horizon=100_000.0)
+
+
+def golden_subset():
+    return np.sort(np.random.default_rng(22).choice(5000, size=1700, replace=False))
+
+
 class TestEngineParity:
-    """The group-by engine must be bit-identical to the legacy engine."""
+    """Bit parity with the retired legacy engine, pinned as golden
+    fingerprints of its output on a seeded 5k-row store."""
 
-    def test_full_compute_bit_identical(self):
-        store = make_random_store(n=400, n_endpoints=6, seed=11, horizon=5000.0)
-        legacy = ContentionComputer(store, engine="legacy").compute()
-        groupby = ContentionComputer(store, engine="groupby").compute()
-        assert set(legacy) == set(groupby)
-        for key in legacy:
-            assert np.array_equal(legacy[key], groupby[key]), key
+    def test_full_compute_bit_identical(self, golden_store):
+        out = ContentionComputer(golden_store).compute()
+        assert set(out) == set(FEATURE_KEYS)
+        assert features_fingerprint(out) == GOLDEN_FULL
 
-    def test_subset_compute_bit_identical(self):
-        store = make_random_store(n=300, n_endpoints=5, seed=12, horizon=3000.0)
-        rng = np.random.default_rng(0)
-        subset = np.sort(rng.choice(300, size=90, replace=False))
-        legacy = ContentionComputer(store, engine="legacy").compute(subset)
-        groupby = ContentionComputer(store, engine="groupby").compute(subset)
-        for key in legacy:
-            assert np.array_equal(legacy[key], groupby[key]), key
-
-    def test_default_engine_is_groupby(self):
-        store = make_random_store(n=50, seed=13)
-        assert ContentionComputer(store).engine == "groupby"
-
-    def test_bad_engine_rejected(self):
-        store = make_random_store(n=50, seed=14)
-        with pytest.raises(ValueError, match="engine"):
-            ContentionComputer(store, engine="pandas")
+    def test_subset_compute_bit_identical(self, golden_store):
+        out = ContentionComputer(golden_store).compute(golden_subset())
+        assert features_fingerprint(out) == GOLDEN_SUBSET
 
     def test_repeated_computes_stay_identical(self):
-        # The groupby engine caches sort orders and memoised endpoint
-        # codes; repeat computes must return the same arrays.
+        # The computer caches sort orders and memoised endpoint codes;
+        # repeat computes must return the same arrays.
         store = make_random_store(n=200, n_endpoints=4, seed=15, horizon=2000.0)
-        comp = ContentionComputer(store, engine="groupby")
+        comp = ContentionComputer(store)
         first = comp.compute()
         second = comp.compute()
         for key in first:
@@ -221,7 +242,9 @@ class TestEngineParity:
 
 
 class TestOverlapSumFast:
-    """overlap_sum_fast (sorted-query + lean eval) vs overlap_sum."""
+    """overlap_sum's sorted-query searches and in-place evaluation: the
+    answer for a query must not depend on where it sits in the batch, and
+    must match the naive sum."""
 
     def _random_index(self, seed, k=1, nonneg=True, n=300):
         rng = np.random.default_rng(seed)
@@ -231,33 +254,46 @@ class TestOverlapSumFast:
             w = rng.uniform(0, 1e6, (n, k))
         else:
             w = rng.normal(0, 1e6, (n, k))
-        if k == 1:
-            w = w[:, 0]
-        return IntervalOverlapIndex(ts, te, w), ts, te
+        return IntervalOverlapIndex(ts, te, w[:, 0] if k == 1 else w), ts, te, w
+
+    def _check(self, idx, ts, te, w, a, b):
+        got = idx.overlap_sum(a, b)
+        # Permuting the batch permutes the answers, bit for bit.
+        perm = np.random.default_rng(7).permutation(a.size)
+        assert np.array_equal(idx.overlap_sum(a[perm], b[perm]), got[perm])
+        # The index clamps sums that cancel below zero (signed weights).
+        want = np.array([
+            [max(0.0, naive_overlap_sum(ts, te, w[:, j], ai, bi))
+             for j in range(w.shape[1])]
+            for ai, bi in zip(a, b)
+        ])
+        got2d = got.reshape(a.size, -1)
+        scale = np.abs(w).sum() * np.abs(b).max() * 1e-12
+        assert np.allclose(got2d, want, rtol=1e-9, atol=max(scale, 1e-6))
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("nonneg", [True, False])
     def test_bit_identical_unsorted_queries(self, k, nonneg):
-        idx, ts, te = self._random_index(seed=20 + k, k=k, nonneg=nonneg)
+        idx, ts, te, w = self._random_index(seed=20 + k, k=k, nonneg=nonneg)
         rng = np.random.default_rng(99)
         a = rng.uniform(0, 1000, 120)  # deliberately unsorted
         b = a + rng.uniform(1e-3, 300, 120)
-        assert np.array_equal(idx.overlap_sum_fast(a, b), idx.overlap_sum(a, b))
+        self._check(idx, ts, te, w, a, b)
 
     def test_empty_query_batch(self):
-        idx, _, _ = self._random_index(seed=30)
+        idx, _, _, _ = self._random_index(seed=30)
         empty = np.array([])
-        assert idx.overlap_sum_fast(empty, empty).shape == (0,)
+        assert idx.overlap_sum(empty, empty).shape == (0,)
 
     def test_empty_index(self):
         idx = IntervalOverlapIndex(np.array([]), np.array([]), np.array([]))
         a = np.array([1.0, 5.0])
-        got = idx.overlap_sum_fast(a, a + 1.0)
+        got = idx.overlap_sum(a, a + 1.0)
         assert np.array_equal(got, np.zeros(2))
 
     def test_negative_query_times(self):
         # Negative a disables the abs-elision; results must still match.
-        idx, _, _ = self._random_index(seed=31, k=2)
+        idx, ts, te, w = self._random_index(seed=31, k=2)
         a = np.array([-50.0, -1.0, 10.0, 500.0])
         b = a + np.array([100.0, 2.0, 5.0, 1.0])
-        assert np.array_equal(idx.overlap_sum_fast(a, b), idx.overlap_sum(a, b))
+        self._check(idx, ts, te, w, a, b)

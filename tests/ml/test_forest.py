@@ -2,14 +2,13 @@
 
 The kernel's contract is exact: ``GradientBoostingRegressor.predict``
 (one packed node table, all trees at once) must be *bit-identical* to
-``predict_tree_loop`` (per-tree python loop, the pre-flattening code
-path) for any fitted model.  These tests pin that property over
+:func:`predict_tree_loop` (the per-tree ``predict_binned`` loop below)
+for any fitted model.  These tests pin that property over
 randomized models — varied depth, bin budgets, subsampling, early-stop
 truncation — plus the staged-prediction and counter side contracts.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +18,15 @@ from repro.ml.forest import (
     reset_forest_totals,
 )
 from repro.ml.gbt import GradientBoostingRegressor
+
+
+def predict_tree_loop(model, X):
+    """Reference prediction: each tree's ``predict_binned``, summed in order."""
+    codes = model.binner_.transform(np.asarray(X, dtype=np.float64))
+    out = np.full(codes.shape[0], model.base_score_)
+    for tree in model.trees_:
+        out += model.learning_rate * tree.predict_binned(codes)
+    return out
 
 
 def _data(seed: int, n: int = 240, n_features: int = 6):
@@ -35,7 +43,7 @@ class TestForestParity:
         model = GradientBoostingRegressor(
             n_estimators=40, max_depth=4, random_state=0
         ).fit(X, y)
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_single_row_and_single_tree(self):
         X, y, X_test = _data(1)
@@ -43,7 +51,7 @@ class TestForestParity:
             n_estimators=1, max_depth=2, random_state=0
         ).fit(X, y)
         one = X_test[:1]
-        assert np.array_equal(model.predict(one), model.predict_tree_loop(one))
+        assert np.array_equal(model.predict(one), predict_tree_loop(model, one))
 
     def test_early_stop_truncated_model(self):
         X, y, X_test = _data(2, n=400)
@@ -54,7 +62,7 @@ class TestForestParity:
             early_stopping_rounds=3,
         ).fit(X[:300], y[:300], eval_set=(X[300:], y[300:]))
         assert len(model.trees_) < 300  # truncation actually happened
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_unpacked_wide_bin_path(self):
         # max_bins above the 15-bit packing limit forces the two-gather
@@ -64,7 +72,7 @@ class TestForestParity:
             n_estimators=15, max_depth=3, max_bins=0x8000, random_state=0
         ).fit(X, y)
         assert model._ensure_forest().packed_ is None
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_packed_path_used_for_default_bins(self):
         X, y, _ = _data(4)
@@ -93,7 +101,7 @@ class TestForestParity:
             colsample_bytree=colsample,
             random_state=seed,
         ).fit(X, y)
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_refit_invalidates_forest(self):
         X, y, X_test = _data(5)
@@ -104,7 +112,7 @@ class TestForestParity:
         model.fit(X, -y)
         second = model.predict(X_test)
         assert not np.array_equal(first, second)
-        assert np.array_equal(second, model.predict_tree_loop(X_test))
+        assert np.array_equal(second, predict_tree_loop(model, X_test))
 
 
 class TestStagedPredict:
@@ -177,22 +185,3 @@ class TestForestTotals:
             model.trees_, model.learning_rate, model.base_score_, model.max_bins
         )
         assert forest_totals()["builds"] == 1
-
-
-class TestTrainingKernels:
-    def test_fused_and_legacy_reach_equivalent_accuracy(self):
-        # The kernels may grow different trees on exact gain ties (their
-        # histogram sums round differently at the ulp level), so the
-        # contract is statistical: same accuracy on the same data.
-        X, y, _ = _data(12, n=400)
-        rmse = {}
-        for kernel in ("fused", "legacy"):
-            model = GradientBoostingRegressor(
-                n_estimators=30, max_depth=4, random_state=0, tree_kernel=kernel
-            ).fit(X, y)
-            rmse[kernel] = model.train_scores_[-1]
-        assert rmse["fused"] == pytest.approx(rmse["legacy"], rel=0.02)
-
-    def test_bad_kernel_rejected(self):
-        with pytest.raises(ValueError, match="tree_kernel"):
-            GradientBoostingRegressor(tree_kernel="vectorized")

@@ -115,6 +115,25 @@ class TestGBTValidation:
         with pytest.raises(ValueError):
             GradientBoostingRegressor().fit(np.zeros((1, 2)), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # Used to return a model that predicts NaN everywhere.
+        X, y = _make_nonlinear(n=50)
+        y[7] = bad
+        with pytest.raises(ValueError, match="y contains"):
+            GradientBoostingRegressor(n_estimators=2).fit(X, y)
+
+    def test_non_finite_eval_target_rejected(self):
+        # Used to crash with a TypeError once early stopping fired: a NaN
+        # validation RMSE never sets best_iteration_.
+        X, y = _make_nonlinear(n=120)
+        y_val = y[80:].copy()
+        y_val[3] = np.nan
+        with pytest.raises(ValueError, match="eval_set"):
+            GradientBoostingRegressor(
+                n_estimators=20, early_stopping_rounds=2
+            ).fit(X[:80], y[:80], eval_set=(X[80:], y_val))
+
 
 class TestGBTExplanation:
     def test_importances_identify_informative_features(self):

@@ -1,11 +1,13 @@
 """Unit and property tests for repro.ml.tree."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import RegressionTree
+from repro.ml import GradientBoostingRegressor, RegressionTree
 from repro.ml.tree import TreeGrowthParams, _LEAF
 
 
@@ -91,6 +93,13 @@ class TestRegressionTreeStandalone:
         with pytest.raises(ValueError):
             RegressionTree().fit(np.ones((3, 1)), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        y = np.arange(6.0)
+        y[2] = bad
+        with pytest.raises(ValueError, match="y contains"):
+            RegressionTree().fit(np.arange(6.0).reshape(-1, 1), y)
+
 
 class TestTreeInvariants:
     def _structure_ok(self, t):
@@ -119,6 +128,113 @@ class TestTreeInvariants:
             )
             errs.append(float(np.mean((t.predict(X) - y) ** 2)))
         assert errs[0] >= errs[1] >= errs[2]
+
+
+def brute_force_split(codes, grad, hess, n_bins, features, params):
+    """Best root cut as a per-feature ``bincount`` + ``cumsum`` scan.
+
+    Returns ``(best_gain, cuts)`` where ``cuts`` lists every valid
+    ``(feature, bin, gain)`` with positive gain, or ``(None, [])`` when the
+    root must stay a leaf.
+    """
+    p = params
+    g_tot, h_tot = grad.sum(), hess.sum()
+    if h_tot < 2.0 * p.min_child_weight:
+        return None, []
+    parent = g_tot * g_tot / (h_tot + p.reg_lambda)
+    cuts = []
+    for f in features:
+        nb = int(n_bins[f])
+        gl = np.cumsum(np.bincount(codes[:, f], weights=grad, minlength=nb))
+        hl = np.cumsum(np.bincount(codes[:, f], weights=hess, minlength=nb))
+        for b in range(nb - 1):  # cut after bin b
+            gr, hr = g_tot - gl[b], h_tot - hl[b]
+            dl, dr = hl[b] + p.reg_lambda, hr + p.reg_lambda
+            if min(hl[b], hr) < p.min_child_weight or dl <= 0 or dr <= 0:
+                continue
+            gain = 0.5 * (gl[b] ** 2 / dl + gr**2 / dr - parent) - p.gamma
+            if gain > 0:
+                cuts.append((int(f), b, float(gain)))
+    if not cuts:
+        return None, []
+    return max(c[2] for c in cuts), cuts
+
+
+class TestSplitFinding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(4, 200),
+        n_features=st.integers(1, 6),
+        reg_lambda=st.sampled_from([0.0, 1.0]),
+        min_child_weight=st.sampled_from([0.0, 1.0, 5.0]),
+        gamma=st.sampled_from([0.0, 0.5]),
+    )
+    def test_root_split_matches_brute_force(
+        self, seed, n, n_features, reg_lambda, min_child_weight, gamma
+    ):
+        rng = np.random.default_rng(seed)
+        n_bins = rng.integers(1, 12, n_features)
+        codes = (rng.uniform(size=(n, n_features)) * n_bins).astype(np.uint16)
+        grad = rng.normal(size=n)
+        hess = rng.uniform(0.5, 2.0, n)
+        features = np.sort(
+            rng.choice(n_features, rng.integers(1, n_features + 1), replace=False)
+        )
+        params = TreeGrowthParams(
+            max_depth=1, min_child_weight=min_child_weight,
+            reg_lambda=reg_lambda, gamma=gamma,
+        )
+        tree = RegressionTree(params).fit_binned(
+            codes, grad, hess, n_bins, feature_subset=features
+        )
+        best, cuts = brute_force_split(codes, grad, hess, n_bins, features, params)
+        if best is None:
+            assert tree.node_feature_[0] == _LEAF
+            return
+        assert tree.node_feature_[0] != _LEAF
+        assert tree.node_gain_[0] == pytest.approx(best, rel=1e-9)
+        near = [c for c in cuts if c[2] >= best * (1 - 1e-9)]
+        if len(near) == 1:
+            feat, bin_, _ = near[0]
+            assert (tree.node_feature_[0], tree.node_bin_[0]) == (feat, bin_)
+
+
+# SHA-256 of every grown tree's (feature, bin, left, right, value) arrays,
+# as this kernel grew them when the per-feature kernel was still in src/.
+GOLDEN_TREES = {
+    "full": "5f08ea11c30d1e0b2d00ba1a18137e3188fd67b13e36e0136ed2fb96ce3bb55f",
+    "subsampled": "fb4c7f311902dbe3f90c4002ceee6785b4df602ff857cd8f88c9f295111efd1d",
+}
+GOLDEN_TREE_PARAMS = {
+    "full": {},
+    "subsampled": {"subsample": 0.7, "colsample_bytree": 0.5},
+}
+
+
+def trees_fingerprint(model):
+    h = hashlib.sha256()
+    for tree in model.trees_:
+        for arr in (tree.node_feature_, tree.node_bin_, tree.node_left_,
+                    tree.node_right_, tree.node_value_):
+            arr = np.ascontiguousarray(arr)
+            h.update(str(arr.dtype).encode())
+            h.update(str(arr.shape).encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenTrees:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+    def test_grown_trees_match_golden_fingerprint(self, name):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(size=(400, 6))
+        y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 400)
+        model = GradientBoostingRegressor(
+            n_estimators=30, max_depth=4, random_state=0,
+            **GOLDEN_TREE_PARAMS[name],
+        ).fit(X, y)
+        assert trees_fingerprint(model) == GOLDEN_TREES[name]
 
 
 @settings(max_examples=30, deadline=None)

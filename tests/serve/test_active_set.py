@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
 from repro.serve import ActiveSet
+from repro.serve.active_set import _M_OUT_RATE
 from tests.core.conftest import make_random_store
 
 
@@ -135,10 +136,8 @@ class TestLenientMode:
         active.add(2, _view(src="A", dst="B", rate=7e8, end=float("inf")))
         active.progress(2, rate=float("nan"))
         active.progress(77, rate=1e6)
-        out = active.endpoint_state("A").outgoing.overlap_sum(
-            0.0, np.array([10.0])
-        )
-        assert out[0, 0] == pytest.approx(3e8 * 10.0)
+        out = active.endpoint_state("A").window_sums(0.0, np.array([10.0]))
+        assert out[0, _M_OUT_RATE] == pytest.approx(3e8 * 10.0)
         assert len(active) == 1
         assert active.stats.ignored_total == 4
 
@@ -162,14 +161,14 @@ class TestIncrementalState:
     def test_updates_are_visible_in_queries(self):
         active = ActiveSet()
         active.add(1, _view(src="A", dst="B", rate=1e8, end=float("inf")))
-        out = active.endpoint_state("A").outgoing.overlap_sum(0.0, np.array([10.0]))
-        assert out[0, 0] == pytest.approx(1e9)  # rate * 10s
+        out = active.endpoint_state("A").window_sums(0.0, np.array([10.0]))
+        assert out[0, _M_OUT_RATE] == pytest.approx(1e9)  # rate * 10s
         active.progress(1, rate=2e8)
-        out = active.endpoint_state("A").outgoing.overlap_sum(0.0, np.array([10.0]))
-        assert out[0, 0] == pytest.approx(2e9)
+        out = active.endpoint_state("A").window_sums(0.0, np.array([10.0]))
+        assert out[0, _M_OUT_RATE] == pytest.approx(2e9)
         active.complete(1)
-        out = active.endpoint_state("A").outgoing.overlap_sum(0.0, np.array([10.0]))
-        assert out[0, 0] == 0.0
+        out = active.endpoint_state("A").window_sums(0.0, np.array([10.0]))
+        assert out[0, _M_OUT_RATE] == 0.0
 
 
 class TestFromLogWindow:

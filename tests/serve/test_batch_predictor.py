@@ -275,10 +275,18 @@ class TestServeBenchHarness:
             run_serve_bench(n_active=10, n_requests=2, repeats=0)
 
 
-class TestMergedEndpointIndex:
-    """EndpointState.merged must answer all five roles bit-identically."""
+def brute_window_sums(views, a, b, weight):
+    """Reference: sum of weight(v) * max(0, min(te_v, b) - a) over views."""
+    return np.array([
+        sum(weight(v) * max(0.0, min(v.expected_end, bj) - a) for v in views)
+        for bj in b
+    ])
 
-    def test_window_sums_match_separate_indexes(self, population):
+
+class TestMergedEndpointIndex:
+    """An endpoint's 5-column index must answer all five roles."""
+
+    def test_window_sums_match_brute_force_per_role(self, population):
         from repro.serve.active_set import (
             _M_IN_RATE,
             _M_IN_STREAMS,
@@ -290,31 +298,38 @@ class TestMergedEndpointIndex:
         active = ActiveSet.from_views(population)
         b = np.array([100.0, 1500.0, 3600.0])
         for endpoint in ("EP000", "EP005", "EP011"):
-            state = active.endpoint_state(endpoint)
-            merged = state.merged.window_sums(0.0, b)
-            out = state.outgoing.overlap_sum(0.0, b)
-            inc = state.incoming.overlap_sum(0.0, b)
-            touch = state.touch_instances.overlap_sum(0.0, b)
-            assert np.array_equal(merged[:, _M_OUT_RATE], out[:, 0])
-            assert np.array_equal(merged[:, _M_OUT_STREAMS], out[:, 1])
-            assert np.array_equal(merged[:, _M_IN_RATE], inc[:, 0])
-            assert np.array_equal(merged[:, _M_IN_STREAMS], inc[:, 1])
-            assert np.array_equal(merged[:, _M_TOUCH], touch)
+            sums = active.endpoint_state(endpoint).window_sums(0.0, b)
+            out = [v for v in population if v.src == endpoint]
+            inc = [v for v in population if v.dst == endpoint]
+            touch = [v for v in population if endpoint in (v.src, v.dst)]
+            for col, views, weight in (
+                (_M_OUT_RATE, out, lambda v: v.rate),
+                (_M_OUT_STREAMS, out, lambda v: v.streams),
+                (_M_IN_RATE, inc, lambda v: v.rate),
+                (_M_IN_STREAMS, inc, lambda v: v.streams),
+                (_M_TOUCH, touch, lambda v: v.instances),
+            ):
+                want = brute_window_sums(views, 0.0, b, weight)
+                assert np.allclose(sums[:, col], want, rtol=1e-12), col
 
     def test_window_sums_matches_overlap_sum(self, population):
+        # A later ``now``: transfers that ended before it contribute 0.
+        from repro.serve.active_set import _M_OUT_RATE
+
         active = ActiveSet.from_views(population)
-        state = active.endpoint_state("EP003")
-        b = np.array([50.0, 777.0, 5000.0])
-        assert np.array_equal(
-            state.merged.window_sums(0.0, b),
-            state.merged.overlap_sum(0.0, b),
-        )
+        views = [v for v in population if v.src == "EP003"]
+        now = 600.0
+        assert any(v.expected_end < now for v in views)
+        b = np.array([650.0, 777.0, 5000.0])
+        sums = active.endpoint_state("EP003").window_sums(now, b)
+        want = brute_window_sums(views, now, b, lambda v: v.rate)
+        assert np.allclose(sums[:, _M_OUT_RATE], want, rtol=1e-12)
 
     def test_window_sums_validation(self, population):
         active = ActiveSet.from_views(population)
         state = active.endpoint_state("EP000")
         with pytest.raises(ValueError):
-            state.merged.window_sums(10.0, np.array([5.0]))
+            state.window_sums(10.0, np.array([5.0]))
 
     def test_self_loop_counts_both_roles_once(self):
         views = [
@@ -324,9 +339,8 @@ class TestMergedEndpointIndex:
             )
         ]
         active = ActiveSet.from_views(views)
-        state = active.endpoint_state("A")
         b = np.array([50.0])
-        merged = state.merged.window_sums(0.0, b)
+        merged = active.endpoint_state("A").window_sums(0.0, b)
         # rate appears in both the outgoing and incoming columns...
         assert merged[0, 0] == pytest.approx(100.0 * 50.0)
         assert merged[0, 2] == pytest.approx(100.0 * 50.0)
