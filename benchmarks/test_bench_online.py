@@ -8,9 +8,9 @@ from repro.serve import run_serve_bench
 
 
 def test_bench_serve_throughput(benchmark):
-    """1k concurrent requests against a 10k-transfer active window: the
-    batch engine must beat looping the scalar predictor by >= 10x while
-    producing the same rates."""
+    """1k concurrent requests against a 10k-transfer active window: one
+    batch call must beat answering them one ``predict`` call at a time
+    by >= 10x while producing the same rates."""
     result = benchmark.pedantic(
         run_serve_bench,
         kwargs={"n_active": 10_000, "n_requests": 1_000, "n_endpoints": 40},

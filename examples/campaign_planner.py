@@ -12,11 +12,11 @@ by scheduling transfers and/or reducing concurrency and parallelism".
 
 The planner uses only trained per-edge models (no probing):
 
-1. asks :class:`TunableAdvisor` about tunables — and honestly reports when
-   the model cannot differentiate them (the history's C/P never varied:
-   the paper's low-variance elimination);
-2. orders admissions with :class:`AdmissionPlanner`, capping simultaneous
-   transfers per endpoint;
+1. asks :class:`~repro.serve.SweepAdvisor` about tunables — and honestly
+   reports when the model cannot differentiate them (the history's C/P
+   never varied: the paper's low-variance elimination);
+2. orders admissions with :class:`~repro.serve.FleetScheduler`, capping
+   simultaneous transfers per endpoint;
 3. replays both strategies through the simulator and compares makespans.
 
 Run:  python examples/campaign_planner.py
@@ -26,14 +26,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import (
-    AdmissionPlanner,
-    OnlineFeatureEstimator,
-    TunableAdvisor,
-    build_feature_matrix,
-    fit_edge_model,
-)
+from repro.core import build_feature_matrix, fit_edge_model
 from repro.core.pipeline import GBTSettings
+from repro.serve import ActiveSet, FleetScheduler, SweepAdvisor
 from repro.sim import (
     TransferRequest,
     TransferService,
@@ -105,9 +100,7 @@ def main() -> None:
     # Step 1: can the models advise on tunables?  The history's C and P
     # never varied (the paper eliminates them for low variance), so the
     # advisor should report low confidence — and we keep user tunables.
-    advisor = TunableAdvisor(
-        models[CAMPAIGN_EDGES[0]], OnlineFeatureEstimator([])
-    )
+    advisor = SweepAdvisor(models[CAMPAIGN_EDGES[0]], ActiveSet())
     rec = advisor.recommend(backlog[0])
     print(
         f"\ntunable advice on {CAMPAIGN_EDGES[0][0]}->{CAMPAIGN_EDGES[0][1]}: "
@@ -120,8 +113,8 @@ def main() -> None:
               "features) -> keeping user-requested tunables")
 
     # Step 2: admission plan with an endpoint cap.
-    planner = AdmissionPlanner(models, max_active_per_endpoint=3)
-    plan = planner.plan(backlog)
+    planner = FleetScheduler(models, max_active_per_endpoint=3)
+    plan = planner.plan(backlog).entries
     by_start = sorted(plan, key=lambda p: p.start_at)
     print(f"\nadmission plan ({len(plan)} transfers; first and last three):")
     for p in by_start[:3] + by_start[-3:]:

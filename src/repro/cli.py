@@ -26,14 +26,16 @@ would be operated against real logs::
 
 ``train`` writes a bundle (model + scaler + feature bookkeeping) as JSON;
 ``predict`` replays the log to reconstruct the active-transfer view at the
-requested instant and runs the online predictor; ``advise`` sweeps tunables
-in one vectorized batch call through the fallback chain (unmodeled edges
-degrade to coarser tiers instead of failing; predictions are capped at the
-Eq. 1 analytical bound) and ``advise plan`` schedules a backlog against the
-live active set, benchmarking the fleet planner against FIFO and greedy;
-``serve-bench`` measures batch-serving throughput (vectorized
-:class:`repro.serve.BatchOnlinePredictor` vs the looped scalar predictor)
-on a synthetic active population, optionally with a trained model bundle;
+requested instant and runs the batch predictor on that one request;
+``advise`` sweeps tunables in one vectorized batch call through the
+fallback chain (unmodeled edges degrade to coarser tiers instead of
+failing; predictions are capped at the Eq. 1 analytical bound) and
+``advise plan`` schedules a backlog against the live active set,
+benchmarking the fleet planner against FIFO and greedy;
+``serve-bench`` measures batch-serving throughput (one
+:class:`repro.serve.BatchOnlinePredictor` batch call vs the same requests
+answered one ``predict`` call at a time) on a synthetic active population,
+optionally with a trained model bundle;
 ``logs validate`` runs lenient ingestion over a CSV/JSONL log and prints
 the quarantine report; ``chaos`` replays a synthetic log through the
 serving engine under fault injection (duplicate/unknown completions, bad
@@ -69,7 +71,6 @@ import numpy as np
 
 from repro.atomicio import atomic_write_text
 from repro.core.features import build_feature_matrix
-from repro.core.online import OnlineFeatureEstimator, OnlinePredictor
 from repro.core.pipeline import EdgeModelResult, GBTSettings, fit_edge_model
 from repro.logs.io import read_csv, write_csv
 from repro.ml.persistence import model_from_dict, model_to_dict
@@ -170,17 +171,18 @@ def _request_from_args(result: EdgeModelResult, args: argparse.Namespace) -> Tra
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.serve import ActiveSet, BatchOnlinePredictor
+
     result = _load_bundle(args.model)
     log = read_csv(args.log)
-    estimator = OnlineFeatureEstimator.from_log_window(log, now=args.at)
-    predictor = OnlinePredictor(result, estimator)
+    active = ActiveSet.from_log_window(log, now=args.at)
     req = _request_from_args(result, args)
-    rate = predictor.predict(req, now=args.at)
+    rate = BatchOnlinePredictor(result, active).predict(req, args.at)
     duration = req.total_bytes / rate
     print(
         f"{result.src} -> {result.dst}: predicted {to_mbyte_per_s(rate):.1f} "
         f"MB/s (~{duration:.0f}s for {req.total_bytes / 1e9:.1f} GB) with "
-        f"{len(estimator.active)} transfers active at t={args.at:g}"
+        f"{len(active)} transfers active at t={args.at:g}"
     )
     return 0
 
@@ -360,7 +362,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         atomic_write_text(args.metrics_out, obs.registry.to_json(indent=2))
         print(f"wrote metrics JSON to {args.metrics_out}")
     if bench.max_abs_diff > 1e-6:
-        print("error: batch and scalar paths disagree", file=sys.stderr)
+        print("error: batched and per-request predictions disagree",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -1009,7 +1012,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "serve-bench",
-        help="benchmark batch online prediction against the scalar loop",
+        help="benchmark batched online prediction against per-request "
+             "calls",
     )
     p.add_argument("--actives", type=int, default=10_000)
     p.add_argument("--requests", type=int, default=1_000)

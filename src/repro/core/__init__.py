@@ -11,6 +11,8 @@ Layers:
 - :mod:`~repro.core.pipeline` — per-edge and all-edges model training and
   evaluation (§5.1–§5.4).
 - :mod:`~repro.core.explain` — coefficient/importance grids (Figures 9, 12).
+- :mod:`~repro.core.online` — the in-flight transfer view that
+  submission-time prediction (:mod:`repro.serve`) estimates features from.
 """
 
 from repro.core.contention import (
@@ -41,19 +43,7 @@ from repro.core.pipeline import (
     select_heavy_edges,
 )
 from repro.core.explain import significance_grid, SignificanceGrid
-from repro.core.online import (
-    ActiveTransferView,
-    OnlineFeatureEstimator,
-    OnlinePredictor,
-    active_views_from_log,
-)
-from repro.core.advisor import (
-    TunableAdvisor,
-    TunableRecommendation,
-    SourceSelector,
-    AdmissionPlanner,
-    PlannedTransfer,
-)
+from repro.core.online import ActiveTransferView, active_views_from_log
 
 __all__ = [
     "IntervalOverlapIndex",
@@ -79,12 +69,5 @@ __all__ = [
     "significance_grid",
     "SignificanceGrid",
     "ActiveTransferView",
-    "OnlineFeatureEstimator",
-    "OnlinePredictor",
     "active_views_from_log",
-    "TunableAdvisor",
-    "TunableRecommendation",
-    "SourceSelector",
-    "AdmissionPlanner",
-    "PlannedTransfer",
 ]

@@ -1,4 +1,4 @@
-"""Online rate prediction at submission time.
+"""The in-flight transfer view behind submission-time prediction.
 
 The paper's motivating use case — "Our predictions can be used for
 distributed workflow scheduling and optimization" — requires features
@@ -7,33 +7,28 @@ retrospectively (overlap-scaled over each transfer's actual lifetime); at
 submission time neither the transfer's duration nor the future arrival
 process is known.
 
-:class:`OnlineFeatureEstimator` approximates the Table 2 features from the
-*currently active* transfer population under a persistence assumption:
-whatever is running now keeps running at its current average rate for the
-duration of the new transfer.  This is exactly the information a scheduler
-has, and §5's models consume the estimates unchanged.
-
-:class:`OnlinePredictor` bundles a fitted model with the estimator and a
-duration fix-point: predicted rate determines assumed duration, which
-determines overlap scaling, which changes the features — a few iterations
-converge.
+What a scheduler does know is the *currently active* transfer population:
+:class:`ActiveTransferView` is one in-flight transfer, and
+:func:`active_views_from_log` reconstructs the population at any instant
+of a replayed log.  The serving layer
+(:class:`~repro.serve.ActiveSet` + :class:`~repro.serve.BatchOnlinePredictor`)
+estimates the Table 2 features from that population under a persistence
+assumption — whatever is running now keeps running at its current average
+rate for the duration of the new transfer — and runs the duration
+fix-point: predicted rate determines assumed duration, which determines
+overlap scaling, which changes the features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.features import FEATURE_NAMES
-from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.logs.store import LogStore
-from repro.sim.gridftp import TransferRequest
 
 __all__ = [
     "ActiveTransferView",
-    "OnlineFeatureEstimator",
-    "OnlinePredictor",
     "active_views_from_log",
 ]
 
@@ -96,12 +91,18 @@ def active_views_from_log(
     lookback_s: float | None = None,
     exclude_transfer_id: int | None = None,
 ) -> list[tuple[int, ActiveTransferView]]:
-    """(transfer_id, view) pairs for every transfer in flight at ``now``.
+    """(transfer_id, view) pairs for every transfer in flight at ``now``,
+    in log row order (useful for replay evaluation).
 
-    Selection is ``ts <= now < te``; ``lookback_s``, when given, further
-    restricts to transfers started within the last ``lookback_s`` seconds
-    (an optional cap — long-running transfers are active regardless of age
-    unless the caller explicitly bounds the view).
+    A transfer is active iff ``ts <= now < te`` — regardless of how long
+    ago it started; a multi-hour transfer still in flight is exactly the
+    competition a scheduler must account for.  ``lookback_s`` is an
+    *optional* cap that additionally drops transfers older than
+    ``now - lookback_s`` (useful to bound the view when replaying huge
+    logs); by default no cap is applied.
+
+    Pass ``exclude_transfer_id`` when evaluating a logged transfer at its
+    own start time, so it does not count as its own competition.
     """
     data = log.raw()
     mask = (data["ts"] <= now) & (data["te"] > now)
@@ -130,139 +131,3 @@ def active_views_from_log(
             )
         )
     return out
-
-
-class OnlineFeatureEstimator:
-    """Estimates Eq. 2 features for a *hypothetical* transfer from the
-    currently active population."""
-
-    def __init__(self, active: list[ActiveTransferView]) -> None:
-        self.active = list(active)
-
-    @classmethod
-    def from_log_window(
-        cls,
-        log: LogStore,
-        now: float,
-        lookback_s: float | None = None,
-        exclude_transfer_id: int | None = None,
-    ) -> "OnlineFeatureEstimator":
-        """Build the active view from a log, treating transfers that span
-        ``now`` as active (useful for replay evaluation).
-
-        A transfer is active iff ``ts <= now < te`` — regardless of how long
-        ago it started; a multi-hour transfer still in flight is exactly the
-        competition a scheduler must account for.  ``lookback_s`` is an
-        *optional* cap that additionally drops transfers older than
-        ``now - lookback_s`` (useful to bound the view when replaying huge
-        logs); by default no cap is applied.
-
-        Pass ``exclude_transfer_id`` when evaluating a logged transfer at
-        its own start time, so it does not count as its own competition.
-        """
-        return cls([v for _, v in active_views_from_log(
-            log, now, lookback_s=lookback_s,
-            exclude_transfer_id=exclude_transfer_id,
-        )])
-
-    def estimate(
-        self,
-        request: TransferRequest,
-        now: float,
-        assumed_duration_s: float,
-    ) -> dict[str, float]:
-        """Feature estimates for ``request`` starting at ``now`` and lasting
-        ``assumed_duration_s`` under the persistence assumption.
-
-        Returns the full 15-feature dict (Table 2 order not guaranteed).
-        """
-        if assumed_duration_s <= 0:
-            raise ValueError("assumed_duration_s must be > 0")
-        t_end = now + assumed_duration_s
-        feats = {
-            "K_sout": 0.0, "K_sin": 0.0, "K_dout": 0.0, "K_din": 0.0,
-            "S_sout": 0.0, "S_sin": 0.0, "S_dout": 0.0, "S_din": 0.0,
-            "G_src": 0.0, "G_dst": 0.0,
-        }
-        for a in self.active:
-            # Overlap of the active transfer with [now, t_end], scaled by
-            # the hypothetical transfer's duration (Eq. 2's O/(Te-Ts)).
-            overlap = max(0.0, min(a.expected_end, t_end) - now)
-            f = overlap / assumed_duration_s
-            if f <= 0:
-                continue
-            if a.src == request.src:
-                feats["K_sout"] += f * a.rate
-                feats["S_sout"] += f * a.streams
-            if a.dst == request.src:
-                feats["K_sin"] += f * a.rate
-                feats["S_sin"] += f * a.streams
-            if a.src == request.dst:
-                feats["K_dout"] += f * a.rate
-                feats["S_dout"] += f * a.streams
-            if a.dst == request.dst:
-                feats["K_din"] += f * a.rate
-                feats["S_din"] += f * a.streams
-            if request.src in (a.src, a.dst):
-                feats["G_src"] += f * a.instances
-            if request.dst in (a.src, a.dst):
-                feats["G_dst"] += f * a.instances
-        feats["C"] = float(request.concurrency)
-        feats["P"] = float(request.parallelism)
-        feats["Nd"] = float(request.n_dirs)
-        feats["Nb"] = float(request.total_bytes)
-        feats["Nf"] = float(request.n_files)
-        return feats
-
-
-@dataclass
-class OnlinePredictor:
-    """Submission-time rate prediction with a duration fix-point.
-
-    Parameters
-    ----------
-    result:
-        A fitted per-edge (:class:`EdgeModelResult`) or global
-        (:class:`GlobalModelResult`) pipeline result.  For the global model,
-        supply ``extra_columns`` matching its extra features (ROmax_src,
-        RImax_dst, optionally distance_km).
-    estimator:
-        The current active-transfer view.
-    max_iterations / tolerance:
-        Fix-point controls: predict -> assume duration -> re-estimate
-        features -> re-predict until the rate stabilises.
-    """
-
-    result: EdgeModelResult | GlobalModelResult
-    estimator: OnlineFeatureEstimator
-    max_iterations: int = 8
-    tolerance: float = 0.01
-    extra_columns: dict[str, float] = field(default_factory=dict)
-    _engine: object = field(default=None, repr=False, compare=False)
-
-    def predict(self, request: TransferRequest, now: float) -> float:
-        """Predicted average rate (bytes/s) for ``request`` starting now.
-
-        Delegates to :class:`repro.serve.BatchOnlinePredictor` with a batch
-        of one, so scalar and batch predictions are bit-identical.  The
-        estimator's active view is snapshotted into the engine on first use;
-        build a fresh predictor for a changed population.
-        """
-        return float(self.engine.predict_batch([request], now)[0])
-
-    @property
-    def engine(self):
-        """The underlying :class:`~repro.serve.BatchOnlinePredictor`
-        (created on first access), exposing per-call instrumentation as
-        ``engine.stats``."""
-        if self._engine is None:
-            from repro.serve import ActiveSet, BatchOnlinePredictor
-
-            self._engine = BatchOnlinePredictor(
-                self.result,
-                ActiveSet.from_views(self.estimator.active),
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                extra_columns=self.extra_columns,
-            )
-        return self._engine

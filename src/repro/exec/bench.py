@@ -3,16 +3,17 @@
 Runs the same hot paths as ``benchmarks/test_bench_perf.py`` (feature
 engineering, overlap index, GBT train/predict, linear regression, max-min
 allocation, the fluid simulator) plus bulk log ingestion and serve-bench,
-then the two checks that gate CI:
+then the three checks that gate CI:
 
 - ``fit_all_edge_models`` at workers=1 vs workers=N must produce
   *bit-identical* model artifacts (compared via
   :func:`~repro.core.pipeline.edge_results_fingerprint`);
 - a warm feature-matrix cache must return the cold build's exact arrays;
-- the vectorized (C, P) sweep (:class:`~repro.serve.SweepAdvisor`) must
-  rank bit-identically to the scalar
-  :class:`~repro.core.advisor.TunableAdvisor` on a fitted model, and the
-  fleet scheduler's predicted makespan must not exceed FIFO's.
+- the fleet scheduler's predicted makespan must not exceed FIFO's.
+
+The advise section also times one vectorized (C, P) sweep
+(:class:`~repro.serve.SweepAdvisor`) on a fitted model; its ranking is
+pinned by a golden fingerprint in the tier-1 tests, not here.
 
 Timings are reported (median/p95/best per path, serial-vs-parallel
 wall-clock for the fit) but never gated — wall-clock depends on the host
@@ -117,7 +118,6 @@ class BenchReport:
         return bool(
             self.fit_all.get("parity_ok")
             and self.feature_cache.get("parity_ok")
-            and self.advise.get("parity_ok")
             and self.advise.get("planner_ok")
             and self.shards.get("parity_ok", True)
         )
@@ -219,10 +219,7 @@ class BenchReport:
                 "",
                 f"advise ({adv['candidates']} candidates, "
                 f"{adv['n_active']} active):",
-                f"  scalar sweep            {adv['scalar_s'] * 1e3:9.2f} ms",
                 f"  vectorized sweep        {adv['vector_s'] * 1e3:9.2f} ms",
-                f"  speedup                 {adv['speedup']:9.2f}x",
-                f"  ranking bit-identical   {adv['parity_ok']}",
                 f"  planner makespan        {adv['planner_makespan_s']:9.1f} s",
                 f"  fifo makespan           {adv['fifo_makespan_s']:9.1f} s",
                 f"  greedy makespan         {adv['greedy_makespan_s']:9.1f} s",
@@ -440,21 +437,8 @@ def _run_serve_bench(report: BenchReport, workers: int, quick: bool,
     }
 
 
-def _sweep_fingerprint(ranked: list[tuple[int, int, float]]) -> str:
-    """SHA-256 over the ranked (C, P, rate) triples, rate as exact hex —
-    any reordering or least-significant-bit rate change alters it."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for c, p, rate in ranked:
-        h.update(f"{c},{p},{float(rate).hex()};".encode())
-    return h.hexdigest()
-
-
 def _run_advise_bench(report: BenchReport, rounds: int, quick: bool,
                       seed: int) -> None:
-    from repro.core.advisor import TunableAdvisor
-    from repro.core.online import OnlineFeatureEstimator
     from repro.core.pipeline import fit_edge_model
     from repro.serve import ActiveSet, FallbackChain, FleetScheduler, SweepAdvisor
     from repro.sim.gridftp import TransferRequest
@@ -473,26 +457,10 @@ def _run_advise_bench(report: BenchReport, rounds: int, quick: bool,
         concurrency=2, parallelism=4,
     )
 
-    # Parity: the scalar reference sweep vs the single-batch vectorized
-    # sweep (unclipped, same model, same active window) must produce the
-    # same ranked (C, P, rate) list bit for bit.
-    estimator = OnlineFeatureEstimator.from_log_window(store, now=now)
-    scalar_advisor = TunableAdvisor(result, estimator)
+    # One single-batch sweep (unclipped) against the live window.
     active = ActiveSet.from_log_window(store, now=now)
-    vector_advisor = SweepAdvisor(result, active, clip=False)
-
-    scalar_rec = scalar_advisor.recommend(request, now=now)
-    vector_rec = vector_advisor.recommend(request, now=now)
-    scalar_fp = _sweep_fingerprint(list(scalar_rec.alternatives))
-    vector_fp = _sweep_fingerprint([
-        (a.concurrency, a.parallelism, a.predicted_rate)
-        for a in vector_rec.alternatives
-    ])
-
-    scalar_t = _timed(lambda: scalar_advisor.recommend(request, now=now),
-                      rounds)
-    vector_t = _timed(lambda: vector_advisor.recommend(request, now=now),
-                      rounds)
+    advisor = SweepAdvisor(result, active, clip=False)
+    vector_t = _timed(lambda: advisor.recommend(request, now=now), rounds)
 
     # Scheduler benchmark: planner vs naive-greedy vs FIFO on a synthetic
     # backlog over the log's busiest edges, on top of the live window.
@@ -511,18 +479,10 @@ def _run_advise_bench(report: BenchReport, rounds: int, quick: bool,
     bench = scheduler.benchmark(backlog, active=active, now=now)
 
     report.advise = {
-        "candidates": len(scalar_advisor.grid),
+        "candidates": len(advisor.grid),
         "n_active": len(active),
         "edge": f"{src}->{dst}",
-        "scalar_s": scalar_t["median_s"],
         "vector_s": vector_t["median_s"],
-        "speedup": (
-            scalar_t["median_s"] / vector_t["median_s"]
-            if vector_t["median_s"] else 0.0
-        ),
-        "scalar_fingerprint": scalar_fp,
-        "vector_fingerprint": vector_fp,
-        "parity_ok": scalar_fp == vector_fp,
         "backlog": len(backlog),
         "planner_makespan_s": bench.plans["planner"].makespan,
         "greedy_makespan_s": bench.plans["greedy"].makespan,

@@ -7,11 +7,13 @@ when only the currently active transfers are known.
 
 This experiment replays the production log: for every test transfer on an
 edge it (a) reconstructs the active-transfer view at the submission
-instant, (b) estimates the Table 2 features under the persistence
-assumption (:class:`repro.core.online.OnlineFeatureEstimator`), and
-(c) runs the fitted model.  Comparing the resulting MdAPE against the
-retrospective MdAPE quantifies the price of not knowing the future — an
-honest bound for the scheduling use case the paper motivates.
+instant (:meth:`repro.serve.ActiveSet.from_log_window`), (b) estimates
+the Table 2 features under the persistence assumption and (c) runs the
+fitted model through the duration fix-point
+(:class:`repro.serve.BatchOnlinePredictor`).  Comparing the resulting
+MdAPE against the retrospective MdAPE quantifies the price of not knowing
+the future — an honest bound for the scheduling use case the paper
+motivates.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.analytical import threshold_mask
-from repro.core.online import OnlineFeatureEstimator, OnlinePredictor
 from repro.core.pipeline import GBTSettings, fit_edge_model, select_heavy_edges
 from repro.harness.result import ExperimentResult
 from repro.harness.runners import ProductionStudy
 from repro.ml.metrics import absolute_percentage_errors
+from repro.serve import ActiveSet, BatchOnlinePredictor
 from repro.sim.gridftp import TransferRequest
 
 __all__ = ["run"]
@@ -72,11 +74,11 @@ def run(
                 concurrency=int(data["c"][i]),
                 parallelism=int(data["p"][i]),
             )
-            estimator = OnlineFeatureEstimator.from_log_window(
+            active = ActiveSet.from_log_window(
                 log, now=ts, exclude_transfer_id=int(data["transfer_id"][i])
             )
-            predictor = OnlinePredictor(result, estimator)
-            predicted.append(predictor.predict(req, now=ts))
+            predictor = BatchOnlinePredictor(result, active)
+            predicted.append(predictor.predict(req, ts))
             actual.append(features.y[i])
         actual = np.array(actual)
         predicted = np.array(predicted)

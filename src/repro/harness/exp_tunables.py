@@ -9,7 +9,7 @@ experiment closes that loop on a controlled edge:
 1. run a calibration campaign that *sweeps* (C, P) across transfers, under
    realistic competing load (the kind of data HARP [4] gathers by probing);
 2. train the nonlinear model with C/P surviving feature elimination;
-3. hand the model to :class:`repro.core.advisor.TunableAdvisor` and check
+3. hand the model to :class:`repro.serve.SweepAdvisor` and check
    its recommendation against ground truth (the empirically best grid
    cell), including the confidence flag that stays False on
    production-style constant-tunable data.
@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.advisor import TunableAdvisor
 from repro.core.features import build_feature_matrix
-from repro.core.online import OnlineFeatureEstimator
 from repro.core.pipeline import GBTSettings, fit_edge_model
 from repro.harness.result import ExperimentResult
+from repro.serve import ActiveSet, SweepAdvisor
 from repro.sim.gridftp import TransferRequest
 from repro.sim.service import TransferService
 from repro.sim.testbed import build_esnet_testbed
@@ -101,7 +100,7 @@ def run(n_per_cell: int = 40, seed: int = 0) -> ExperimentResult:
     c_kept = result.kept[result.feature_names.index("C")]
     p_kept = result.kept[result.feature_names.index("P")]
 
-    advisor = TunableAdvisor(result, OnlineFeatureEstimator([]), grid=GRID)
+    advisor = SweepAdvisor(result, ActiveSet(), grid=GRID, clip=False)
     rec = advisor.recommend(
         TransferRequest(
             src=src, dst=dst, total_bytes=40 * GB, n_files=128, n_dirs=4

@@ -9,10 +9,10 @@ transfers.  This package is that serving layer:
   ``add``/``complete``/``progress`` updates, with per-endpoint prefix-sum
   indexes rebuilt lazily and only for touched endpoints; ``lenient=True``
   absorbs duplicate/unknown/bad-value mutations instead of raising;
-- :class:`BatchOnlinePredictor` — the duration fix-point of
-  :class:`~repro.core.online.OnlinePredictor`, vectorized across a whole
-  batch of requests (the scalar predictor delegates here with a batch of
-  one, so the two paths always agree);
+- :class:`BatchOnlinePredictor` — submission-time prediction: the
+  duration fix-point (predicted rate → assumed duration → overlap-scaled
+  Eq. 2 features → re-predict), vectorized across a whole batch of
+  requests; ``predict`` answers a single request as a batch of one;
 - :class:`FallbackChain` / :class:`ModelTier` — the degradation ladder
   (per-edge model → global model → analytical bound → median → default)
   that lets the predictor answer for edges it has no model for, tagging
@@ -22,10 +22,12 @@ transfers.  This package is that serving layer:
   thin views over a :class:`~repro.obs.MetricsRegistry`; pass an
   :class:`~repro.obs.Observability` bundle (``obs=``) to share one
   registry/tracer/drift-monitor across the whole stack;
-- :class:`SweepAdvisor` / :class:`FleetScheduler` — the advisory layer on
-  the batch stack (:mod:`repro.serve.advise`): a whole (C, P) sweep in one
-  batch call, Eq. 1-clipped and tier-tagged, plus a backlog scheduler that
-  replans against the live population and never predicts worse than FIFO;
+- :class:`SweepAdvisor` / :class:`SourceSelector` /
+  :class:`FleetScheduler` — the advisory layer on the batch stack
+  (:mod:`repro.serve.advise`): a whole (C, P) sweep in one batch call,
+  Eq. 1-clipped and tier-tagged, replica-source ranking with a global
+  model, plus a backlog scheduler that replans against the live
+  population and never predicts worse than FIFO;
 - :mod:`repro.serve.bench` — synthetic workloads and the
   ``repro-tools serve-bench`` harness (latency percentiles and the
   instrumentation-overhead delta included);
@@ -58,10 +60,12 @@ transfers.  This package is that serving layer:
 """
 
 from repro.serve.advise import (
+    DEFAULT_TUNABLE_GRID,
     FleetPlan,
     FleetScheduler,
     ScheduledTransfer,
     SchedulerBenchmark,
+    SourceSelector,
     SweepAdvisor,
     SweepCandidate,
     SweepRecommendation,
@@ -133,6 +137,8 @@ __all__ = [
     "SweepAdvisor",
     "SweepCandidate",
     "SweepRecommendation",
+    "DEFAULT_TUNABLE_GRID",
+    "SourceSelector",
     "FleetScheduler",
     "FleetPlan",
     "ScheduledTransfer",

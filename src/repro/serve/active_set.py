@@ -1,9 +1,9 @@
 """Incremental in-flight transfer population for online serving.
 
-:class:`ActiveSet` is the serving-side counterpart of the replay-oriented
-:class:`~repro.core.online.OnlineFeatureEstimator`: it holds the transfers
-currently in flight, keyed by transfer id, and keeps per-endpoint
-prefix-sum indexes (:class:`~repro.core.contention.ActiveOverlapIndex`)
+:class:`ActiveSet` is the population submission-time prediction scores
+against: it holds the transfers currently in flight
+(:class:`~repro.core.online.ActiveTransferView`), keyed by transfer id, and
+keeps per-endpoint prefix-sum indexes (:class:`~repro.core.contention.ActiveOverlapIndex`)
 ready for bulk feature queries.
 
 Mutations are cheap and local: ``add``/``complete``/``progress`` touch only

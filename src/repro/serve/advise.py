@@ -1,7 +1,7 @@
 """Vectorized (C, P) what-if advisory and fleet scheduling (§8, inverted).
 
-The paper *explains* transfer rate; this module *chooses* tunables with
-the fitted models, on the batch serving stack:
+The paper *explains* transfer rate; this module *chooses* tunables and
+sources with the fitted models, on the batch serving stack:
 
 - :class:`SweepAdvisor` — score **all** (C, P) candidates of a sweep in a
   single :class:`~repro.serve.batch.BatchOnlinePredictor` call (one
@@ -10,20 +10,20 @@ the fitted models, on the batch serving stack:
   endpoint maxima, and tag every answer with the
   :class:`~repro.serve.fallback.ModelTier` that produced it — unmodeled
   edges degrade through the chain instead of raising;
-- :class:`FleetScheduler` — the production successor of
-  :class:`~repro.core.advisor.AdmissionPlanner`: sequence a backlog of
-  transfer requests against a *live* :class:`~repro.serve.ActiveSet`,
-  re-scoring every eligible candidate in one batch call per admission
-  round, and never doing worse than FIFO by construction (the FIFO order
-  is evaluated with the same models and kept if it predicts a shorter
-  makespan);
+- :class:`SourceSelector` — rank the replica sources of a dataset by the
+  rate a *global* model predicts for each (source, destination) pair;
+- :class:`FleetScheduler` — sequence a backlog of transfer requests
+  against a *live* :class:`~repro.serve.ActiveSet`, greedily avoiding
+  predicted self-contention at shared endpoints, re-scoring every
+  eligible candidate in one batch call per admission round, and never
+  doing worse than FIFO by construction (the FIFO order is evaluated
+  with the same models and kept if it predicts a shorter makespan);
 - :meth:`FleetScheduler.benchmark` — the planner-vs-FIFO-vs-greedy
   comparison (predicted makespan + aggregate throughput per policy), the
   table ``repro-tools advise plan`` and ``repro-tools bench`` print.
 
-The scalar per-candidate path in :mod:`repro.core.advisor` stays as the
-reference implementation; the vectorized sweep is verified bit-identical
-against it by the ``repro-tools bench`` advise parity gate.
+All advice is *model-driven*: nothing here talks to the simulator, so the
+same code runs against models trained on real logs.
 
 Pass an :class:`~repro.obs.Observability` bundle via ``obs=`` to count
 ``advise_*`` metrics and emit ``advise.sweep`` / ``advise.plan`` tracing
@@ -37,8 +37,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.advisor import DEFAULT_TUNABLE_GRID
 from repro.core.analytical import clip_rates_to_bound
+from repro.core.online import ActiveTransferView
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.tracing import NULL_SPAN
@@ -48,15 +48,22 @@ from repro.serve.fallback import FallbackChain, ModelTier
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
+    "DEFAULT_TUNABLE_GRID",
     "SweepCandidate",
     "SweepRecommendation",
     "SweepAdvisor",
+    "SourceSelector",
     "ScheduledTransfer",
     "FleetPlan",
     "SchedulerBenchmark",
     "FleetScheduler",
 ]
 
+# Candidate (concurrency, parallelism) grid; the Globus-practical range.
+DEFAULT_TUNABLE_GRID: tuple[tuple[int, int], ...] = (
+    (1, 1), (1, 4), (2, 2), (2, 4), (2, 8),
+    (4, 2), (4, 4), (4, 8), (8, 4), (8, 8), (16, 4),
+)
 
 # Counter attribute -> (metric name, help).  These are the advise_* rows
 # of the observability metric catalog (docs/observability.md).
@@ -125,11 +132,11 @@ class SweepCandidate:
 class SweepRecommendation:
     """Outcome of a vectorized tunable sweep for one edge.
 
-    Mirrors :class:`~repro.core.advisor.TunableRecommendation` (same
-    ``confident`` / ``gain_over_worst`` semantics, including the
-    degenerate-sweep rule) but every candidate additionally carries its
-    :class:`~repro.serve.fallback.ModelTier` provenance and whether the
-    Eq. 1 bound capped it.
+    ``alternatives`` holds every scored candidate, best first; each
+    carries its :class:`~repro.serve.fallback.ModelTier` provenance and
+    whether the Eq. 1 bound capped it.  A sweep in which any candidate
+    predicts a non-positive or non-finite rate is *degenerate*: it reports
+    no gain and is never confident.
     """
 
     src: str
@@ -179,6 +186,12 @@ class SweepRecommendation:
 
     @property
     def confident(self) -> bool:
+        """Whether the model actually differentiates the candidates.
+
+        Models trained on logs where C and P never varied (the paper's
+        low-variance elimination) predict near-identical rates across the
+        grid; acting on such a "recommendation" would be noise-chasing.
+        """
         return not self.degenerate and self.gain_over_worst > 1.1
 
     def as_dict(self) -> dict:
@@ -214,8 +227,7 @@ class SweepAdvisor:
         ``{(src, dst): EdgeModelResult}`` dict, which is wrapped) for
         full routing + Eq. 1 clipping — or a single fitted
         :class:`EdgeModelResult` / :class:`GlobalModelResult`, in which
-        case no bound is known and predictions are unclipped (this is the
-        mode the bench parity gate compares against the scalar advisor).
+        case no bound is known and predictions are unclipped.
     active:
         The live in-flight population the sweep is scored against.
     grid:
@@ -283,8 +295,10 @@ class SweepAdvisor:
         """Sweep the grid for ``request`` (its own C/P are ignored).
 
         All candidates go through **one** ``predict_batch_detailed``
-        call — one feature matrix, one vectorized fix-point — instead of
-        the scalar advisor's predictor-per-candidate loop.
+        call — one feature matrix, one vectorized fix-point.  Models
+        trained on logs where C and P were eliminated for low variance
+        still differentiate candidates through the ``min(C, Nf)``-driven
+        stream/instance features.
         """
         with self._span(
             "advise.sweep", edge=f"{request.src}->{request.dst}",
@@ -297,8 +311,7 @@ class SweepAdvisor:
             detail = self.engine.predict_batch_detailed(candidates, now)
             bound = self.bound_for(request.src, request.dst)
             rates, clipped_mask = clip_rates_to_bound(detail.rates, bound)
-            # Stable descending sort: ties keep grid order, exactly like
-            # the scalar advisor's stable sort.
+            # Stable descending sort: ties keep grid order.
             order = np.argsort(-rates, kind="stable")
             alternatives = tuple(
                 SweepCandidate(
@@ -326,6 +339,66 @@ class SweepAdvisor:
         if rec.degenerate:
             self.counters.degenerate.inc()
         return rec
+
+
+class SourceSelector:
+    """Ranks candidate sources of a replicated dataset by predicted rate.
+
+    Requires a *global* model (per-edge models cannot score unseen
+    pairs).  Every candidate is scored against the same live ``active``
+    population.
+    """
+
+    def __init__(
+        self,
+        result: GlobalModelResult,
+        active: ActiveSet,
+        capability_lookup,
+        include_rtt_distance=None,
+    ) -> None:
+        """``capability_lookup(endpoint) -> (ro_max, ri_max)``;
+        ``include_rtt_distance(src, dst) -> km`` if the model was trained
+        with the RTT extension."""
+        if "distance_km" in result.feature_names and include_rtt_distance is None:
+            raise ValueError(
+                "model includes distance_km; pass include_rtt_distance"
+            )
+        self.result = result
+        self.active = active
+        self.capability_lookup = capability_lookup
+        self.include_rtt_distance = include_rtt_distance
+
+    def rank(
+        self,
+        sources: Sequence[str],
+        dst: str,
+        template: TransferRequest,
+        now: float = 0.0,
+    ) -> list[tuple[str, float]]:
+        """(source, predicted rate) pairs, best first."""
+        if not sources:
+            raise ValueError("no candidate sources")
+        out = []
+        for src in sources:
+            if src == dst:
+                continue
+            ro, _ = self.capability_lookup(src)
+            _, ri = self.capability_lookup(dst)
+            extra = {"ROmax_src": ro, "RImax_dst": ri}
+            if self.include_rtt_distance is not None and (
+                "distance_km" in self.result.feature_names
+            ):
+                extra["distance_km"] = self.include_rtt_distance(src, dst)
+            engine = BatchOnlinePredictor(
+                self.result, self.active, extra_columns=extra
+            )
+            out.append(
+                (src, engine.predict(replace(template, src=src, dst=dst), now))
+            )
+        if not out:
+            raise ValueError("every candidate source equals the destination")
+        out.sort(key=lambda t: -t[1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -445,7 +518,11 @@ class SchedulerBenchmark:
 class FleetScheduler:
     """Backlog scheduler on the batch stack: replan against live load.
 
-    The successor of :class:`~repro.core.advisor.AdmissionPlanner`:
+    Repeatedly admits the request with the highest predicted rate *under
+    the load the plan has already created*, capping simultaneous
+    transfers per endpoint — the paper's "aggregate performance can be
+    improved by scheduling transfers" implication, executed with the
+    paper's own models.  It:
 
     - routes every edge through a :class:`FallbackChain`, so a backlog
       touching unmodeled edges degrades to coarser tiers instead of
@@ -574,8 +651,6 @@ class FleetScheduler:
         order: str,
         label: str,
     ) -> FleetPlan:
-        from repro.core.online import ActiveTransferView
-
         sim = ActiveSet.from_views(active.views() if active is not None else [])
         engine = BatchOnlinePredictor(
             self.chain,

@@ -1,19 +1,21 @@
 """Vectorized submission-time rate prediction for request batches.
 
-The scalar :class:`~repro.core.online.OnlinePredictor` answers one request
-at a time; a scheduler placing a workflow's worth of transfers needs
-thousands of answers per decision point.  :class:`BatchOnlinePredictor`
-runs the same duration fix-point — predicted rate determines assumed
-duration, which determines overlap scaling, which changes the features —
-across a whole batch at once:
+A scheduler placing a workflow's worth of transfers needs thousands of
+answers per decision point.  :class:`BatchOnlinePredictor` runs the
+duration fix-point — predicted rate determines assumed duration, which
+determines overlap scaling, which changes the features — across a whole
+batch at once, and answers a single request as a batch of one
+(:meth:`~BatchOnlinePredictor.predict`):
 
 - features for all requests are computed in bulk with per-endpoint
   prefix-sum queries (:class:`~repro.serve.active_set.ActiveSet` +
   :class:`~repro.core.contention.ActiveOverlapIndex`) instead of a Python
   loop over every active transfer per request per iteration;
 - each request converges on its own schedule: converged elements freeze
-  while the rest keep iterating, exactly mirroring the scalar loop, so a
-  batch of one is bit-identical to ``OnlinePredictor.predict``;
+  while the rest keep iterating, so a request's answer does not depend on
+  the batch it arrives in — looping ``predict`` over a batch reproduces
+  ``predict_batch`` (bit for bit with tree models; up to the rounding of
+  a linear model's matrix product);
 - :class:`PredictorStats` counts calls, requests, fix-point iterations,
   non-converged requests, per-tier predictions, and wall time split
   between feature computation and model inference — each counter a thin
@@ -380,8 +382,9 @@ class BatchOnlinePredictor:
         The in-flight transfer population (mutate it freely between calls —
         predictions always reflect the current population).
     max_iterations / tolerance:
-        Fix-point controls, identical in meaning to
-        :class:`~repro.core.online.OnlinePredictor`.
+        Fix-point controls: predict -> assume duration -> re-estimate
+        features -> re-predict until every request's rate moves by less
+        than ``tolerance`` (relative), at most ``max_iterations`` times.
     extra_columns:
         Constant extra features required by the model (e.g. ``ROmax_src``,
         ``RImax_dst`` for the global model).  In chain mode these are
@@ -735,10 +738,11 @@ class BatchOnlinePredictor:
         now: float,
         durations: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """Bulk equivalent of
-        :meth:`~repro.core.online.OnlineFeatureEstimator.estimate`: the
-        persistence-assumption feature estimates for every request, as a
-        dict of per-request arrays."""
+        """The persistence-assumption (Eq. 2) feature estimates for every
+        request starting at ``now`` and lasting ``durations``, as a dict
+        of per-request arrays: each active transfer contributes its rate,
+        streams and instances scaled by its overlap with the request's
+        window over the request's duration."""
         durations = np.asarray(durations, dtype=np.float64)
         if durations.shape != (len(requests),):
             raise ValueError("durations must have one entry per request")

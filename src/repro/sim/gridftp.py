@@ -20,6 +20,7 @@ Overheads reproduced here (all feed Figure 5's startup/coordination story):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["GridFTPConfig", "TransferRequest"]
@@ -107,8 +108,12 @@ class TransferRequest:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError("source and destination endpoints must differ")
-        if self.total_bytes <= 0:
-            raise ValueError("total_bytes must be > 0")
+        # ``<= 0`` alone lets NaN through (every NaN comparison is False),
+        # and a NaN or inf size would be served as a NaN rate downstream.
+        if not math.isfinite(self.total_bytes) or self.total_bytes <= 0:
+            raise ValueError(
+                f"total_bytes must be finite and > 0, got {self.total_bytes}"
+            )
         if self.n_files < 1:
             raise ValueError("n_files must be >= 1")
         if self.n_dirs < 0:

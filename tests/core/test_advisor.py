@@ -1,19 +1,25 @@
-"""Tests for the model-driven transfer advisor."""
+"""Tests for the model-driven transfer advice of §8: tunable sweeps
+(:class:`~repro.serve.SweepAdvisor`), replica-source ranking
+(:class:`~repro.serve.SourceSelector`) and admission planning
+(:class:`~repro.serve.FleetScheduler`)."""
 
 import numpy as np
 import pytest
 
-from repro.core.advisor import (
-    DEFAULT_TUNABLE_GRID,
-    AdmissionPlanner,
-    SourceSelector,
-    TunableAdvisor,
-)
 from repro.core.features import FEATURE_NAMES
-from repro.core.online import OnlineFeatureEstimator
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.scaler import StandardScaler
+from repro.serve import (
+    DEFAULT_TUNABLE_GRID,
+    ActiveSet,
+    FleetScheduler,
+    ModelTier,
+    SourceSelector,
+    SweepAdvisor,
+    SweepCandidate,
+    SweepRecommendation,
+)
 from repro.sim.gridftp import TransferRequest
 
 
@@ -57,8 +63,10 @@ def _request(src="A", dst="B", **kw):
 
 
 class TestTunableAdvisor:
+    """(C, P) advice from one batched sweep (SweepAdvisor)."""
+
     def test_recommends_higher_parallelism_when_it_pays(self):
-        advisor = TunableAdvisor(_synthetic_edge_model(), OnlineFeatureEstimator([]))
+        advisor = SweepAdvisor(_synthetic_edge_model(), ActiveSet())
         rec = advisor.recommend(_request())
         # Ground truth rewards streams up to 32: best candidates have
         # min(C, Nf) * P >= 32.
@@ -67,47 +75,42 @@ class TestTunableAdvisor:
         assert rec.gain_over_worst > 1.5
 
     def test_alternatives_sorted(self):
-        advisor = TunableAdvisor(_synthetic_edge_model(), OnlineFeatureEstimator([]))
+        advisor = SweepAdvisor(_synthetic_edge_model(), ActiveSet())
         rec = advisor.recommend(_request())
-        rates = [alt[2] for alt in rec.alternatives]
+        rates = [alt.predicted_rate for alt in rec.alternatives]
         assert rates == sorted(rates, reverse=True)
         assert len(rec.alternatives) == len(DEFAULT_TUNABLE_GRID)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            TunableAdvisor(_synthetic_edge_model(), OnlineFeatureEstimator([]), grid=())
+            SweepAdvisor(_synthetic_edge_model(), ActiveSet(), grid=())
         with pytest.raises(ValueError):
-            TunableAdvisor(
-                _synthetic_edge_model(), OnlineFeatureEstimator([]),
-                grid=((0, 4),),
-            )
+            SweepAdvisor(_synthetic_edge_model(), ActiveSet(), grid=((0, 4),))
 
     def test_single_file_dataset_ignores_concurrency(self):
         """With Nf=1, min(C, Nf)=1 always: recommendations with different C
         but same P predict the same rate."""
-        advisor = TunableAdvisor(
-            _synthetic_edge_model(), OnlineFeatureEstimator([]),
-            grid=((1, 4), (8, 4)),
+        advisor = SweepAdvisor(
+            _synthetic_edge_model(), ActiveSet(), grid=((1, 4), (8, 4)),
         )
         rec = advisor.recommend(_request(n_files=1))
-        r1 = rec.alternatives[0][2]
-        r2 = rec.alternatives[1][2]
+        r1 = rec.alternatives[0].predicted_rate
+        r2 = rec.alternatives[1].predicted_rate
         # GBT may pick up incidental splits on the raw C column, so the
         # tie is approximate rather than exact.
         assert r1 == pytest.approx(r2, rel=0.35)
 
 
 class TestTunableRecommendationDegenerate:
-    def _rec(self, rates):
-        from repro.core.advisor import TunableRecommendation
+    """The degenerate-sweep rule of a (C, P) recommendation."""
 
-        alts = tuple(
-            (c, p, r) for (c, p), r in zip(DEFAULT_TUNABLE_GRID, rates)
-        )
-        best = alts[0]
-        return TunableRecommendation(
-            concurrency=best[0], parallelism=best[1],
-            predicted_rate=best[2], alternatives=alts,
+    def _rec(self, rates):
+        return SweepRecommendation(
+            src="A", dst="B",
+            alternatives=tuple(
+                SweepCandidate(c, p, r, r, ModelTier.EDGE)
+                for (c, p), r in zip(DEFAULT_TUNABLE_GRID, rates)
+            ),
         )
 
     def test_zero_worst_rate_is_not_infinite_gain(self):
@@ -167,7 +170,7 @@ class TestSourceSelector:
     def test_ranks_stronger_source_first(self):
         caps = {"fast": (1.5e9, 1.5e9), "slow": (5e7, 5e7), "dst": (1e9, 1e9)}
         selector = SourceSelector(
-            self._global_model(), OnlineFeatureEstimator([]),
+            self._global_model(), ActiveSet(),
             capability_lookup=lambda ep: caps[ep],
         )
         ranked = selector.rank(["slow", "fast"], "dst", _request(src="slow", dst="dst"))
@@ -177,7 +180,7 @@ class TestSourceSelector:
     def test_destination_excluded_from_sources(self):
         caps = {"a": (1e9, 1e9), "dst": (1e9, 1e9)}
         selector = SourceSelector(
-            self._global_model(), OnlineFeatureEstimator([]),
+            self._global_model(), ActiveSet(),
             capability_lookup=lambda ep: caps[ep],
         )
         ranked = selector.rank(["a", "dst"], "dst", _request(src="a", dst="dst"))
@@ -190,12 +193,12 @@ class TestSourceSelector:
         raise cleanly, not return an empty ranking."""
         caps = {"dst": (1e9, 1e9)}
         selector = SourceSelector(
-            self._global_model(), OnlineFeatureEstimator([]),
+            self._global_model(), ActiveSet(),
             capability_lookup=lambda ep: caps[ep],
         )
         with pytest.raises(ValueError, match="destination"):
             selector.rank(["dst", "dst", "dst"], "dst",
-                          _request(src="dst", dst="dst"))
+                          _request(src="a", dst="dst"))
         with pytest.raises(ValueError, match="no candidate sources"):
             selector.rank([], "dst", _request(src="a", dst="dst"))
 
@@ -203,12 +206,12 @@ class TestSourceSelector:
         res = self._global_model()
         res.feature_names = res.feature_names + ("distance_km",)
         with pytest.raises(ValueError):
-            SourceSelector(
-                res, OnlineFeatureEstimator([]), capability_lookup=lambda e: (1, 1)
-            )
+            SourceSelector(res, ActiveSet(), capability_lookup=lambda e: (1, 1))
 
 
 class TestAdmissionPlanner:
+    """Backlog admission under an endpoint cap (FleetScheduler)."""
+
     def test_plans_whole_backlog_once_each(self):
         models = {
             ("A", "B"): _synthetic_edge_model("A", "B"),
@@ -219,7 +222,9 @@ class TestAdmissionPlanner:
             _request(src="A", dst="C", total_bytes=20e9),
             _request(src="A", dst="B", total_bytes=80e9),
         ]
-        plan = AdmissionPlanner(models, max_active_per_endpoint=2).plan(backlog)
+        plan = FleetScheduler(
+            models, max_active_per_endpoint=2
+        ).plan(backlog).entries
         assert len(plan) == 3
         assert {id(p.request) for p in plan} == {id(r) for r in backlog}
         for p in plan:
@@ -231,17 +236,26 @@ class TestAdmissionPlanner:
         backlog = [
             _request(src="A", dst="B", total_bytes=50e9) for _ in range(4)
         ]
-        plan = AdmissionPlanner(models, max_active_per_endpoint=2).plan(backlog)
+        plan = FleetScheduler(
+            models, max_active_per_endpoint=2
+        ).plan(backlog).entries
         starts = sorted(p.start_at for p in plan)
         # Only two may start immediately; the rest wait for completions.
         assert starts[0] == starts[1] == 0.0
         assert starts[2] > 0.0 and starts[3] > 0.0
 
-    def test_unmodeled_edge_rejected(self):
-        planner = AdmissionPlanner({("A", "B"): _synthetic_edge_model()})
-        with pytest.raises(KeyError):
-            planner.plan([_request(src="X", dst="Y")])
+    def test_unmodeled_edge_degrades(self):
+        """An edge without a fitted model is planned through a coarser
+        fallback tier instead of raising."""
+        scheduler = FleetScheduler({("A", "B"): _synthetic_edge_model()})
+        plan = scheduler.plan(
+            [_request(src="X", dst="Y"), _request(src="A", dst="B")]
+        )
+        tiers = {(e.request.src, e.request.dst): e.tier for e in plan.entries}
+        assert tiers[("A", "B")] is ModelTier.EDGE
+        assert tiers[("X", "Y")] is not ModelTier.EDGE
+        assert all(e.predicted_rate > 0 for e in plan.entries)
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
-            AdmissionPlanner({}, max_active_per_endpoint=0)
+            FleetScheduler({}, max_active_per_endpoint=0)

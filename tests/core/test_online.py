@@ -1,17 +1,25 @@
-"""Tests for submission-time (online) feature estimation and prediction."""
+"""Tests for submission-time (online) feature estimation and prediction.
+
+Feature semantics are pinned on the scalar Eq. 2 oracle
+(:class:`tests.oracles.OnlineFeatureEstimator`), which the batch engine is
+compared against in ``tests/serve/test_batch_predictor.py``; prediction
+runs through :class:`~repro.serve.BatchOnlinePredictor`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import build_feature_matrix, fit_edge_model, select_heavy_edges
-from repro.core.online import (
-    ActiveTransferView,
-    OnlineFeatureEstimator,
-    OnlinePredictor,
-)
+from repro.core.online import ActiveTransferView, active_views_from_log
 from repro.core.pipeline import GBTSettings
+from repro.serve import ActiveSet, BatchOnlinePredictor
 from repro.sim.gridftp import TransferRequest
 from tests.core.conftest import make_random_store
+from tests.oracles import OnlineFeatureEstimator
+
+
+def _active_views(store, now, **kw):
+    return [v for _, v in active_views_from_log(store, now, **kw)]
 
 
 def _request(src="EP0", dst="EP1", **kw):
@@ -91,10 +99,10 @@ class TestOnlineFeatureEstimator:
     def test_from_log_window(self):
         store = make_random_store(n=100, seed=0, horizon=1000.0)
         mid = 500.0
-        est = OnlineFeatureEstimator.from_log_window(store, now=mid)
+        views = _active_views(store, now=mid)
         data = store.raw()
         expected = int(np.sum((data["ts"] <= mid) & (data["te"] > mid)))
-        assert len(est.active) == expected
+        assert len(views) == expected
 
     def test_long_running_transfer_stays_visible(self):
         """Regression: a transfer started hours ago but still in flight is
@@ -116,11 +124,13 @@ class TestOnlineFeatureEstimator:
                 rec(2, now - 7200.0, now - 3600.0),  # finished long ago
             ]
         )
-        est = OnlineFeatureEstimator.from_log_window(store, now=now)
-        assert len(est.active) == 2
-        assert {v.started_at for v in est.active} == {now - 7200.0, now - 100.0}
+        views = _active_views(store, now=now)
+        assert len(views) == 2
+        assert {v.started_at for v in views} == {now - 7200.0, now - 100.0}
         # The old transfer's load shows up in the feature estimates.
-        feats = est.estimate(_request(src="A", dst="C"), now, 100.0)
+        feats = OnlineFeatureEstimator(views).estimate(
+            _request(src="A", dst="C"), now, 100.0
+        )
         assert feats["K_sout"] > 1e8
 
     def test_lookback_is_an_optional_cap(self):
@@ -137,15 +147,15 @@ class TestOnlineFeatureEstimator:
         store = LogStore.from_records(
             [rec(0, now - 7200.0, now + 600.0), rec(1, now - 100.0, now + 100.0)]
         )
-        est = OnlineFeatureEstimator.from_log_window(
-            store, now=now, lookback_s=3600.0
-        )
-        assert [v.started_at for v in est.active] == [now - 100.0]
+        views = _active_views(store, now=now, lookback_s=3600.0)
+        assert [v.started_at for v in views] == [now - 100.0]
         with pytest.raises(ValueError):
-            OnlineFeatureEstimator.from_log_window(store, now=now, lookback_s=0.0)
+            active_views_from_log(store, now=now, lookback_s=0.0)
 
 
 class TestOnlinePredictor:
+    """Single-request prediction through BatchOnlinePredictor.predict."""
+
     @pytest.fixture(scope="class")
     def fitted(self):
         store = make_random_store(n=600, n_endpoints=3, seed=2, horizon=20_000.0)
@@ -160,16 +170,16 @@ class TestOnlinePredictor:
 
     def test_prediction_positive_and_finite(self, fitted):
         res, src, dst = fitted
-        predictor = OnlinePredictor(res, OnlineFeatureEstimator([]))
-        rate = predictor.predict(_request(src=src, dst=dst), now=0.0)
+        predictor = BatchOnlinePredictor(res, ActiveSet())
+        rate = predictor.predict(_request(src=src, dst=dst), 0.0)
         assert np.isfinite(rate) and rate > 0
 
     def test_fixpoint_converges_same_answer(self, fitted):
         res, src, dst = fitted
-        predictor = OnlinePredictor(res, OnlineFeatureEstimator([]))
-        r1 = predictor.predict(_request(src=src, dst=dst), now=0.0)
-        r2 = predictor.predict(_request(src=src, dst=dst), now=0.0)
-        assert r1 == pytest.approx(r2)
+        predictor = BatchOnlinePredictor(res, ActiveSet())
+        r1 = predictor.predict(_request(src=src, dst=dst), 0.0)
+        r2 = predictor.predict(_request(src=src, dst=dst), 0.0)
+        assert r1 == r2
 
     def test_contention_lowers_prediction_with_contention_aware_model(self):
         """Build a model whose ground truth declines with K_sout; the
@@ -199,10 +209,8 @@ class TestOnlinePredictor:
             n_train=n, n_test=0, test_errors=np.array([0.0]),
             mdape=0.0, model=model, scaler=scaler,
         )
-        quiet = OnlinePredictor(res, OnlineFeatureEstimator([])).predict(
-            _request(), now=0.0
-        )
-        busy_est = OnlineFeatureEstimator(
+        quiet = BatchOnlinePredictor(res, ActiveSet()).predict(_request(), 0.0)
+        busy_set = ActiveSet.from_views(
             [
                 ActiveTransferView(
                     src="EP0", dst="EP2", rate=4e8, started_at=0.0,
@@ -211,16 +219,23 @@ class TestOnlinePredictor:
                 for _ in range(2)
             ]
         )
-        busy = OnlinePredictor(res, busy_est).predict(_request(), now=0.0)
+        busy = BatchOnlinePredictor(res, busy_set).predict(_request(), 0.0)
         assert busy < quiet
 
     def test_missing_extra_columns_raise(self, fitted):
-        res, src, dst = fitted
-        # Manufacture a result that expects an extra feature.
-        import dataclasses
+        from repro.serve.bench import make_synthetic_global_model
 
-        fake = dataclasses.replace(res) if dataclasses.is_dataclass(res) else res
-        fake.feature_names = res.feature_names  # same; simulate global via names
-        predictor = OnlinePredictor(res, OnlineFeatureEstimator([]))
+        res, src, dst = fitted
         # Per-edge models need nothing extra: should not raise.
-        predictor.predict(_request(src=src, dst=dst), now=0.0)
+        BatchOnlinePredictor(res, ActiveSet()).predict(
+            _request(src=src, dst=dst), 0.0
+        )
+        # A global model needs its endpoint-capability columns.
+        global_model = make_synthetic_global_model(0)
+        with pytest.raises(KeyError, match="ROmax_src"):
+            BatchOnlinePredictor(global_model, ActiveSet())
+        rate = BatchOnlinePredictor(
+            global_model, ActiveSet(),
+            extra_columns={"ROmax_src": 1e9, "RImax_dst": 1e9},
+        ).predict(_request(src=src, dst=dst), 0.0)
+        assert np.isfinite(rate) and rate > 0

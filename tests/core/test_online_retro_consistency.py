@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 
 from repro.core.contention import ContentionComputer
-from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
+from repro.core.online import ActiveTransferView, active_views_from_log
 from repro.logs import LogStore, TransferLogRecord
 from repro.sim.gridftp import TransferRequest
+from tests.oracles import OnlineFeatureEstimator
+
+
+def _estimator_at(store, now, exclude_transfer_id):
+    return OnlineFeatureEstimator([
+        v for _, v in active_views_from_log(
+            store, now, exclude_transfer_id=exclude_transfer_id
+        )
+    ])
 
 
 def _rec(i, src, dst, ts, te, nb, c=2, p=4, nf=50):
@@ -90,9 +99,7 @@ class TestOnlineMatchesRetrospective:
         retro = ContentionComputer(store).compute(np.array([0]))
         assert retro["K_sout"][0] > 0  # retrospective sees it
 
-        est = OnlineFeatureEstimator.from_log_window(
-            store, now=100.0, exclude_transfer_id=0
-        )
+        est = _estimator_at(store, now=100.0, exclude_transfer_id=0)
         req = TransferRequest(src="A", dst="B", total_bytes=1e10, n_files=50)
         online = est.estimate(req, now=100.0, assumed_duration_s=200.0)
         assert online["K_sout"] == 0.0  # online cannot
@@ -155,7 +162,7 @@ class TestRandomizedReplayParity:
         pos = int(np.nonzero(data["transfer_id"] == target.transfer_id)[0][0])
         retro = ContentionComputer(store).compute(np.array([pos]))
 
-        est = OnlineFeatureEstimator.from_log_window(
+        est = _estimator_at(
             store, now=T, exclude_transfer_id=target.transfer_id
         )
         online = est.estimate(

@@ -8,7 +8,7 @@ run the self-contained experiments at reduced scale.
 import pytest
 
 from repro.harness.registry import EXPERIMENTS, run_experiment
-from repro.harness import exp_figure3, exp_table1
+from repro.harness import exp_figure3, exp_table1, exp_tunables
 
 
 class TestRegistry:
@@ -53,3 +53,26 @@ class TestFigure3Experiment:
             assert row[2] == 30  # observed transfers per edge
         # Rate declines with load on every testbed edge.
         assert all(row[3] < 0 for row in result.rows)
+
+
+class TestTunablesExperiment:
+    # exp_tunables.run(n_per_cell=6, seed=0) metrics as float hex, recorded
+    # with the former per-candidate scalar advisor: the recommendation
+    # (8, 8) is 0.75% below the true best cell (16, 8), confidently.
+    GOLDEN_METRICS = {
+        "model_mdape": "0x1.3ec9d0874816ep+3",
+        "c_survived_elimination": "0x1.0000000000000p+0",
+        "p_survived_elimination": "0x1.0000000000000p+0",
+        "advisor_confident": "0x1.0000000000000p+0",
+        "recommendation_regret": "0x1.e93ee09673b00p-8",
+        "best_true_c": "0x1.0000000000000p+4",
+        "best_true_p": "0x1.0000000000000p+3",
+        "recommended_c": "0x1.0000000000000p+3",
+        "recommended_p": "0x1.0000000000000p+3",
+    }
+
+    def test_reduced_run_matches_golden_metrics(self):
+        result = exp_tunables.run(n_per_cell=6, seed=0)
+        assert {
+            k: float(v).hex() for k, v in result.metrics.items()
+        } == self.GOLDEN_METRICS

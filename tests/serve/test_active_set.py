@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
-from repro.serve import ActiveSet
+from repro.core import build_feature_matrix, fit_edge_model, select_heavy_edges
+from repro.core.online import ActiveTransferView, active_views_from_log
+from repro.core.pipeline import GBTSettings
+from repro.serve import ActiveSet, BatchOnlinePredictor
 from repro.serve.active_set import _M_OUT_RATE
+from repro.sim.gridftp import TransferRequest
 from tests.core.conftest import make_random_store
 
 
@@ -172,15 +175,59 @@ class TestIncrementalState:
 
 
 class TestFromLogWindow:
-    def test_matches_estimator_view(self):
+    def test_matches_active_views_from_log(self):
         store = make_random_store(n=150, seed=4, horizon=2000.0)
         now = 900.0
         active = ActiveSet.from_log_window(store, now=now)
-        est = OnlineFeatureEstimator.from_log_window(store, now=now)
-        assert len(active) == len(est.active)
+        pairs = active_views_from_log(store, now=now)
+        assert len(active) == len(pairs)
+        assert sorted(active.ids()) == sorted(tid for tid, _ in pairs)
         assert sorted(v.started_at for v in active.views()) == sorted(
-            v.started_at for v in est.active
+            v.started_at for _, v in pairs
         )
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        store = make_random_store(n=400, n_endpoints=4, seed=7, horizon=4000.0)
+        src, dst = select_heavy_edges(store, min_samples=20, threshold=0.0)[0]
+        result = fit_edge_model(
+            build_feature_matrix(store), src, dst, model="gbt",
+            threshold=0.0, seed=0, gbt=GBTSettings(n_estimators=30),
+        )
+        return store, result
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_keying_does_not_change_predictions(self, seeded, k):
+        """Keyed by logged transfer id or by position 0..n-1, the same
+        window (minus the transfer under evaluation) predicts bit-identical
+        rates."""
+        store, result = seeded
+        src, dst = result.src, result.dst
+        data = store.raw()
+        pos = int(np.argsort(data["ts"])[150 + 50 * k])
+        transfer_id = int(data["transfer_id"][pos])
+        now = float(data["ts"][pos])
+        requests = [
+            TransferRequest(src=src, dst=dst, total_bytes=nb, n_files=nf)
+            for nb, nf in ((float(data["nb"][pos]), int(data["nf"][pos])),
+                           (5e10, 100), (2e8, 1))
+        ]
+        by_id = ActiveSet.from_log_window(
+            store, now=now, exclude_transfer_id=transfer_id
+        )
+        by_position = ActiveSet.from_views([
+            v for _, v in active_views_from_log(
+                store, now, exclude_transfer_id=transfer_id
+            )
+        ])
+        assert transfer_id in ActiveSet.from_log_window(store, now=now).ids()
+        assert transfer_id not in by_id.ids()
+        assert len(by_id) == len(by_position) > 0
+        a = BatchOnlinePredictor(result, by_id).predict_batch(requests, now)
+        b = BatchOnlinePredictor(result, by_position).predict_batch(
+            requests, now
+        )
+        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
 
     def test_keyed_by_transfer_id(self):
         store = make_random_store(n=80, seed=1, horizon=1000.0)

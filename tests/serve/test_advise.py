@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.advisor import DEFAULT_TUNABLE_GRID, TunableAdvisor
 from repro.core.analytical import EndpointMaxima
 from repro.core.features import FEATURE_NAMES
-from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
+from repro.core.online import ActiveTransferView
 from repro.core.pipeline import EdgeModelResult
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.scaler import StandardScaler
 from repro.obs import Observability
 from repro.serve import (
+    DEFAULT_TUNABLE_GRID,
     ActiveSet,
+    BatchOnlinePredictor,
     FallbackChain,
     FleetScheduler,
     ModelTier,
@@ -21,6 +22,15 @@ from repro.serve import (
     SweepRecommendation,
 )
 from repro.sim.gridftp import TransferRequest
+from tests.oracles import scalar_sweep, sweep_fingerprint
+
+# SHA-256 of the ranked (C, P, rate) sweep below (``_edge_model()`` over
+# ``_views(8, seed=3)``, ``_request()`` at t=100), rates as float hex.
+# Recorded with the per-candidate scalar advisor; the batched sweep
+# reproduces it bit for bit.
+GOLDEN_SWEEP_SHA256 = (
+    "1a528e5b74d04303ddf50f0309c7a74dcbc111b94a2481f2d867c9837d466864"
+)
 
 
 def _edge_model(src="A", dst="B", seed=0):
@@ -73,31 +83,38 @@ def _views(n=6, seed=0):
 
 
 class TestSweepAdvisorParity:
+    @staticmethod
+    def _ranked(rec):
+        return [
+            (a.concurrency, a.parallelism, a.predicted_rate)
+            for a in rec.alternatives
+        ]
+
     def test_bit_identical_to_scalar_sweep(self):
         """The single-batch vectorized sweep must rank (C, P, rate)
-        exactly as the scalar per-candidate reference path."""
+        exactly as a per-candidate ``predict`` loop over the grid."""
         model = _edge_model()
         views = _views(8, seed=3)
-        scalar = TunableAdvisor(model, OnlineFeatureEstimator(views))
         vector = SweepAdvisor(model, ActiveSet.from_views(views), clip=False)
+        single = BatchOnlinePredictor(model, ActiveSet.from_views(views))
         req = _request()
-        r1 = scalar.recommend(req, now=100.0)
-        r2 = vector.recommend(req, now=100.0)
-        scalar_ranked = [
-            (c, p, float(rate).hex()) for c, p, rate in r1.alternatives
-        ]
-        vector_ranked = [
-            (a.concurrency, a.parallelism, float(a.predicted_rate).hex())
-            for a in r2.alternatives
-        ]
-        assert scalar_ranked == vector_ranked
-        assert r2.gain_over_worst == r1.gain_over_worst
-        assert r2.confident == r1.confident
+        rec = vector.recommend(req, now=100.0)
+        scalar = scalar_sweep(single, req, DEFAULT_TUNABLE_GRID, now=100.0)
+        assert sweep_fingerprint(self._ranked(rec)) == sweep_fingerprint(scalar)
+        assert rec.gain_over_worst == scalar[0][2] / scalar[-1][2]
+
+    def test_ranking_matches_golden_fingerprint(self):
+        model = _edge_model()
+        vector = SweepAdvisor(
+            model, ActiveSet.from_views(_views(8, seed=3)), clip=False
+        )
+        rec = vector.recommend(_request(), now=100.0)
+        assert sweep_fingerprint(self._ranked(rec)) == GOLDEN_SWEEP_SHA256
+        assert (rec.concurrency, rec.parallelism) == (8, 8)
 
     def test_tie_break_matches_grid_order(self):
         """A constant-rate tier predicts identical rates for every
-        candidate; the stable sort must preserve grid order, exactly as
-        the scalar stable sort does."""
+        candidate; the stable sort must preserve grid order."""
         chain = FallbackChain(global_median=2e8)
         adv = SweepAdvisor(chain, ActiveSet())
         rec = adv.recommend(_request(src="X", dst="Y"))

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.online import (
-    ActiveTransferView,
-    OnlineFeatureEstimator,
-    OnlinePredictor,
-)
+from repro.core.online import ActiveTransferView
 from repro.serve import ActiveSet, BatchOnlinePredictor
 from repro.serve.bench import (
     make_synthetic_model,
@@ -16,6 +12,14 @@ from repro.serve.bench import (
     run_serve_bench,
 )
 from repro.sim.gridftp import TransferRequest
+from tests.oracles import OnlineFeatureEstimator, scalar_predict
+
+
+def _looped(result, views, requests, now=0.0):
+    """Each request through its own ``predict`` call, on an engine over
+    its own copy of the population."""
+    single = BatchOnlinePredictor(result, ActiveSet.from_views(views))
+    return np.array([single.predict(r, now) for r in requests])
 
 
 @pytest.fixture(scope="module")
@@ -68,23 +72,28 @@ class TestBatchFeatureParity:
 
 class TestPredictionParity:
     def test_batch_equals_looped_scalar(self, model, population):
-        """The acceptance invariant: identical predictions between the
-        batch engine and looping OnlinePredictor.predict."""
+        """The acceptance invariant: a request's answer does not depend on
+        the batch it arrives in — one batch call equals looping
+        single-request ``predict`` calls (up to the rounding of the linear
+        model's matrix product over a different row count)."""
         requests = make_synthetic_requests(100, n_endpoints=12, seed=6)
         engine = BatchOnlinePredictor(model, ActiveSet.from_views(population))
         batch = engine.predict_batch(requests, now=0.0)
-        scalar = OnlinePredictor(model, OnlineFeatureEstimator(population))
-        loop = np.array([scalar.predict(r, now=0.0) for r in requests])
+        loop = _looped(model, population, requests)
         assert np.allclose(batch, loop, rtol=1e-12, atol=0.0)
 
     def test_batch_of_one_matches_scalar(self, model, population):
-        req = make_synthetic_requests(1, n_endpoints=12, seed=7)[0]
+        """The vectorized fix-point against the scalar per-transfer,
+        per-iteration oracle loop."""
         engine = BatchOnlinePredictor(model, ActiveSet.from_views(population))
-        scalar = OnlinePredictor(model, OnlineFeatureEstimator(population))
-        assert engine.predict(req, now=0.0) == scalar.predict(req, now=0.0)
+        for req in make_synthetic_requests(5, n_endpoints=12, seed=7):
+            assert engine.predict(req, now=0.0) == pytest.approx(
+                scalar_predict(model, population, req, now=0.0), rel=1e-9
+            )
 
     def test_gbt_model_parity(self, population):
-        """Same invariant through the nonlinear model's tree traversal."""
+        """Same invariant through the nonlinear model's tree traversal,
+        which is row-independent, so bit for bit."""
         from repro.core.features import FEATURE_NAMES
         from repro.core.pipeline import EdgeModelResult
         from repro.ml.gbt import GradientBoostingRegressor
@@ -110,9 +119,7 @@ class TestPredictionParity:
         batch = BatchOnlinePredictor(
             res, ActiveSet.from_views(population)
         ).predict_batch(requests, now=0.0)
-        scalar = OnlinePredictor(res, OnlineFeatureEstimator(population))
-        loop = np.array([scalar.predict(r, now=0.0) for r in requests])
-        assert np.allclose(batch, loop, rtol=1e-12, atol=0.0)
+        assert np.array_equal(batch, _looped(res, population, requests))
 
     def test_population_mutations_change_predictions(self, model):
         active = ActiveSet()
@@ -169,12 +176,12 @@ class TestValidationAndStats:
         engine.stats.reset()
         assert engine.stats.requests == 0 and engine.stats.total_time_s == 0.0
 
-    def test_scalar_predictor_exposes_engine_stats(self, model, population):
-        scalar = OnlinePredictor(model, OnlineFeatureEstimator(population))
+    def test_single_request_predict_updates_stats(self, model, population):
+        engine = BatchOnlinePredictor(model, ActiveSet.from_views(population))
         req = make_synthetic_requests(1, n_endpoints=12, seed=10)[0]
-        scalar.predict(req, now=0.0)
-        assert scalar.engine.stats.predict_calls == 1
-        assert scalar.engine.stats.requests == 1
+        engine.predict(req, now=0.0)
+        assert engine.stats.predict_calls == 1
+        assert engine.stats.requests == 1
 
 
 class TestPredictorStatsRegistryView:

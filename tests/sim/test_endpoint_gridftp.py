@@ -111,6 +111,15 @@ class TestTransferRequest:
         with pytest.raises(ValueError):
             TransferRequest(src="A", dst="B", total_bytes=1.0, concurrency=0)
 
+    @pytest.mark.parametrize(
+        "size", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_nonfinite_total_bytes_rejected(self, size):
+        """NaN slips past ``total_bytes <= 0`` and inf is positive; both
+        would be served as a NaN rate, so the request must refuse them."""
+        with pytest.raises(ValueError, match="finite"):
+            TransferRequest(src="A", dst="B", total_bytes=size)
+
 
 class TestGridFTPConfig:
     def test_validation(self):

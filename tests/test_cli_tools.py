@@ -70,6 +70,35 @@ class TestPredictAndAdvise:
         out = capsys.readouterr().out
         assert "predicted" in out and "MB/s" in out
 
+    def test_predict_counts_the_logged_active_window(self, workflow, capsys):
+        from repro.serve import ActiveSet
+
+        log_path, model_path, *_ = workflow
+        n_active = len(ActiveSet.from_log_window(read_csv(log_path), now=20000.0))
+        rc = main(
+            [
+                "predict", "--model", str(model_path), "--log", str(log_path),
+                "--bytes", "5e10", "--at", "20000",
+            ]
+        )
+        assert rc == 0
+        assert f"with {n_active} transfers active" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["predict", "advise"])
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_nonfinite_bytes_rejected(self, workflow, capsys, command, size):
+        """A NaN or inf size used to be served as a NaN rate."""
+        log_path, model_path, *_ = workflow
+        rc = main(
+            [
+                command, "--model", str(model_path), "--log", str(log_path),
+                "--bytes", size, "--at", "20000",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "total_bytes" in err
+
     def test_advise_prints_grid(self, workflow, capsys):
         log_path, model_path, *_ = workflow
         rc = main(
@@ -220,6 +249,21 @@ class TestAdvisePlan:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_backlog_bytes_rejected(self, workflow, tmp_path, capsys):
+        log_path, _, src, dst = workflow
+        backlog_path = tmp_path / "nan.json"
+        backlog_path.write_text(
+            f'[{{"src": "{src}", "dst": "{dst}", "bytes": NaN}}]'
+        )
+        rc = main(
+            [
+                "advise", "plan", "--log", str(log_path),
+                "--backlog", str(backlog_path),
+            ]
+        )
+        assert rc == 2
+        assert "total_bytes" in capsys.readouterr().err
 
 
 class TestLogsValidate:
