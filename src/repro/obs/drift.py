@@ -28,9 +28,23 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["DriftMonitor", "DriftStats"]
+__all__ = ["DriftMonitor", "DriftStats", "check_rates"]
 
 from repro.obs.metrics import MetricsRegistry
+
+
+def check_rates(predicted_rate: float,
+                realized_rate: float) -> tuple[float, float]:
+    """The rates :meth:`DriftMonitor.record` can score, as floats;
+    ``ValueError`` unless realized is finite and > 0 and predicted is
+    finite and >= 0."""
+    predicted = float(predicted_rate)
+    realized = float(realized_rate)
+    if not math.isfinite(realized) or realized <= 0:
+        raise ValueError(f"realized rate must be finite and > 0, got {realized}")
+    if not math.isfinite(predicted) or predicted < 0:
+        raise ValueError(f"predicted rate must be finite and >= 0, got {predicted}")
+    return predicted, realized
 
 
 @dataclass(frozen=True)
@@ -125,12 +139,7 @@ class DriftMonitor:
         means the caller fed a transfer that never ran, which is an
         upstream bug, not drift.
         """
-        predicted = float(predicted_rate)
-        realized = float(realized_rate)
-        if not math.isfinite(realized) or realized <= 0:
-            raise ValueError(f"realized rate must be finite and > 0, got {realized}")
-        if not math.isfinite(predicted) or predicted < 0:
-            raise ValueError(f"predicted rate must be finite and >= 0, got {predicted}")
+        predicted, realized = check_rates(predicted_rate, realized_rate)
         signed_ape = (predicted - realized) / realized * 100.0
 
         tier_name = getattr(tier, "value", None) or str(tier)

@@ -41,10 +41,12 @@ from repro.logs.io import QuarantineReport, read_jsonl
 from repro.logs.schema import LOG_DTYPE, TransferLogRecord
 from repro.logs.store import LogStore
 from repro.obs import Observability
+from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.bench import make_synthetic_global_model, make_synthetic_model
 from repro.serve.fallback import FallbackChain
+from repro.serve.mutation import ServingState
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
@@ -546,15 +548,16 @@ def run_observed_replay(
 #
 # The crash-injection mode exercises the durability layer the same way the
 # fault-injection mode exercises the lenient serving engine: a deterministic
-# event stream is fed through a journaled DurableServingState, the process is
-# "killed" at an arbitrary event — with the journal tail torn at an arbitrary
-# byte offset, and optionally the newest snapshot corrupted — then recovery
-# plus re-delivery of the unacknowledged suffix must reproduce, bit for bit,
-# the state of an uninterrupted run over the same stream.
+# stream of mutation records is fed through a journaled DurableServingState,
+# the process is "killed" at an arbitrary event — with the journal tail torn
+# at an arbitrary byte offset, and optionally the newest snapshot corrupted —
+# then recovery plus re-delivery of the unacknowledged suffix must
+# reproduce, bit for bit, the state of a journal-free ServingState twin fed
+# the whole stream.
 
 
-def make_durable_events(config: ChaosConfig) -> list[dict]:
-    """A reproducible mutation stream for the durability layer.
+def make_durable_events(config: ChaosConfig) -> list[list]:
+    """A reproducible stream of mutation records (:mod:`repro.serve.mutation`).
 
     Pure function of ``config`` (fresh RNG, no shared state), so the
     crashed run, the recovery's re-delivery, and the uninterrupted
@@ -562,14 +565,12 @@ def make_durable_events(config: ChaosConfig) -> list[dict]:
     enabled consumes exactly the same randomness as one without, keeping
     replays bit-identical either way.
 
-    The stream mirrors the fault-injection replay's menu in journal-op
-    form: ``add`` (with duplicates), good and NaN/negative ``progress``,
+    The stream mirrors the fault-injection replay's menu as mutation
+    records: ``add`` (with duplicates), good and NaN/negative ``progress``,
     ``complete`` (with duplicates, unknown ids, and never-completing
     transfers), and ``drift`` observations scoring each completion
     against a pseudo-prediction.
     """
-    from repro.serve.active_set import view_to_dict
-
     log = make_chaos_log(config)
     rng = np.random.default_rng(config.seed + 3)
     data = log.raw()
@@ -580,104 +581,53 @@ def make_durable_events(config: ChaosConfig) -> list[dict]:
     timeline.sort()
 
     tiers = ("edge", "global", "analytical", "median", "default")
-    events: list[dict] = []
+    events: list[list] = []
     live: list[int] = []  # generator-side mirror of the active population
 
     for t, kind, i in timeline:
         tid = int(data["transfer_id"][i])
         row = data[i]
         if kind == 0:
-            view = view_to_dict(_view_from_row(row))
-            events.append({"op": "add", "tid": tid, "view": view})
+            add = mutation.add(tid, _view_from_row(row))
+            events.append(add)
             live.append(tid)
             if rng.random() < config.p_duplicate_add:
-                events.append({"op": "add", "tid": tid, "view": view})
+                events.append(add)
         else:
             if rng.random() < config.p_never_complete:
                 pass  # its completion event never arrives
             else:
-                events.append({"op": "complete", "tid": tid})
+                events.append(mutation.complete(tid))
                 if tid in live:
                     live.remove(tid)
                 realized = float(row["nb"]) / (float(row["te"]) - float(row["ts"]))
-                events.append({
-                    "op": "drift",
-                    "src": str(row["src"]),
-                    "dst": str(row["dst"]),
-                    "tier": str(tiers[int(rng.integers(len(tiers)))]),
-                    "predicted": realized * float(rng.uniform(0.7, 1.3)),
-                    "realized": realized,
-                })
+                events.append(mutation.drift(
+                    row["src"], row["dst"],
+                    tiers[int(rng.integers(len(tiers)))],
+                    realized * float(rng.uniform(0.7, 1.3)),
+                    realized,
+                ))
                 if rng.random() < config.p_duplicate_complete:
-                    events.append({"op": "complete", "tid": tid})
+                    events.append(mutation.complete(tid))
             if rng.random() < config.p_unknown_complete:
-                events.append({"op": "complete", "tid": 10**9 + tid})
+                events.append(mutation.complete(10**9 + tid))
         if rng.random() < config.p_bad_progress and live:
             victim = live[int(rng.integers(len(live)))]
             bad = float(rng.choice([np.nan, -1e8, np.inf]))
-            events.append({"op": "progress", "tid": victim, "rate": bad})
+            events.append(mutation.progress(victim, rate=bad))
         if rng.random() < config.p_good_progress and live:
             victim = live[int(rng.integers(len(live)))]
-            events.append({
-                "op": "progress", "tid": victim,
-                "rate": float(rng.uniform(1e6, 5e8)),
-            })
+            events.append(mutation.progress(
+                victim, rate=float(rng.uniform(1e6, 5e8))))
     return events
 
 
-def _apply_event(target, event: dict) -> None:
-    """Feed one stream event to either a plain (ActiveSet, DriftMonitor)
-    pair or a DurableServingState — the same mutation either way."""
-    op = event["op"]
-    if op == "add":
-        from repro.serve.active_set import view_from_dict
-
-        target.add(int(event["tid"]), view_from_dict(event["view"]))
-    elif op == "progress":
-        target.progress(
-            int(event["tid"]),
-            rate=event.get("rate"),
-            expected_end=event.get("expected_end"),
-        )
-    elif op == "complete":
-        target.complete(int(event["tid"]))
-    elif op == "drift":
-        target.record_drift(
-            event["src"], event["dst"], event["tier"],
-            float(event["predicted"]), float(event["realized"]),
-        )
-    else:  # pragma: no cover - generator emits only the ops above
-        raise ValueError(f"unknown event op {op!r}")
-
-
-class _PlainState:
-    """Journal-free twin of DurableServingState: the uninterrupted
-    reference a recovered process is compared against."""
-
-    def __init__(self, config: ChaosConfig, obs) -> None:
-        from repro.serve.active_set import ActiveSet as _ActiveSet
-
-        self.obs = obs
-        self.active = _ActiveSet(lenient=config.lenient, obs=obs)
-        self.drift = obs.drift
-
-    def add(self, tid, view):
-        self.active.add(tid, view)
-
-    def progress(self, tid, rate=None, expected_end=None):
-        self.active.progress(tid, rate=rate, expected_end=expected_end)
-
-    def complete(self, tid):
-        self.active.complete(tid)
-
-    def record_drift(self, src, dst, tier, predicted, realized):
-        self.drift.record(src, dst, tier, predicted, realized)
-
-    def state_fingerprint(self) -> dict:
-        return {
-            "active": self.active.snapshot_state(),
-            "drift": self.drift.dump_state(),
-        }
+def _corrupt_file(path: Path) -> None:
+    """Flip one byte in the middle of ``path`` (a no-op on empty files)."""
+    blob = bytearray(path.read_bytes())
+    if blob:
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
 
 
 def _drift_gauges(registry) -> dict[str, float]:
@@ -754,8 +704,9 @@ def run_crash_replay(
     """One full crash-injection trial against the durability layer.
 
     1. Run the uninterrupted reference: the full event stream through a
-       journal-free state (this also proves journaling consumes no
-       replay randomness — both runs share one stream).
+       journal-free :class:`~repro.serve.mutation.ServingState` (this
+       also proves journaling consumes no replay randomness — both runs
+       share one stream).
     2. Run the durable process: the stream up to ``kill_after_events``
        through a journaled :class:`~repro.serve.durability.DurableServingState`
        (auto-snapshotting every ``snapshot_every`` records), then kill it.
@@ -793,16 +744,16 @@ def run_crash_replay(
     state_dir = Path(state_dir)
     try:
         # 1. uninterrupted reference (no journal).
-        reference = _PlainState(cfg, Observability.create(trace=False))
+        reference = ServingState(lenient=cfg.lenient)
         for event in events:
-            _apply_event(reference, event)
+            reference.apply(event)
 
         # 2. the durable process, killed mid-stream.
         durability = DurabilityConfig(snapshot_every=snapshot_every)
         victim, _ = recover_serving_state(
             state_dir, lenient=cfg.lenient, config=durability)
         for event in events[:kill]:
-            _apply_event(victim, event)
+            victim.apply(event)
         wal_path = victim._wal_path(victim.generation)
         victim.close()  # every append already flushed; the tear is below
 
@@ -815,11 +766,7 @@ def run_crash_replay(
         if corrupt_snapshot:
             generations = victim.snapshots.generations()
             if generations:
-                path = victim.snapshots.path_for(generations[-1])
-                blob = bytearray(path.read_bytes())
-                if blob:
-                    blob[len(blob) // 2] ^= 0xFF
-                    path.write_bytes(bytes(blob))
+                _corrupt_file(victim.snapshots.path_for(generations[-1]))
 
         # 4. recover and re-deliver the unacknowledged suffix.
         bundle = obs if obs is not None else Observability.create(trace=False)
@@ -834,7 +781,7 @@ def run_crash_replay(
             )
             resume_from = kill
         for event in events[resume_from:]:
-            _apply_event(recovered, event)
+            recovered.apply(event)
         report.resumed_events = len(events) - resume_from
 
         # -- the equivalence proof ---------------------------------------
@@ -843,7 +790,7 @@ def run_crash_replay(
         )
         report.drift_gauges_equal = (
             _drift_gauges(recovered.registry)
-            == _drift_gauges(reference.obs.registry)
+            == _drift_gauges(reference.registry)
         )
         log = make_chaos_log(cfg)
         chain = make_chaos_chain(log, cfg)

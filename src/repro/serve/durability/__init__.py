@@ -6,9 +6,9 @@ K*/G*/S* contention features (Eq. 2, Table 2) are computed from.  In a
 long-lived serving process that state lives in memory; this package makes
 it survive the process:
 
-- :mod:`~repro.serve.durability.journal` — append-only WAL of ActiveSet
-  mutations and drift observations, per-record CRC-32 + length framing,
-  torn-tail detection and truncation;
+- :mod:`~repro.serve.durability.journal` — append-only WAL of mutation
+  records (:mod:`repro.serve.mutation`), per-record CRC-32 + length
+  framing, torn-tail detection and truncation;
 - :mod:`~repro.serve.durability.snapshot` — generation-numbered,
   checksummed, atomically replaced state snapshots with fallback past
   corrupt generations;

@@ -1,22 +1,24 @@
 """Durable serving state: WAL-ordered mutations, snapshots, recovery.
 
 :class:`DurableServingState` wraps one serving process's volatile
-contention state — the :class:`~repro.serve.ActiveSet` the K*/G*/S*
-features are computed from, the :class:`~repro.obs.DriftMonitor`
-windows, and the :class:`~repro.obs.MetricsRegistry` totals — behind a
-write-ahead discipline: every mutation is framed into the journal
-*before* it touches memory.  Periodic snapshots bound replay time; each
-snapshot bumps the generation, rotates the journal to a fresh segment,
-and prunes old generations (always keeping a predecessor for checksum
-fallback).
+contention state — the :class:`~repro.serve.mutation.ServingState`
+triple: the :class:`~repro.serve.ActiveSet` the K*/G*/S* features are
+computed from, the :class:`~repro.obs.DriftMonitor` windows, and the
+:class:`~repro.obs.MetricsRegistry` totals — behind a write-ahead
+discipline: every mutation record (:mod:`repro.serve.mutation`) is
+decoded, then framed into the journal as ``{"seq": n, "m": record}``
+*before* it touches memory, so a malformed record never reaches the
+journal.  Periodic snapshots bound replay time; each snapshot bumps the
+generation, rotates the journal to a fresh segment, and prunes old
+generations (always keeping a predecessor for checksum fallback).
 
 :func:`recover_serving_state` is the inverse: load the newest snapshot
 that verifies (falling back past corrupt generations), restore all three
 components, then replay the journal suffix — records with ``seq`` beyond
-the snapshot — through the exact mutation paths the live process used.
-Because replay is deterministic and the journal is written before the
-apply, the recovered state is equivalent to an uninterrupted process at
-the last acknowledged record; anything after the tear was never
+the snapshot — through the same decode-and-apply path the live process
+used.  Because replay is deterministic and the journal is written before
+the apply, the recovered state is equivalent to an uninterrupted process
+at the last acknowledged record; anything after the tear was never
 acknowledged and is the upstream's to re-send (``last_seq`` says exactly
 where to resume).
 
@@ -30,15 +32,14 @@ Directory layout::
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import DriftMonitor, MetricsRegistry, Observability
-from repro.serve.active_set import ActiveSet, view_from_dict, view_to_dict
+from repro.obs import Observability
 from repro.serve.durability.journal import Journal, TornRecord
 from repro.serve.durability.snapshot import SnapshotStore
+from repro.serve.mutation import ServingState, decode
 
 __all__ = [
     "DurabilityConfig",
@@ -48,20 +49,6 @@ __all__ = [
 ]
 
 _WAL_RE = re.compile(r"^wal-(\d{8})\.log$")
-
-
-def _encode_float(value) -> float | str | None:
-    """Strict-JSON-safe float: non-finite values ride as strings so the
-    journal can faithfully record even the malformed mutations that
-    lenient serving drops (replay must reject them identically)."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
-
-
-def _decode_float(value) -> float | None:
-    return None if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -126,15 +113,14 @@ class RecoveryReport:
         }
 
 
-class DurableServingState:
+class DurableServingState(ServingState):
     """The crash-durable triple (ActiveSet, DriftMonitor, registry).
 
     Do not construct directly — :func:`recover_serving_state` is the
     single entry point; an empty directory recovers to a cold start, so
-    open and recover are the same operation.  Mutations mirror the
-    :class:`~repro.serve.ActiveSet` API (:meth:`add`, :meth:`progress`,
-    :meth:`complete`) plus :meth:`record_drift`, each journaled before it
-    is applied.
+    open and recover are the same operation.  :meth:`apply` takes one
+    mutation record (:mod:`repro.serve.mutation`) and journals it before
+    applying it.
     """
 
     def __init__(
@@ -144,15 +130,9 @@ class DurableServingState:
         lenient: bool = True,
         config: DurabilityConfig | None = None,
     ) -> None:
+        super().__init__(obs=obs, lenient=lenient)
         self.state_dir = Path(state_dir)
         self.config = config or DurabilityConfig()
-        self.obs = obs if obs is not None else Observability.create(trace=False)
-        self.registry: MetricsRegistry = self.obs.registry
-        self.active = ActiveSet(lenient=lenient, obs=self.obs)
-        self.drift: DriftMonitor = (
-            self.obs.drift if self.obs.drift is not None
-            else DriftMonitor(registry=self.registry)
-        )
         self.snapshots = SnapshotStore(self.state_dir)
         self.generation = 0
         self.last_seq = 0
@@ -208,90 +188,31 @@ class DurableServingState:
                                 fsync=self.config.fsync)
         self._journal.open_for_append()
 
-    # -- mutations (journal first, then apply) -----------------------------
+    # -- mutations (decode, journal, then apply) ---------------------------
 
-    def _next_record(self, op: str, **fields) -> dict:
+    def apply(self, record) -> None:
+        """Decode one mutation record, journal its canonical form, apply
+        it.  A record :func:`~repro.serve.mutation.decode` rejects raises
+        ``ValueError`` and consumes no seq; one the state refuses (strict
+        mode) raises after it is journaled, and replay refuses it again."""
+        mutation = decode(record)
         self.last_seq += 1
         self._g_last_seq.set(self.last_seq)
-        record = {"seq": self.last_seq, "op": op, **fields}
         before = self._journal.path.stat().st_size \
             if self._journal.path.exists() else 0
-        end = self._journal.append(record)
+        end = self._journal.append({"seq": self.last_seq, "m": mutation.record})
         self._m_records.inc()
         self._m_bytes.inc(max(end - before, 0))
-        return record
-
-    def add(self, transfer_id: int, view) -> None:
-        record = self._next_record(
-            "add", tid=int(transfer_id), view=view_to_dict(view))
-        self._apply(record, replay=False)
+        self._apply(mutation)
         self._maybe_snapshot()
 
-    def progress(
-        self,
-        transfer_id: int,
-        rate: float | None = None,
-        expected_end: float | None = None,
-    ) -> None:
-        record = self._next_record(
-            "progress",
-            tid=int(transfer_id),
-            rate=_encode_float(rate),
-            expected_end=_encode_float(expected_end),
-        )
-        self._apply(record, replay=False)
-        self._maybe_snapshot()
-
-    def complete(self, transfer_id: int) -> None:
-        record = self._next_record("complete", tid=int(transfer_id))
-        self._apply(record, replay=False)
-        self._maybe_snapshot()
-
-    def record_drift(
-        self, src: str, dst: str, tier, predicted_rate: float,
-        realized_rate: float,
-    ) -> None:
-        tier_name = getattr(tier, "value", None) or str(tier)
-        record = self._next_record(
-            "drift",
-            src=str(src), dst=str(dst), tier=str(tier_name),
-            predicted=_encode_float(predicted_rate),
-            realized=_encode_float(realized_rate),
-        )
-        self._apply(record, replay=False)
-        self._maybe_snapshot()
-
-    def _apply(self, record: dict, replay: bool) -> None:
-        """One journaled mutation against the in-memory state.
-
-        Live path: exceptions propagate (the caller fed a bad mutation in
-        strict mode).  Replay path: the same exception is guaranteed to
-        recur — the mutation changed nothing the first time — so it is
-        counted and skipped to keep recovery total.
-        """
-        op = record.get("op")
+    def _replay(self, record: dict) -> None:
+        """One journaled record during recovery.  A refusal is guaranteed
+        to recur — the mutation changed nothing the first time — so it is
+        counted and skipped to keep recovery total."""
         try:
-            if op == "add":
-                self.active.add(int(record["tid"]),
-                                view_from_dict(record["view"]))
-            elif op == "progress":
-                self.active.progress(
-                    int(record["tid"]),
-                    rate=_decode_float(record.get("rate")),
-                    expected_end=_decode_float(record.get("expected_end")),
-                )
-            elif op == "complete":
-                self.active.complete(int(record["tid"]))
-            elif op == "drift":
-                self.drift.record(
-                    record["src"], record["dst"], record["tier"],
-                    float(record["predicted"]), float(record["realized"]),
-                )
-            else:
-                raise ValueError(f"unknown journal op {op!r}")
+            ServingState.apply(self, record.get("m"))
         except (KeyError, ValueError):
-            if not replay:
-                raise
             self._m_replay_rejected.inc()
 
     # -- snapshots ---------------------------------------------------------
@@ -343,18 +264,6 @@ class DurableServingState:
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
-
-    # -- equivalence probes ------------------------------------------------
-
-    def state_fingerprint(self) -> dict:
-        """The recovery-equivalence contract in one comparable value: the
-        exact active population (insertion-ordered) and the exact drift
-        windows.  Two states with equal fingerprints produce identical
-        predictions and identical drift gauges."""
-        return {
-            "active": self.active.snapshot_state(),
-            "drift": self.drift.dump_state(),
-        }
 
     def close(self) -> None:
         if self._journal is not None:
@@ -424,7 +333,7 @@ def recover_serving_state(
                 seq = int(record.get("seq", 0))
                 if seq <= state.last_seq:
                     continue  # already in the snapshot (or a duplicate)
-                state._apply(record, replay=True)
+                state._replay(record)
                 state.last_seq = seq
                 report.replayed_records += 1
         state._m_truncated.inc(report.truncated_bytes)

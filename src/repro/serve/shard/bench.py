@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import Observability
-from repro.serve.active_set import ActiveSet, view_to_dict
+from repro.serve import mutation
+from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.bench import (
     make_synthetic_requests,
@@ -170,9 +171,8 @@ def run_shard_bench(
             config=ClusterConfig(),
         ).start()
         try:
-            cluster.apply_mutations([
-                ["add", i, view_to_dict(v)] for i, v in enumerate(views)
-            ])
+            cluster.apply_mutations(
+                [mutation.add(i, v) for i, v in enumerate(views)])
             detail = cluster.predict_batch_detailed(requests, now)  # warm
             t0 = time.perf_counter()
             for _ in range(repeats):

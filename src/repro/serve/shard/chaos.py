@@ -1,11 +1,13 @@
 """Chaos proof for the sharded serving tier.
 
 :func:`run_shard_chaos` drives a :class:`~repro.serve.shard.ShardCluster`
-and a single-process reference predictor through the same scripted,
-seeded history — mutations, predict batches, SIGKILLs at varying points
-(before a mutation batch, between two halves of one, after mutations but
-before the predict), a drain, a rebalance, a checkpoint — and asserts
-the tier's three contracts after every round:
+and a single-process reference (a
+:class:`~repro.serve.mutation.ServingState` twin fed the same mutation
+records, under its own :class:`~repro.serve.batch.BatchOnlinePredictor`)
+through the same scripted, seeded history — mutations, predict batches,
+SIGKILLs at varying points (before a mutation batch, between two halves
+of one, after mutations but before the predict), a drain, a rebalance, a
+checkpoint — and asserts the tier's three contracts after every round:
 
 1. **Every request is answered.**  The router never raises; every rate
    is finite and positive, even while a shard is down or draining.
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import Observability
-from repro.serve.active_set import ActiveSet
+from repro.serve import mutation
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.bench import (
     make_synthetic_model,
@@ -44,6 +46,7 @@ from repro.serve.bench import (
     make_synthetic_views,
 )
 from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.mutation import ServingState
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 from repro.serve.shard.worker import fingerprint_digest
 
@@ -149,42 +152,10 @@ def make_chaos_chain(n_endpoints: int, seed: int = 0) -> FallbackChain:
     )
 
 
-class _Reference:
-    """The single-process twin: same chain, same mutation history, same
-    observability wiring as a worker — the equality baseline."""
-
-    def __init__(self, chain: FallbackChain) -> None:
-        self.obs = Observability.create(trace=False)
-        self.active = ActiveSet(lenient=True, obs=self.obs)
-        self.predictor = BatchOnlinePredictor(chain, self.active, obs=self.obs)
-
-    def apply(self, mutation: list) -> None:
-        kind = mutation[0]
-        if kind == "add":
-            self.active.add(int(mutation[1]), mutation[2])
-        elif kind == "progress":
-            self.active.progress(
-                int(mutation[1]), rate=mutation[2], expected_end=mutation[3])
-        elif kind == "complete":
-            self.active.complete(int(mutation[1]))
-        elif kind == "drift":
-            self.obs.drift.record(
-                mutation[1], mutation[2], mutation[3],
-                mutation[4], mutation[5])
-        else:  # pragma: no cover - script bug
-            raise ValueError(f"unknown mutation kind {kind!r}")
-
-    def fingerprint(self) -> str:
-        return fingerprint_digest({
-            "active": self.active.snapshot_state(),
-            "drift": self.obs.drift.dump_state(),
-        })
-
-
 class _MutationScript:
-    """Seeded mutation generator shared by cluster and reference: adds
-    from a pre-built view pool, progress/complete over live transfers,
-    drift observations over the endpoint universe."""
+    """Seeded mutation-record generator shared by cluster and reference:
+    adds from a pre-built view pool, progress/complete over live
+    transfers, drift observations over the endpoint universe."""
 
     def __init__(self, config: ShardChaosConfig) -> None:
         self.rng = random.Random(config.seed + 1)
@@ -201,7 +172,7 @@ class _MutationScript:
         tid = self.next_tid
         self.next_tid += 1
         self.live.append(tid)
-        return ["add", tid, self.pool[tid]]
+        return mutation.add(tid, self.pool[tid])
 
     def seed_batch(self, n: int) -> list[list]:
         return [self._add() for _ in range(n)]
@@ -214,36 +185,24 @@ class _MutationScript:
                 out.append(self._add())
             elif roll < 0.6:
                 tid = self.rng.choice(self.live)
-                out.append([
-                    "progress", tid,
-                    self.rng.uniform(1e6, 5e8), None,
-                ])
+                out.append(mutation.progress(tid, self.rng.uniform(1e6, 5e8)))
             elif roll < 0.75:
                 tid = self.live.pop(self.rng.randrange(len(self.live)))
-                out.append(["complete", tid])
+                out.append(mutation.complete(tid))
             else:
                 s, d = self.rng.sample(self.eps, 2)
-                out.append([
-                    "drift", s, d, self.rng.choice(self.tiers),
-                    self.rng.uniform(1e7, 5e8), self.rng.uniform(1e7, 5e8),
-                ])
+                out.append(mutation.drift(
+                    s, d, self.rng.choice(self.tiers),
+                    self.rng.uniform(1e7, 5e8), self.rng.uniform(1e7, 5e8)))
         return out
 
 
-def _apply(cluster: ShardCluster, ref: _Reference,
-           mutations: list[list]) -> None:
-    """One mutation batch down both paths.  The cluster wire format
-    carries views as dicts; the reference takes the view object itself."""
-    from repro.serve.active_set import view_to_dict
-
-    wire = []
-    for m in mutations:
-        if m[0] == "add":
-            wire.append(["add", m[1], view_to_dict(m[2])])
-        else:
-            wire.append(list(m))
-        ref.apply(m)
-    cluster.apply_mutations(wire)
+def _apply(cluster: ShardCluster, ref: ServingState,
+           records: list[list]) -> None:
+    """One mutation batch down both paths."""
+    for record in records:
+        ref.apply(record)
+    cluster.apply_mutations(records)
 
 
 def run_shard_chaos(
@@ -259,7 +218,7 @@ def run_shard_chaos(
     report = ShardChaosReport(shards=config.shards, rounds=config.rounds)
     rng = random.Random(config.seed)
     chain = make_chaos_chain(config.n_endpoints, seed=config.seed)
-    ref = _Reference(chain)
+    ref = ServingState()
     script = _MutationScript(config)
 
     tmp = None
@@ -284,9 +243,10 @@ def run_shard_chaos(
 
 
 def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
-                ref: _Reference, chain: FallbackChain,
+                ref: ServingState, chain: FallbackChain,
                 script: _MutationScript,
                 rng: random.Random, report: ShardChaosReport) -> None:
+    ref_predictor = BatchOnlinePredictor(chain, ref.active, obs=ref.obs)
     _apply(cluster, ref, script.seed_batch(config.n_seed_views))
 
     for r in range(config.rounds):
@@ -325,7 +285,7 @@ def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
                 f"shard {handoff['shard']} seq {handoff['seq']}")
 
         result = cluster.predict_batch_detailed(requests, now)
-        expected = ref.predictor.predict_batch_detailed(requests, now)
+        expected = ref_predictor.predict_batch_detailed(requests, now)
         _check_round(r, cluster, chain, requests, result, expected,
                      draining, report)
 
@@ -340,7 +300,7 @@ def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
                 f"generations {generations}, log base {cluster._base}")
 
         prints = cluster.fingerprints()
-        want = ref.fingerprint()
+        want = fingerprint_digest(ref.state_fingerprint())
         report.check(
             f"round {r}: state fingerprints bit-identical across "
             f"{len(prints)} shards + reference",

@@ -5,7 +5,10 @@ byte order), the same framing discipline as the durability journal: a
 fixed header that bounds the read, a checksum that catches a torn or
 corrupted pipe, and a strict-JSON payload so every value survives the
 hop bit-exactly (Python's JSON float encoding is shortest-round-trip,
-so a predicted rate crosses the socket without losing a ULP).
+so a predicted rate crosses the socket without losing a ULP).  Strict
+JSON has no spelling for NaN or infinity; the only payload that can
+carry one, a ``mutate`` frame's mutation records, encodes them as
+strings (:mod:`repro.serve.mutation`).
 
 The transport is a ``socket.socketpair()`` stream per worker.  All
 errors funnel into :class:`ProtocolError` subclasses the router can
@@ -18,7 +21,6 @@ corrupt frame.
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 import zlib
@@ -30,8 +32,6 @@ __all__ = [
     "FrameTimeout",
     "send_frame",
     "recv_frame",
-    "wire_float",
-    "unwire_float",
 ]
 
 _HEADER = struct.Struct(">II")
@@ -51,24 +51,6 @@ class ConnectionClosed(ProtocolError):
 
 class FrameTimeout(ProtocolError):
     """No complete frame arrived within the deadline — hung worker."""
-
-
-def wire_float(value: float | None) -> float | str | None:
-    """Encode a float for a strict-JSON frame: finite floats pass through
-    (shortest-round-trip, bit-exact), non-finite ones become their
-    ``repr`` string (``"inf"``/``"-inf"``/``"nan"``) since strict JSON
-    has no spelling for them, ``None`` stays ``None``."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
-
-
-def unwire_float(value: float | str | None) -> float | None:
-    """Inverse of :func:`wire_float`."""
-    if value is None:
-        return None
-    return float(value)
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:

@@ -4,12 +4,13 @@
 processes, one per ring slot, each with its own durable state directory.
 It plays three roles at once:
 
-**Router.**  Mutations (transfer add/progress/complete, drift
-observations) are appended to an in-memory replication log and broadcast
-to every worker — contention state is fully replicated, predictions are
-partitioned.  A predict batch is grouped by the consistent-hash ring,
-dispatched to all owning shards pipelined (send everything, then collect),
-and reassembled in submission order.
+**Router.**  Mutation records (:mod:`repro.serve.mutation`: transfer
+add/progress/complete, drift observations) are validated, appended to an
+in-memory replication log and broadcast to every worker — contention
+state is fully replicated, predictions are partitioned.  A predict batch
+is grouped by the consistent-hash ring, dispatched to all owning shards
+pipelined (send everything, then collect), and reassembled in submission
+order.
 
 **Supervisor.**  Every request carries a deadline.  A timed-out request
 is retried through the shared :func:`~repro.exec.retry.retry_call`
@@ -60,13 +61,13 @@ from repro.obs import MetricsRegistry, Observability
 from repro.serve.batch import BatchPrediction
 from repro.serve.durability import DurabilityConfig
 from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.mutation import decode
 from repro.serve.shard.protocol import (
     ConnectionClosed,
     FrameTimeout,
     ProtocolError,
     recv_frame,
     send_frame,
-    wire_float,
 )
 from repro.serve.shard.ring import HashRing, edge_key
 from repro.serve.shard.worker import worker_entry
@@ -346,51 +347,23 @@ class ShardCluster:
 
     # -- mutations (broadcast + replay) ------------------------------------
 
-    def add(self, transfer_id: int, view) -> None:
-        from repro.serve.active_set import view_to_dict
+    def apply_mutations(self, mutations: Sequence) -> None:
+        """Validate a batch of mutation records, then broadcast it.
 
-        self._broadcast([["add", int(transfer_id), view_to_dict(view)]])
-
-    def progress(self, transfer_id: int, rate: float | None = None,
-                 expected_end: float | None = None) -> None:
-        self._broadcast([[
-            "progress", int(transfer_id),
-            wire_float(rate), wire_float(expected_end),
-        ]])
-
-    def complete(self, transfer_id: int) -> None:
-        self._broadcast([["complete", int(transfer_id)]])
-
-    def record_drift(self, src: str, dst: str, tier, predicted_rate: float,
-                     realized_rate: float) -> None:
-        tier_name = getattr(tier, "value", None) or str(tier)
-        self._broadcast([[
-            "drift", str(src), str(dst), str(tier_name),
-            float(predicted_rate), float(realized_rate),
-        ]])
-
-    def add_views(self, views: Sequence) -> None:
-        """Bulk-register views with sequential ids ``0..n-1`` (mirrors
-        :meth:`ActiveSet.from_views`), one broadcast frame per shard."""
-        from repro.serve.active_set import view_to_dict
-
-        self._broadcast([
-            ["add", i, view_to_dict(v)] for i, v in enumerate(views)
-        ])
-
-    def apply_mutations(self, mutations: list[list]) -> None:
-        """Broadcast pre-encoded wire mutations (the chaos harness and
-        bulk loaders build these directly)."""
-        self._broadcast([list(m) for m in mutations])
-
-    @property
-    def seq(self) -> int:
-        """The global mutation sequence (log head)."""
-        return self._base + len(self._mutations)
-
-    def _broadcast(self, mutations: list[list]) -> None:
-        self._mutations.extend(mutations)
-        self._m_mutations.inc(len(mutations))
+        Every record is decoded before any enters the replication log: a
+        malformed one raises ``ValueError`` naming its index, and nothing
+        from the rejected batch is logged or sent — a record every worker
+        refuses would otherwise be replayed into every restart and take
+        the shards DOWN.  The log keeps the canonical form of each record.
+        """
+        records = []
+        for i, record in enumerate(mutations):
+            try:
+                records.append(decode(record).record)
+            except ValueError as exc:
+                raise ValueError(f"mutation {i}: {exc}") from None
+        self._mutations.extend(records)
+        self._m_mutations.inc(len(records))
         for handle in self._handles.values():
             if handle.state is not ShardState.UP:
                 continue
@@ -398,6 +371,11 @@ class ShardCluster:
                 self._send_pending(handle)
             except ProtocolError as exc:
                 self._recover_shard(handle, context="mutate", error=exc)
+
+    @property
+    def seq(self) -> int:
+        """The global mutation sequence (log head)."""
+        return self._base + len(self._mutations)
 
     def _send_pending(self, handle: _Handle) -> None:
         """Drive ``handle`` from its journaled seq to the log head in

@@ -12,17 +12,21 @@ of a batch here is bit-identical to predicting it inside the full batch
 in one process; that is the equality the chaos harness asserts.
 
 The loop is strictly request/response: recv one frame, dispatch by
-``op``, send exactly one reply echoing the request ``id``.  The journal-
-seq lockstep invariant lives here: exactly one journal record is written
-per broadcast mutation and nothing else journals, so the worker's durable
-``last_seq`` *is* the router's global mutation sequence — after a crash,
-recovery reports the journaled seq and the router replays strictly after
-it, never double-applying a mutation that survived the tear.
+``op``, send exactly one reply echoing the request ``id``.  A ``mutate``
+frame carries :mod:`repro.serve.mutation` records, which go straight to
+:meth:`DurableServingState.apply` — the record on the wire is the record
+in the journal.  The journal-seq lockstep invariant lives here: exactly
+one journal record is written per broadcast mutation (the router only
+broadcasts records that decode) and nothing else journals, so the
+worker's durable ``last_seq`` *is* the router's global mutation
+sequence — after a crash, recovery reports the journaled seq and the
+router replays strictly after it, never double-applying a mutation that
+survived the tear.
 
 Worker ops
 ----------
 ``ping``        readiness + identity (shard, pid, last_seq, recovery info)
-``mutate``      apply a batch of journaled mutations; reply with last_seq
+``mutate``      apply a batch of mutation records; reply with last_seq
 ``predict``     batch prediction for this shard's edges
 ``checkpoint``  snapshot now; reply with the new generation
 ``fingerprint`` sha256 digest of the state-equivalence fingerprint
@@ -40,7 +44,6 @@ import socket
 from pathlib import Path
 
 from repro.obs import Observability
-from repro.serve.active_set import view_from_dict
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.durability import (
     DurabilityConfig,
@@ -51,7 +54,6 @@ from repro.serve.shard.protocol import (
     ConnectionClosed,
     recv_frame,
     send_frame,
-    unwire_float,
 )
 from repro.sim.gridftp import TransferRequest
 
@@ -139,8 +141,8 @@ class ShardWorker:
             )
             return False
         if op == "mutate":
-            for mutation in request["mutations"]:
-                self._apply(mutation)
+            for record in request["mutations"]:
+                self.state.apply(record)
             reply["last_seq"] = self.state.last_seq
             return False
         if op == "predict":
@@ -176,27 +178,6 @@ class ShardWorker:
             reply["last_seq"] = self.state.last_seq
             return True
         raise ValueError(f"unknown op {op!r}")
-
-    def _apply(self, mutation: list) -> None:
-        """One broadcast mutation -> exactly one journal record."""
-        kind = mutation[0]
-        if kind == "add":
-            self.state.add(int(mutation[1]), view_from_dict(mutation[2]))
-        elif kind == "progress":
-            self.state.progress(
-                int(mutation[1]),
-                rate=unwire_float(mutation[2]),
-                expected_end=unwire_float(mutation[3]),
-            )
-        elif kind == "complete":
-            self.state.complete(int(mutation[1]))
-        elif kind == "drift":
-            self.state.record_drift(
-                str(mutation[1]), str(mutation[2]), str(mutation[3]),
-                float(mutation[4]), float(mutation[5]),
-            )
-        else:
-            raise ValueError(f"unknown mutation kind {kind!r}")
 
     def close(self) -> None:
         if self.state is not None:

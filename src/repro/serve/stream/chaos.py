@@ -61,7 +61,12 @@ from repro.obs import Observability
 from repro.obs.events import EventLog, read_events
 from repro.obs.slo import SLO, SLOEngine
 from repro.serve.bench import make_synthetic_model
-from repro.serve.chaos import ChaosConfig, make_chaos_log, write_corrupt_jsonl
+from repro.serve.chaos import (
+    ChaosConfig,
+    _corrupt_file,
+    make_chaos_log,
+    write_corrupt_jsonl,
+)
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.stream.retrain import (
     BreakerState,
@@ -274,13 +279,6 @@ def _policy() -> RetrainPolicy:
     )
 
 
-def _corrupt_file(path: Path) -> None:
-    blob = bytearray(path.read_bytes())
-    if blob:
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-
-
 def _chaos_slos() -> list:
     """The two SLOs whose SLIs are pure functions of checkpointed state
     (tail quarantine totals; data-time checkpoint staleness), so the
@@ -330,8 +328,6 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
                       report: StreamChaosReport, obs: Observability) -> None:
     root.mkdir(parents=True, exist_ok=True)
     live = root / "transfers.jsonl"
-    state_dir = root / "state"
-    artifact_root = root / "artifacts"
 
     # The full corrupt file, pre-rendered so the reference is computable
     # up front; it reaches the live file in phased appends below.
@@ -381,20 +377,23 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
         checkpoint_every=1,
     )
 
-    def build(crash_hook=None):
+    def build(root: Path, obs: Observability, publish_hook,
+              crash_hook=None) -> StreamSupervisor:
+        """One supervisor incarnation over ``root``'s log, state and
+        artifact directories."""
         chain = FallbackChain.from_log(
             kept, edge_models={corrupt_edge: base_model})
-        tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
-                            seed=cfg.seed)
+        tail = TailIngester(root / "transfers.jsonl", fmt="jsonl",
+                            registry=obs.registry, seed=cfg.seed)
         controller = RetrainController(
-            chain, obs.drift, artifact_root, policy=_policy(),
+            chain, obs.drift, root / "artifacts", policy=_policy(),
             fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
                            seed=cfg.seed),
             registry=obs.registry, tracer=obs.tracer, seed=cfg.seed,
             publish_hook=publish_hook,
         )
         return StreamSupervisor(
-            tail, controller, state_dir, obs=obs,
+            tail, controller, root / "state", obs=obs,
             config=stream_config,
             sleep=lambda _s: None,
             crash_hook=crash_hook,
@@ -418,25 +417,7 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
         if tuple(edge) == corrupt_edge:
             _corrupt_file(path)
 
-    ref = StreamSupervisor(
-        TailIngester(ref_live, fmt="jsonl", registry=ref_obs.registry,
-                     seed=cfg.seed),
-        RetrainController(
-            FallbackChain.from_log(
-                kept,
-                edge_models={corrupt_edge: dataclasses.replace(
-                    make_synthetic_model(cfg.seed),
-                    src=corrupt_edge[0], dst=corrupt_edge[1])}),
-            ref_obs.drift, ref_root / "artifacts", policy=_policy(),
-            fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
-                           seed=cfg.seed),
-            registry=ref_obs.registry, seed=cfg.seed,
-            publish_hook=ref_publish_hook,
-        ),
-        ref_root / "state", obs=ref_obs,
-        config=stream_config,
-        sleep=lambda _s: None,
-    )
+    ref = build(ref_root, ref_obs, ref_publish_hook)
 
     def crash_hook_for(stage: str):
         def hook(s):
@@ -463,7 +444,8 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
         if phase < cfg.phases - 1:
             stage = cfg.crash_stages[phase % len(cfg.crash_stages)]
-            victim = build(crash_hook=crash_hook_for(stage))
+            victim = build(root, obs, publish_hook,
+                           crash_hook=crash_hook_for(stage))
             report.incarnations += 1
             try:
                 victim.run(max_cycles=cfg.cycles_per_incarnation)
@@ -471,7 +453,7 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
                     f"phase {phase}: expected a crash at {stage!r}")
             except SimulatedCrash:
                 report.crashes_injected += 1
-        survivor = build()
+        survivor = build(root, obs, publish_hook)
         report.incarnations += 1
         survivor.run(max_cycles=cfg.cycles_per_incarnation)
         final = survivor

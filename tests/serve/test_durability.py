@@ -7,11 +7,13 @@ recovery edge cases directly.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.core.online import ActiveTransferView
 from repro.obs import Observability
+from repro.serve import mutation
 from repro.serve.durability import (
     DurabilityConfig,
     Journal,
@@ -19,6 +21,7 @@ from repro.serve.durability import (
     recover_serving_state,
 )
 from repro.serve.durability.journal import _HEADER
+from repro.serve.mutation import ServingState
 
 
 def _view(src="A", dst="B", rate=1e8, started_at=0.0):
@@ -26,17 +29,18 @@ def _view(src="A", dst="B", rate=1e8, started_at=0.0):
 
 
 def _feed(state, n=12):
-    """A small deterministic mutation mix touching every journal op."""
+    """A small deterministic mutation mix touching every mutation op."""
     endpoints = ("JLAB", "NERSC", "ORNL")
     for i in range(n):
         src = endpoints[i % 3]
         dst = endpoints[(i + 1) % 3]
-        state.add(100 + i, _view(src, dst, rate=1e8 + i * 1e6, started_at=float(i)))
+        state.apply(mutation.add(
+            100 + i, _view(src, dst, rate=1e8 + i * 1e6, started_at=float(i))))
         if i % 3 == 0:
-            state.progress(100 + i, rate=2e8 + i)
+            state.apply(mutation.progress(100 + i, rate=2e8 + i))
         if i % 4 == 0 and i:
-            state.complete(100 + i - 1)
-            state.record_drift(src, dst, "edge", 1.1e8, 1e8)
+            state.apply(mutation.complete(100 + i - 1))
+            state.apply(mutation.drift(src, dst, "edge", 1.1e8, 1e8))
 
 
 # -- journal ------------------------------------------------------------------
@@ -218,9 +222,7 @@ class TestRecovery:
         state, _ = recover_serving_state(tmp_path)
         _feed(state, n=8)
         state.snapshot()
-        _feed_more = [(300, _view("X", "Y"))]
-        for tid, view in _feed_more:
-            state.add(tid, view)
+        state.apply(mutation.add(300, _view("X", "Y")))
         fingerprint = state.state_fingerprint()
         state.close()
 
@@ -276,28 +278,10 @@ class TestRecovery:
         durable, _ = recover_serving_state(tmp_path)
         _feed(durable, n=10)
 
-        plain_obs = Observability.create(trace=False)
-        from repro.serve.active_set import ActiveSet
-
-        active = ActiveSet(lenient=True, obs=plain_obs)
-
-        class Plain:
-            def add(self, tid, view):
-                active.add(tid, view)
-
-            def progress(self, tid, rate=None, expected_end=None):
-                active.progress(tid, rate=rate, expected_end=expected_end)
-
-            def complete(self, tid):
-                active.complete(tid)
-
-            def record_drift(self, src, dst, tier, p, r):
-                plain_obs.drift.record(src, dst, tier, p, r)
-
-        plain = Plain()
+        plain = ServingState()
         _feed(plain, n=10)
-        assert durable.active.snapshot_state() == active.snapshot_state()
-        assert durable.drift.dump_state() == plain_obs.drift.dump_state()
+        assert durable.active.snapshot_state() == plain.active.snapshot_state()
+        assert durable.drift.dump_state() == plain.drift.dump_state()
         durable.close()
 
     def test_auto_snapshot_cadence_and_wal_pruning(self, tmp_path):
@@ -338,4 +322,46 @@ class TestRecovery:
 
         recovered, _ = recover_serving_state(tmp_path)
         assert recovered.registry.flat()["active_set_adds_total"] == expected
+        recovered.close()
+
+    def test_journal_carries_the_canonical_record(self, tmp_path):
+        state, _ = recover_serving_state(tmp_path)
+        state.apply(mutation.add(7, _view()))
+        state.apply(["progress", 7, "nan", None])
+        wal = state._wal_path(state.generation)
+        state.close()
+        records = list(Journal(wal).replay())
+        assert records == [
+            {"seq": 1, "m": mutation.add(7, _view())},
+            {"seq": 2, "m": ["progress", 7, "nan", None]},
+        ]
+
+    def test_malformed_record_never_reaches_the_journal(self, tmp_path):
+        state, _ = recover_serving_state(tmp_path)
+        with pytest.raises(ValueError):
+            state.apply(["add", 1, {"src": "A"}])
+        with pytest.raises(ValueError):
+            state.apply(["progress", 1, None, None])
+        assert state.last_seq == 0
+        state.close()
+        _, report = recover_serving_state(tmp_path)
+        assert report.replayed_records == 0
+
+    def test_strict_replay_rejects_what_the_live_state_refused(self, tmp_path):
+        """Strict mode journals before it applies, so a refused mutation
+        consumes a seq live and is refused again, and counted, on replay."""
+        state, _ = recover_serving_state(tmp_path, lenient=False)
+        state.apply(mutation.add(1, _view()))
+        with pytest.raises(ValueError):
+            state.apply(mutation.progress(1, rate=math.nan))
+        with pytest.raises(KeyError):
+            state.apply(mutation.complete(99))
+        assert state.last_seq == 3
+        fingerprint = state.state_fingerprint()
+        state.close()
+
+        recovered, report = recover_serving_state(tmp_path, lenient=False)
+        assert report.replayed_records == 3
+        assert report.replay_rejected == 2
+        assert recovered.state_fingerprint() == fingerprint
         recovered.close()

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from repro.obs import Observability
-from repro.serve.active_set import ActiveSet, view_to_dict
+from repro.serve import mutation
+from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.bench import make_synthetic_requests, make_synthetic_views
+from repro.serve.chaos import ChaosConfig, make_durable_events
 from repro.serve.fallback import ModelTier
+from repro.serve.mutation import ServingState
 from repro.serve.shard import (
     ClusterConfig,
     ShardChaosConfig,
@@ -22,6 +25,7 @@ from repro.serve.shard import (
     run_shard_chaos,
 )
 from repro.serve.shard.chaos import make_chaos_chain
+from repro.serve.shard.worker import fingerprint_digest
 
 N_ENDPOINTS = 6
 
@@ -35,6 +39,11 @@ def _fixture_data(n_views=60, n_requests=24, seed=0):
     return chain, views, requests
 
 
+def _add_views(cluster, views):
+    cluster.apply_mutations(
+        [mutation.add(i, v) for i, v in enumerate(views)])
+
+
 def _reference(chain, views, obs=None):
     obs = obs or Observability.create(trace=False)
     return BatchOnlinePredictor(
@@ -46,7 +55,7 @@ def cluster3(tmp_path):
     chain, views, requests = _fixture_data()
     with ShardCluster(chain, tmp_path / "state", shards=3,
                       obs=Observability.create(trace=False)) as cluster:
-        cluster.add_views(views)
+        _add_views(cluster, views)
         yield cluster, chain, views, requests
 
 
@@ -67,7 +76,7 @@ class TestParity:
         # stream, so any shard that missed a broadcast diverges.
         reference = _reference(chain, views)
         for tid in range(0, len(views), 2):
-            cluster.complete(tid)
+            cluster.apply_mutations([mutation.complete(tid)])
             reference.active.complete(tid)
         detail = cluster.predict_batch_detailed(requests, now=0.0)
         ref = reference.predict_batch_detailed(requests, now=0.0)
@@ -77,7 +86,7 @@ class TestParity:
     def test_single_shard_cluster_matches_too(self, tmp_path):
         chain, views, requests = _fixture_data()
         with ShardCluster(chain, tmp_path / "s1", shards=1) as cluster:
-            cluster.add_views(views)
+            _add_views(cluster, views)
             rates = cluster.predict_batch(requests, now=0.0)
         ref = _reference(chain, views).predict_batch(requests, now=0.0)
         assert np.array_equal(rates, ref)
@@ -102,32 +111,86 @@ class TestFailover:
         assert cluster.seq == seq_before
 
     def test_restarted_shard_fingerprint_matches_reference(self, cluster3):
-        from repro.serve.shard.chaos import _Reference
-
         cluster, chain, views, requests = cluster3
-        twin = _Reference(chain)
+        twin = ServingState()
         for i, v in enumerate(views):
-            twin.apply(["add", i, v])
+            twin.apply(mutation.add(i, v))
         cluster.kill("shard-0")
         cluster.restart("shard-0")
         fps = cluster.fingerprints()
         # Full replication: every shard holds the whole population, so
         # all fingerprints agree — with each other and with the twin.
-        assert set(fps.values()) == {twin.fingerprint()}
+        assert set(fps.values()) == {fingerprint_digest(twin.state_fingerprint())}
 
     def test_kill_between_mutations_loses_nothing(self, cluster3):
         cluster, chain, views, requests = cluster3
         reference = _reference(chain, views)
-        cluster.complete(0)
+        cluster.apply_mutations([mutation.complete(0)])
         reference.active.complete(0)
         cluster.kill("shard-2")
-        cluster.complete(1)  # broadcast discovers + replays shard-2
+        # The broadcast discovers + replays shard-2.
+        cluster.apply_mutations([mutation.complete(1)])
         reference.active.complete(1)
         detail = cluster.predict_batch_detailed(requests, now=0.0)
         ref = reference.predict_batch_detailed(requests, now=0.0)
         assert np.array_equal(np.asarray(detail.rates),
                               np.asarray(ref.rates))
         assert len(set(cluster.fingerprints().values())) == 1
+
+
+class TestMutationValidation:
+    BAD = ["add", 99, {"src": "EP000"}]
+
+    @pytest.mark.parametrize("batch", [[BAD], [mutation.complete(0), BAD]],
+                             ids=["bad-alone", "good-then-bad"])
+    def test_malformed_batch_is_rejected_before_the_log(self, cluster3,
+                                                        batch):
+        """A record every worker refuses must not enter the replication
+        log: replaying it into each restart would take every shard DOWN."""
+        cluster, chain, views, requests = cluster3
+        seq = cluster.seq
+        with pytest.raises(ValueError, match=f"mutation {len(batch) - 1}"):
+            cluster.apply_mutations(batch)
+        assert cluster.seq == seq
+        for row in cluster.status():
+            assert row["state"] == "up" and row["restarts"] == 0
+        detail = cluster.predict_batch_detailed(requests, now=0.0)
+        assert ModelTier.DEGRADED not in detail.tiers
+
+
+class TestCrashReplayMenu:
+    def test_fault_menu_through_the_shard_tier(self, tmp_path):
+        """The crash-replay stream — duplicate adds, unknown completes,
+        NaN/inf/negative progress rates, drift — through two shards with a
+        worker killed mid-stream, against a single-process twin.  The
+        chain models every edge: only then is a shard's sub-batch answer
+        bit-equal to the full batch's."""
+        cfg = ChaosConfig.quick(seed=11)
+        events = make_durable_events(cfg)
+        chain = make_chaos_chain(cfg.n_endpoints, seed=cfg.seed)
+        twin = ServingState(lenient=cfg.lenient)
+        chunks = [events[i:i + 50] for i in range(0, len(events), 50)]
+        with ShardCluster(chain, tmp_path / "state", shards=2) as cluster:
+            for k, chunk in enumerate(chunks):
+                if k == len(chunks) // 2:
+                    cluster.kill("shard-1")
+                    cluster.restart("shard-1")
+                cluster.apply_mutations(chunk)
+                for record in chunk:
+                    twin.apply(record)
+            want = fingerprint_digest(twin.state_fingerprint())
+            assert set(cluster.fingerprints().values()) == {want}
+            requests = make_synthetic_requests(
+                32, n_endpoints=cfg.n_endpoints, seed=cfg.seed + 9)
+            now = cfg.horizon_s
+            got = cluster.predict_batch_detailed(requests, now)
+            ref = BatchOnlinePredictor(
+                chain, twin.active).predict_batch_detailed(requests, now)
+            rows = {r["shard"]: r for r in cluster.status()}
+        assert rows["shard-1"]["restarts"] == 1
+        assert np.array_equal(np.asarray(got.rates), np.asarray(ref.rates))
+        assert list(got.tiers) == list(ref.tiers)
+        assert list(got.nonconverged) == list(ref.nonconverged)
 
 
 class TestDrainAndDegraded:
@@ -182,7 +245,7 @@ class TestRebalance:
     def test_mutations_after_rebalance_keep_replicating(self, cluster3):
         cluster, chain, views, requests = cluster3
         cluster.rebalance("shard-2")
-        cluster.complete(3)
+        cluster.apply_mutations([mutation.complete(3)])
         assert len(set(cluster.fingerprints().values())) == 1
 
 

@@ -13,9 +13,8 @@ from repro.serve.shard.protocol import (
     ProtocolError,
     recv_frame,
     send_frame,
-    unwire_float,
-    wire_float,
 )
+from repro.serve import mutation
 from repro.serve.shard.ring import HashRing, edge_key
 
 
@@ -70,20 +69,34 @@ class TestHashRing:
 
 
 class TestWireFloat:
+    """Floats in mutation records cross a strict-JSON frame intact."""
+
+    def _hop(self, record):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, {"mutations": [record]})
+            return mutation.decode(recv_frame(b, timeout=5.0)["mutations"][0])
+        finally:
+            a.close()
+            b.close()
+
     @pytest.mark.parametrize("value", [0.0, 1.5, -2.25, 1e300])
     def test_finite_roundtrip_unchanged(self, value):
-        assert wire_float(value) == value
-        assert unwire_float(wire_float(value)) == value
+        record = mutation.progress(1, rate=value, expected_end=value)
+        assert record[2:] == [value, value]
+        assert self._hop(record).args[1:] == (value, value)
 
     def test_none_passes_through(self):
-        assert wire_float(None) is None
-        assert unwire_float(None) is None
+        record = mutation.progress(1, rate=2.0)
+        assert record[3] is None
+        assert self._hop(record).args == (1, 2.0, None)
 
     def test_nonfinite_survive_strict_json(self):
-        assert unwire_float(wire_float(math.inf)) == math.inf
-        assert unwire_float(wire_float(-math.inf)) == -math.inf
-        assert math.isnan(unwire_float(wire_float(math.nan)))
-        assert isinstance(wire_float(math.inf), str)
+        record = mutation.progress(1, rate=math.inf, expected_end=-math.inf)
+        assert isinstance(record[2], str)
+        assert self._hop(record).args[1:] == (math.inf, -math.inf)
+        nan = self._hop(mutation.progress(1, rate=math.nan)).args[1]
+        assert math.isnan(nan)
 
 
 class TestFraming:
