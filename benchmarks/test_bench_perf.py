@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.contention import ContentionComputer, IntervalOverlapIndex
 from repro.core.features import build_feature_matrix
+from repro.logs.io import read_jsonl, write_jsonl
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
 from repro.sim.allocation import FlowSpec, Resource, allocate_maxmin
@@ -24,6 +25,15 @@ def test_perf_feature_matrix_build(benchmark, big_store):
     """Full Table 2 feature engineering over a 5k-transfer log."""
     fm = benchmark(build_feature_matrix, big_store)
     assert len(fm) == 5000
+
+
+def test_perf_jsonl_ingest(benchmark, big_store, tmp_path):
+    """Bulk JSONL log ingestion of the same 5k-transfer log (CSV ingest
+    is timed end to end by perfbench's ``ingest.read_csv_s``)."""
+    path = tmp_path / "big.log.jsonl"
+    write_jsonl(big_store, path)
+    store = benchmark(read_jsonl, path)
+    assert len(store) == 5000
 
 
 def test_perf_overlap_index_queries(benchmark):

@@ -1,4 +1,4 @@
-"""Operational command-line tools: simulate, train, predict, advise, bench.
+"""Operational command-line tools: the ``repro-tools`` entry point.
 
 These commands form a file-based workflow mirroring how the paper's models
 would be operated against real logs::
@@ -328,7 +328,6 @@ def _cmd_advise_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.exec.engine import resolve_workers
     from repro.obs import Observability
     from repro.serve.bench import run_serve_bench
 
@@ -347,7 +346,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         result=result,
         repeats=args.repeats,
         obs=obs,
-        workers=resolve_workers(args.workers),
     )
     print(bench.render())
     if obs.flight is not None and len(obs.flight):
@@ -405,27 +403,6 @@ def _serve_bench_shards(args: argparse.Namespace) -> int:
     if not result.parity_ok:
         print("error: sharded and single-process answers disagree "
               "(or counts failed to merge exactly)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.exec.bench import run_bench, write_report
-
-    report = run_bench(
-        quick=args.quick, workers=args.workers, rounds=args.rounds,
-        seed=args.seed,
-    )
-    print(report.render())
-    if args.out:
-        write_report(report, args.out)
-        print(f"\nwrote {args.out}")
-    if not report.parity_ok:
-        print(
-            "error: workers=1 and workers=N runs disagree "
-            "(see fit_all_edge_models / feature_cache in the report)",
-            file=sys.stderr,
-        )
         return 1
     return 0
 
@@ -1027,10 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--metrics-out", default=None,
                    help="write the instrumented run's metrics registry "
                         "as JSON here")
-    p.add_argument("--workers", type=int, default=None,
-                   help="fan --repeats cells out over this many worker "
-                        "processes (default: REPRO_WORKERS, else 1; needs "
-                        "--repeats > 1 and no --model bundle)")
     p.add_argument("--events-out", default=None,
                    help="write the structured event log (JSONL) here")
     p.add_argument("--flight-threshold", type=float, default=None,
@@ -1041,28 +1014,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="benchmark the sharded serving tier with this many "
                         "worker processes against the single-process "
                         "reference (bit parity + exact count merge; "
-                        "incompatible with --model/--workers)")
+                        "incompatible with --model)")
     p.add_argument("--quick", action="store_true",
                    help="with --shards: small inputs for CI smoke runs")
     p.set_defaults(func=_cmd_serve_bench)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the performance suite (hot paths, parallel fit parity, "
-             "artifact cache, serve-bench) and write BENCH_perf.json",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller inputs for CI smoke runs")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count for the parallel sections (default: "
-                        "REPRO_WORKERS, else 4)")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="timing rounds per hot path (default: 3 quick / "
-                        "5 full)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="BENCH_perf.json",
-                   help="report path (default: BENCH_perf.json)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "cache",

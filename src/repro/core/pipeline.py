@@ -442,8 +442,8 @@ def edge_result_from_payload(payload: dict) -> EdgeModelResult:
 
 def edge_results_fingerprint(results: list[EdgeModelResult]) -> str:
     """Hex SHA-256 over the canonical payloads of ``results`` — the
-    parity probe used by the determinism tests and ``repro-tools bench``
-    (workers=1 vs N, cache hit vs cold build)."""
+    parity probe used by the determinism tests (workers=1 vs N, cache
+    hit vs cold build)."""
     docs = [edge_result_to_payload(r) for r in results]
     encoded = json.dumps(docs, sort_keys=True, allow_nan=False)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()

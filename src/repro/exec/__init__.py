@@ -11,7 +11,7 @@ pieces:
   retry.  ``workers=1`` (the default, or ``REPRO_WORKERS=1``) is a plain
   in-order loop, so serial runs are bit-identical to the pre-engine code;
   ``workers=N`` must produce bit-identical artifacts, which the parity
-  tests and ``repro-tools bench`` enforce.
+  tests in ``tests/exec/test_parallel_parity.py`` enforce.
 - :mod:`repro.exec.retry` — :class:`BackoffPolicy` / :func:`retry_call`:
   the deterministically jittered exponential backoff shared by the
   streaming tail and the shard router (one formula, one seed discipline,
@@ -23,10 +23,6 @@ pieces:
   on-disk cache (SHA-256 fingerprints over the log arrays + config) for
   feature matrices and model bundles, written through
   :mod:`repro.atomicio` and checksum-verified on read.
-- :mod:`repro.exec.bench` — the ``repro-tools bench`` suite: hot-path
-  timings plus the workers=1-vs-N parity check, written to
-  ``BENCH_perf.json``.
-
 See ``docs/performance.md`` for the worker model and determinism contract.
 """
 

@@ -28,9 +28,11 @@ transfers.  This package is that serving layer:
   Eq. 1-clipped and tier-tagged, replica-source ranking with a global
   model, plus a backlog scheduler that replans against the live
   population and never predicts worse than FIFO;
-- :mod:`repro.serve.bench` — synthetic workloads and the
-  ``repro-tools serve-bench`` harness (latency percentiles and the
-  instrumentation-overhead delta included);
+- :mod:`repro.serve.fixtures` — the synthetic population, requests and
+  models that the chaos harnesses, ``serve-bench`` and the tests share;
+- :mod:`repro.serve.bench` — the ``repro-tools serve-bench`` harness:
+  batch-vs-loop agreement, latency percentiles and the
+  instrumentation-overhead delta;
 - :mod:`repro.serve.chaos` — the fault-injection replay harness behind
   ``repro-tools chaos``, plus the observed-replay pipeline
   (:func:`run_observed_replay`) behind ``repro-tools metrics``, plus the
@@ -108,7 +110,6 @@ from repro.serve.shard import (
     edge_key,
     run_shard_bench,
     run_shard_chaos,
-    run_shard_scaling,
 )
 from repro.serve.stream import (
     BreakerState,
@@ -169,7 +170,6 @@ __all__ = [
     "ShardChaosReport",
     "run_shard_chaos",
     "run_shard_bench",
-    "run_shard_scaling",
     "BreakerState",
     "CircuitBreaker",
     "RetrainController",

@@ -20,7 +20,7 @@ sources with the fitted models, on the batch serving stack:
   with the same models and kept if it predicts a shorter makespan);
 - :meth:`FleetScheduler.benchmark` — the planner-vs-FIFO-vs-greedy
   comparison (predicted makespan + aggregate throughput per policy), the
-  table ``repro-tools advise plan`` and ``repro-tools bench`` print.
+  table ``repro-tools advise plan`` prints.
 
 All advice is *model-driven*: nothing here talks to the simulator, so the
 same code runs against models trained on real logs.

@@ -44,8 +44,12 @@ from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import make_synthetic_global_model, make_synthetic_model
 from repro.serve.fallback import FallbackChain
+from repro.serve.fixtures import (
+    make_synthetic_global_model,
+    make_synthetic_model,
+    make_synthetic_requests,
+)
 from repro.serve.mutation import ServingState
 from repro.sim.gridftp import TransferRequest
 
@@ -794,8 +798,6 @@ def run_crash_replay(
         )
         log = make_chaos_log(cfg)
         chain = make_chaos_chain(log, cfg)
-        from repro.serve.bench import make_synthetic_requests
-
         requests = make_synthetic_requests(
             probe_requests, n_endpoints=cfg.n_endpoints, seed=cfg.seed + 9)
         now = cfg.horizon_s

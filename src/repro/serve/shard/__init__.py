@@ -24,8 +24,9 @@ answer:
   snapshot-handoff rebalance;
 - :mod:`repro.serve.shard.chaos` — :func:`run_shard_chaos`, the
   kill-anything proof behind ``repro-tools shard chaos``;
-- :mod:`repro.serve.shard.bench` — :func:`run_shard_bench` /
-  :func:`run_shard_scaling` behind ``repro-tools serve-bench --shards``.
+- :mod:`repro.serve.shard.bench` — :func:`run_shard_bench`, the bit
+  parity and count-merge check behind
+  ``repro-tools serve-bench --shards``.
 
 Design invariants (the chaos harness asserts all three):
 
@@ -46,11 +47,7 @@ walkthroughs.
 
 from __future__ import annotations
 
-from repro.serve.shard.bench import (
-    ShardBenchResult,
-    run_shard_bench,
-    run_shard_scaling,
-)
+from repro.serve.shard.bench import ShardBenchResult, run_shard_bench
 from repro.serve.shard.chaos import (
     ShardChaosConfig,
     ShardChaosReport,
@@ -91,5 +88,4 @@ __all__ = [
     "run_shard_chaos",
     "ShardBenchResult",
     "run_shard_bench",
-    "run_shard_scaling",
 ]

@@ -14,19 +14,13 @@ single-process :class:`~repro.serve.batch.BatchOnlinePredictor` reference
   — sharding may change how work is chunked (per-shard ``predict_calls``
   and fix-point iterations legitimately differ) but never how much work
   was requested or which tier answered.
-
-:func:`run_shard_scaling` sweeps shard counts and reports each count's
-speedup over ``--shards 1``; on a single-core box the parallelism gates
-are physically unobservable, so scaling is *recorded* (with the core
-count) while only the correctness gates decide ``parity_ok``.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +29,12 @@ from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import (
-    make_synthetic_requests,
-    make_synthetic_views,
-)
 from repro.serve.fallback import ModelTier
+from repro.serve.fixtures import make_synthetic_requests, make_synthetic_views
 from repro.serve.shard.chaos import make_chaos_chain
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 
-__all__ = ["ShardBenchResult", "run_shard_bench", "run_shard_scaling"]
+__all__ = ["ShardBenchResult", "run_shard_bench"]
 
 _COUNT_METRICS = ("serve_requests_total", "serve_tier_predictions_total")
 
@@ -60,10 +51,9 @@ class ShardBenchResult:
     reference_time_s: float
     max_abs_diff: float
     degraded: int
-    counts: dict[str, list] = field(default_factory=dict)
     counts_ok: bool = True
     # Full merged cross-shard registry snapshot (router + every worker);
-    # carried for the CLI's --metrics-out, deliberately not in as_dict().
+    # carried for the CLI's --metrics-out.
     merged_snapshot: dict | None = None
 
     @property
@@ -95,22 +85,6 @@ class ShardBenchResult:
             f"{'OK' if self.parity_ok else 'FAILED'}",
         ]
         return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "n_active": self.n_active,
-            "n_requests": self.n_requests,
-            "repeats": self.repeats,
-            "cluster_time_s": self.cluster_time_s,
-            "reference_time_s": self.reference_time_s,
-            "cluster_throughput_rps": self.cluster_throughput_rps,
-            "max_abs_diff": self.max_abs_diff,
-            "degraded": self.degraded,
-            "counts_ok": self.counts_ok,
-            "counts": self.counts,
-            "parity_ok": self.parity_ok,
-        }
 
 
 def _request_counts(registry_snapshot: dict) -> dict[str, list]:
@@ -206,36 +180,6 @@ def run_shard_bench(
         reference_time_s=reference_time,
         max_abs_diff=max_abs_diff,
         degraded=degraded,
-        counts={"reference": sorted(ref_counts),
-                "merged": sorted(merged_counts)},
         counts_ok=counts_ok,
         merged_snapshot=merged,
     )
-
-
-def run_shard_scaling(
-    shard_counts: tuple[int, ...] = (1, 4),
-    **kwargs,
-) -> dict:
-    """Run :func:`run_shard_bench` per shard count and relate them.
-
-    Returns ``{"results": {N: as_dict}, "scaling": t(1)/t(max),
-    "scaling_target": 2.5, "cores": os.cpu_count(), "parity_ok": ...}``
-    — scaling is recorded honestly (a single-core box cannot show
-    parallel speedup) while ``parity_ok`` gates only correctness.
-    """
-    counts = sorted(set(int(c) for c in shard_counts))
-    if not counts:
-        raise ValueError("need at least one shard count")
-    results = {c: run_shard_bench(shards=c, **kwargs) for c in counts}
-    base = results[counts[0]].cluster_time_s
-    top = results[counts[-1]].cluster_time_s
-    return {
-        "results": {c: r.as_dict() for c, r in results.items()},
-        "scaling": base / top if top else 0.0,
-        "scaling_baseline_shards": counts[0],
-        "scaling_at_shards": counts[-1],
-        "scaling_target": 2.5,
-        "cores": os.cpu_count() or 1,
-        "parity_ok": all(r.parity_ok for r in results.values()),
-    }

@@ -40,12 +40,12 @@ import numpy as np
 from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import (
+from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.fixtures import (
     make_synthetic_model,
     make_synthetic_requests,
     make_synthetic_views,
 )
-from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.mutation import ServingState
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 from repro.serve.shard.worker import fingerprint_digest

@@ -60,7 +60,6 @@ from repro.logs.store import LogStore
 from repro.obs import Observability
 from repro.obs.events import EventLog, read_events
 from repro.obs.slo import SLO, SLOEngine
-from repro.serve.bench import make_synthetic_model
 from repro.serve.chaos import (
     ChaosConfig,
     _corrupt_file,
@@ -68,6 +67,7 @@ from repro.serve.chaos import (
     write_corrupt_jsonl,
 )
 from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream.retrain import (
     BreakerState,
     RetrainController,

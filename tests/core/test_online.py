@@ -223,7 +223,7 @@ class TestOnlinePredictor:
         assert busy < quiet
 
     def test_missing_extra_columns_raise(self, fitted):
-        from repro.serve.bench import make_synthetic_global_model
+        from repro.serve.fixtures import make_synthetic_global_model
 
         res, src, dst = fitted
         # Per-edge models need nothing extra: should not raise.

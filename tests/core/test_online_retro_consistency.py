@@ -178,7 +178,7 @@ class TestRandomizedReplayParity:
     def test_batch_path_matches_retrospective(self, seed):
         """The vectorized serving path obeys the same parity invariant."""
         from repro.serve import ActiveSet, BatchOnlinePredictor
-        from repro.serve.bench import make_synthetic_model
+        from repro.serve.fixtures import make_synthetic_model
 
         store, target, T = _make_replay_store(seed)
         data = store.raw()

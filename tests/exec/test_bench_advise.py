@@ -1,7 +1,6 @@
-"""Tests for the bench suite's advise section, and for the sweep
-fingerprint that pins the advisor's ranking in the tier-1 tests."""
+"""Tests for the sweep fingerprint that pins the advisor's ranking in
+the tier-1 tests."""
 
-from repro.exec.bench import BenchReport, _run_advise_bench
 from tests.oracles import sweep_fingerprint
 
 
@@ -23,22 +22,3 @@ class TestSweepFingerprint:
         assert sweep_fingerprint([(2, 4, rate)]) != sweep_fingerprint(
             [(2, 4, bumped)]
         )
-
-
-class TestAdviseBenchSection:
-    def test_quick_section_gates_planner(self):
-        report = BenchReport(quick=True, workers=1)
-        _run_advise_bench(report, rounds=1, quick=True, seed=0)
-        adv = report.advise
-        assert adv["planner_ok"] is True
-        assert adv["planner_makespan_s"] <= adv["fifo_makespan_s"] * (1 + 1e-9)
-        assert adv["candidates"] > 0 and adv["backlog"] > 0
-        assert adv["vector_s"] > 0
-        assert "advise" in report.render()
-        # The overall gate requires the advise planner verdict too.
-        assert not report.parity_ok  # fit/cache sections missing
-        report.fit_all = {"parity_ok": True}
-        report.feature_cache = {"parity_ok": True}
-        assert report.parity_ok
-        report.advise["planner_ok"] = False
-        assert not report.parity_ok

@@ -1,9 +1,9 @@
 """Determinism parity: workers=N must be bit-identical to workers=1.
 
 These are the acceptance checks for the parallel engine: per-edge model
-fits, a full harness experiment, serve-bench statistics, and the
-cold-vs-warm feature cache must all produce the same artifacts whether
-the work ran serially or fanned out over worker processes.
+fits, a full harness experiment, and the cold-vs-warm feature cache must
+all produce the same artifacts whether the work ran serially or fanned
+out over worker processes.
 """
 
 import numpy as np
@@ -141,26 +141,3 @@ class TestHarnessExperimentParity:
                 np.asarray(serial.series[name]),
                 np.asarray(parallel.series[name]),
             ), name
-
-
-class TestServeBenchParity:
-    def test_non_time_stats_identical(self):
-        from repro.serve.bench import run_serve_bench
-
-        serial = run_serve_bench(
-            n_active=400, n_requests=60, n_endpoints=8, seed=11, repeats=2,
-            workers=1,
-        )
-        parallel = run_serve_bench(
-            n_active=400, n_requests=60, n_endpoints=8, seed=11, repeats=2,
-            workers=2,
-        )
-
-        def non_time(stats):
-            return {
-                k: v for k, v in stats.items() if not k.endswith("_time_s")
-            }
-
-        assert non_time(serial.stats) == non_time(parallel.stats)
-        assert serial.max_abs_diff == parallel.max_abs_diff
-        assert serial.max_abs_diff < 1e-6

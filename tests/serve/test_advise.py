@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.analytical import EndpointMaxima
-from repro.core.features import FEATURE_NAMES
+from repro.core.features import FEATURE_NAMES, build_feature_matrix
 from repro.core.online import ActiveTransferView
-from repro.core.pipeline import EdgeModelResult
+from repro.core.pipeline import EdgeModelResult, fit_edge_model, select_heavy_edges
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.scaler import StandardScaler
 from repro.obs import Observability
@@ -22,6 +22,7 @@ from repro.serve import (
     SweepRecommendation,
 )
 from repro.sim.gridftp import TransferRequest
+from tests.core.conftest import make_random_store
 from tests.oracles import scalar_sweep, sweep_fingerprint
 
 # SHA-256 of the ranked (C, P, rate) sweep below (``_edge_model()`` over
@@ -273,6 +274,33 @@ class TestFleetScheduler:
         assert bench.planner_no_worse_than_fifo
         assert bench.plans["planner"].makespan <= bench.plans["fifo"].makespan
         assert "planner" in bench.render()
+
+    def test_planner_no_worse_than_fifo_on_live_log_window(self):
+        """A GBT edge model on a random log, the log's live window at
+        t=25000, and an 8-transfer backlog over its four busiest edges:
+        the planner's predicted makespan must not exceed FIFO's."""
+        store = make_random_store(1500, n_endpoints=5, seed=2,
+                                  horizon=50_000.0)
+        edges = select_heavy_edges(store, min_samples=60, threshold=0.0)
+        src, dst = edges[0]
+        result = fit_edge_model(build_feature_matrix(store), src, dst,
+                                model="gbt", threshold=0.0, seed=0)
+        now = 25_000.0
+        active = ActiveSet.from_log_window(store, now=now)
+        chain = FallbackChain.from_log(store, edge_models={(src, dst): result})
+        sched = FleetScheduler(chain, max_active_per_endpoint=4)
+        busiest = edges[:4]
+        backlog = [
+            _request(src=busiest[i % len(busiest)][0],
+                     dst=busiest[i % len(busiest)][1], total_bytes=20e9,
+                     n_files=50, n_dirs=2)
+            for i in range(8)
+        ]
+        bench = sched.benchmark(backlog, active=active, now=now)
+        assert len(active) > 0 and len(busiest) == 4
+        assert bench.planner_no_worse_than_fifo
+        assert bench.plans["planner"].makespan <= (
+            bench.plans["fifo"].makespan * (1 + 1e-9))
 
     def test_endpoint_cap_staggers_starts(self):
         sched = FleetScheduler(self._chain(), max_active_per_endpoint=2)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.online import ActiveTransferView
 from repro.serve import ActiveSet, BatchOnlinePredictor
-from repro.serve.bench import (
+from repro.serve.bench import run_serve_bench
+from repro.serve.fixtures import (
     make_synthetic_model,
     make_synthetic_requests,
     make_synthetic_views,
-    run_serve_bench,
 )
 from repro.sim.gridftp import TransferRequest
 from tests.oracles import OnlineFeatureEstimator, scalar_predict
@@ -281,6 +281,22 @@ class TestServeBenchHarness:
         with pytest.raises(ValueError):
             run_serve_bench(n_active=10, n_requests=2, repeats=0)
 
+    @pytest.mark.parametrize("sizes, error", [
+        ({"n_active": -5}, "transfer count must be >= 0"),
+        ({"n_requests": -1}, "transfer count must be >= 0"),
+        ({"n_endpoints": 1}, "at least 2 endpoints"),
+        ({"n_requests": 0}, None),
+    ])
+    def test_synthetic_workload_sizes(self, sizes, error):
+        """Malformed sizes fail with a named error, not a numpy one; an
+        empty request batch is a valid run with nothing to disagree on."""
+        kwargs = {"n_active": 50, "n_requests": 5, "n_endpoints": 6, **sizes}
+        if error is None:
+            assert run_serve_bench(**kwargs).max_abs_diff == 0.0
+        else:
+            with pytest.raises(ValueError, match=error):
+                run_serve_bench(**kwargs)
+
 
 def brute_window_sums(views, a, b, weight):
     """Reference: sum of weight(v) * max(0, min(te_v, b) - a) over views."""
@@ -396,15 +412,3 @@ class TestForestCountersAndStats:
         assert engine.stats.mean_iterations_per_request == (
             engine.stats.mean_feature_rows_per_request
         )
-
-
-class TestSingleRequestLatencyHarness:
-    def test_measures_and_reports(self):
-        from repro.serve.bench import measure_single_request_latency
-
-        out = measure_single_request_latency(
-            n_active=200, n_probe=12, n_endpoints=8, seed=0
-        )
-        assert out["n_active"] == 200 and out["n_probe"] == 12
-        assert 0.0 < out["p50_s"] <= out["p95_s"] <= out["p99_s"] <= out["max_s"]
-        assert out["sub_ms_p99"] == (out["p99_s"] < 1e-3)

@@ -13,12 +13,12 @@ from repro.serve import (
     FallbackChain,
     ModelTier,
 )
-from repro.serve.bench import (
+from repro.serve.chaos import ChaosConfig, make_chaos_chain, make_chaos_log
+from repro.serve.fixtures import (
     make_synthetic_global_model,
     make_synthetic_model,
     make_synthetic_views,
 )
-from repro.serve.chaos import ChaosConfig, make_chaos_chain, make_chaos_log
 from repro.sim.gridftp import TransferRequest
 
 

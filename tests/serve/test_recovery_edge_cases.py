@@ -7,11 +7,11 @@ import pytest
 
 from repro.logs.io import write_jsonl
 from repro.obs import Observability
-from repro.serve.bench import make_synthetic_model
 from repro.serve.durability import recover_serving_state
 from repro.serve.durability.journal import Journal
 from repro.serve.durability.snapshot import SnapshotStore
 from repro.serve.fallback import FallbackChain
+from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
     RetrainController,
     StreamConfig,

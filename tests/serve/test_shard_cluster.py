@@ -12,9 +12,9 @@ from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import make_synthetic_requests, make_synthetic_views
 from repro.serve.chaos import ChaosConfig, make_durable_events
 from repro.serve.fallback import ModelTier
+from repro.serve.fixtures import make_synthetic_requests, make_synthetic_views
 from repro.serve.mutation import ServingState
 from repro.serve.shard import (
     ClusterConfig,

@@ -8,8 +8,8 @@ import pytest
 
 from repro.logs.schema import LOG_DTYPE
 from repro.obs import Observability
-from repro.serve.bench import make_synthetic_model
 from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
     BreakerState,
     CircuitBreaker,

@@ -6,8 +6,8 @@ import pytest
 
 from repro.logs.io import read_jsonl, write_jsonl
 from repro.obs import Observability
-from repro.serve.bench import make_synthetic_model
 from repro.serve.fallback import FallbackChain
+from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
     RetrainController,
     RetrainPolicy,
