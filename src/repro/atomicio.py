@@ -30,6 +30,7 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_json",
     "checksum_payload",
+    "checksummed_json",
 ]
 
 
@@ -120,3 +121,17 @@ def checksum_payload(payload: dict, exclude: str = "checksum") -> str:
     reduced = {k: v for k, v in payload.items() if k != exclude}
     encoded = json.dumps(reduced, sort_keys=True, allow_nan=False)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def checksummed_json(payload: dict) -> str:
+    """``payload`` as strict JSON carrying its :func:`checksum_payload`
+    under ``"checksum"``, from one encode: the canonical body is hashed
+    and then written as is, with the checksum appended as its last
+    member.  A reader that parses the document and re-runs
+    :func:`checksum_payload` gets the same digest, because canonical JSON
+    survives a parse and re-encode unchanged."""
+    body = json.dumps({k: v for k, v in payload.items() if k != "checksum"},
+                      sort_keys=True, allow_nan=False)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    member = f'"checksum": "{digest}"}}'
+    return body[:-1] + (", " if len(body) > 2 else "") + member

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 __all__ = ["DriftMonitor", "DriftStats", "check_rates"]
 
@@ -83,7 +84,7 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
-def _stats(window: deque[float]) -> DriftStats:
+def _stats(window) -> DriftStats:
     if not window:
         return _EMPTY
     signed = sorted(window)
@@ -139,26 +140,46 @@ class DriftMonitor:
         means the caller fed a transfer that never ran, which is an
         upstream bug, not drift.
         """
-        predicted, realized = check_rates(predicted_rate, realized_rate)
-        signed_ape = (predicted - realized) / realized * 100.0
+        return self.record_batch(
+            (src,), (dst,), (tier,), (predicted_rate,), (realized_rate,))[0]
 
-        tier_name = getattr(tier, "value", None) or str(tier)
-        edge = (str(src), str(dst))
-        edge_window = self._edges.get(edge)
-        if edge_window is None:
-            edge_window = self._edges[edge] = deque(maxlen=self.window)
-        tier_window = self._tiers.get(tier_name)
-        if tier_window is None:
-            tier_window = self._tiers[tier_name] = deque(maxlen=self.window)
+    def record_batch(self, srcs, dsts, tiers, predicted_rates,
+                     realized_rates) -> list[float]:
+        """Score a batch of completed transfers, in order; returns their
+        signed APEs.
 
-        for window in (edge_window, tier_window, self._overall):
-            window.append(signed_ape)
-        self._observations.inc()
-
-        self._export("edge", f"{edge[0]}->{edge[1]}", _stats(edge_window))
-        self._export("tier", tier_name, _stats(tier_window))
-        self._export("overall", "all", _stats(self._overall))
-        return signed_ape
+        Windows, counter and gauges end exactly where looping
+        :meth:`record` over the same rows leaves them, but each touched
+        scope's aggregates are computed and exported once per batch, not
+        once per row.  Every rate is validated before anything is
+        appended, so a bad row leaves the monitor untouched.
+        """
+        checked = [check_rates(p, r)
+                   for p, r in zip(predicted_rates, realized_rates)]
+        touched: dict[tuple[str, str], deque[float]] = {}
+        out = []
+        for src, dst, tier, (predicted, realized) in zip(
+                srcs, dsts, tiers, checked):
+            signed_ape = (predicted - realized) / realized * 100.0
+            tier_name = getattr(tier, "value", None) or str(tier)
+            edge = (str(src), str(dst))
+            edge_window = self._edges.get(edge)
+            if edge_window is None:
+                edge_window = self._edges[edge] = deque(maxlen=self.window)
+            tier_window = self._tiers.get(tier_name)
+            if tier_window is None:
+                tier_window = self._tiers[tier_name] = deque(maxlen=self.window)
+            for window in (edge_window, tier_window, self._overall):
+                window.append(signed_ape)
+            touched[("edge", f"{edge[0]}->{edge[1]}")] = edge_window
+            touched[("tier", tier_name)] = tier_window
+            out.append(signed_ape)
+        if out:
+            self._observations.inc(len(out))
+            touched[("overall", "all")] = self._overall
+        for (scope, key), window in touched.items():
+            self._export(scope, key, _stats(window))
+        return out
 
     def _export(self, scope: str, key: str, stats: DriftStats) -> None:
         labels = {"scope": scope, "key": key}
@@ -181,8 +202,15 @@ class DriftMonitor:
         """Total completions scored (monotonic; windows are bounded)."""
         return int(self._observations.value)
 
-    def edge_stats(self, src: str, dst: str) -> DriftStats:
-        return _stats(self._edges.get((str(src), str(dst)), deque()))
+    def edge_stats(self, src: str, dst: str,
+                   last: int | None = None) -> DriftStats:
+        """The edge's window aggregates; with ``last``, over only its
+        newest ``last`` samples (the whole window when it holds fewer).
+        Read-only: nothing is exported."""
+        window = self._edges.get((str(src), str(dst)), ())
+        if last is not None and last < len(window):
+            window = list(islice(window, len(window) - max(last, 0), None))
+        return _stats(window)
 
     def tier_stats(self, tier) -> DriftStats:
         tier_name = getattr(tier, "value", None) or str(tier)

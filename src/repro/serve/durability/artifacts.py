@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.atomicio import atomic_write_text, checksum_payload
+from repro.atomicio import (atomic_write_text, checksum_payload,
+                             checksummed_json)
 from repro.ml import persistence
 from repro.ml.persistence import (
     ModelIntegrityError,
@@ -130,9 +131,8 @@ class ModelArtifactStore:
                 "x": probe_x.tolist(),
                 "reference": reference.tolist(),
             }
-        payload["checksum"] = checksum_payload(payload)
         self.directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.path_for(generation), json.dumps(payload))
+        atomic_write_text(self.path_for(generation), checksummed_json(payload))
         self._m_published.inc()
         return generation
 

@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.atomicio import atomic_write_json, checksum_payload
+from repro.atomicio import (atomic_write_text, checksum_payload,
+                             checksummed_json)
 
 __all__ = ["SnapshotStore", "LoadedSnapshot"]
 
@@ -89,9 +90,8 @@ class SnapshotStore:
             "last_seq": int(last_seq),
             **sections,
         }
-        payload["checksum"] = checksum_payload(payload)
         self.directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(path, payload)
+        atomic_write_text(path, checksummed_json(payload))
         return path
 
     # -- read --------------------------------------------------------------

@@ -9,7 +9,14 @@ bad refit take serving down.  Three defence layers:
    p95 thresholds with enough samples.  The breach is a *latch* with
    hysteresis (armed above the threshold, released only below
    ``threshold * hysteresis``) so an edge oscillating around the line
-   cannot flap, and a per-edge cooldown spaces attempts out.
+   cannot flap, and a per-edge cooldown spaces attempts out.  After an
+   edge's first attempt the latch is judged only on the drift samples
+   scored since that attempt — the generation now serving — and the
+   edge is due again only once it has ``required`` of them.  A
+   published refit whose own samples are still breached and no better
+   than the MdAPE that triggered it is a *loss*: ``required`` doubles
+   (``min_samples * 2**losses``, capped at the drift window), and a win
+   or a released latch resets it.
 2. **contained execution** — refits fan out through
    :func:`repro.exec.parallel_map` with a per-fit ``timeout`` and
    ``return_exceptions=True``: a hung or crashing fit surfaces as a
@@ -25,10 +32,11 @@ bad refit take serving down.  Three defence layers:
    whatever the chain already has (the existing model, or the fallback
    tiers below it) until the cooldown admits a half-open probe attempt.
 
-Everything the controller knows (buffers, breakers, latches, published
-generations, the metadata bundle needed to re-splice a published model
-after restart) round-trips through :meth:`RetrainController.state_dict`
-so the supervisor can checkpoint it atomically with the tail position.
+Everything the controller knows (buffers, breakers, latches, the
+fresh-evidence counts and backoff, published generations, the metadata
+bundle needed to re-splice a published model after restart) round-trips
+through :meth:`RetrainController.state_dict` so the supervisor can
+checkpoint it atomically with the tail position.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from repro.exec import TaskTimeout, derive_seed, parallel_map
 from repro.logs.schema import LOG_DTYPE
 from repro.logs.store import LogStore
 from repro.ml.persistence import model_from_dict, model_to_dict
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import DriftStats, MetricsRegistry, Tracer
 from repro.obs.events import EventLog
 from repro.obs.tracing import NULL_SPAN
 from repro.serve.durability import ModelArtifactStore, ModelReloader
@@ -65,6 +73,9 @@ __all__ = [
 ]
 
 Edge = tuple[str, str]
+
+_SRC = LOG_DTYPE.names.index("src")
+_DST = LOG_DTYPE.names.index("dst")
 
 
 class BreakerState(enum.Enum):
@@ -286,6 +297,9 @@ class RetrainController:
         self._breakers: dict[Edge, CircuitBreaker] = {}
         self._breached: dict[Edge, bool] = {}
         self._last_attempt: dict[Edge, float] = {}
+        self._fresh: dict[Edge, int] = {}    # drift samples since last attempt
+        self._trigger: dict[Edge, float] = {}  # MdAPE behind an unjudged publish
+        self._losses: dict[Edge, int] = {}     # consecutive losing publishes
         self._published: dict[Edge, int] = {}       # edge -> live generation
         self._bundles: dict[Edge, dict] = {}        # edge -> metadata bundle
         self._stores: dict[Edge, ModelArtifactStore] = {}
@@ -341,27 +355,51 @@ class RetrainController:
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, records: np.ndarray) -> None:
+    def observe(self, records: np.ndarray,
+                scored: np.ndarray | None = None) -> None:
         """Feed freshly ingested rows into the per-edge training buffers
-        (bounded deques — memory is O(edges * buffer_rows))."""
-        for i in range(len(records)):
-            row = records[i]
-            edge = (str(row["src"]), str(row["dst"]))
-            buffer = self._buffers.get(edge)
+        (bounded deques — memory is O(edges * buffer_rows)).
+
+        ``scored`` marks the rows the caller also recorded as drift
+        samples; each one counts as fresh evidence for its edge until
+        the edge's next refit attempt."""
+        buffers = self._buffers
+        rows = records.tolist()
+        hits = ([False] * len(rows) if scored is None
+                else np.asarray(scored, dtype=bool).tolist())
+        for row, hit in zip(rows, hits):
+            edge = (row[_SRC], row[_DST])
+            buffer = buffers.get(edge)
             if buffer is None:
-                buffer = self._buffers[edge] = deque(
-                    maxlen=self.policy.buffer_rows)
-            buffer.append(tuple(row[name].item() for name in LOG_DTYPE.names))
+                buffer = buffers[edge] = deque(maxlen=self.policy.buffer_rows)
+            buffer.append(row)
+            if hit:
+                self._fresh[edge] = self._fresh.get(edge, 0) + 1
 
     # -- scheduling ---------------------------------------------------------
 
+    def required(self, edge: Edge) -> int:
+        """Fresh drift samples the edge needs before its next attempt."""
+        return min(self.policy.min_samples * 2 ** self._losses.get(edge, 0),
+                   self.drift.window)
+
+    def evidence(self, edge: Edge) -> DriftStats:
+        """The edge's drift aggregates over the samples that judge it:
+        the whole window before its first attempt, afterwards only the
+        samples scored since the last one."""
+        if edge not in self._last_attempt:
+            return self.drift.edge_stats(*edge)
+        return self.drift.edge_stats(*edge, last=self._fresh.get(edge, 0))
+
     def due(self, now: float) -> list[Edge]:
-        """Edges whose drift latch is set, cooldown elapsed, and breaker
-        admissible — sorted for determinism."""
+        """Edges whose drift latch is set on enough fresh evidence,
+        cooldown elapsed, and breaker admissible — sorted for
+        determinism.  Also judges an unjudged publish once its
+        generation has ``required`` samples of its own."""
         policy = self.policy
         out = []
         for edge in sorted(self._buffers):
-            stats = self.drift.edge_stats(*edge)
+            stats = self.evidence(edge)
             if stats.n >= policy.min_samples:
                 breached = (stats.mdape > policy.mdape_threshold
                             or stats.p95_ape > policy.p95_threshold)
@@ -369,11 +407,17 @@ class RetrainController:
                             < policy.mdape_threshold * policy.hysteresis
                             and stats.p95_ape
                             < policy.p95_threshold * policy.hysteresis)
+                if edge in self._trigger \
+                        and stats.n >= self.required(edge):
+                    self._judge(edge, stats, breached, now)
                 if breached:
                     self._breached[edge] = True
                 elif released:
                     self._breached[edge] = False
+                    self._losses.pop(edge, None)
             if not self._breached.get(edge, False):
+                continue
+            if stats.n < self.required(edge):
                 continue
             last = self._last_attempt.get(edge)
             if last is not None and now - last < policy.cooldown_s:
@@ -382,6 +426,31 @@ class RetrainController:
                 continue
             out.append(edge)
         return out
+
+    def _judge(self, edge: Edge, stats: DriftStats, breached: bool,
+               now: float) -> None:
+        """Score the live publish against the MdAPE that triggered it:
+        still breached and no better is a loss (``required`` doubles);
+        anything else is a win (``required`` resets)."""
+        trigger = self._trigger.pop(edge)
+        lost = breached and not stats.mdape < trigger
+        if not lost:
+            self._losses.pop(edge, None)
+            return
+        losses = self._losses[edge] = self._losses.get(edge, 0) + 1
+        if self.registry is not None:
+            self.registry.counter(
+                "stream_refit_losses_total",
+                "Published refits whose own drift samples stayed breached "
+                "and no better than the MdAPE that triggered them.",
+            ).inc()
+        if self.events is not None:
+            self.events.emit(
+                "stream", "refit_lost", severity="warning",
+                edge=f"{edge[0]}->{edge[1]}", mdape=float(stats.mdape),
+                trigger_mdape=float(trigger), losses=losses,
+                required=self.required(edge), at=float(now),
+            )
 
     def refit_due(self, now: float) -> dict[Edge, str]:
         """One scheduling step: find breached edges and refit them."""
@@ -415,7 +484,9 @@ class RetrainController:
                         ).inc()
                     continue
                 buffer = self._buffers.get(edge)
+                trigger = self.evidence(edge).mdape
                 self._last_attempt[edge] = float(now)
+                self._fresh[edge] = 0
                 if buffer is None or len(buffer) < policy.min_fit_rows:
                     outcomes[edge] = "skipped"
                     self._count("skipped")
@@ -426,12 +497,12 @@ class RetrainController:
                         breaker._probing = False
                     continue
                 arr = np.array(list(buffer), dtype=LOG_DTYPE)
-                tasks.append((edge, (edge[0], edge[1], arr)))
+                tasks.append((edge, (edge[0], edge[1], arr), trigger))
 
             if tasks:
                 results = parallel_map(
                     self.fit_fn,
-                    [task for _, task in tasks],
+                    [task for _, task, _ in tasks],
                     workers=policy.workers,
                     label="stream.refit",
                     registry=self.registry,
@@ -440,7 +511,7 @@ class RetrainController:
                     return_exceptions=True,
                     events=self.events,
                 )
-                for (edge, _), result in zip(tasks, results):
+                for (edge, _, trigger), result in zip(tasks, results):
                     if isinstance(result, TaskTimeout):
                         outcomes[edge] = "timeout"
                         self._fail(edge, now, "timeout")
@@ -452,6 +523,10 @@ class RetrainController:
                         ok, reason = self._publish(edge, result)
                         if ok:
                             outcomes[edge] = "ok"
+                            if math.isfinite(trigger):
+                                self._trigger[edge] = float(trigger)
+                            else:
+                                self._trigger.pop(edge, None)
                             breaker = self.breaker(edge)
                             was = breaker.state
                             breaker.record_success(now)
@@ -555,6 +630,15 @@ class RetrainController:
                 [s, d, int(g), self._bundles.get((s, d))]
                 for (s, d), g in sorted(self._published.items())
             ],
+            "fresh": [
+                [s, d, int(n)] for (s, d), n in sorted(self._fresh.items())
+            ],
+            "trigger": [
+                [s, d, float(m)] for (s, d), m in sorted(self._trigger.items())
+            ],
+            "losses": [
+                [s, d, int(n)] for (s, d), n in sorted(self._losses.items())
+            ],
         }
 
     def load_state(self, state: dict) -> None:
@@ -585,6 +669,18 @@ class RetrainController:
         self._last_attempt = {
             (str(s), str(d)): float(t)
             for s, d, t in state.get("last_attempt", ())
+        }
+        # Checkpoints written before the evidence gate carry none of the
+        # next three: no fresh samples, nothing to judge, no backoff.
+        self._fresh = {
+            (str(s), str(d)): int(n) for s, d, n in state.get("fresh", ())
+        }
+        self._trigger = {
+            (str(s), str(d)): float(m)
+            for s, d, m in state.get("trigger", ())
+        }
+        self._losses = {
+            (str(s), str(d)): int(n) for s, d, n in state.get("losses", ())
         }
         self._published.clear()
         self._bundles.clear()

@@ -6,7 +6,8 @@ One cycle of the loop is::
               -> apply up to max_apply_per_cycle records
                    (score against the live predictor, feed drift,
                     fold the applied digest, fill retrain buffers)
-              -> refit whatever drift says is due (breaker-gated)
+              -> refit whatever fresh drift evidence says is due
+                 (breaker-gated)
               -> heartbeat gauges
               -> atomic checkpoint
 
@@ -94,12 +95,8 @@ def fold_digest(digest: str, arr: np.ndarray) -> str:
     record was applied zero or two times across crashes.
     """
     h = digest
-    for i in range(len(arr)):
-        row = arr[i]
-        payload = json.dumps(
-            [row[name].item() for name in LOG_DTYPE.names],
-            separators=(",", ":"),
-        )
+    for row in arr.tolist():
+        payload = json.dumps(row, separators=(",", ":"))
         h = hashlib.sha256((h + payload).encode("utf-8")).hexdigest()
     return h
 
@@ -281,9 +278,7 @@ class StreamSupervisor:
         ingested = 0
         if batch is not None and len(batch.records):
             ingested = len(batch.records)
-            for i in range(ingested):
-                self._backlog.append(tuple(
-                    batch.records[i][name].item() for name in LOG_DTYPE.names))
+            self._backlog.extend(batch.records.tolist())
             overflow = len(self._backlog) - self.config.max_backlog_records
             if overflow > 0:
                 # Shed the *oldest* unapplied rows: bounded memory beats
@@ -317,29 +312,28 @@ class StreamSupervisor:
         self.data_now = max(self.data_now, float(arr["te"].max()))
 
         requests = [
-            TransferRequest(
-                src=str(arr["src"][i]),
-                dst=str(arr["dst"][i]),
-                total_bytes=float(arr["nb"][i]),
-                n_files=int(arr["nf"][i]),
-                n_dirs=int(arr["nd"][i]),
-                concurrency=int(arr["c"][i]),
-                parallelism=int(arr["p"][i]),
-            )
-            for i in range(take)
+            TransferRequest(src=src, dst=dst, total_bytes=nb, n_files=nf,
+                            n_dirs=nd, concurrency=c, parallelism=p)
+            for src, dst, nb, nf, nd, c, p in zip(
+                *(arr[name].tolist()
+                  for name in ("src", "dst", "nb", "nf", "nd", "c", "p")))
         ]
         prediction = self.predictor.predict_batch_detailed(
             requests, self.data_now)
-        for i in range(take):
-            elapsed = float(arr["te"][i]) - float(arr["ts"][i])
-            nb = float(arr["nb"][i])
-            rate = float(prediction.rates[i])
-            if elapsed <= 0 or nb <= 0 or not np.isfinite(rate) or rate < 0:
-                continue
-            self.drift.record(
-                str(arr["src"][i]), str(arr["dst"][i]),
-                prediction.tiers[i], rate, nb / elapsed)
-        self.controller.observe(arr)
+        # Score every row that completed with a positive rate against the
+        # prediction it got; the controller counts the scored rows as
+        # fresh drift evidence for the generation now serving.
+        rates = np.asarray(prediction.rates, dtype=np.float64)
+        elapsed = arr["te"] - arr["ts"]
+        nb = arr["nb"]
+        scored = ~((elapsed <= 0) | (nb <= 0) | ~np.isfinite(rates)
+                   | (rates < 0))
+        idx = np.flatnonzero(scored)
+        self.drift.record_batch(
+            arr["src"][idx].tolist(), arr["dst"][idx].tolist(),
+            [prediction.tiers[i] for i in idx.tolist()],
+            rates[idx].tolist(), (nb[idx] / elapsed[idx]).tolist())
+        self.controller.observe(arr, scored=scored)
         self.applied_digest = fold_digest(self.applied_digest, arr)
         self.applied_records += take
         del self._backlog[:take]

@@ -80,6 +80,65 @@ class TestRollingWindowEviction:
         assert stats.p95_ape == pytest.approx(float(np.percentile(apes, 95)))
 
 
+class TestRecordBatch:
+    @staticmethod
+    def _rows(n=70, seed=3):
+        rng = np.random.default_rng(seed)
+        edges = [("A", "B"), ("B", "C"), ("A", "C"), ("C", "A")]
+        tiers = [ModelTier.EDGE, ModelTier.GLOBAL, "median"]
+        rows = []
+        for i in range(n):
+            src, dst = edges[int(rng.integers(len(edges)))]
+            realized = float(rng.uniform(50, 200))
+            rows.append((src, dst, tiers[int(rng.integers(len(tiers)))],
+                         realized * float(rng.uniform(0.3, 2.0)), realized))
+        return rows
+
+    @staticmethod
+    def _drift_gauges(registry):
+        return {k: v.hex() for k, v in registry.flat().items()
+                if k.startswith("drift_")}
+
+    def test_bit_equal_to_looping_record(self):
+        rows = self._rows()
+        looped_registry, batched_registry = MetricsRegistry(), MetricsRegistry()
+        looped = DriftMonitor(registry=looped_registry, window=16)
+        batched = DriftMonitor(registry=batched_registry, window=16)
+        looped_apes = [looped.record(*row) for row in rows]
+        batched_apes = []
+        for lo, hi in ((0, 1), (1, 9), (9, 9), (9, 40), (40, 70)):
+            columns = [[row[j] for row in rows[lo:hi]] for j in range(5)]
+            batched_apes += batched.record_batch(*columns)
+        assert [v.hex() for v in batched_apes] == \
+            [v.hex() for v in looped_apes]
+        assert batched.dump_state() == looped.dump_state()
+        assert self._drift_gauges(batched_registry) == \
+            self._drift_gauges(looped_registry)
+
+    def test_bad_row_leaves_the_monitor_untouched(self):
+        mon = DriftMonitor(window=8)
+        with pytest.raises(ValueError):
+            mon.record_batch(["A", "A"], ["B", "B"], ["edge", "edge"],
+                             [100.0, 100.0], [100.0, 0.0])
+        assert mon.observations == 0
+        assert mon.dump_state()["edges"] == []
+
+    def test_edge_stats_over_the_newest_samples(self):
+        mon = DriftMonitor(window=16)
+        apes = []
+        for i in range(20):
+            apes.append(mon.record("A", "B", "edge", 100.0 + 7.0 * i, 100.0))
+        window = apes[-16:]
+        for last in (1, 5, 16):
+            stats = mon.edge_stats("A", "B", last=last)
+            assert stats.n == last
+            assert stats.mdape == pytest.approx(
+                np.percentile(np.abs(window[-last:]), 50))
+        assert mon.edge_stats("A", "B", last=99) == mon.edge_stats("A", "B")
+        assert mon.edge_stats("A", "B", last=0).n == 0
+        assert mon.edge_stats("X", "Y", last=3).n == 0
+
+
 class TestExportAndReset:
     def test_gauges_exported_per_scope(self):
         reg = MetricsRegistry()

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.atomicio import checksum_payload, checksummed_json
 from repro.core.online import ActiveTransferView
 from repro.obs import Observability
 from repro.serve import mutation
@@ -161,6 +162,29 @@ class TestSnapshotStore:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="checksum"):
             store.load(1)
+
+    def test_file_is_its_canonical_body_plus_checksum(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        sections = {"z": [1.5, 2], "active": {"views": ["caf\u00e9"]}}
+        path = store.write(1, sections, last_seq=4)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == checksummed_json(doc)
+        assert text.endswith(f'"checksum": "{doc["checksum"]}"}}')
+        assert store.load(1)["z"] == [1.5, 2]
+
+    def test_snapshot_from_the_two_encode_writer_still_loads(self, tmp_path):
+        # The earlier writer: checksum over a canonical encode, then a
+        # second, insertion-ordered encode of the payload.
+        store = SnapshotStore(tmp_path)
+        path = store.write(1, {"active": {"b": 1, "a": [0.1]}}, last_seq=2)
+        doc = json.loads(path.read_text())
+        old = {"snapshot_format": doc["snapshot_format"], "generation": 2,
+               "last_seq": 3, "active": {"b": 1, "a": [0.1]}}
+        old["checksum"] = checksum_payload(old)
+        store.path_for(2).write_text(json.dumps(old, allow_nan=False))
+        assert store.load(2) == old
+        assert store.load_latest().generation == 2
 
     def test_load_latest_falls_back_past_corruption(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -52,6 +52,21 @@ class TestArtifactStore:
         with pytest.raises(ModelIntegrityError):
             store.load(1)
 
+    def test_artifact_from_the_two_encode_writer_still_loads(self, tmp_path):
+        # The earlier writer's layout: insertion-ordered keys with the
+        # checksum last, encoded separately from the checksum's encode.
+        store = ModelArtifactStore(tmp_path)
+        probe = _probe()
+        store.publish(_model(), probe_x=probe)
+        doc = json.loads(store.path_for(1).read_text())
+        old = {"artifact_version": doc["artifact_version"], "generation": 2,
+               "model": doc["model"], "probe": doc["probe"]}
+        old["checksum"] = checksum_payload(old)
+        store.path_for(2).write_text(json.dumps(old))
+        artifact = store.load(2)
+        assert np.array_equal(artifact.model.predict(probe),
+                              _model().predict(probe))
+
     def test_truncated_file_rejected(self, tmp_path):
         store = ModelArtifactStore(tmp_path)
         store.publish(_model())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.logs.schema import LOG_DTYPE
-from repro.obs import Observability
+from repro.obs import DriftMonitor, Observability
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
@@ -67,10 +67,11 @@ def _policy(**overrides):
     return RetrainPolicy(**base)
 
 
-def _controller(tmp_path, obs, fit_fn=_fake_fit, **policy_overrides):
+def _controller(tmp_path, obs, fit_fn=_fake_fit, drift=None,
+                **policy_overrides):
     chain = FallbackChain.from_log(make_random_store(n=60, seed=7))
     return RetrainController(
-        chain, obs.drift, tmp_path / "artifacts",
+        chain, drift or obs.drift, tmp_path / "artifacts",
         policy=_policy(**policy_overrides), fit_fn=fit_fn,
         registry=obs.registry, seed=0,
     )
@@ -82,6 +83,13 @@ def _breach(drift, edge=EDGE, n=8, ape=4.0):
     for _ in range(n):
         drift.record(edge[0], edge[1], ModelTier.EDGE,
                      predicted_rate=1e6 * (1 + ape), realized_rate=1e6)
+
+
+def _score(ctl, drift, n, ape=4.0, edge=EDGE):
+    # n rows the serving generation scored: drift samples plus the
+    # scored mask the supervisor hands the controller.
+    _breach(drift, edge=edge, n=n, ape=ape)
+    ctl.observe(_rows(*edge, n), scored=np.ones(n, dtype=bool))
 
 
 @pytest.fixture
@@ -173,8 +181,132 @@ class TestScheduling:
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(100.0) == {EDGE: "ok"}
+        # min_samples fresh samples from the new generation, still
+        # breached but better than the trigger (a win, no backoff).
+        _score(ctl, obs.drift, 4, ape=2.0)
         assert ctl.due(105.0) == []             # inside cooldown
-        assert ctl.due(111.0) == [EDGE]         # past it (latch still set)
+        assert ctl.due(111.0) == [EDGE]         # past it, on fresh evidence
+
+
+class TestEvidenceGate:
+    def test_no_refit_without_fresh_evidence(self, tmp_path, obs):
+        ctl = _controller(tmp_path, obs)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(obs.drift)
+        assert ctl.refit_due(0.0) == {EDGE: "ok"}
+        assert ctl._breached[EDGE]              # the latch is still set
+        assert ctl.due(1e9) == []               # ...but nothing is new
+        ctl.observe(_rows(*EDGE, 10, seed=1))   # rows, but none scored
+        assert ctl.due(1e9) == []
+        _score(ctl, obs.drift, 3, ape=2.0)
+        assert ctl.due(1e9) == []               # 3 < min_samples
+        _score(ctl, obs.drift, 1, ape=2.0)
+        assert ctl.due(1e9) == [EDGE]
+
+    def test_latch_judged_on_post_publish_samples_only(self, tmp_path, obs):
+        ctl = _controller(tmp_path, obs)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(obs.drift, n=8)
+        assert ctl.refit_due(0.0) == {EDGE: "ok"}
+        _score(ctl, obs.drift, 4, ape=0.01)     # the new model is good
+        # The whole window still holds the replaced model's errors...
+        assert obs.drift.edge_stats(*EDGE).mdape > 25.0
+        # ...but only the serving generation's samples judge the latch.
+        assert ctl.evidence(EDGE).n == 4
+        assert ctl.due(1e9) == []
+        assert ctl._breached[EDGE] is False
+
+    def test_losing_edge_backs_off_to_the_cap_and_a_win_resets(
+            self, tmp_path, obs):
+        drift = DriftMonitor(registry=obs.registry, window=32)
+        ctl = _controller(tmp_path, obs, drift=drift)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(drift, n=8)                     # trigger MdAPE 400%
+        now = 0.0
+        assert ctl.refit_due(now) == {EDGE: "ok"}
+        required = []
+        for _ in range(5):
+            now += 100.0                        # cooldowns never bind
+            # The new generation is no better than its trigger: a loss.
+            _score(ctl, drift, ctl.required(EDGE), ape=4.0)
+            due = ctl.due(now)
+            required.append(ctl.required(EDGE))
+            for _ in range(64):
+                if due:
+                    break
+                _score(ctl, drift, 1, ape=4.0)
+                due = ctl.due(now)
+            assert ctl.evidence(EDGE).n == ctl.required(EDGE)
+            assert ctl.refit_due(now) == {EDGE: "ok"}
+        assert required == [8, 16, 32, 32, 32]  # min_samples * 2**losses
+        assert obs.registry.flat()["stream_refit_losses_total"] == 5.0
+        # Still breached, but better than the trigger: a win resets.
+        _score(ctl, drift, ctl.required(EDGE), ape=1.0)
+        assert ctl.due(now + 100.0) == [EDGE]
+        assert ctl.required(EDGE) == 4
+
+    def test_released_latch_resets_the_backoff(self, tmp_path, obs):
+        ctl = _controller(tmp_path, obs)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(obs.drift)
+        assert ctl.refit_due(0.0) == {EDGE: "ok"}
+        _score(ctl, obs.drift, 4, ape=4.0)
+        assert ctl.due(1e9) == [] and ctl.required(EDGE) == 8
+        # Enough good samples to push the 4 bad ones past the p95 too.
+        _score(ctl, obs.drift, 96, ape=0.01)
+        assert ctl.due(1e9) == []
+        assert ctl._breached[EDGE] is False
+        assert ctl.required(EDGE) == 4
+
+    def test_evidence_state_round_trips(self, tmp_path, obs):
+        import json
+
+        ctl = _controller(tmp_path, obs)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(obs.drift)
+        assert ctl.refit_due(0.0) == {EDGE: "ok"}
+        _score(ctl, obs.drift, 4, ape=4.0)      # a loss: required 8
+        assert ctl.due(1e9) == []
+        assert ctl.refit_due(1e9) == {}
+        _score(ctl, obs.drift, 5, ape=4.0)      # 9 fresh: due again
+        assert ctl.refit_due(1e9) == {EDGE: "ok"}  # trigger pending
+        _score(ctl, obs.drift, 3, ape=4.0)
+        state = json.loads(json.dumps(ctl.state_dict(), allow_nan=False))
+        assert state["fresh"] == [[*EDGE, 3]]
+        assert state["losses"] == [[*EDGE, 1]]
+        assert state["trigger"] == [[*EDGE, 400.0]]
+
+        fresh = _controller(tmp_path, obs)
+        fresh.load_state(state)
+        assert fresh.state_dict() == ctl.state_dict()
+        # Both see the same rows: a second loss (required 16), then due.
+        for extra, want in ((5, []), (8, [EDGE])):
+            _breach(obs.drift, n=extra)
+            for c in (ctl, fresh):
+                c.observe(_rows(*EDGE, extra),
+                          scored=np.ones(extra, dtype=bool))
+            assert fresh.due(2e9) == ctl.due(2e9) == want
+            assert fresh.required(EDGE) == ctl.required(EDGE) == 16
+        assert fresh.state_dict() == ctl.state_dict()
+
+    def test_pre_evidence_checkpoint_loads(self, tmp_path, obs):
+        ctl = _controller(tmp_path, obs)
+        ctl.observe(_rows(*EDGE, 10))
+        _breach(obs.drift)
+        assert ctl.refit_due(0.0) == {EDGE: "ok"}
+        # The checkpoint layout from before the evidence gate.
+        state = {k: v for k, v in ctl.state_dict().items()
+                 if k not in ("fresh", "trigger", "losses")}
+        assert sorted(state) == ["breached", "breakers", "buffers",
+                                 "last_attempt", "published"]
+
+        old = _controller(tmp_path, obs)
+        old.load_state(state)
+        assert old._published == ctl._published
+        assert old.required(EDGE) == 4          # no backoff
+        assert old.due(1e9) == []               # no fresh evidence yet
+        _score(old, obs.drift, 4, ape=2.0)
+        assert old.due(1e9) == [EDGE]
 
 
 class TestRetrain:

@@ -143,3 +143,22 @@ def test_requires_drift_monitor(tmp_path, live):
     obs = dataclasses.replace(full, drift=None)
     with pytest.raises(ValueError, match="drift"):
         _build(tmp_path, live, obs=obs)
+
+
+def test_fold_digest_golden_over_chunks():
+    # Recorded before fold_digest moved to ndarray.tolist(): the chain
+    # over a fixed multi-chunk log (a NaN, a huge float, a negative zero
+    # and a non-ASCII tag included) must never move.
+    import numpy as np
+
+    raw = make_random_store(n=120, n_endpoints=4, seed=5).raw().copy()
+    raw["distance_km"][3] = np.nan
+    raw["nb"][5] = 1e300
+    raw["ts"][6] = -0.0
+    raw["tag"][7] = "café"
+    digest = ""
+    for chunk in np.array_split(raw, 7):
+        digest = fold_digest(digest, chunk)
+    assert digest == (
+        "13b333c941013d7c33173c807f2b19e231ac5c690ce240598eb5fbd09d6b36fe")
+    assert fold_digest("", raw) == digest

@@ -9,6 +9,7 @@ from repro.atomicio import (
     atomic_write_json,
     atomic_write_text,
     checksum_payload,
+    checksummed_json,
 )
 
 
@@ -81,3 +82,23 @@ class TestChecksum:
 
     def test_sensitive_to_content(self):
         assert checksum_payload({"x": 1}) != checksum_payload({"x": 2})
+
+    def test_checksummed_json_is_one_canonical_encode(self):
+        payload = {"z": [1.5, -0.0, 1e300], "a": {"y": "caf\u00e9", "b": None},
+                   "n": 7, "checksum": "stale"}
+        text = checksummed_json(payload)
+        doc = json.loads(text)
+        # The reader's verification: re-encode what it parsed.
+        assert doc["checksum"] == checksum_payload(doc) \
+            == checksum_payload(payload)
+        assert {k: v for k, v in doc.items() if k != "checksum"} == {
+            k: v for k, v in payload.items() if k != "checksum"}
+        body = json.dumps({k: v for k, v in payload.items()
+                           if k != "checksum"}, sort_keys=True)
+        assert text == body[:-1] + f', "checksum": "{doc["checksum"]}"}}'
+
+    def test_checksummed_json_empty_and_strict(self):
+        assert json.loads(checksummed_json({}))["checksum"] == \
+            checksum_payload({})
+        with pytest.raises(ValueError):
+            checksummed_json({"x": float("nan")})
