@@ -19,7 +19,7 @@ def test_bench_serve_throughput(benchmark):
     )
     print("\n" + result.render())
     assert result.speedup >= 10.0
-    assert result.max_abs_diff < 1e-6
+    assert result.max_abs_diff == 0.0
 
 
 def test_bench_online(study, benchmark):

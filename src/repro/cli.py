@@ -359,7 +359,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.metrics_out:
         atomic_write_text(args.metrics_out, obs.registry.to_json(indent=2))
         print(f"wrote metrics JSON to {args.metrics_out}")
-    if bench.max_abs_diff > 1e-6:
+    if bench.max_abs_diff != 0.0:
         print("error: batched and per-request predictions disagree",
               file=sys.stderr)
         return 1

@@ -15,7 +15,12 @@ import sys
 import time
 
 from repro.exec.engine import resolve_workers
-from repro.harness.registry import EXPERIMENTS, run_experiment, run_experiments
+from repro.harness.registry import (
+    EXPERIMENTS,
+    QUICK_OVERRIDES,
+    run_experiment,
+    run_experiments,
+)
 from repro.harness.runners import StudyConfig, load_production_study
 
 __all__ = ["main"]
@@ -76,20 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{time.time() - t0:.1f}s\n"
         )
 
-    # Quick-study runs lower the per-edge sample requirement so every
-    # experiment still has edges to work with.
-    overrides: dict[str, dict] = {}
-    if args.quick:
-        overrides = {
-            "figure9": {"min_samples": 100},
-            "figure10": {"min_samples": 100},
-            "figure11": {"min_samples": 100},
-            "figure12": {"min_samples": 100},
-            "single_model": {"min_samples": 100},
-            "figure13": {"min_samples_at_top": 60},
-            "table5": {},
-            "lmt": {"n_test_transfers": 150},
-        }
+    overrides = QUICK_OVERRIDES if args.quick else {}
 
     failures = 0
     if workers > 1:

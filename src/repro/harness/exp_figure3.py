@@ -82,10 +82,13 @@ def run(seed: int = 0, n_per_edge: int = 120) -> ExperimentResult:
     rows = []
     series = {}
     figures = {}
-    for src, dst in EDGES:
+    for k, (src, dst) in enumerate(EDGES):
         fabric = build_esnet_testbed()
         service = TransferService(fabric, seed=seed)
-        rng = np.random.default_rng(seed + hash((src, dst)) % 1000)
+        # Seeded by the edge's position, not ``hash((src, dst))``: string
+        # hashes change with PYTHONHASHSEED, so each process drew a
+        # different workload.
+        rng = np.random.default_rng((seed, k))
         for req in _edge_workload(src, dst, n_per_edge, rng):
             service.submit(req)
         log = service.run()

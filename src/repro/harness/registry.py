@@ -34,6 +34,7 @@ from repro.harness.runners import ProductionStudy, StudyConfig, load_production_
 
 __all__ = [
     "EXPERIMENTS",
+    "QUICK_OVERRIDES",
     "ExperimentSpec",
     "ExperimentRun",
     "run_experiment",
@@ -126,6 +127,18 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             False,
         ),
     ]
+}
+
+# ``--quick`` (4-day study) runs lower the per-edge sample requirement so
+# every experiment still has edges to work with.
+QUICK_OVERRIDES: dict[str, dict] = {
+    "figure9": {"min_samples": 100},
+    "figure10": {"min_samples": 100},
+    "figure11": {"min_samples": 100},
+    "figure12": {"min_samples": 100},
+    "single_model": {"min_samples": 100},
+    "figure13": {"min_samples_at_top": 60},
+    "lmt": {"n_test_transfers": 150},
 }
 
 

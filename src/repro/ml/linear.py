@@ -111,7 +111,15 @@ class LinearRegression:
                 f"X shape {X.shape} incompatible with {self.coef_.shape[0]} "
                 "fitted coefficients"
             )
-        return X @ self.coef_ + self.intercept_
+        # Accumulate column by column in a fixed order, so each row's
+        # answer depends on that row alone.  ``X @ coef_`` (BLAS gemv)
+        # rounds a row differently depending on how many rows share the
+        # call, and ``(X * coef_).sum(axis=1)`` depends on X's memory
+        # layout; either would make a served answer depend on its batch.
+        out = np.zeros(X.shape[0])
+        for j, c in enumerate(self.coef_):
+            out += X[:, j] * c
+        return out + self.intercept_
 
     def coefficient_report(self, feature_names: list[str]) -> CoefficientReport:
         """Build the Figure 9 explanation view of this model."""

@@ -60,6 +60,7 @@ __all__ = [
     "ObservedReplay",
     "make_chaos_log",
     "make_chaos_chain",
+    "make_chaos_requests",
     "make_durable_events",
     "run_chaos_replay",
     "run_crash_replay",
@@ -253,17 +254,16 @@ def _view_from_row(row) -> ActiveTransferView:
     )
 
 
-def _make_batch(
-    rng: np.random.Generator,
-    config: ChaosConfig,
-    chain: FallbackChain,
-    log_endpoints: list[str],
+def make_chaos_requests(
+    rng: np.random.Generator, n: int, chain: FallbackChain, log: LogStore
 ) -> list[TransferRequest]:
-    """A prediction batch deliberately spanning the tiers: modeled edges,
-    known-but-unmodeled edges, half-known edges, and ghost edges."""
+    """``n`` prediction requests deliberately spanning the tiers: modeled
+    edges, known-but-unmodeled edges, half-known edges, and ghost edges
+    (endpoints that appear nowhere in ``log``)."""
     modeled = sorted(chain.edge_models)
+    log_endpoints = sorted({str(e) for pair in log.edges() for e in pair})
     requests = []
-    for _ in range(config.batch_size):
+    for _ in range(n):
         kind = rng.choice(4)
         if kind == 0 and modeled:
             src, dst = modeled[int(rng.integers(len(modeled)))]
@@ -322,7 +322,6 @@ def run_chaos_replay(
     engine = BatchOnlinePredictor(chain, active, obs=obs)
     drift = obs.drift if obs is not None else None
     pending_scores: dict[int, tuple[str, str, object, float]] = {}
-    log_endpoints = sorted({str(e) for pair in log.edges() for e in pair})
 
     data = log.raw()
     events: list[tuple[float, int, int]] = []  # (time, kind 0=start/1=end, row)
@@ -423,7 +422,7 @@ def run_chaos_replay(
 
         if n_event % cfg.predict_every == 0:
             now = t + float(rng.uniform(-cfg.clock_skew_s, cfg.clock_skew_s))
-            batch = _make_batch(rng, cfg, chain, log_endpoints)
+            batch = make_chaos_requests(rng, cfg.batch_size, chain, log)
             try:
                 pred = engine.predict_batch_detailed(batch, now)
             except Exception as exc:  # noqa: BLE001 - the whole point

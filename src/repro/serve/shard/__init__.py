@@ -37,7 +37,9 @@ Design invariants (the chaos harness asserts all three):
    so a worker's durable ``last_seq`` is its exact position in the
    router's replication log; restart replay resumes strictly after it
    and can never double-apply.
-3. The batch fix-point converges per request, so a shard predicting its
+3. Every kernel on the predict path is row-independent (the fix-point
+   converges per request; the linear model accumulates columns in a
+   fixed order rather than calling BLAS gemv), so a shard predicting its
    sub-batch is bit-identical to the single-process reference predicting
    the full batch.
 

@@ -29,9 +29,9 @@ from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
+from repro.serve.chaos import ChaosConfig, make_chaos_chain, make_chaos_log
 from repro.serve.fallback import ModelTier
 from repro.serve.fixtures import make_synthetic_requests, make_synthetic_views
-from repro.serve.shard.chaos import make_chaos_chain
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 
 __all__ = ["ShardBenchResult", "run_shard_bench"]
@@ -120,7 +120,8 @@ def run_shard_bench(
     """
     if shards < 1 or repeats < 1:
         raise ValueError("shards and repeats must be >= 1")
-    chain = make_chaos_chain(n_endpoints, seed=seed)
+    chaos = ChaosConfig(n_endpoints=n_endpoints, seed=seed)
+    chain = make_chaos_chain(make_chaos_log(chaos), chaos)
     views = make_synthetic_views(
         n_active, n_endpoints=n_endpoints, seed=seed, now=now)
     requests = make_synthetic_requests(

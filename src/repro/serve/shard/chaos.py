@@ -4,9 +4,13 @@
 and a single-process reference (a
 :class:`~repro.serve.mutation.ServingState` twin fed the same mutation
 records, under its own :class:`~repro.serve.batch.BatchOnlinePredictor`)
-through the same scripted, seeded history — mutations, predict batches,
-SIGKILLs at varying points (before a mutation batch, between two halves
-of one, after mutations but before the predict), a drain, a rebalance, a
+through the same scripted, seeded history — the crash-replay mutation
+stream (:func:`~repro.serve.chaos.make_durable_events`: duplicate adds,
+unknown completes, NaN/±inf/negative progress, never-completing
+transfers, drift), tier-spanning predict batches over the log-derived
+five-tier chain (:func:`~repro.serve.chaos.make_chaos_chain`), SIGKILLs
+at varying points (before a mutation batch, between two halves of one,
+after mutations but before the predict), a drain, a rebalance, a
 checkpoint — and asserts the tier's three contracts after every round:
 
 1. **Every request is answered.**  The router never raises; every rate
@@ -30,28 +34,32 @@ dispatch, during checkpoint).
 
 from __future__ import annotations
 
+import math
 import random
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.logs.store import LogStore
 from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.fallback import FallbackChain, ModelTier
-from repro.serve.fixtures import (
-    make_synthetic_model,
-    make_synthetic_requests,
-    make_synthetic_views,
+from repro.serve.chaos import (
+    ChaosConfig,
+    make_chaos_chain,
+    make_chaos_log,
+    make_chaos_requests,
+    make_durable_events,
 )
+from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.mutation import ServingState
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 from repro.serve.shard.worker import fingerprint_digest
 
-__all__ = ["ShardChaosConfig", "ShardChaosReport", "run_shard_chaos",
-           "make_chaos_chain"]
+__all__ = ["ShardChaosConfig", "ShardChaosReport", "run_shard_chaos"]
 
 
 @dataclass(frozen=True)
@@ -60,10 +68,9 @@ class ShardChaosConfig:
 
     shards: int = 3
     rounds: int = 6
-    n_seed_views: int = 200          # in-flight population at round 0
+    n_transfers: int = 400           # chaos-log size: chain + mutation stream
     n_requests: int = 64             # predict batch per round
     n_endpoints: int = 12
-    mutations_per_round: int = 40
     kill_rounds: tuple[int, ...] = (1, 3, 4)
     drain_round: int | None = 2      # drain -> degraded predict -> restart
     rebalance_round: int | None = 5  # snapshot-handoff replacement
@@ -81,9 +88,9 @@ class ShardChaosConfig:
     def quick(cls) -> "ShardChaosConfig":
         """The CI smoke variant: 2 shards, 4 rounds, one of each fault."""
         return cls(
-            shards=2, rounds=4, n_seed_views=80, n_requests=32,
-            mutations_per_round=16, kill_rounds=(1,), drain_round=2,
-            rebalance_round=3, checkpoint_round=3,
+            shards=2, rounds=4, n_transfers=120, n_requests=32,
+            kill_rounds=(1,), drain_round=2, rebalance_round=3,
+            checkpoint_round=3,
         )
 
 
@@ -137,66 +144,6 @@ class ShardChaosReport:
         return "\n".join(lines)
 
 
-def make_chaos_chain(n_endpoints: int, seed: int = 0) -> FallbackChain:
-    """A chain whose edge tier covers *every* edge of the endpoint
-    universe (one shared synthetic model), with a median floor so
-    degraded answers have a deterministic model-free value."""
-    model = make_synthetic_model(seed)
-    eps = [f"EP{i:03d}" for i in range(n_endpoints)]
-    return FallbackChain(
-        edge_models={
-            (s, d): model for s in eps for d in eps if s != d
-        },
-        global_median=2.5e8,
-        default_rate=50e6,
-    )
-
-
-class _MutationScript:
-    """Seeded mutation-record generator shared by cluster and reference:
-    adds from a pre-built view pool, progress/complete over live
-    transfers, drift observations over the endpoint universe."""
-
-    def __init__(self, config: ShardChaosConfig) -> None:
-        self.rng = random.Random(config.seed + 1)
-        pool_size = config.n_seed_views \
-            + config.rounds * config.mutations_per_round
-        self.pool = make_synthetic_views(
-            pool_size, n_endpoints=config.n_endpoints, seed=config.seed)
-        self.next_tid = 0
-        self.live: list[int] = []
-        self.eps = [f"EP{i:03d}" for i in range(config.n_endpoints)]
-        self.tiers = [t.value for t in ModelTier if t is not ModelTier.DEGRADED]
-
-    def _add(self) -> list:
-        tid = self.next_tid
-        self.next_tid += 1
-        self.live.append(tid)
-        return mutation.add(tid, self.pool[tid])
-
-    def seed_batch(self, n: int) -> list[list]:
-        return [self._add() for _ in range(n)]
-
-    def round_batch(self, n: int) -> list[list]:
-        out: list[list] = []
-        for _ in range(n):
-            roll = self.rng.random()
-            if roll < 0.4 or not self.live:
-                out.append(self._add())
-            elif roll < 0.6:
-                tid = self.rng.choice(self.live)
-                out.append(mutation.progress(tid, self.rng.uniform(1e6, 5e8)))
-            elif roll < 0.75:
-                tid = self.live.pop(self.rng.randrange(len(self.live)))
-                out.append(mutation.complete(tid))
-            else:
-                s, d = self.rng.sample(self.eps, 2)
-                out.append(mutation.drift(
-                    s, d, self.rng.choice(self.tiers),
-                    self.rng.uniform(1e7, 5e8), self.rng.uniform(1e7, 5e8)))
-        return out
-
-
 def _apply(cluster: ShardCluster, ref: ServingState,
            records: list[list]) -> None:
     """One mutation batch down both paths."""
@@ -217,9 +164,13 @@ def run_shard_chaos(
     config = config or ShardChaosConfig()
     report = ShardChaosReport(shards=config.shards, rounds=config.rounds)
     rng = random.Random(config.seed)
-    chain = make_chaos_chain(config.n_endpoints, seed=config.seed)
-    ref = ServingState()
-    script = _MutationScript(config)
+    cc = ChaosConfig(n_transfers=config.n_transfers,
+                     n_endpoints=config.n_endpoints, seed=config.seed)
+    log = make_chaos_log(cc)
+    chain = make_chaos_chain(log, cc)
+    events = make_durable_events(cc)
+    _check_fault_menu(events, report)
+    ref = ServingState(lenient=cc.lenient)
 
     tmp = None
     if state_root is None:
@@ -231,7 +182,8 @@ def run_shard_chaos(
             config=cluster_config or ClusterConfig(),
         ).start()
         try:
-            _run_rounds(config, cluster, ref, chain, script, rng, report)
+            _run_rounds(config, cluster, ref, chain, log, events,
+                        cc.horizon_s, rng, report)
         finally:
             report.restarts = sum(
                 row["restarts"] for row in cluster.status())
@@ -242,19 +194,36 @@ def run_shard_chaos(
     return report
 
 
+def _check_fault_menu(events: list[list], report: ShardChaosReport) -> None:
+    """The stream the rounds replay must carry the crash-replay menu."""
+    decoded = [mutation.decode(e) for e in events]
+    ops = Counter(m.op for m in decoded)
+    bad = sum(1 for m in decoded if m.op == "progress"
+              and m.args[1] is not None and not math.isfinite(m.args[1]))
+    report.check(
+        "replayed stream holds add, progress, complete and drift records, "
+        "incl. non-finite progress",
+        all(ops[op] for op in ("add", "progress", "complete", "drift"))
+        and bad > 0,
+        ", ".join(f"{op} {ops[op]}" for op in sorted(ops))
+        + f" ({bad} non-finite progress)")
+
+
 def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
-                ref: ServingState, chain: FallbackChain,
-                script: _MutationScript,
-                rng: random.Random, report: ShardChaosReport) -> None:
+                ref: ServingState, chain: FallbackChain, log: LogStore,
+                events: list[list], horizon: float, rng: random.Random,
+                report: ShardChaosReport) -> None:
     ref_predictor = BatchOnlinePredictor(chain, ref.active, obs=ref.obs)
-    _apply(cluster, ref, script.seed_batch(config.n_seed_views))
 
     for r in range(config.rounds):
-        now = 10_000.0 + 60.0 * r
-        requests = make_synthetic_requests(
-            config.n_requests, n_endpoints=config.n_endpoints,
-            seed=config.seed + 100 + r)
-        batch = script.round_batch(config.mutations_per_round)
+        # The stream is time-ordered; round r replays its r-th slice and
+        # predicts at the matching point of the log's horizon.
+        now = horizon * (r + 1) / config.rounds
+        requests = make_chaos_requests(
+            np.random.default_rng(config.seed + 100 + r),
+            config.n_requests, chain, log)
+        batch = events[len(events) * r // config.rounds:
+                       len(events) * (r + 1) // config.rounds]
         half = len(batch) // 2
         kill_point = r % 3 if r in config.kill_rounds else None
         victim = rng.choice(list(cluster.ring.shards))
@@ -309,6 +278,11 @@ def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
             f"reference {want[:12]}…")
 
 
+def _tier_mix(tiers, idx: list[int]) -> str:
+    counts = Counter(tiers[i].value for i in idx)
+    return " ".join(f"{t} {n}" for t, n in sorted(counts.items()))
+
+
 def _other(cluster: ShardCluster, not_this: str, rng: random.Random) -> str:
     candidates = [s for s in cluster.ring.shards if s != not_this]
     return rng.choice(candidates) if candidates else not_this
@@ -339,7 +313,8 @@ def _check_round(r: int, cluster: ShardCluster, chain: FallbackChain,
         and all(result.tiers[i] is expected.tiers[i] for i in clean)
         and all(bool(result.nonconverged[i]) == bool(expected.nonconverged[i])
                 for i in clean),
-        f"{len(clean)} compared, max |diff| {max_diff:g}")
+        f"{len(clean)} compared ({_tier_mix(result.tiers, clean)}), "
+        f"max |diff| {max_diff:g}")
 
     if draining is None:
         report.check(

@@ -5,6 +5,11 @@ Study-based experiments are exercised end-to-end by the benchmark suite
 run the self-contained experiments at reduced scale.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.registry import EXPERIMENTS, run_experiment
@@ -53,6 +58,24 @@ class TestFigure3Experiment:
             assert row[2] == 30  # observed transfers per edge
         # Rate declines with load on every testbed edge.
         assert all(row[3] < 0 for row in result.rows)
+
+    def test_render_does_not_depend_on_hash_seed(self):
+        """String ``hash()`` is salted per process (PYTHONHASHSEED), so
+        nothing seeded from it may reach the figure."""
+        script = (
+            "from repro.harness import exp_figure3\n"
+            "print(exp_figure3.run(seed=1, n_per_edge=30).render())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": src}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert "ANL-DTN" in outputs[0]
 
 
 class TestTunablesExperiment:

@@ -65,6 +65,23 @@ class TestLinearRegression:
         with pytest.raises(RuntimeError):
             LinearRegression().predict(np.ones((1, 1)))
 
+    def test_predict_is_row_independent(self):
+        """A row's prediction is bit-equal whether it comes alone, in any
+        subset of the batch, or from a Fortran-ordered or strided copy."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(1330, 17)) * rng.uniform(1e-3, 1e9, 17)
+        m = LinearRegression().fit(X, rng.normal(size=1330))
+        full = m.predict(X)
+        assert all(m.predict(X[i:i + 1])[0] == full[i] for i in range(len(X)))
+        idx = rng.choice(len(X), 300, replace=False)
+        assert np.array_equal(m.predict(X[idx]), full[idx])
+        assert np.array_equal(m.predict(np.asfortranarray(X)), full)
+        assert np.array_equal(m.predict(np.repeat(X, 2, axis=1)[:, ::2]), full)
+
+    def test_predict_without_features_is_the_intercept(self):
+        m = LinearRegression().fit(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(m.predict(np.zeros((2, 0))), [2.0, 2.0])
+
 
 class TestCoefficientReport:
     def test_relative_significance_max_is_one(self):

@@ -1,16 +1,26 @@
 """Tests for the vectorized batch prediction engine (repro.serve.batch)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.online import ActiveTransferView
-from repro.serve import ActiveSet, BatchOnlinePredictor
+from repro.serve import ActiveSet, BatchOnlinePredictor, ModelTier
 from repro.serve.bench import run_serve_bench
+from repro.serve.chaos import (
+    ChaosConfig,
+    make_chaos_chain,
+    make_chaos_log,
+    make_chaos_requests,
+    make_durable_events,
+)
 from repro.serve.fixtures import (
     make_synthetic_model,
     make_synthetic_requests,
     make_synthetic_views,
 )
+from repro.serve.mutation import ServingState
 from repro.sim.gridftp import TransferRequest
 from tests.oracles import OnlineFeatureEstimator, scalar_predict
 
@@ -74,13 +84,12 @@ class TestPredictionParity:
     def test_batch_equals_looped_scalar(self, model, population):
         """The acceptance invariant: a request's answer does not depend on
         the batch it arrives in — one batch call equals looping
-        single-request ``predict`` calls (up to the rounding of the linear
-        model's matrix product over a different row count)."""
+        single-request ``predict`` calls."""
         requests = make_synthetic_requests(100, n_endpoints=12, seed=6)
         engine = BatchOnlinePredictor(model, ActiveSet.from_views(population))
         batch = engine.predict_batch(requests, now=0.0)
         loop = _looped(model, population, requests)
-        assert np.allclose(batch, loop, rtol=1e-12, atol=0.0)
+        assert np.array_equal(batch, loop)
 
     def test_batch_of_one_matches_scalar(self, model, population):
         """The vectorized fix-point against the scalar per-transfer,
@@ -139,6 +148,59 @@ class TestPredictionParity:
         for i in range(4):
             active.complete(i)
         assert engine.predict(req, now=0.0) == pytest.approx(quiet)
+
+
+def _chaos_variants(seed):
+    """The quick chaos chain three ways, so that between them every tier
+    answers: as built (edge, global, median), without its global model
+    (analytical), and without its global median too (default)."""
+    cfg = ChaosConfig.quick(seed=seed)
+    log = make_chaos_log(cfg)
+    full = make_chaos_chain(log, cfg)
+    no_global = make_chaos_chain(
+        log, dataclasses.replace(cfg, use_global_model=False))
+    no_median = dataclasses.replace(no_global, global_median=None)
+    return cfg, log, (full, no_global, no_median)
+
+
+class TestBatchIndependence:
+    """Every kernel is row-independent, so a request's (rate, tier,
+    nonconverged) is bit-equal whatever batch it arrives in: any
+    permutation, any subset, alone.  The sharded tier's sub-batch parity
+    rests on this."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_subsets_and_single_rows_equal_the_full_batch(self, seed):
+        cfg, log, chains = _chaos_variants(seed)
+        events = make_durable_events(cfg)
+        state = ServingState(lenient=cfg.lenient)
+        for record in events[: len(events) // 2]:
+            state.apply(record)
+        now = cfg.horizon_s / 2
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for chain in chains:
+            requests = make_chaos_requests(rng, 256, chain, log)
+            engine = BatchOnlinePredictor(chain, state.active)
+            full = engine.predict_batch_detailed(requests, now)
+            seen.update(full.tiers)
+
+            def check(idx):
+                got = engine.predict_batch_detailed(
+                    [requests[i] for i in idx], now)
+                assert np.array_equal(got.rates, full.rates[idx]), idx
+                assert list(got.tiers) == [full.tiers[i] for i in idx]
+                assert np.array_equal(got.nonconverged,
+                                      full.nonconverged[idx])
+
+            check(rng.permutation(len(requests)))
+            for size in (1, 7, 64, 200):
+                check(np.sort(rng.choice(len(requests), size, replace=False)))
+            for i in range(len(requests)):
+                check(np.array([i]))
+        assert seen >= {ModelTier.EDGE, ModelTier.GLOBAL,
+                        ModelTier.ANALYTICAL, ModelTier.MEDIAN,
+                        ModelTier.DEFAULT}
 
 
 class TestValidationAndStats:
@@ -256,7 +318,7 @@ class TestServeBenchHarness:
         result = run_serve_bench(
             n_active=300, n_requests=40, n_endpoints=8, seed=0
         )
-        assert result.max_abs_diff < 1e-6
+        assert result.max_abs_diff == 0.0
         assert result.batch_time_s > 0 and result.loop_time_s > 0
         text = result.render()
         assert "speedup" in text and "engine stats" in text

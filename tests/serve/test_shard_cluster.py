@@ -2,7 +2,8 @@
 
 Each test wires a small :class:`ShardCluster` against the same
 single-process :class:`BatchOnlinePredictor` reference the chaos harness
-uses, so "correct" always means *bit-identical to the unsharded code*.
+uses, over the same log-derived five-tier chaos chain, so "correct"
+always means *bit-identical to the unsharded code*.
 """
 
 import numpy as np
@@ -12,9 +13,15 @@ from repro.obs import Observability
 from repro.serve import mutation
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.chaos import ChaosConfig, make_durable_events
+from repro.serve.chaos import (
+    ChaosConfig,
+    make_chaos_chain,
+    make_chaos_log,
+    make_chaos_requests,
+    make_durable_events,
+)
 from repro.serve.fallback import ModelTier
-from repro.serve.fixtures import make_synthetic_requests, make_synthetic_views
+from repro.serve.fixtures import make_synthetic_views
 from repro.serve.mutation import ServingState
 from repro.serve.shard import (
     ClusterConfig,
@@ -24,18 +31,24 @@ from repro.serve.shard import (
     run_shard_bench,
     run_shard_chaos,
 )
-from repro.serve.shard.chaos import make_chaos_chain
 from repro.serve.shard.worker import fingerprint_digest
 
 N_ENDPOINTS = 6
+# Parity over a batch no model answers would pass vacuously.
+MODEL_TIERS = {ModelTier.EDGE, ModelTier.GLOBAL}
 
 
 def _fixture_data(n_views=60, n_requests=24, seed=0):
-    chain = make_chaos_chain(N_ENDPOINTS, seed=seed)
+    cfg = ChaosConfig(n_endpoints=N_ENDPOINTS, seed=seed)
+    log = make_chaos_log(cfg)
+    chain = make_chaos_chain(log, cfg)
     views = make_synthetic_views(
         n_views, n_endpoints=N_ENDPOINTS, seed=seed, now=0.0)
-    requests = make_synthetic_requests(
-        n_requests, n_endpoints=N_ENDPOINTS, seed=seed + 1)
+    requests = make_chaos_requests(
+        np.random.default_rng(seed + 1), n_requests, chain, log)
+    tiers = _reference(chain, views).predict_batch_detailed(
+        requests, now=0.0).tiers
+    assert MODEL_TIERS <= set(tiers), tiers
     return chain, views, requests
 
 
@@ -68,6 +81,7 @@ class TestParity:
         assert np.array_equal(np.asarray(detail.rates),
                               np.asarray(ref.rates))
         assert list(detail.tiers) == list(ref.tiers)
+        assert MODEL_TIERS <= set(detail.tiers)
         assert ModelTier.DEGRADED not in detail.tiers
 
     def test_mutations_visible_on_every_shard(self, cluster3):
@@ -162,12 +176,11 @@ class TestCrashReplayMenu:
     def test_fault_menu_through_the_shard_tier(self, tmp_path):
         """The crash-replay stream — duplicate adds, unknown completes,
         NaN/inf/negative progress rates, drift — through two shards with a
-        worker killed mid-stream, against a single-process twin.  The
-        chain models every edge: only then is a shard's sub-batch answer
-        bit-equal to the full batch's."""
+        worker killed mid-stream, against a single-process twin."""
         cfg = ChaosConfig.quick(seed=11)
         events = make_durable_events(cfg)
-        chain = make_chaos_chain(cfg.n_endpoints, seed=cfg.seed)
+        log = make_chaos_log(cfg)
+        chain = make_chaos_chain(log, cfg)
         twin = ServingState(lenient=cfg.lenient)
         chunks = [events[i:i + 50] for i in range(0, len(events), 50)]
         with ShardCluster(chain, tmp_path / "state", shards=2) as cluster:
@@ -180,8 +193,8 @@ class TestCrashReplayMenu:
                     twin.apply(record)
             want = fingerprint_digest(twin.state_fingerprint())
             assert set(cluster.fingerprints().values()) == {want}
-            requests = make_synthetic_requests(
-                32, n_endpoints=cfg.n_endpoints, seed=cfg.seed + 9)
+            requests = make_chaos_requests(
+                np.random.default_rng(cfg.seed + 9), 32, chain, log)
             now = cfg.horizon_s
             got = cluster.predict_batch_detailed(requests, now)
             ref = BatchOnlinePredictor(
@@ -190,6 +203,7 @@ class TestCrashReplayMenu:
         assert rows["shard-1"]["restarts"] == 1
         assert np.array_equal(np.asarray(got.rates), np.asarray(ref.rates))
         assert list(got.tiers) == list(ref.tiers)
+        assert MODEL_TIERS <= set(got.tiers)
         assert list(got.nonconverged) == list(ref.nonconverged)
 
 

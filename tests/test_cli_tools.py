@@ -652,6 +652,9 @@ class TestShardCLI:
         assert data["ok"] is True
         assert data["restarts"] >= 1
         assert metrics.exists() and events.exists()
+        # The rounds replay the crash-replay fault menu.
+        assert any(name.startswith("replayed stream holds") and ok
+                   for name, ok, _ in data["checks"])
 
     def test_chaos_events_include_lifecycle(self, shard_artifacts):
         _, events, _ = shard_artifacts
@@ -681,6 +684,14 @@ class TestShardCLI:
         merged = json.loads(metrics.read_text())
         assert any(c["name"] == "shard_requests_total"
                    for c in merged["counters"])
+
+    def test_serve_bench_shards_needs_four_endpoints(self, capsys):
+        """The sharded bench serves the chaos chain, whose log needs at
+        least 4 endpoints: a named error, not a crash."""
+        rc = main(["serve-bench", "--shards", "2", "--quick",
+                   "--endpoints", "3"])
+        assert rc == 2
+        assert ">= 4 endpoints" in capsys.readouterr().err
 
     def test_serve_bench_shards_rejects_model(self, tmp_path, capsys):
         rc = main(["serve-bench", "--shards", "2",
