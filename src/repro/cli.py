@@ -483,18 +483,26 @@ def _write_metric_exports(registry, json_path, prom_path) -> None:
         print(f"wrote Prometheus text to {prom_path}")
 
 
+def _finish_report(report, registry, args: argparse.Namespace) -> int:
+    """The one ending of every fault-harness command: print the verdict,
+    write the metric exports (and ``--json`` where the command has it),
+    exit 0 iff every check passed."""
+    print(report.render())
+    _write_metric_exports(registry, args.metrics_out, args.metrics_prom)
+    if getattr(args, "json", None):
+        atomic_write_text(args.json, json.dumps(report.as_dict(), indent=2))
+        print(f"wrote chaos report to {args.json}")
+    return 0 if report.ok else 1
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.serve.chaos import run_chaos_replay
 
-    config = _chaos_config(args)
     want_metrics = bool(args.metrics_out or args.metrics_prom)
     obs = Observability.create() if want_metrics else None
-    report = run_chaos_replay(config, obs=obs)
-    print(report.render())
-    if obs is not None:
-        _write_metric_exports(obs.registry, args.metrics_out, args.metrics_prom)
-    return 0 if report.ok else 1
+    report = run_chaos_replay(_chaos_config(args), obs=obs)
+    return _finish_report(report, obs and obs.registry, args)
 
 
 def _cmd_shard_chaos(args: argparse.Namespace) -> int:
@@ -510,14 +518,9 @@ def _cmd_shard_chaos(args: argparse.Namespace) -> int:
             seed=args.seed, shards=args.shards, rounds=args.rounds)
     obs = Observability.create(trace=False, events_path=args.events_out)
     report = run_shard_chaos(config, obs=obs)
-    print(report.render())
     if args.events_out:
         print(f"wrote event log to {args.events_out}")
-    _write_metric_exports(obs.registry, args.metrics_out, args.metrics_prom)
-    if args.json:
-        atomic_write_text(args.json, json.dumps(report.as_dict(), indent=2))
-        print(f"wrote chaos report to {args.json}")
-    return 0 if report.ok else 1
+    return _finish_report(report, obs.registry, args)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -651,10 +654,7 @@ def _cmd_stream_chaos(args: argparse.Namespace) -> int:
     config = (StreamChaosConfig.quick(seed=args.seed) if args.quick
               else StreamChaosConfig(seed=args.seed))
     obs = Observability.create(trace=False)
-    report = run_stream_chaos(config, obs=obs)
-    print(report.render())
-    _write_metric_exports(obs.registry, args.metrics_out, args.metrics_prom)
-    return 0 if report.ok else 1
+    return _finish_report(run_stream_chaos(config, obs=obs), obs.registry, args)
 
 
 def _load_registry_json(path: str):
@@ -877,9 +877,7 @@ def _cmd_state_verify(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         obs=obs,
     )
-    print(report.render())
-    _write_metric_exports(obs.registry, args.metrics_out, args.metrics_prom)
-    return 0 if report.ok else 1
+    return _finish_report(report, obs.registry, args)
 
 
 def main(argv: list[str] | None = None) -> int:

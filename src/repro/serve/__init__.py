@@ -33,11 +33,11 @@ transfers.  This package is that serving layer:
 - :mod:`repro.serve.bench` — the ``repro-tools serve-bench`` harness:
   batch-vs-loop agreement, latency percentiles and the
   instrumentation-overhead delta;
-- :mod:`repro.serve.chaos` — the fault-injection replay harness behind
-  ``repro-tools chaos``, plus the observed-replay pipeline
-  (:func:`run_observed_replay`) behind ``repro-tools metrics``, plus the
-  crash-injection mode (:func:`run_crash_replay`) behind
-  ``repro-tools state verify``;
+- :mod:`repro.serve.chaos` — the shared fault stream, the named-check
+  verdict every harness reports, the serve replay behind ``repro-tools
+  chaos``, the observed replay (:func:`run_observed_replay`) behind
+  ``repro-tools metrics``, and crash injection (:func:`run_crash_replay`)
+  behind ``repro-tools state verify``;
 - :mod:`repro.serve.durability` — the write-ahead journal, checksummed
   generation-numbered snapshots, :func:`recover_serving_state`, and the
   probe-gated hot-reload model artifact store, behind

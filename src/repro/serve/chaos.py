@@ -1,34 +1,39 @@
-"""Chaos-replay fault injection for the serving engine.
+"""Fault injection for the serving engine, and the verdict every fault
+harness reports in.
 
 §4.3 of the paper is devoted to log imperfections and §5.3 shows faults
 are load-coupled — a serving layer fed by real Globus telemetry will see
-duplicated events, impossible values, and clocks that disagree.  This
-harness replays a synthetic transfer log through the live serving stack
-(:class:`~repro.serve.active_set.ActiveSet` +
-:class:`~repro.serve.batch.BatchOnlinePredictor` over a
-:class:`~repro.serve.fallback.FallbackChain`) while injecting exactly
-those faults:
+duplicated events, impossible values, and clocks that disagree.  One
+seeded stream of mutation records, :func:`make_durable_events`, carries
+that fault menu for every serving-state layer:
 
-- duplicate ``add``/``complete`` events and completions for ids that were
-  never started (at-least-once delivery);
+- duplicate ``add``/``complete`` records and completions for ids that
+  were never started (at-least-once delivery);
 - progress reports carrying NaN, negative, or infinite rates;
-- transfers whose completion event never arrives;
-- clock skew between the predictor's ``now`` and the event timestamps;
-- prediction batches mixing known edges, modeled edges, and ghost edges
-  that appear in no log.
+- transfers whose completion never arrives;
+- ``drift`` records scoring each completion.
 
-Throughout, the harness asserts the engine stays consistent — the active
-population matches the replay's ground truth, every prediction is finite
-and positive, memory stays bounded by the injected load — and reports
-everything in a :class:`ChaosReport`, including per-tier prediction
-counts and fix-point non-convergence (``repro-tools chaos [--quick]``).
+:func:`fault_menu` classifies what a stream carries.  The serve replay
+(:func:`run_chaos_replay`, ``repro-tools chaos``) applies the stream to
+the live serving stack (:class:`~repro.serve.mutation.ServingState` under
+a :class:`~repro.serve.batch.BatchOnlinePredictor` over a
+:class:`~repro.serve.fallback.FallbackChain`) while predicting batches
+that mix modeled, known and ghost edges at a skewed clock; crash replay
+(:func:`run_crash_replay`, ``repro-tools state verify``) kills a journaled
+state mid-stream; shard chaos replays it through a sharded cluster.
+
+Every harness reports a :class:`Verdict`: named pass/fail checks, each
+recorded where its fact is computed, rendered one line per check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,13 +47,11 @@ from repro.logs.schema import LOG_DTYPE, TransferLogRecord
 from repro.logs.store import LogStore
 from repro.obs import Observability
 from repro.serve import mutation
-from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.fallback import FallbackChain
 from repro.serve.fixtures import (
     make_synthetic_global_model,
     make_synthetic_model,
-    make_synthetic_requests,
 )
 from repro.serve.mutation import ServingState
 from repro.sim.gridftp import TransferRequest
@@ -58,6 +61,9 @@ __all__ = [
     "ChaosReport",
     "CrashReport",
     "ObservedReplay",
+    "Verdict",
+    "check_fault_menu",
+    "fault_menu",
     "make_chaos_log",
     "make_chaos_chain",
     "make_chaos_requests",
@@ -118,72 +124,62 @@ class ChaosConfig:
 
 
 @dataclass
-class ChaosReport:
-    """Everything one chaos-replay run observed.
+class Verdict:
+    """Named pass/fail checks: the report format of every fault harness.
 
-    ``ok`` requires: no unexpected exceptions, no NaN/non-finite/
-    non-positive predictions, and a final active population exactly
-    matching the replay's ground truth (bounded memory: nothing leaks past
-    the injected never-completing transfers).
+    A harness records each condition with :meth:`check` where it computes
+    the fact; a subclass adds only the typed facts callers read and a
+    ``title``.  ``ok`` holds iff at least one check ran and all
+    passed.
     """
 
-    events: int = 0
-    prediction_batches: int = 0
-    predictions: int = 0
-    injected: dict[str, int] = field(default_factory=dict)
-    rejected_strict: int = 0
-    bad_predictions: int = 0
-    nonconverged: int = 0
-    never_completed: int = 0
-    max_active: int = 0
-    final_active: int = 0
-    expected_active: int = 0
-    consistent: bool = False
-    tier_counts: dict[str, int] = field(default_factory=dict)
-    predictor_stats: dict[str, float] = field(default_factory=dict)
-    active_stats: dict[str, int] = field(default_factory=dict)
-    drift: dict = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+
+    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+        self.checks.append((name, bool(ok), detail))
+        return bool(ok)
 
     @property
     def ok(self) -> bool:
-        return self.consistent and self.bad_predictions == 0 and not self.errors
+        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
+
+    @property
+    def failed(self) -> list[tuple[str, bool, str]]:
+        return [c for c in self.checks if not c[1]]
+
+    def as_dict(self) -> dict:
+        facts = {f.name: getattr(self, f.name)
+                 for f in dataclasses.fields(self) if f.name != "checks"}
+        return {"ok": self.ok, **facts,
+                "checks": [list(c) for c in self.checks]}
 
     def render(self) -> str:
-        lines = [
-            f"chaos replay: {self.events} events, "
-            f"{self.prediction_batches} prediction batches "
-            f"({self.predictions} predictions)",
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"bad (non-finite) preds    {self.bad_predictions}",
-            f"nonconverged preds        {self.nonconverged}",
-            f"active population         final {self.final_active} / "
-            f"expected {self.expected_active} (max {self.max_active}) "
-            f"{'consistent' if self.consistent else 'INCONSISTENT'}",
-            f"never-completing leaked   {self.never_completed}",
-            f"strict-mode rejections    {self.rejected_strict}",
-            "injected faults:",
-        ]
-        for k in sorted(self.injected):
-            lines.append(f"  {k:<24}{self.injected[k]}")
-        lines.append("prediction tiers:")
-        for k, v in sorted(self.tier_counts.items()):
-            lines.append(f"  {k:<24}{v}")
-        lines.append("active-set stats:")
-        for k, v in self.active_stats.items():
-            lines.append(f"  {k:<24}{v}")
-        if self.drift:
-            overall = self.drift.get("overall", {})
-            lines.append(
-                f"prediction drift          "
-                f"{self.drift.get('observations', 0)} scored, "
-                f"MdAPE {overall.get('mdape', float('nan')):.1f}% "
-                f"p95 {overall.get('p95_ape', float('nan')):.1f}% "
-                f"bias {overall.get('bias_pct', float('nan')):+.1f}%"
-            )
-        for e in self.errors:
-            lines.append(f"error: {e}")
+        lines = [self.title,
+                 f"verdict                   {'OK' if self.ok else 'FAILED'}"]
+        for name, ok, detail in self.checks:
+            mark = "PASS" if ok else "FAIL"
+            lines.append(f"  [{mark}] {name}" + (f"  {detail}" if detail else ""))
         return "\n".join(lines)
+
+
+@dataclass
+class ChaosReport(Verdict):
+    """One serve replay: records applied, predictions served, the faults
+    the stream carried and how the engine counted them."""
+
+    events: int = 0
+    predictions: int = 0
+    final_active: int = 0
+    rejected_strict: int = 0
+    injected: dict[str, int] = field(default_factory=dict)
+    tier_counts: dict[str, int] = field(default_factory=dict)
+    active_stats: dict[str, int] = field(default_factory=dict)
+    drift: dict = field(default_factory=dict)
+
+    @property
+    def title(self) -> str:
+        return (f"chaos replay: {self.events} records, "
+                f"{self.predictions} predictions")
 
 
 def make_chaos_log(config: ChaosConfig) -> LogStore:
@@ -289,6 +285,130 @@ def make_chaos_requests(
     return requests
 
 
+def make_durable_events(
+    config: ChaosConfig, log: LogStore | None = None
+) -> list[list]:
+    """The fault stream: a reproducible list of mutation records
+    (:mod:`repro.serve.mutation`) replaying ``log`` (default: the chaos
+    log of ``config``) in time order.
+
+    Pure function of its arguments (fresh RNG, no shared state), so the
+    crashed run, the recovery's re-delivery, the uninterrupted reference
+    and every harness see the identical stream.
+
+    The records mirror each transfer's life: ``add`` (with duplicates),
+    good and NaN/±inf/negative ``progress``, ``complete`` (with
+    duplicates, unknown ids, and never-completing transfers), and a
+    ``drift`` record scoring each completion against a pseudo-prediction.
+    """
+    log = log if log is not None else make_chaos_log(config)
+    rng = np.random.default_rng(config.seed + 3)
+    data = log.raw()
+    timeline: list[tuple[float, int, int]] = []
+    for i in range(len(data)):
+        timeline.append((float(data["ts"][i]), 0, i))
+        timeline.append((float(data["te"][i]), 1, i))
+    timeline.sort()
+
+    tiers = ("edge", "global", "analytical", "median", "default")
+    events: list[list] = []
+    live: list[int] = []  # generator-side mirror of the active population
+
+    for _, kind, i in timeline:
+        tid = int(data["transfer_id"][i])
+        row = data[i]
+        if kind == 0:
+            add = mutation.add(tid, _view_from_row(row))
+            events.append(add)
+            live.append(tid)
+            if rng.random() < config.p_duplicate_add:
+                events.append(add)
+        else:
+            # A never-completing transfer's completion never arrives.
+            if rng.random() >= config.p_never_complete:
+                events.append(mutation.complete(tid))
+                if tid in live:
+                    live.remove(tid)
+                realized = float(row["nb"]) / (float(row["te"]) - float(row["ts"]))
+                events.append(mutation.drift(
+                    row["src"], row["dst"],
+                    tiers[int(rng.integers(len(tiers)))],
+                    realized * float(rng.uniform(0.7, 1.3)),
+                    realized,
+                ))
+                if rng.random() < config.p_duplicate_complete:
+                    events.append(mutation.complete(tid))
+            if rng.random() < config.p_unknown_complete:
+                events.append(mutation.complete(10**9 + tid))
+        if rng.random() < config.p_bad_progress and live:
+            victim = live[int(rng.integers(len(live)))]
+            bad = float(rng.choice([np.nan, -1e8, np.inf]))
+            events.append(mutation.progress(victim, rate=bad))
+        if rng.random() < config.p_good_progress and live:
+            victim = live[int(rng.integers(len(live)))]
+            events.append(mutation.progress(
+                victim, rate=float(rng.uniform(1e6, 5e8))))
+    return events
+
+
+# Faults a serving state must refuse, one count each; never_complete is
+# an absence, so no state can refuse it.
+REFUSED_FAULTS = ("duplicate_add", "duplicate_complete", "unknown_complete",
+                  "bad_progress")
+
+
+def fault_menu(events: list[list]) -> dict[str, int]:
+    """Count the faults a mutation-record stream carries.
+
+    ``duplicate_add``: an add for a transfer already live;
+    ``duplicate_complete``: a complete for one already completed;
+    ``unknown_complete``: a complete for one never added;
+    ``never_complete``: added but never completed by the stream's end;
+    ``bad_progress``: a progress rate that is NaN, infinite or negative.
+    """
+    menu = dict.fromkeys(REFUSED_FAULTS + ("never_complete",), 0)
+    live: set[int] = set()
+    added: set[int] = set()
+    for record in events:
+        m = mutation.decode(record)
+        if m.op == "add":
+            menu["duplicate_add"] += m.args[0] in live
+            live.add(m.args[0])
+            added.add(m.args[0])
+        elif m.op == "complete":
+            tid = m.args[0]
+            if tid in live:
+                live.remove(tid)
+            elif tid in added:
+                menu["duplicate_complete"] += 1
+            else:
+                menu["unknown_complete"] += 1
+        elif m.op == "progress":
+            rate = m.args[1]
+            menu["bad_progress"] += rate is not None and not (
+                math.isfinite(rate) and rate >= 0)
+    menu["never_complete"] = len(live)
+    return menu
+
+
+def check_fault_menu(report: Verdict, events: list[list]) -> dict[str, int]:
+    """Check that ``events`` carries every record kind and every fault a
+    serving state must refuse; returns the :func:`fault_menu` counts."""
+    menu = fault_menu(events)
+    ops = Counter(record[0] for record in events)
+    # A non-finite rate travels as its repr string (repro.serve.mutation).
+    nonfinite = sum(r[0] == "progress" and isinstance(r[2], str) for r in events)
+    report.check(  # CI asserts this name in chaos and shard chaos output
+        "replayed stream holds add, progress, complete and drift records, "
+        "incl. non-finite progress",
+        all(ops[op] for op in ("add", "progress", "complete", "drift"))
+        and nonfinite > 0 and all(menu[k] for k in REFUSED_FAULTS),
+        ", ".join(f"{op} {ops[op]}" for op in sorted(ops))
+        + f" ({nonfinite} non-finite progress); "
+        + ", ".join(f"{k} {menu[k]}" for k in sorted(menu)))
+    return menu
+
+
 def run_chaos_replay(
     config: ChaosConfig | None = None,
     obs: Observability | None = None,
@@ -296,164 +416,155 @@ def run_chaos_replay(
     progress=None,
     progress_every: int = 0,
 ) -> ChaosReport:
-    """Replay a synthetic log through the serving stack under fault
-    injection; see the module docstring for the fault menu.
+    """Apply the fault stream (:func:`make_durable_events` of ``log``,
+    default the chaos log) to the live serving stack.  Every
+    ``predict_every`` records, a :func:`make_chaos_requests` batch is
+    predicted at the newest applied ``started_at`` skewed by up to
+    ``clock_skew_s`` (skew and requests from one RNG seeded ``seed + 1``).
 
-    With an :class:`~repro.obs.Observability` bundle the whole stack
-    instruments itself through its registry, and — when the bundle has a
-    drift monitor — every transfer is additionally *scored*: its rate is
-    predicted at submission time (just before its start event mutates the
-    active set) and compared against the realized ``nb / (te - ts)`` when
-    its completion arrives, feeding the rolling per-edge / per-tier MdAPE
-    gauges.  The scoring probes consume no replay randomness, so runs with
-    and without ``obs`` inject the identical fault sequence.
-
-    ``log`` substitutes a caller-supplied store (e.g. the kept rows of a
-    lenient ingest) for the freshly synthesized chaos log.  ``progress``
-    (with ``progress_every > 0``) is called with the live, still-mutating
-    report every ``progress_every`` events — the hook behind the CLI's
-    ``--watch`` replay summaries.
+    With an :class:`~repro.obs.Observability` bundle the stack instruments
+    itself, and with its drift monitor each transfer is *scored*:
+    predicted at its first ``add`` (before the add lands) and compared
+    with the realized ``nb / (te - ts)`` at its first ``complete``.
+    Scoring draws no replay randomness, so runs with and without ``obs``
+    apply the identical stream.  ``progress`` (with ``progress_every >
+    0``) receives the live report every ``progress_every`` records — the
+    hook behind ``metrics --watch``.
     """
     cfg = config or ChaosConfig()
     rng = np.random.default_rng(cfg.seed + 1)
     log = log if log is not None else make_chaos_log(cfg)
     chain = make_chaos_chain(log, cfg)
-    active = ActiveSet(lenient=cfg.lenient, obs=obs)
-    engine = BatchOnlinePredictor(chain, active, obs=obs)
+    stream = make_durable_events(cfg, log)
+    # The stream's drift records score a stand-in prediction (the realized
+    # rate times noise, under a random tier).  This replay scores the
+    # engine's own predictions instead, so applying them would mix
+    # invented samples into the drift gauges.
+    events = [record for record in stream if record[0] != "drift"]
+    state = ServingState(obs=obs, lenient=cfg.lenient)
+    engine = BatchOnlinePredictor(chain, state.active, obs=obs)
     drift = obs.drift if obs is not None else None
-    pending_scores: dict[int, tuple[str, str, object, float]] = {}
-
     data = log.raw()
-    events: list[tuple[float, int, int]] = []  # (time, kind 0=start/1=end, row)
-    for i in range(len(data)):
-        events.append((float(data["ts"][i]), 0, i))
-        events.append((float(data["te"][i]), 1, i))
-    events.sort()
+    row_of = {int(tid): i for i, tid in enumerate(data["transfer_id"])}
+    scores: dict[int, tuple] = {}  # tid -> (src, dst, tier, predicted)
 
     report = ChaosReport()
-    inj = report.injected
+    report.injected = check_fault_menu(report, stream)
     started: set[int] = set()
     completed: set[int] = set()
-    never: set[int] = set()
+    now = 0.0
+    batches = bad = max_active = 0
+    raised: list[str] = []
 
-    def bump(key: str) -> None:
-        inj[key] = inj.get(key, 0) + 1
-
-    def faulty(fn) -> None:
-        """Run one injected-fault mutation; strict mode rejects by raising."""
-        try:
-            fn()
-        except (KeyError, ValueError):
-            report.rejected_strict += 1
-
-    def score_start(t: float, i: int, tid: int) -> None:
-        """Predict the starting transfer's rate (submission-time view:
-        before its own start event lands in the active set)."""
-        row = data[i]
+    def score_start(row) -> None:
+        """Predict the starting transfer's rate before its add lands.  The
+        add's view has no ``nb`` or ``nd``, so the request is the row's."""
         req = TransferRequest(
-            src=str(row["src"]),
-            dst=str(row["dst"]),
-            total_bytes=float(row["nb"]),
-            n_files=int(row["nf"]),
-            n_dirs=int(row["nd"]),
-            concurrency=int(row["c"]),
+            src=str(row["src"]), dst=str(row["dst"]),
+            total_bytes=float(row["nb"]), n_files=int(row["nf"]),
+            n_dirs=int(row["nd"]), concurrency=int(row["c"]),
             parallelism=int(row["p"]),
         )
         try:
-            pred = engine.predict_batch_detailed([req], t)
+            pred = engine.predict_batch_detailed([req], now)
         except Exception:  # noqa: BLE001 - scoring must never sink the replay
             return
         rate = float(pred.rates[0])
         if math.isfinite(rate) and rate >= 0:
-            pending_scores[tid] = (req.src, req.dst, pred.tiers[0], rate)
+            scores[int(row["transfer_id"])] = (
+                req.src, req.dst, pred.tiers[0], rate)
 
-    def score_complete(i: int, tid: int) -> None:
-        scored = pending_scores.pop(tid, None)
-        if scored is None:
-            return
-        src, dst, tier, predicted = scored
-        row = data[i]
-        elapsed = float(row["te"]) - float(row["ts"])
-        if elapsed <= 0 or float(row["nb"]) <= 0:
-            return
-        drift.record(src, dst, tier, predicted, float(row["nb"]) / elapsed)
-
-    for n_event, (t, kind, i) in enumerate(events, 1):
-        tid = int(data["transfer_id"][i])
-        if kind == 0:
-            if drift is not None:
-                score_start(t, i, tid)
-            active.add(tid, _view_from_row(data[i]))
-            started.add(tid)
-            if rng.random() < cfg.p_duplicate_add:
-                bump("duplicate_add")
-                faulty(lambda: active.add(tid, _view_from_row(data[i])))
-        else:
-            if rng.random() < cfg.p_never_complete:
-                never.add(tid)
-            else:
-                active.complete(tid)
-                completed.add(tid)
+    for n_event, record in enumerate(events, 1):
+        m = mutation.decode(record)
+        op, tid = m.op, m.args[0]
+        if op == "add":
+            now = m.args[1].started_at
+            if tid not in started:
+                started.add(tid)
                 if drift is not None:
-                    score_complete(i, tid)
-                if rng.random() < cfg.p_duplicate_complete:
-                    bump("duplicate_complete")
-                    faulty(lambda: active.complete(tid))
-            if rng.random() < cfg.p_unknown_complete:
-                bump("unknown_complete")
-                faulty(lambda: active.complete(10**9 + tid))
-        if rng.random() < cfg.p_bad_progress and len(active):
-            ids = active.ids()
-            victim = int(ids[int(rng.integers(len(ids)))])
-            bad = float(rng.choice([np.nan, -1e8, np.inf]))
-            bump("bad_progress")
-            faulty(lambda: active.progress(victim, rate=bad))
-        if rng.random() < cfg.p_good_progress and len(active):
-            ids = active.ids()
-            victim = int(ids[int(rng.integers(len(ids)))])
-            active.progress(victim, rate=float(rng.uniform(1e6, 5e8)))
+                    score_start(data[row_of[tid]])
+        elif op == "complete" and tid in started and tid not in completed:
+            completed.add(tid)
+            row = data[row_of[tid]]
+            if tid in scores:
+                drift.record(*scores.pop(tid), float(row["nb"])
+                             / (float(row["te"]) - float(row["ts"])))
+        try:
+            state.apply(record)
+        except (KeyError, ValueError):
+            report.rejected_strict += 1
 
         report.events = n_event
-        report.max_active = max(report.max_active, len(active))
+        max_active = max(max_active, len(state.active))
         if progress is not None and progress_every \
                 and n_event % progress_every == 0:
-            report.final_active = len(active)
+            report.final_active = len(state.active)
             progress(report)
 
         if n_event % cfg.predict_every == 0:
-            now = t + float(rng.uniform(-cfg.clock_skew_s, cfg.clock_skew_s))
+            skewed = now + float(rng.uniform(-cfg.clock_skew_s, cfg.clock_skew_s))
             batch = make_chaos_requests(rng, cfg.batch_size, chain, log)
             try:
-                pred = engine.predict_batch_detailed(batch, now)
+                pred = engine.predict_batch_detailed(batch, skewed)
             except Exception as exc:  # noqa: BLE001 - the whole point
-                report.errors.append(
-                    f"predict_batch raised at event {n_event}: {exc!r}"
-                )
+                raised.append(f"record {n_event}: {exc!r}")
                 continue
-            report.prediction_batches += 1
+            batches += 1
             report.predictions += len(batch)
-            finite = np.isfinite(pred.rates) & (pred.rates > 0)
-            report.bad_predictions += int((~finite).sum())
+            bad += int((~(np.isfinite(pred.rates) & (pred.rates > 0))).sum())
+
+    stats = engine.stats
+    report.tier_counts = dict(stats.tier_counts)
+    report.check(
+        "every prediction batch answered, finite and positive",
+        not raised and bad == 0,
+        f"{batches} batches, {bad} bad, {stats.nonconverged_requests} "
+        f"nonconverged; tiers "
+        + " ".join(f"{k} {v}" for k, v in sorted(report.tier_counts.items()))
+        + (f"; raised at {raised[0]}" if raised else ""))
 
     expected = started - completed
-    actual = set(active.ids())
+    actual = set(state.active.ids())
     report.final_active = len(actual)
-    report.expected_active = len(expected)
-    report.never_completed = len(never & actual)
-    report.consistent = actual == expected
-    if not report.consistent:
-        leaked = sorted(actual - expected)[:5]
-        missing = sorted(expected - actual)[:5]
-        report.errors.append(
-            f"active population diverged: leaked {leaked}, missing {missing}"
-        )
-    report.nonconverged = engine.stats.nonconverged_requests
-    report.tier_counts = dict(engine.stats.tier_counts)
-    report.predictor_stats = engine.stats.as_dict()
-    report.active_stats = active.stats.as_dict()
+    report.check(
+        "active population matches the replay's ground truth",
+        actual == expected,
+        f"final {len(actual)} / expected {len(expected)} (max {max_active})"
+        + ("" if actual == expected else
+           f"; leaked {sorted(actual - expected)[:5]}, "
+           f"missing {sorted(expected - actual)[:5]}"))
+
+    report.active_stats = state.active.stats.as_dict()
+    _check_fault_accounting(report, events, cfg.lenient)
     if drift is not None:
         report.drift = drift.snapshot()
+        o = drift.overall()
+        report.check(
+            "prediction drift scored", o.n > 0,
+            f"{o.n} scored, MdAPE {o.mdape:.1f}% p95 {o.p95_ape:.1f}% "
+            f"bias {o.bias_pct:+.1f}%")
     return report
+
+
+def _check_fault_accounting(report: ChaosReport, events: list[list],
+                            lenient: bool) -> None:
+    """The engine refused exactly the faults the stream carried: a
+    lenient state counts each kind where it drops it, a strict one
+    raises once per fault."""
+    menu = report.injected
+    if lenient:
+        good = sum(r[0] == "progress" for r in events) - menu["bad_progress"]
+        want = {"ignored_adds": menu["duplicate_add"],
+                "ignored_completes":
+                    menu["duplicate_complete"] + menu["unknown_complete"],
+                "rejected_progress": menu["bad_progress"],
+                "progress_updates": good}
+        got = {k: report.active_stats[k] for k in want}
+    else:
+        want = {"strict rejections": sum(menu[k] for k in REFUSED_FAULTS)}
+        got = {"strict rejections": report.rejected_strict}
+    report.check("engine refused exactly the injected faults", got == want,
+                 ", ".join(f"{k} {got[k]} / {want[k]}" for k in want))
 
 
 # Cycled through by write_corrupt_jsonl, one fault per corrupted line.
@@ -526,103 +637,31 @@ def run_observed_replay(
     predictor latency histograms, fallback-tier counters, ingestion
     quarantine counts, and per-edge rolling MdAPE.
 
-    ``path`` is where the corrupt JSONL goes (a temp file when omitted).
+    ``path`` is where the corrupt JSONL goes (when omitted, a temporary
+    directory removed before returning).
     """
     cfg = config or ChaosConfig()
     bundle = obs if obs is not None else Observability.create()
-    log = make_chaos_log(cfg)
-    if path is None:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile(
-            mode="w", suffix=".jsonl", delete=False
-        ) as tmp:
-            path = tmp.name
-    write_corrupt_jsonl(log, path, every=corrupt_every)
-    kept, quarantine = read_jsonl(
-        path, strict=False, registry=bundle.registry, tracer=bundle.tracer
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-observed-") as tmp:
+        path = Path(tmp) / "chaos.jsonl" if path is None else path
+        write_corrupt_jsonl(make_chaos_log(cfg), path, every=corrupt_every)
+        kept, quarantine = read_jsonl(
+            path, strict=False, registry=bundle.registry, tracer=bundle.tracer
+        )
     report = run_chaos_replay(cfg, obs=bundle, log=kept,
                               progress=progress, progress_every=progress_every)
     return ObservedReplay(report=report, quarantine=quarantine, obs=bundle)
 
 
-# -- crash injection ----------------------------------------------------------
-#
-# The crash-injection mode exercises the durability layer the same way the
-# fault-injection mode exercises the lenient serving engine: a deterministic
-# stream of mutation records is fed through a journaled DurableServingState,
-# the process is "killed" at an arbitrary event — with the journal tail torn
-# at an arbitrary byte offset, and optionally the newest snapshot corrupted —
-# then recovery plus re-delivery of the unacknowledged suffix must
-# reproduce, bit for bit, the state of a journal-free ServingState twin fed
-# the whole stream.
-
-
-def make_durable_events(config: ChaosConfig) -> list[list]:
-    """A reproducible stream of mutation records (:mod:`repro.serve.mutation`).
-
-    Pure function of ``config`` (fresh RNG, no shared state), so the
-    crashed run, the recovery's re-delivery, and the uninterrupted
-    reference all see the identical stream — and a run with journaling
-    enabled consumes exactly the same randomness as one without, keeping
-    replays bit-identical either way.
-
-    The stream mirrors the fault-injection replay's menu as mutation
-    records: ``add`` (with duplicates), good and NaN/negative ``progress``,
-    ``complete`` (with duplicates, unknown ids, and never-completing
-    transfers), and ``drift`` observations scoring each completion
-    against a pseudo-prediction.
-    """
-    log = make_chaos_log(config)
-    rng = np.random.default_rng(config.seed + 3)
-    data = log.raw()
-    timeline: list[tuple[float, int, int]] = []
-    for i in range(len(data)):
-        timeline.append((float(data["ts"][i]), 0, i))
-        timeline.append((float(data["te"][i]), 1, i))
-    timeline.sort()
-
-    tiers = ("edge", "global", "analytical", "median", "default")
-    events: list[list] = []
-    live: list[int] = []  # generator-side mirror of the active population
-
-    for t, kind, i in timeline:
-        tid = int(data["transfer_id"][i])
-        row = data[i]
-        if kind == 0:
-            add = mutation.add(tid, _view_from_row(row))
-            events.append(add)
-            live.append(tid)
-            if rng.random() < config.p_duplicate_add:
-                events.append(add)
-        else:
-            if rng.random() < config.p_never_complete:
-                pass  # its completion event never arrives
-            else:
-                events.append(mutation.complete(tid))
-                if tid in live:
-                    live.remove(tid)
-                realized = float(row["nb"]) / (float(row["te"]) - float(row["ts"]))
-                events.append(mutation.drift(
-                    row["src"], row["dst"],
-                    tiers[int(rng.integers(len(tiers)))],
-                    realized * float(rng.uniform(0.7, 1.3)),
-                    realized,
-                ))
-                if rng.random() < config.p_duplicate_complete:
-                    events.append(mutation.complete(tid))
-            if rng.random() < config.p_unknown_complete:
-                events.append(mutation.complete(10**9 + tid))
-        if rng.random() < config.p_bad_progress and live:
-            victim = live[int(rng.integers(len(live)))]
-            bad = float(rng.choice([np.nan, -1e8, np.inf]))
-            events.append(mutation.progress(victim, rate=bad))
-        if rng.random() < config.p_good_progress and live:
-            victim = live[int(rng.integers(len(live)))]
-            events.append(mutation.progress(
-                victim, rate=float(rng.uniform(1e6, 5e8))))
-    return events
+@contextlib.contextmanager
+def _work_dir(path: str | Path | None, prefix: str):
+    """``path`` as a :class:`~pathlib.Path`, or a temporary directory
+    removed on exit when ``path`` is None."""
+    if path is not None:
+        yield Path(path)
+        return
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        yield Path(tmp)
 
 
 def _corrupt_file(path: Path) -> None:
@@ -638,13 +677,13 @@ def _drift_gauges(registry) -> dict[str, float]:
 
 
 @dataclass
-class CrashReport:
+class CrashReport(Verdict):
     """One crash-injection trial: kill, tear, recover, prove equivalence.
 
-    ``ok`` is the acceptance property: after recovery plus re-delivery of
-    the unacknowledged suffix, the active population, the drift windows,
-    every ``drift_*`` metric, and the predictions served off the
-    recovered state are *identical* to an uninterrupted run.
+    Its checks are the acceptance property: after recovery plus
+    re-delivery of the unacknowledged suffix, the active population, the
+    drift windows, every ``drift_*`` metric, and the predictions served
+    off the recovered state are *identical* to an uninterrupted run.
     """
 
     events_total: int = 0
@@ -653,45 +692,14 @@ class CrashReport:
     corrupt_snapshot: bool = False
     recovery: dict = field(default_factory=dict)
     resumed_events: int = 0
-    fingerprint_equal: bool = False
-    drift_gauges_equal: bool = False
-    predictions_equal: bool = False
-    probe_predictions: int = 0
-    max_prediction_delta: float = 0.0
-    errors: list[str] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return (
-            self.fingerprint_equal
-            and self.drift_gauges_equal
-            and self.predictions_equal
-            and not self.errors
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"crash replay: killed after {self.kill_after}/{self.events_total} "
-            f"events, journal tail torn by {self.cut_bytes} bytes"
-            + (", newest snapshot corrupted" if self.corrupt_snapshot else ""),
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"recovered from snapshot   "
-            f"gen {self.recovery.get('snapshot_generation', 0)} "
-            f"({self.recovery.get('snapshot_fallbacks', 0)} fallbacks)",
-            f"journal records replayed  "
-            f"{self.recovery.get('replayed_records', 0)} "
-            f"(+{self.resumed_events} re-delivered)",
-            f"torn bytes truncated      "
-            f"{self.recovery.get('truncated_bytes', 0)}",
-            f"active population equal   {self.fingerprint_equal}",
-            f"drift gauges equal        {self.drift_gauges_equal}",
-            f"predictions equal         {self.predictions_equal} "
-            f"(max |delta| {self.max_prediction_delta:.3g} B/s over "
-            f"{self.probe_predictions} probes)",
-        ]
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        return "\n".join(lines)
+    def title(self) -> str:
+        return (f"crash replay: killed after {self.kill_after}/"
+                f"{self.events_total} events, journal tail torn by "
+                f"{self.cut_bytes} bytes"
+                + (", newest snapshot corrupted" if self.corrupt_snapshot
+                   else ""))
 
 
 def run_crash_replay(
@@ -724,7 +732,8 @@ def run_crash_replay(
     from repro.serve.durability import DurabilityConfig, recover_serving_state
 
     cfg = config or ChaosConfig()
-    events = make_durable_events(cfg)
+    log = make_chaos_log(cfg)
+    events = make_durable_events(cfg, log)
     # Default kill point: ~60% through the stream — late enough that
     # several snapshot generations exist, early enough that a meaningful
     # suffix must be re-delivered.
@@ -738,14 +747,7 @@ def run_crash_replay(
         corrupt_snapshot=bool(corrupt_snapshot),
     )
 
-    cleanup = None
-    if state_dir is None:
-        import tempfile
-
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-crash-")
-        state_dir = cleanup.name
-    state_dir = Path(state_dir)
-    try:
+    with _work_dir(state_dir, "repro-crash-") as state_dir:
         # 1. uninterrupted reference (no journal).
         reference = ServingState(lenient=cfg.lenient)
         for event in events:
@@ -777,39 +779,39 @@ def run_crash_replay(
             state_dir, obs=bundle, lenient=cfg.lenient, config=durability)
         report.recovery = recovery.as_dict()
         resume_from = recovery.last_seq
-        if resume_from > kill:
-            report.errors.append(
-                f"journal acknowledged {resume_from} records but only "
-                f"{kill} events were delivered"
-            )
-            resume_from = kill
+        report.check(
+            "journal acknowledged no more records than were delivered",
+            resume_from <= kill, f"last_seq {resume_from}, delivered {kill}")
+        resume_from = min(resume_from, kill)
         for event in events[resume_from:]:
             recovered.apply(event)
         report.resumed_events = len(events) - resume_from
 
         # -- the equivalence proof ---------------------------------------
-        report.fingerprint_equal = (
-            recovered.state_fingerprint() == reference.state_fingerprint()
-        )
-        report.drift_gauges_equal = (
+        report.check(
+            "active population equal",
+            recovered.state_fingerprint() == reference.state_fingerprint(),
+            f"snapshot gen {recovery.snapshot_generation} "
+            f"({recovery.snapshot_fallbacks} fallbacks), "
+            f"{recovery.replayed_records} journal records replayed "
+            f"(+{report.resumed_events} re-delivered), "
+            f"{recovery.truncated_bytes} torn bytes truncated")
+        report.check(
+            "drift gauges equal",
             _drift_gauges(recovered.registry)
-            == _drift_gauges(reference.registry)
-        )
-        log = make_chaos_log(cfg)
+            == _drift_gauges(reference.registry))
         chain = make_chaos_chain(log, cfg)
-        requests = make_synthetic_requests(
-            probe_requests, n_endpoints=cfg.n_endpoints, seed=cfg.seed + 9)
+        requests = make_chaos_requests(
+            np.random.default_rng(cfg.seed + 9), probe_requests, chain, log)
         now = cfg.horizon_s
         ref_rates = BatchOnlinePredictor(
             chain, reference.active).predict_batch(requests, now)
         rec_rates = BatchOnlinePredictor(
             chain, recovered.active).predict_batch(requests, now)
-        report.probe_predictions = len(requests)
-        report.predictions_equal = bool(np.array_equal(ref_rates, rec_rates))
         deltas = np.abs(ref_rates - rec_rates)
-        report.max_prediction_delta = float(deltas.max()) if deltas.size else 0.0
+        report.check(
+            "predictions equal", bool(np.array_equal(ref_rates, rec_rates)),
+            f"max |delta| {float(deltas.max()) if deltas.size else 0.0:.3g} "
+            f"B/s over {len(requests)} probes")
         recovered.close()
-        return report
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+    return report

@@ -34,21 +34,21 @@ dispatch, during checkpoint).
 
 from __future__ import annotations
 
-import math
 import random
-import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.logs.store import LogStore
 from repro.obs import Observability
-from repro.serve import mutation
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.chaos import (
     ChaosConfig,
+    Verdict,
+    _work_dir,
+    check_fault_menu,
     make_chaos_chain,
     make_chaos_log,
     make_chaos_requests,
@@ -80,9 +80,13 @@ class ShardChaosConfig:
     def __post_init__(self) -> None:
         if self.shards < 1 or self.rounds < 1:
             raise ValueError("shards and rounds must be >= 1")
-        for r in self.kill_rounds:
-            if not 0 <= r < self.rounds:
-                raise ValueError(f"kill round {r} outside 0..{self.rounds - 1}")
+        scripted = [("kill round", r) for r in self.kill_rounds] + [
+            (name, getattr(self, name))
+            for name in ("drain_round", "rebalance_round", "checkpoint_round")
+        ]
+        for name, r in scripted:
+            if r is not None and not 0 <= r < self.rounds:
+                raise ValueError(f"{name} {r} outside 0..{self.rounds - 1}")
 
     @classmethod
     def quick(cls) -> "ShardChaosConfig":
@@ -95,7 +99,7 @@ class ShardChaosConfig:
 
 
 @dataclass
-class ShardChaosReport:
+class ShardChaosReport(Verdict):
     """Every check the run performed, pass or fail, plus fault totals."""
 
     shards: int = 0
@@ -103,45 +107,12 @@ class ShardChaosReport:
     kills: int = 0
     restarts: int = 0
     degraded_answers: int = 0
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
 
     @property
-    def ok(self) -> bool:
-        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
-
-    @property
-    def failed(self) -> list[tuple[str, bool, str]]:
-        return [c for c in self.checks if not c[1]]
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "shards": self.shards,
-            "rounds": self.rounds,
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "degraded_answers": self.degraded_answers,
-            "checks": [list(c) for c in self.checks],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"shards                    {self.shards}",
-            f"rounds                    {self.rounds}",
-            f"workers SIGKILLed         {self.kills}",
-            f"supervised restarts       {self.restarts}",
-            f"degraded answers          {self.degraded_answers}",
-            f"checks                    "
-            f"{sum(ok for _, ok, _ in self.checks)}/{len(self.checks)} passed",
-        ]
-        for name, ok, detail in self.checks:
-            mark = "PASS" if ok else "FAIL"
-            lines.append(f"  [{mark}] {name}" + (f"  {detail}" if detail else ""))
-        lines.append("chaos: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
+    def title(self) -> str:
+        return (f"shard chaos: {self.shards} shards, {self.rounds} rounds, "
+                f"{self.kills} workers SIGKILLed, {self.restarts} supervised "
+                f"restarts, {self.degraded_answers} degraded answers")
 
 
 def _apply(cluster: ShardCluster, ref: ServingState,
@@ -168,15 +139,11 @@ def run_shard_chaos(
                      n_endpoints=config.n_endpoints, seed=config.seed)
     log = make_chaos_log(cc)
     chain = make_chaos_chain(log, cc)
-    events = make_durable_events(cc)
-    _check_fault_menu(events, report)
+    events = make_durable_events(cc, log)
+    check_fault_menu(report, events)
     ref = ServingState(lenient=cc.lenient)
 
-    tmp = None
-    if state_root is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-shard-chaos-")
-        state_root = tmp.name
-    try:
+    with _work_dir(state_root, "repro-shard-chaos-") as state_root:
         cluster = ShardCluster(
             chain, state_root, shards=config.shards, obs=obs,
             config=cluster_config or ClusterConfig(),
@@ -188,25 +155,7 @@ def run_shard_chaos(
             report.restarts = sum(
                 row["restarts"] for row in cluster.status())
             cluster.stop()
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
     return report
-
-
-def _check_fault_menu(events: list[list], report: ShardChaosReport) -> None:
-    """The stream the rounds replay must carry the crash-replay menu."""
-    decoded = [mutation.decode(e) for e in events]
-    ops = Counter(m.op for m in decoded)
-    bad = sum(1 for m in decoded if m.op == "progress"
-              and m.args[1] is not None and not math.isfinite(m.args[1]))
-    report.check(
-        "replayed stream holds add, progress, complete and drift records, "
-        "incl. non-finite progress",
-        all(ops[op] for op in ("add", "progress", "complete", "drift"))
-        and bad > 0,
-        ", ".join(f"{op} {ops[op]}" for op in sorted(ops))
-        + f" ({bad} non-finite progress)")
 
 
 def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
@@ -228,17 +177,13 @@ def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
         kill_point = r % 3 if r in config.kill_rounds else None
         victim = rng.choice(list(cluster.ring.shards))
 
-        if kill_point == 0:
-            cluster.kill(victim)
-            report.kills += 1
-        _apply(cluster, ref, batch[:half])
-        if kill_point == 1:
-            cluster.kill(victim)
-            report.kills += 1
-        _apply(cluster, ref, batch[half:])
-        if kill_point == 2:
-            cluster.kill(victim)
-            report.kills += 1
+        # Kill point 0 / 1 / 2: before the batch / between halves / after.
+        for point, part in enumerate((batch[:half], batch[half:], None)):
+            if point == kill_point:
+                cluster.kill(victim)
+                report.kills += 1
+            if part is not None:
+                _apply(cluster, ref, part)
 
         draining = None
         if r == config.drain_round:

@@ -1,37 +1,27 @@
 """Fault injection for the streaming loop: :func:`run_stream_chaos`.
 
-Two sub-scenarios, each a self-contained proof:
+Two sub-scenarios, each a self-contained proof reported as named checks
+(:class:`~repro.serve.chaos.Verdict`):
 
-**A — crash / corruption (exactly-once + breaker + never-unseat).**
-A completion-ordered JSONL log is appended in phases, with every Nth
-line corrupted and one phase boundary landing mid-line (a half-written
-trailing record).  Between phases the supervisor is repeatedly started,
-killed at scripted stages (after poll, after apply, after retrain, after
-checkpoint — via :class:`~repro.serve.stream.supervisor.SimulatedCrash`),
-and restarted against the same state directory.  Meanwhile one edge's
-fit function always raises (the poisoned edge) and one edge's published
-artifacts are always corrupted between publish and reload (the corrupt
-edge).  The final incarnation drains everything, and the report asserts:
-
-- *offset-exact, exactly-once ingestion*: the running SHA-256 digest of
-  applied records equals the digest of the file's kept rows in order,
-  and the applied count equals the kept count — no record lost, none
-  applied twice, across every crash;
-- *circuit opens*: the poisoned edge's breaker is OPEN after its
-  consecutive failures, the edge is no longer scheduled, and a
-  prediction on it still returns a finite rate through a non-edge
-  fallback tier (provenance preserved);
-- *never unseated*: the corrupt edge's live chain entry is the exact
-  object it started with, while ``durability_rollback_total`` counts
-  the refused artifacts;
-- *alert determinism (exactly-once alerting)*: a second, uninterrupted
-  supervisor follows the same phased appends in its own directories; the
-  crash-resumed run's SLO alert ledger (alert seq, objective, state,
-  data time) must equal the reference run's exactly, the checkpointed
-  SLI sample windows must match, every event seq in the crash run's
-  JSONL sink must be unique (recovery truncated re-emitted tails), and
-  the sink's ``slo/alert`` events must mirror the engine ledger one for
-  one — alerts are neither lost nor duplicated by crashes.
+**A — crash / corruption.**  A completion-ordered JSONL log is appended
+in phases, with every Nth line corrupted and one phase boundary landing
+mid-line (a half-written trailing record).  Between phases the
+supervisor is started, killed at a scripted stage (after poll, apply,
+retrain or checkpoint — via
+:class:`~repro.serve.stream.supervisor.SimulatedCrash`) and restarted
+against the same state directory.  One edge's fit always raises (the
+poisoned edge); one edge's published artifacts are always corrupted
+between publish and reload (the corrupt edge).  A second, uninterrupted
+supervisor follows the same appends in its own directories.  The checks:
+*exactly-once ingestion* (the running SHA-256 digest of applied records
+equals the digest of the file's kept rows, in order, across every
+crash); the poisoned edge's *breaker opens* and unschedules it while a
+non-edge tier still answers for it; the corrupt edge's live model is
+*never unseated* while ``durability_rollback_total`` counts the refused
+artifacts; and *alert determinism* — the crash-resumed SLO alert ledger
+and SLI sample windows equal the reference's, the JSONL sink's event
+seqs strictly increase (recovery truncated re-emitted tails) and its
+``slo/alert`` events mirror the ledger one for one.
 
 **B — truncation / rotation (reset-exact re-ingestion).**  A fresh
 state directory; the file is truncated-and-rewritten, then rotated
@@ -41,15 +31,14 @@ and the applied digest must equal the concatenation of all three
 contents' kept rows.
 
 ``repro-tools stream chaos [--quick]`` runs both and exits non-zero
-unless every assertion holds.
+unless every check passes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -62,7 +51,9 @@ from repro.obs.events import EventLog, read_events
 from repro.obs.slo import SLO, SLOEngine
 from repro.serve.chaos import (
     ChaosConfig,
+    Verdict,
     _corrupt_file,
+    _work_dir,
     make_chaos_log,
     write_corrupt_jsonl,
 )
@@ -110,137 +101,26 @@ class StreamChaosConfig:
 
 
 @dataclass
-class StreamChaosReport:
-    """Everything both sub-scenarios observed, plus the three verdicts."""
+class StreamChaosReport(Verdict):
+    """Both sub-scenarios' checks, plus the fault totals tests read."""
 
     incarnations: int = 0
     crashes_injected: int = 0
-    # A: exactly-once
     reference_records: int = 0
     applied_records: int = 0
-    reference_digest: str = ""
-    applied_digest: str = ""
     quarantined_rows: int = 0
-    # A: breaker
     poisoned_edge: str = ""
     breaker_state: str = ""
     breaker_opens: int = 0
     poisoned_refit_failures: int = 0
-    poisoned_still_scheduled: bool = False
     poisoned_tier: str = ""
-    poisoned_rate: float = math.nan
-    # A: never-unseat
-    corrupt_edge: str = ""
     rollbacks: int = 0
     corrupt_artifacts_published: int = 0
-    live_model_preserved: bool = False
-    # A: alert determinism (crash-resumed vs uninterrupted reference)
-    alert_transitions: int = 0
-    reference_alert_transitions: int = 0
-    alerts_fired: int = 0
-    alerts_match: bool = False
-    slo_samples_match: bool = False
-    event_seqs_unique: bool = False
-    alert_events_durable: bool = False
-    # B: truncation / rotation
-    truncation_resets: int = 0
-    rotation_resets: int = 0
-    reset_reference_records: int = 0
-    reset_applied_records: int = 0
-    reset_digest_equal: bool = False
-    errors: list[str] = field(default_factory=list)
 
     @property
-    def exactly_once(self) -> bool:
-        return (self.applied_records == self.reference_records
-                and self.reference_records > 0
-                and self.applied_digest == self.reference_digest)
-
-    @property
-    def breaker_opened(self) -> bool:
-        return (self.breaker_state == "OPEN"
-                and self.breaker_opens >= 1
-                and not self.poisoned_still_scheduled)
-
-    @property
-    def fallback_served(self) -> bool:
-        return (math.isfinite(self.poisoned_rate)
-                and self.poisoned_rate > 0
-                and self.poisoned_tier not in ("", ModelTier.EDGE.value))
-
-    @property
-    def never_unseated(self) -> bool:
-        return (self.live_model_preserved
-                and self.rollbacks >= 1
-                and self.corrupt_artifacts_published >= 1)
-
-    @property
-    def resets_exact(self) -> bool:
-        return (self.truncation_resets >= 1
-                and self.rotation_resets >= 1
-                and self.reset_applied_records == self.reset_reference_records
-                and self.reset_digest_equal)
-
-    @property
-    def alerts_deterministic(self) -> bool:
-        """Crash-resumed and uninterrupted runs fire the identical alert
-        ledger (same count, same seqs, same data times), with at least
-        one real alert exercised, unique event seqs in the sink, and the
-        sink's alert events exactly mirroring the engine ledger."""
-        return (self.alerts_match
-                and self.alerts_fired >= 1
-                and self.slo_samples_match
-                and self.event_seqs_unique
-                and self.alert_events_durable)
-
-    @property
-    def ok(self) -> bool:
-        return (self.exactly_once and self.breaker_opened
-                and self.fallback_served and self.never_unseated
-                and self.alerts_deterministic
-                and self.resets_exact and not self.errors)
-
-    def render(self) -> str:
-        lines = [
-            f"stream chaos: {self.incarnations} incarnations, "
-            f"{self.crashes_injected} injected crashes",
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"exactly-once ingestion    "
-            f"{'OK' if self.exactly_once else 'FAILED'} "
-            f"(applied {self.applied_records} / "
-            f"reference {self.reference_records}, "
-            f"digest {'match' if self.applied_digest == self.reference_digest else 'MISMATCH'}, "
-            f"{self.quarantined_rows} quarantined)",
-            f"circuit breaker           "
-            f"{'OK' if self.breaker_opened else 'FAILED'} "
-            f"({self.poisoned_edge}: {self.breaker_state}, "
-            f"{self.breaker_opens} opens, "
-            f"{self.poisoned_refit_failures} consecutive failures)",
-            f"fallback serving          "
-            f"{'OK' if self.fallback_served else 'FAILED'} "
-            f"(tier={self.poisoned_tier or '?'}, "
-            f"rate={self.poisoned_rate:.4g} B/s)",
-            f"live model never unseated "
-            f"{'OK' if self.never_unseated else 'FAILED'} "
-            f"({self.corrupt_edge}: {self.rollbacks} rollbacks over "
-            f"{self.corrupt_artifacts_published} corrupted artifacts)",
-            f"alert determinism         "
-            f"{'OK' if self.alerts_deterministic else 'FAILED'} "
-            f"({self.alert_transitions} transitions vs reference "
-            f"{self.reference_alert_transitions}, {self.alerts_fired} fired; "
-            f"samples {'match' if self.slo_samples_match else 'MISMATCH'}, "
-            f"seqs {'unique' if self.event_seqs_unique else 'DUPLICATED'}, "
-            f"sink {'durable' if self.alert_events_durable else 'DIVERGED'})",
-            f"truncation/rotation       "
-            f"{'OK' if self.resets_exact else 'FAILED'} "
-            f"({self.truncation_resets} truncations, "
-            f"{self.rotation_resets} rotations, applied "
-            f"{self.reset_applied_records} / "
-            f"{self.reset_reference_records})",
-        ]
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        return "\n".join(lines)
+    def title(self) -> str:
+        return (f"stream chaos: {self.incarnations} incarnations, "
+                f"{self.crashes_injected} injected crashes")
 
 
 def _chaos_fit(task, poisoned=(), seed=0):
@@ -306,18 +186,10 @@ def run_stream_chaos(
 ) -> StreamChaosReport:
     cfg = config or StreamChaosConfig()
     report = StreamChaosReport()
-    cleanup = None
-    if work_dir is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-stream-chaos-")
-        work_dir = cleanup.name
-    work_dir = Path(work_dir)
-    try:
+    with _work_dir(work_dir, "repro-stream-chaos-") as work_dir:
         _scenario_crashes(cfg, work_dir / "a", report,
                           obs or Observability.create(trace=False))
         _scenario_resets(cfg, work_dir / "b", report)
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
     return report
 
 
@@ -340,16 +212,15 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
     kept, quarantine = read_jsonl(full, strict=False)
     report.reference_records = len(kept)
-    report.reference_digest = fold_digest("", kept.raw())
+    reference_digest = fold_digest("", kept.raw())
 
     edges = kept.heavy_edges(1)
-    if len(edges) < 2:
-        report.errors.append("chaos log produced fewer than 2 edges")
+    if not report.check("chaos log yields a poisoned and a corrupt edge",
+                        len(edges) >= 2, f"{len(edges)} edges"):
         return
     poisoned_edge = tuple(edges[0])
     corrupt_edge = tuple(edges[1])
     report.poisoned_edge = f"{poisoned_edge[0]}->{poisoned_edge[1]}"
-    report.corrupt_edge = f"{corrupt_edge[0]}->{corrupt_edge[1]}"
 
     corrupt_publishes = {"n": 0}
 
@@ -425,8 +296,8 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
                 raise SimulatedCrash(f"injected at {s}")
         return hook
 
-    live.write_text("")
-    ref_live.write_text("")
+    for path in (live, ref_live):
+        path.write_text("")
     phase_chunks = np.array_split(np.arange(len(all_lines)), cfg.phases)
     carry = ""
     for phase, chunk in enumerate(phase_chunks):
@@ -437,10 +308,9 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
             # it, and the tail must not consume it early.
             cut = max(1, len(all_lines[chunk[-1]]) // 2)
             carry, text = text[-cut:], text[:-cut]
-        with live.open("a") as fh:
-            fh.write(text)
-        with ref_live.open("a") as fh:
-            fh.write(text)
+        for path in (live, ref_live):
+            with path.open("a") as fh:
+                fh.write(text)
 
         if phase < cfg.phases - 1:
             stage = cfg.crash_stages[phase % len(cfg.crash_stages)]
@@ -449,8 +319,6 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
             report.incarnations += 1
             try:
                 victim.run(max_cycles=cfg.cycles_per_incarnation)
-                report.errors.append(
-                    f"phase {phase}: expected a crash at {stage!r}")
             except SimulatedCrash:
                 report.crashes_injected += 1
         survivor = build(root, obs, publish_hook)
@@ -459,23 +327,40 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
         final = survivor
         ref.run(max_cycles=cfg.cycles_per_incarnation)
 
+    report.check(
+        "every scripted crash fired",
+        report.crashes_injected == cfg.phases - 1,
+        f"{report.crashes_injected} of {cfg.phases - 1} phases crashed")
     report.applied_records = final.applied_records
-    report.applied_digest = final.applied_digest
+    report.check(
+        "exactly-once ingestion",
+        report.applied_records == report.reference_records > 0
+        and final.applied_digest == reference_digest,
+        f"applied {report.applied_records} / reference "
+        f"{report.reference_records}, digest "
+        f"{'match' if final.applied_digest == reference_digest else 'MISMATCH'}")
     report.quarantined_rows = (final.tail.report.total_rows
                                - final.tail.report.kept_rows)
-    if report.quarantined_rows != (quarantine.total_rows
-                                   - quarantine.kept_rows):
-        report.errors.append(
-            f"quarantine drifted: tail saw {report.quarantined_rows}, "
-            f"batch reference {quarantine.total_rows - quarantine.kept_rows}")
+    report.check(
+        "tail quarantined what the batch reader quarantines",
+        report.quarantined_rows
+        == quarantine.total_rows - quarantine.kept_rows,
+        f"{report.quarantined_rows} quarantined, reference "
+        f"{quarantine.total_rows - quarantine.kept_rows}")
 
     # Breaker verdicts, from the surviving incarnation's restored state.
     breaker = final.controller.breaker(poisoned_edge)
     report.breaker_state = breaker.state.name
     report.breaker_opens = breaker.opens
     report.poisoned_refit_failures = breaker.failures
-    report.poisoned_still_scheduled = (
-        poisoned_edge in final.controller.due(final.data_now + 1e6))
+    scheduled = poisoned_edge in final.controller.due(final.data_now + 1e6)
+    report.check(
+        "circuit breaker opened",
+        breaker.state is BreakerState.OPEN and breaker.opens >= 1
+        and not scheduled,
+        f"{report.poisoned_edge}: {breaker.state.name}, {breaker.opens} "
+        f"opens, {breaker.failures} consecutive failures, "
+        f"{'still' if scheduled else 'not'} scheduled")
 
     request = TransferRequest(
         src=poisoned_edge[0], dst=poisoned_edge[1],
@@ -485,21 +370,28 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     try:
         prediction = final.predictor.predict_batch_detailed(
             [request], final.data_now)
-        report.poisoned_rate = float(prediction.rates[0])
+        rate = float(prediction.rates[0])
         report.poisoned_tier = prediction.tiers[0].value
+        report.check(
+            "fallback serving",
+            math.isfinite(rate) and rate > 0
+            and report.poisoned_tier != ModelTier.EDGE.value,
+            f"tier={report.poisoned_tier}, rate={rate:.4g} B/s")
     except Exception as exc:  # noqa: BLE001 - serving must not raise
-        report.errors.append(f"poisoned-edge prediction raised: {exc!r}")
+        report.check("fallback serving", False, f"raised {exc!r}")
 
     # Never-unseat: the corrupt edge's live entry is the construction-time
     # object, every one of its publishes was refused at the probe gate.
     report.corrupt_artifacts_published = corrupt_publishes["n"]
     report.rollbacks = int(
         obs.registry.flat().get("durability_rollback_total", 0))
-    report.live_model_preserved = (
-        final.controller.chain.edge_models.get(corrupt_edge) is base_model)
-    if breaker.state is not BreakerState.OPEN and report.breaker_opens == 0:
-        report.errors.append(
-            f"poisoned breaker never opened (state {breaker.state.name})")
+    report.check(
+        "live model never unseated",
+        final.controller.chain.edge_models.get(corrupt_edge) is base_model
+        and report.rollbacks >= 1 and report.corrupt_artifacts_published >= 1,
+        f"{corrupt_edge[0]}->{corrupt_edge[1]}: {report.rollbacks} "
+        f"rollbacks over {report.corrupt_artifacts_published} corrupted "
+        f"artifacts")
 
     # Alert determinism: the crash-resumed engine ledger vs the
     # uninterrupted reference's, exactly.  Global event seqs differ (the
@@ -513,35 +405,39 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
     crash_ledger = ledger(final.slo)
     ref_ledger = ledger(ref.slo)
-    report.alert_transitions = len(crash_ledger)
-    report.reference_alert_transitions = len(ref_ledger)
-    report.alerts_fired = sum(
-        1 for e in final.slo.alert_log if e["state"] == "firing")
-    report.alerts_match = crash_ledger == ref_ledger
-    report.slo_samples_match = (
+    fired = sum(1 for e in final.slo.alert_log if e["state"] == "firing")
+    report.check("alert determinism: at least one alert fired", fired >= 1,
+                 f"{fired} fired")
+    report.check(
+        "alert determinism: ledger equals the uninterrupted reference",
+        crash_ledger == ref_ledger,
+        f"{len(crash_ledger)} transitions vs reference {len(ref_ledger)}"
+        + ("" if crash_ledger == ref_ledger
+           else f": {crash_ledger} vs {ref_ledger}"))
+    report.check(
+        "alert determinism: SLO sample windows equal the reference",
         final.slo.state_dict()["samples"] == ref.slo.state_dict()["samples"])
-    if not report.alerts_match:
-        report.errors.append(
-            f"alert ledgers diverged: crash {crash_ledger} "
-            f"vs reference {ref_ledger}")
 
     # The sink half of the proof: seqs strictly increasing (recovery
     # truncated every superseded tail) and the slo/alert events mirroring
     # the engine ledger one for one.
     sink = list(read_events(events_path))
     seqs = [e.seq for e in sink]
-    report.event_seqs_unique = bool(seqs) and all(
-        b > a for a, b in zip(seqs, seqs[1:]))
+    report.check(
+        "alert determinism: event sink seqs strictly increasing",
+        bool(seqs) and all(b > a for a, b in zip(seqs, seqs[1:])),
+        f"{len(seqs)} events")
     sink_alerts = [
         (e.attrs.get("alert_seq"), e.attrs.get("slo"),
          e.attrs.get("state"), e.attrs.get("t"))
         for e in sink if e.category == "slo" and e.name == "alert"
     ]
-    report.alert_events_durable = sink_alerts == crash_ledger
-    if not report.alert_events_durable:
-        report.errors.append(
-            f"sink alert events diverged from the engine ledger: "
-            f"{sink_alerts} vs {crash_ledger}")
+    report.check(
+        "alert determinism: sink alert events mirror the engine ledger",
+        sink_alerts == crash_ledger,
+        f"{len(sink_alerts)} alert events"
+        + ("" if sink_alerts == crash_ledger
+           else f": {sink_alerts} vs {crash_ledger}"))
 
 
 # -- scenario B: truncation and rotation --------------------------------------
@@ -566,14 +462,16 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     text_a, kept_a = content(cfg.seed + 11, n)
     text_b, kept_b = content(cfg.seed + 13, max(12, n // 2))  # shorter
     text_c, kept_c = content(cfg.seed + 17, n)
-    if len(text_c) < len(text_b):
-        report.errors.append("rotation content shorter than its predecessor")
+    if not report.check(
+            "rotation content no shorter than its predecessor",
+            len(text_c) >= len(text_b),
+            f"{len(text_c)} vs {len(text_b)} bytes"):
         return
 
     digest = fold_digest("", kept_a.raw())
     digest = fold_digest(digest, kept_b.raw())
     digest = fold_digest(digest, kept_c.raw())
-    report.reset_reference_records = len(kept_a) + len(kept_b) + len(kept_c)
+    reference = len(kept_a) + len(kept_b) + len(kept_c)
 
     chain = FallbackChain.from_log(kept_a)
     tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
@@ -596,17 +494,24 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
     # Truncation: the file shrinks below the committed offset.
     live.write_text(text_b)
-    if live.stat().st_size >= tail.offset:
-        report.errors.append("truncation scenario failed to shrink the file")
+    report.check(
+        "truncation shrinks the file below the committed offset",
+        live.stat().st_size < tail.offset,
+        f"{live.stat().st_size} < {tail.offset} bytes")
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
     # Rotation: same-or-larger size, different leading bytes.
     live.write_text(text_c)
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
 
     flat = obs.registry.flat()
-    report.truncation_resets = int(
+    truncations = int(
         flat.get('stream_tail_resets_total{reason="truncated"}', 0))
-    report.rotation_resets = int(
-        flat.get('stream_tail_resets_total{reason="rotated"}', 0))
-    report.reset_applied_records = supervisor.applied_records
-    report.reset_digest_equal = supervisor.applied_digest == digest
+    rotations = int(flat.get('stream_tail_resets_total{reason="rotated"}', 0))
+    report.check(
+        "truncation/rotation resets exact",
+        truncations >= 1 and rotations >= 1
+        and supervisor.applied_records == reference
+        and supervisor.applied_digest == digest,
+        f"{truncations} truncations, {rotations} rotations, applied "
+        f"{supervisor.applied_records} / {reference}, digest "
+        f"{'match' if supervisor.applied_digest == digest else 'MISMATCH'}")

@@ -3,6 +3,7 @@ replay -> one registry export carrying every layer's metrics."""
 
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -42,6 +43,23 @@ class TestWriteCorruptJsonl:
 
 
 class TestObservedReplay:
+    def test_default_path_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        """Without ``path`` the corrupt JSONL lives in a temporary
+        directory that is gone when the call returns."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        observed = run_observed_replay(ChaosConfig.quick())
+        assert observed.report.ok
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replays_the_kept_rows_fault_stream(self, observed):
+        """The observed replay applies the shared fault stream of the rows
+        its lenient ingest kept, so the fault menu is visible in its
+        verdict."""
+        checks = {name: ok for name, ok, _ in observed.report.checks}
+        assert checks["engine refused exactly the injected faults"]
+        assert checks["prediction drift scored"]
+        assert observed.report.injected["duplicate_add"] > 0
+
     def test_replay_survives_on_kept_rows(self, observed):
         assert observed.report.ok
         assert observed.report.predictions > 0
@@ -98,7 +116,7 @@ class TestInstrumentedVsPlainReplay:
         assert instrumented.injected == plain.injected
         assert instrumented.events == plain.events
         assert instrumented.final_active == plain.final_active
-        assert instrumented.consistent and plain.consistent
+        assert instrumented.ok and plain.ok
         assert instrumented.drift["observations"] > 0
         assert plain.drift == {}
 

@@ -5,13 +5,24 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.serve import ModelTier
+from repro.core.online import ActiveTransferView
+from repro.serve import ModelTier, mutation
 from repro.serve.chaos import (
     ChaosConfig,
+    ChaosReport,
+    _check_fault_accounting,
+    fault_menu,
     make_chaos_chain,
     make_chaos_log,
+    make_durable_events,
     run_chaos_replay,
 )
+
+ACCOUNTING = "engine refused exactly the injected faults"
+
+
+def _checks(report):
+    return {name: ok for name, ok, _ in report.checks}
 
 
 class TestConfig:
@@ -50,9 +61,9 @@ class TestReplay:
         predictions, consistent active population."""
         report = run_chaos_replay(ChaosConfig.quick())
         assert report.ok, report.render()
-        assert report.bad_predictions == 0
-        assert report.errors == []
-        assert report.final_active == report.expected_active
+        checks = _checks(report)
+        assert checks["every prediction batch answered, finite and positive"]
+        assert checks["active population matches the replay's ground truth"]
         assert report.predictions > 0
         # Faults were actually injected and absorbed.
         assert sum(report.injected.values()) > 0
@@ -90,6 +101,100 @@ class TestReplay:
 
     def test_render_summarises(self):
         report = run_chaos_replay(ChaosConfig.quick())
-        text = report.render()
-        assert "verdict" in text and "OK" in text
-        assert "prediction tiers" in text and "injected faults" in text
+        lines = report.render().splitlines()
+        assert lines[0].startswith("chaos replay:")
+        assert lines[1].split() == ["verdict", "OK"]
+        assert len(lines) == 2 + len(report.checks)
+        assert all(line.startswith("  [PASS] ") for line in lines[2:])
+        assert "tiers edge" in report.render()
+        assert "duplicate_add" in report.render()
+
+    def test_replays_the_crash_replay_stream(self):
+        """The serve replay draws no faults of its own: its records are
+        the shared stream minus the stand-in drift records."""
+        cfg = ChaosConfig.quick(seed=3)
+        stream = make_durable_events(cfg)
+        report = run_chaos_replay(cfg)
+        assert report.events == sum(r[0] != "drift" for r in stream)
+        assert report.injected == fault_menu(stream)
+
+
+class TestFaultAccounting:
+    @pytest.mark.parametrize("lenient", [True, False])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_engine_refuses_exactly_the_faults_sent(self, seed, lenient):
+        cfg = dataclasses.replace(ChaosConfig.quick(seed=seed),
+                                  lenient=lenient)
+        report = run_chaos_replay(cfg)
+        assert _checks(report)[ACCOUNTING], report.render()
+        menu, stats = report.injected, report.active_stats
+        refused = (menu["duplicate_add"] + menu["duplicate_complete"]
+                   + menu["unknown_complete"] + menu["bad_progress"])
+        assert refused > 0
+        if lenient:
+            assert stats["ignored_adds"] == menu["duplicate_add"]
+            assert stats["ignored_completes"] == (
+                menu["duplicate_complete"] + menu["unknown_complete"])
+            assert stats["rejected_progress"] == menu["bad_progress"]
+            assert report.rejected_strict == 0
+        else:
+            assert report.rejected_strict == refused
+
+    def test_seed0_counts(self):
+        """The quick seed-0 stream, counted by hand once: 7 duplicate
+        adds, 17 duplicate + 7 unknown completes, 22 bad and 36 good
+        progress reports."""
+        report = run_chaos_replay(ChaosConfig.quick(seed=0))
+        assert report.active_stats["ignored_adds"] == 7
+        assert report.active_stats["ignored_completes"] == 17 + 7
+        assert report.active_stats["rejected_progress"] == 22
+        assert report.active_stats["progress_updates"] == 36
+        strict = run_chaos_replay(
+            dataclasses.replace(ChaosConfig.quick(seed=0), lenient=False))
+        assert strict.rejected_strict == 53
+
+    def test_miscounting_fails_the_check(self):
+        report = ChaosReport(injected={"duplicate_add": 1,
+                                       "duplicate_complete": 0,
+                                       "unknown_complete": 0,
+                                       "never_complete": 0,
+                                       "bad_progress": 0})
+        _check_fault_accounting(report, [], lenient=False)
+        assert not report.ok
+        assert report.failed[0][0] == ACCOUNTING
+
+
+def _view(t: float) -> ActiveTransferView:
+    return ActiveTransferView(src="A", dst="B", rate=1e7, started_at=t,
+                              expected_end=t + 100.0)
+
+
+class TestFaultMenu:
+    def test_hand_written_stream(self):
+        events = [
+            mutation.add(1, _view(0.0)),
+            mutation.add(1, _view(0.0)),                 # duplicate_add
+            mutation.add(2, _view(1.0)),
+            mutation.progress(1, rate=5e6),              # good
+            mutation.progress(1, rate=float("nan")),     # bad
+            mutation.progress(2, rate=-1.0),             # bad
+            mutation.progress(2, rate=float("inf")),     # bad
+            mutation.progress(2, expected_end=500.0),    # good (no rate)
+            mutation.complete(1),
+            mutation.drift("A", "B", "edge", 1e7, 2e7),
+            mutation.complete(1),                        # duplicate_complete
+            mutation.complete(99),                       # unknown_complete
+            mutation.complete(99),                       # unknown, not dup
+            mutation.add(3, _view(2.0)),                 # never completes
+        ]
+        assert fault_menu(events) == {
+            "duplicate_add": 1,
+            "duplicate_complete": 1,
+            "unknown_complete": 2,
+            "never_complete": 2,
+            "bad_progress": 3,
+        }
+
+    def test_clean_stream_has_no_faults(self):
+        events = [mutation.add(1, _view(0.0)), mutation.complete(1)]
+        assert not any(fault_menu(events).values())

@@ -49,7 +49,11 @@ class TestCrashProperty:
         assert report.ok, report.render()
         assert report.recovery["snapshot_generation"] >= 1
         assert report.resumed_events > 0
-        assert report.max_prediction_delta == 0.0
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert checks["predictions equal"] == (
+            True, "max |delta| 0 B/s over 32 probes")
+        assert checks["active population equal"][0]
+        assert checks["drift gauges equal"][0]
 
     @pytest.mark.parametrize("fraction", [0.0, 0.15, 0.5, 0.85, 1.0])
     def test_kill_anywhere(self, quick, fraction):
@@ -85,3 +89,10 @@ class TestCrashProperty:
         report = run_crash_replay(quick)
         text = report.render()
         assert "verdict" in text and "OK" in text
+        assert "[PASS] predictions equal" in text
+
+    def test_acknowledgement_bound_is_a_check(self, quick):
+        report = run_crash_replay(quick, kill_after_events=40)
+        name, ok, detail = report.checks[0]
+        assert name == "journal acknowledged no more records than were delivered"
+        assert ok and detail.endswith("delivered 40")

@@ -297,12 +297,44 @@ class TestLifecycleAndMetrics:
             ClusterConfig(request_timeout_s=0)
 
 
+class TestChaosConfig:
+    VALID = dict(rounds=5, kill_rounds=(1,), drain_round=2,
+                 rebalance_round=3, checkpoint_round=3)
+
+    @pytest.mark.parametrize("field", [
+        "drain_round", "rebalance_round", "checkpoint_round"])
+    @pytest.mark.parametrize("value", [-1, 5, 9])
+    def test_scripted_round_outside_the_run_is_rejected(self, field, value):
+        """A scripted fault outside 0..rounds-1 would silently never run."""
+        with pytest.raises(ValueError, match=f"{field} {value} outside 0..4"):
+            ShardChaosConfig(**{**self.VALID, field: value})
+
+    @pytest.mark.parametrize("field", [
+        "drain_round", "rebalance_round", "checkpoint_round"])
+    def test_unscripted_round_is_allowed(self, field):
+        assert getattr(ShardChaosConfig(**{field: None}), field) is None
+
+    def test_kill_round_outside_the_run_is_rejected(self):
+        with pytest.raises(ValueError, match="kill round 6 outside 0..5"):
+            ShardChaosConfig(kill_rounds=(6,))
+
+    def test_defaults_and_quick_are_valid(self):
+        ShardChaosConfig()
+        ShardChaosConfig.quick()
+
+
 class TestChaosAndBench:
     def test_chaos_quick_is_clean(self, tmp_path):
         report = run_shard_chaos(
             ShardChaosConfig.quick(), state_root=tmp_path / "chaos")
         assert report.ok, report.render()
-        assert report.as_dict()["restarts"] >= 1
+        data = report.as_dict()
+        assert data["restarts"] >= 1
+        assert list(data) == ["ok", "shards", "rounds", "kills", "restarts",
+                              "degraded_answers", "checks"]
+        lines = report.render().splitlines()
+        assert lines[0].startswith("shard chaos: 2 shards, 4 rounds")
+        assert lines[1].split() == ["verdict", "OK"]
 
     def test_bench_parity_small(self, tmp_path):
         result = run_shard_bench(

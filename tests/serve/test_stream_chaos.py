@@ -17,19 +17,26 @@ def report(tmp_path_factory):
     return out
 
 
+def passed(report, name: str) -> bool:
+    """The named check's outcome (``KeyError`` if it never ran)."""
+    return {n: ok for n, ok, _ in report.checks}[name]
+
+
 class TestExactlyOnce:
     def test_every_kept_record_applied_exactly_once(self, report):
         assert report.reference_records > 50
         assert report.applied_records == report.reference_records
-        assert report.applied_digest == report.reference_digest
-        assert report.exactly_once
+        assert passed(report, "exactly-once ingestion")
 
     def test_crashes_actually_happened(self, report):
         assert report.crashes_injected >= 2
         assert report.incarnations > report.crashes_injected
+        assert passed(report, "every scripted crash fired")
 
     def test_corruption_actually_happened(self, report):
         assert report.quarantined_rows > 0
+        assert passed(report,
+                      "tail quarantined what the batch reader quarantines")
 
 
 class TestCircuitBreaker:
@@ -39,10 +46,12 @@ class TestCircuitBreaker:
         assert report.poisoned_refit_failures >= 2
 
     def test_open_edge_is_descheduled(self, report):
-        assert not report.poisoned_still_scheduled
+        assert passed(report, "circuit breaker opened")
+        assert [d for n, _, d in report.checks
+                if n == "circuit breaker opened"][0].endswith("not scheduled")
 
     def test_serving_falls_back_with_provenance(self, report):
-        assert report.poisoned_rate > 0
+        assert passed(report, "fallback serving")
         assert report.poisoned_tier in {
             ModelTier.GLOBAL.value, ModelTier.ANALYTICAL.value,
             ModelTier.MEDIAN.value, ModelTier.DEFAULT.value}
@@ -52,15 +61,14 @@ class TestNeverUnseated:
     def test_live_model_survives_corrupt_publishes(self, report):
         assert report.corrupt_artifacts_published >= 1
         assert report.rollbacks >= report.corrupt_artifacts_published
-        assert report.live_model_preserved
+        assert passed(report, "live model never unseated")
 
 
 class TestResets:
     def test_truncation_and_rotation_reingest_exactly(self, report):
-        assert report.truncation_resets >= 1
-        assert report.rotation_resets >= 1
-        assert report.reset_applied_records == report.reset_reference_records
-        assert report.reset_digest_equal
+        assert passed(report, "truncation shrinks the file below the "
+                              "committed offset")
+        assert passed(report, "truncation/rotation resets exact")
 
 
 class TestAlertDeterminism:
@@ -70,31 +78,37 @@ class TestAlertDeterminism:
 
     def test_at_least_one_alert_fired(self, report):
         # A proof over zero alerts proves nothing.
-        assert report.alerts_fired >= 1
+        assert passed(report, "alert determinism: at least one alert fired")
 
     def test_crash_run_matches_reference_ledger(self, report):
-        assert report.alert_transitions == report.reference_alert_transitions
-        assert report.alerts_match
+        assert passed(report, "alert determinism: ledger equals the "
+                              "uninterrupted reference")
 
     def test_slo_sample_windows_converge(self, report):
-        assert report.slo_samples_match
+        assert passed(report, "alert determinism: SLO sample windows equal "
+                              "the reference")
 
     def test_event_sink_has_no_duplicate_or_phantom_seqs(self, report):
-        assert report.event_seqs_unique
+        assert passed(report, "alert determinism: event sink seqs strictly "
+                              "increasing")
 
     def test_every_alert_transition_is_durable_in_the_sink(self, report):
-        assert report.alert_events_durable
+        assert passed(report, "alert determinism: sink alert events mirror "
+                              "the engine ledger")
 
     def test_folded_into_overall_verdict(self, report):
-        assert report.alerts_deterministic
+        alerts = [ok for n, ok, _ in report.checks
+                  if n.startswith("alert determinism: ")]
+        assert len(alerts) == 5 and all(alerts)
 
 
 class TestVerdict:
     def test_overall_ok_and_renders(self, report):
-        assert report.ok
+        assert report.ok, report.failed
         text = report.render()
         assert "verdict" in text and "OK" in text
         assert report.poisoned_edge in text
+        assert text.count("[PASS]") == len(report.checks)
 
     def test_stream_metrics_exported(self, report):
         flat = report._registry_flat

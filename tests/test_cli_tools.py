@@ -350,6 +350,15 @@ class TestChaos:
         out = capsys.readouterr().out
         assert "verdict" in out and "OK" in out
 
+    @pytest.mark.parametrize("strict", [[], ["--strict-active"]])
+    def test_fault_checks_pass(self, capsys, strict):
+        rc = main(["chaos", "--quick", *strict])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert ("[PASS] replayed stream holds add, progress, complete and "
+                "drift records, incl. non-finite progress") in out
+        assert "[PASS] engine refused exactly the injected faults" in out
+
 
 class TestServeBench:
     def test_synthetic_bench_runs_and_agrees(self, capsys):
@@ -478,7 +487,7 @@ class TestStream:
         assert rc == 0
         out = capsys.readouterr().out
         assert "verdict                   OK" in out
-        assert "exactly-once ingestion    OK" in out
+        assert "[PASS] exactly-once ingestion" in out
         assert (tmp_path / "chaos-metrics.json").exists()
 
 
@@ -655,6 +664,13 @@ class TestShardCLI:
         # The rounds replay the crash-replay fault menu.
         assert any(name.startswith("replayed stream holds") and ok
                    for name, ok, _ in data["checks"])
+
+    def test_chaos_rejects_a_round_the_run_never_reaches(self, capsys):
+        """The default script rebalances in round 5: five rounds would
+        skip it, so the command refuses before starting any worker."""
+        rc = main(["shard", "chaos", "--rounds", "5"])
+        assert rc == 2
+        assert "rebalance_round 5 outside 0..4" in capsys.readouterr().err
 
     def test_chaos_events_include_lifecycle(self, shard_artifacts):
         _, events, _ = shard_artifacts
