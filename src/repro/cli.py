@@ -667,7 +667,10 @@ def _load_registry_json(path: str):
 
 def _stream_status_for_top(state_dir: str) -> tuple[dict, dict]:
     """(stream section, slo section) for :func:`health_snapshot`, read
-    from the newest stream checkpoint."""
+    from the durable stream state: the newest valid snapshot with its
+    journal suffix folded in.  ``fallbacks`` counts the corrupt snapshot
+    generations this read skipped; ``journal`` the records behind the
+    snapshot (the replay length, and how far the snapshot lags)."""
     from repro.serve.stream import read_stream_status
 
     status = read_stream_status(state_dir)
@@ -680,7 +683,8 @@ def _stream_status_for_top(state_dir: str) -> tuple[dict, dict]:
         "applied_records": status.get("applied_records", 0),
         "generation": status.get("checkpoint_generation", 0),
         "backlog": status.get("backlog_records", 0),
-        "recoveries": len(status.get("rejected_generations") or ()),
+        "fallbacks": len(status.get("rejected_generations") or ()),
+        "journal": status.get("journal_records", 0),
         "breakers": breakers,
     }
     return stream, dict(status.get("slo") or {})

@@ -84,6 +84,24 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
+def _append_sample(edges: dict, tiers: dict, overall: deque,
+                   window: int | None, sample) -> tuple[deque, deque]:
+    """The one window rule, shared by recording and journal replay: a
+    ``(src, dst, tier_name, signed_ape)`` sample joins its edge's, its
+    tier's and the overall window, each FIFO-bounded to ``window``.
+    Returns the edge and tier windows."""
+    src, dst, tier_name, signed_ape = sample
+    edge_window = edges.get((src, dst))
+    if edge_window is None:
+        edge_window = edges[(src, dst)] = deque(maxlen=window)
+    tier_window = tiers.get(tier_name)
+    if tier_window is None:
+        tier_window = tiers[tier_name] = deque(maxlen=window)
+    for values in (edge_window, tier_window, overall):
+        values.append(signed_ape)
+    return edge_window, tier_window
+
+
 def _stats(window) -> DriftStats:
     if not window:
         return _EMPTY
@@ -141,12 +159,13 @@ class DriftMonitor:
         upstream bug, not drift.
         """
         return self.record_batch(
-            (src,), (dst,), (tier,), (predicted_rate,), (realized_rate,))[0]
+            (src,), (dst,), (tier,), (predicted_rate,), (realized_rate,))[0][3]
 
     def record_batch(self, srcs, dsts, tiers, predicted_rates,
-                     realized_rates) -> list[float]:
-        """Score a batch of completed transfers, in order; returns their
-        signed APEs.
+                     realized_rates) -> list[tuple[str, str, str, float]]:
+        """Score a batch of completed transfers, in order; returns one
+        ``(src, dst, tier_name, signed_ape)`` sample per row, exactly what
+        :meth:`fold_state` replays.
 
         Windows, counter and gauges end exactly where looping
         :meth:`record` over the same rows leaves them, but each touched
@@ -160,20 +179,14 @@ class DriftMonitor:
         out = []
         for src, dst, tier, (predicted, realized) in zip(
                 srcs, dsts, tiers, checked):
-            signed_ape = (predicted - realized) / realized * 100.0
-            tier_name = getattr(tier, "value", None) or str(tier)
-            edge = (str(src), str(dst))
-            edge_window = self._edges.get(edge)
-            if edge_window is None:
-                edge_window = self._edges[edge] = deque(maxlen=self.window)
-            tier_window = self._tiers.get(tier_name)
-            if tier_window is None:
-                tier_window = self._tiers[tier_name] = deque(maxlen=self.window)
-            for window in (edge_window, tier_window, self._overall):
-                window.append(signed_ape)
-            touched[("edge", f"{edge[0]}->{edge[1]}")] = edge_window
-            touched[("tier", tier_name)] = tier_window
-            out.append(signed_ape)
+            sample = (str(src), str(dst),
+                      getattr(tier, "value", None) or str(tier),
+                      (predicted - realized) / realized * 100.0)
+            edge_window, tier_window = _append_sample(
+                self._edges, self._tiers, self._overall, self.window, sample)
+            touched[("edge", f"{sample[0]}->{sample[1]}")] = edge_window
+            touched[("tier", sample[2])] = tier_window
+            out.append(sample)
         if out:
             self._observations.inc(len(out))
             touched[("overall", "all")] = self._overall
@@ -258,6 +271,27 @@ class DriftMonitor:
             "edges": [
                 [s, d, list(w)] for (s, d), w in sorted(self._edges.items())
             ],
+        }
+
+    @staticmethod
+    def fold_state(state: dict, samples) -> dict:
+        """A :meth:`dump_state` payload advanced by the samples
+        :meth:`record_batch` returned, in recording order — for a journal
+        of them to replay (predictions cannot be recomputed)."""
+        window = state.get("window") or None
+        edges = {(s, d): deque(w, maxlen=window)
+                 for s, d, w in state.get("edges", ())}
+        tiers = {t: deque(w, maxlen=window)
+                 for t, w in state.get("tiers", {}).items()}
+        overall = deque(state.get("overall", ()), maxlen=window)
+        for sample in samples:
+            _append_sample(edges, tiers, overall, window, sample)
+        return {
+            **state,
+            "observations": int(state.get("observations", 0)) + len(samples),
+            "overall": list(overall),
+            "tiers": {t: list(w) for t, w in sorted(tiers.items())},
+            "edges": [[s, d, list(w)] for (s, d), w in sorted(edges.items())],
         }
 
     def load_snapshot(self, state: dict) -> None:

@@ -209,8 +209,11 @@ def render_top(
         lines.append(
             f"  applied {stream.get('applied_records', 0):>8}  "
             f"generation {stream.get('generation', 0):>4}  "
-            f"backlog {stream.get('backlog', 0):>6}  "
-            f"recoveries {stream.get('recoveries', 0):>3}"
+            f"backlog {stream.get('backlog', 0):>6}"
+        )
+        lines.append(
+            f"  journal {stream.get('journal', 0):>8}  "
+            f"fallbacks {stream.get('fallbacks', 0):>3}"
         )
         for edge, state in sorted(breakers.items()):
             lines.append(f"  breaker {edge:<24}{state}")

@@ -759,7 +759,7 @@ def run_crash_replay(
             state_dir, lenient=cfg.lenient, config=durability)
         for event in events[:kill]:
             victim.apply(event)
-        wal_path = victim._wal_path(victim.generation)
+        wal_path = victim.segments.path_for(victim.generation)
         victim.close()  # every append already flushed; the tear is below
 
         # 3. injure the disk.

@@ -12,6 +12,9 @@ it survive the process:
 - :mod:`~repro.serve.durability.snapshot` — generation-numbered,
   checksummed, atomically replaced state snapshots with fallback past
   corrupt generations;
+- :mod:`~repro.serve.durability.segments` — the snapshot-plus-segments
+  directory layout (naming, listing, rotation, pruning) shared by the
+  serving state and the stream supervisor's checkpoints;
 - :mod:`~repro.serve.durability.recovery` —
   :class:`DurableServingState` (journal-before-apply mutations) and
   :func:`recover_serving_state` (snapshot + journal-suffix replay,
@@ -38,12 +41,14 @@ from repro.serve.durability.recovery import (
     RecoveryReport,
     recover_serving_state,
 )
+from repro.serve.durability.segments import JournalSegments
 from repro.serve.durability.snapshot import LoadedSnapshot, SnapshotStore
 
 __all__ = [
     "Journal",
     "JournalScan",
     "TornRecord",
+    "JournalSegments",
     "SnapshotStore",
     "LoadedSnapshot",
     "DurabilityConfig",

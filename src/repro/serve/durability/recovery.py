@@ -22,22 +22,19 @@ at the last acknowledged record; anything after the tear was never
 acknowledged and is the upstream's to re-send (``last_seq`` says exactly
 where to resume).
 
-Directory layout::
-
-    state/
-      snapshot-00000001.json   checksummed, atomically replaced
-      wal-00000000.log         records before the first snapshot
-      wal-00000001.log         records after snapshot 1, and so on
+The directory layout (snapshots beside numbered journal segments) is
+:class:`~repro.serve.durability.segments.JournalSegments`, shared with
+the stream supervisor's checkpoints.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import Observability
 from repro.serve.durability.journal import Journal, TornRecord
+from repro.serve.durability.segments import JournalSegments
 from repro.serve.durability.snapshot import SnapshotStore
 from repro.serve.mutation import ServingState, decode
 
@@ -47,9 +44,6 @@ __all__ = [
     "RecoveryReport",
     "recover_serving_state",
 ]
-
-_WAL_RE = re.compile(r"^wal-(\d{8})\.log$")
-
 
 @dataclass(frozen=True)
 class DurabilityConfig:
@@ -134,10 +128,11 @@ class DurableServingState(ServingState):
         self.state_dir = Path(state_dir)
         self.config = config or DurabilityConfig()
         self.snapshots = SnapshotStore(self.state_dir)
+        self.segments = JournalSegments(self.state_dir,
+                                        fsync=self.config.fsync)
         self.generation = 0
         self.last_seq = 0
         self._snapshot_seq = 0       # last_seq at the most recent snapshot
-        self._journal: Journal | None = None
 
         counter = self.registry.counter
         self._m_records = counter(
@@ -165,29 +160,6 @@ class DurableServingState(ServingState):
         self._g_last_seq = self.registry.gauge(
             "durability_last_seq", "Newest journaled sequence number.")
 
-    # -- journal plumbing --------------------------------------------------
-
-    def _wal_path(self, generation: int) -> Path:
-        return self.state_dir / f"wal-{generation:08d}.log"
-
-    def _wal_generations(self) -> list[int]:
-        if not self.state_dir.exists():
-            return []
-        out = []
-        for entry in self.state_dir.iterdir():
-            m = _WAL_RE.match(entry.name)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
-
-    def _open_journal(self, generation: int) -> None:
-        if self._journal is not None:
-            self._journal.close()
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._journal = Journal(self._wal_path(generation),
-                                fsync=self.config.fsync)
-        self._journal.open_for_append()
-
     # -- mutations (decode, journal, then apply) ---------------------------
 
     def apply(self, record) -> None:
@@ -198,9 +170,10 @@ class DurableServingState(ServingState):
         mutation = decode(record)
         self.last_seq += 1
         self._g_last_seq.set(self.last_seq)
-        before = self._journal.path.stat().st_size \
-            if self._journal.path.exists() else 0
-        end = self._journal.append({"seq": self.last_seq, "m": mutation.record})
+        journal = self.segments.journal
+        before = journal.path.stat().st_size \
+            if journal.path.exists() else 0
+        end = journal.append({"seq": self.last_seq, "m": mutation.record})
         self._m_records.inc()
         self._m_bytes.inc(max(end - before, 0))
         self._apply(mutation)
@@ -243,32 +216,15 @@ class DurableServingState(ServingState):
             self.generation = generation
             self._snapshot_seq = self.last_seq
             self._m_snapshots.inc()
-            self._open_journal(generation)
-            self.snapshots.prune(self.config.keep_snapshots)
-            # Journal segments older than the oldest kept snapshot are only
-            # replayable by falling back past *every* retained snapshot, so
-            # they are collected — but not before a full complement of
-            # ``keep_snapshots`` generations exists, keeping even
-            # corruption of the sole early snapshot fully recoverable.
-            kept = self.snapshots.generations()
-            if len(kept) >= self.config.keep_snapshots:
-                oldest_kept = min(kept)
-                for path in sorted(self.state_dir.glob("wal-*.log")):
-                    try:
-                        segment = int(path.stem.split("-")[1])
-                    except (IndexError, ValueError):
-                        continue
-                    if segment < oldest_kept:
-                        path.unlink(missing_ok=True)
+            self.segments.rotate(generation, self.snapshots,
+                                 self.config.keep_snapshots)
             return generation
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
 
     def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        self.segments.close()
 
     def __enter__(self) -> "DurableServingState":
         return self
@@ -322,10 +278,10 @@ def recover_serving_state(
         state._g_generation.set(state.generation)
 
         rejected_before = state._m_replay_rejected.value
-        segments = [g for g in state._wal_generations()
+        segments = [g for g in state.segments.generations()
                     if g >= start_generation]
         for segment in segments:
-            scan = Journal.scan_file(state._wal_path(segment))
+            scan = Journal.scan_file(state.segments.path_for(segment))
             if scan.torn is not None:
                 report.torn.append(scan.torn)
                 report.truncated_bytes += scan.truncated_bytes
@@ -346,7 +302,7 @@ def recover_serving_state(
         # as corrupt, so both the generation counter and the append segment
         # continue from the newest thing on disk.
         state.generation = max([state.generation] + segments)
-        state._open_journal(state.generation)
+        state.segments.open(state.generation)
         state._g_last_seq.set(state.last_seq)
         report.last_seq = state.last_seq
         report.active_transfers = len(state.active)

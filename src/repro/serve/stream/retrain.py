@@ -302,6 +302,7 @@ class RetrainController:
         self._losses: dict[Edge, int] = {}     # consecutive losing publishes
         self._published: dict[Edge, int] = {}       # edge -> live generation
         self._bundles: dict[Edge, dict] = {}        # edge -> metadata bundle
+        self._journaled: dict[Edge, int] = {}  # generations state_delta sent
         self._stores: dict[Edge, ModelArtifactStore] = {}
         self._reloaders: dict[Edge, ModelReloader] = {}
 
@@ -609,12 +610,8 @@ class RetrainController:
 
     # -- durability ---------------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def _latch_state(self) -> dict:
         return {
-            "buffers": [
-                [s, d, [list(row) for row in buffer]]
-                for (s, d), buffer in sorted(self._buffers.items())
-            ],
             "breakers": [
                 [s, d, breaker.state_dict()]
                 for (s, d), breaker in sorted(self._breakers.items())
@@ -626,10 +623,6 @@ class RetrainController:
                 [s, d, float(t)]
                 for (s, d), t in sorted(self._last_attempt.items())
             ],
-            "published": [
-                [s, d, int(g), self._bundles.get((s, d))]
-                for (s, d), g in sorted(self._published.items())
-            ],
             "fresh": [
                 [s, d, int(n)] for (s, d), n in sorted(self._fresh.items())
             ],
@@ -639,6 +632,59 @@ class RetrainController:
             "losses": [
                 [s, d, int(n)] for (s, d), n in sorted(self._losses.items())
             ],
+        }
+
+    def state_dict(self) -> dict:
+        return {
+            "buffers": [
+                [s, d, [list(row) for row in buffer]]
+                for (s, d), buffer in sorted(self._buffers.items())
+            ],
+            "published": [
+                [s, d, int(g), self._bundles.get((s, d))]
+                for (s, d), g in sorted(self._published.items())
+            ],
+            **self._latch_state(),
+        }
+
+    def state_delta(self) -> dict:
+        """One journal record's share of :meth:`state_dict`: no buffers
+        (the supervisor journals the rows that fill them), and only the
+        published entries whose generation changed since the previous
+        delta or :meth:`load_state` — a ``None`` generation withdraws an
+        edge whose re-splice failed.  :meth:`fold_state` applies it."""
+        published = []
+        for edge in sorted(set(self._published) | set(self._journaled)):
+            generation = self._published.get(edge)
+            if generation != self._journaled.get(edge):
+                published.append([*edge, generation, self._bundles.get(edge)])
+        self._journaled = dict(self._published)
+        return {"published": published, **self._latch_state()}
+
+    @staticmethod
+    def fold_state(state: dict, rows: list, deltas: list[dict]) -> dict:
+        """A :meth:`state_dict` payload advanced by the rows observed
+        since (oldest first) and the :meth:`state_delta` records written
+        since: the payload :meth:`load_state` restores.  Buffers are not
+        trimmed here; ``load_state`` keeps the newest ``buffer_rows``."""
+        buffers = {(s, d): list(rows_) for s, d, rows_ in
+                   state.get("buffers", ())}
+        for row in rows:
+            buffers.setdefault((row[_SRC], row[_DST]), []).append(row)
+        published = {(s, d): (g, b) for s, d, g, b in
+                     state.get("published", ())}
+        for delta in deltas:
+            for s, d, g, b in delta["published"]:
+                if g is None:
+                    published.pop((s, d), None)
+                else:
+                    published[(s, d)] = (g, b)
+        return {
+            **state,
+            **(deltas[-1] if deltas else {}),
+            "buffers": [[s, d, b] for (s, d), b in sorted(buffers.items())],
+            "published": [[s, d, g, b]
+                          for (s, d), (g, b) in sorted(published.items())],
         }
 
     def load_state(self, state: dict) -> None:
@@ -684,8 +730,10 @@ class RetrainController:
         }
         self._published.clear()
         self._bundles.clear()
+        self._journaled = {}
         for s, d, generation, bundle in state.get("published", ()):
             edge = (str(s), str(d))
+            self._journaled[edge] = int(generation)
             reloader = self._reloader(edge)
             outcome = reloader.reload()
             if (outcome.status == "reloaded"

@@ -9,20 +9,34 @@ One cycle of the loop is::
               -> refit whatever fresh drift evidence says is due
                  (breaker-gated)
               -> heartbeat gauges
-              -> atomic checkpoint
+              -> checkpoint: one fsynced journal record; a snapshot
+                 when the journal outgrows the last one
 
-**Exactly-once by construction.**  The checkpoint is *one* atomic,
-checksummed document (a :class:`~repro.serve.durability.SnapshotStore`
-generation) holding the tail's byte offset, the retrain controller's
-state, the drift windows, the unapplied backlog, and the running
-applied-records digest.  Apply-side effects are purely in-memory until
-the checkpoint lands, so a crash anywhere rolls the *pair* (position,
-consumption) back to the same consistent point: on restart the tail
-re-reads exactly the bytes whose effects were lost, and a record's
-effects are committed exactly once.  (Retrain publishes artifacts to
-disk outside this transaction — deliberately: a re-published model is
-idempotent-by-generation-gate, see
+**Exactly-once by construction.**  A checkpoint is *one* CRC-framed,
+fsynced journal record (:class:`~repro.serve.durability.Journal`)
+holding everything the loop changed since the previous one: the tail's
+byte offset, the rows it ingested, how many it shed and applied, the
+drift samples it scored, the retrain latches and changed publishes, the
+running applied-records digest, and the event/SLO state.  Apply-side
+effects are purely in-memory until that record lands, so a crash
+anywhere rolls the *pair* (position, consumption) back to the same
+consistent point: on restart the tail re-reads exactly the bytes whose
+effects were lost, and a record's effects are committed exactly once.
+A crash mid-append leaves a torn record, which fails its CRC and is
+truncated — the previous record is the commit point.  (Retrain
+publishes artifacts to disk outside this transaction — deliberately: a
+re-published model is idempotent-by-generation-gate, see
 :meth:`~repro.serve.stream.retrain.RetrainController.load_state`.)
+
+**Snapshot plus journal suffix.**  Records extend the newest
+:class:`~repro.serve.durability.SnapshotStore` generation one ``seq`` at
+a time, in the segment layout of
+:class:`~repro.serve.durability.JournalSegments`.  A snapshot — the
+whole state, as one checksummed document — is written only when none
+exists yet or when the open segment has outgrown the last snapshot, so
+replay stays shorter than one snapshot.  :func:`load_checkpoint` is the
+one recovery fold: the newest valid snapshot, then the journal suffix
+folded in, oldest first; both recovery and the offline readers use it.
 
 **Never block serving.**  The backlog is bounded: past
 ``max_backlog_records`` the *oldest* unapplied rows are shed and counted
@@ -48,19 +62,23 @@ from pathlib import Path
 import numpy as np
 
 from repro.logs.schema import LOG_DTYPE
-from repro.obs import Observability
+from repro.obs import DriftMonitor, Observability
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.durability.snapshot import SnapshotStore
+from repro.serve.durability.journal import Journal
+from repro.serve.durability.segments import JournalSegments
+from repro.serve.durability.snapshot import LoadedSnapshot, SnapshotStore
 from repro.serve.stream.retrain import RetrainController
 from repro.serve.stream.tail import TailIngester
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
+    "DurableCheckpoint",
     "StreamConfig",
     "StreamSupervisor",
     "SimulatedCrash",
     "fold_digest",
+    "load_checkpoint",
     "read_stream_status",
 ]
 
@@ -99,6 +117,102 @@ def fold_digest(digest: str, arr: np.ndarray) -> str:
         payload = json.dumps(row, separators=(",", ":"))
         h = hashlib.sha256((h + payload).encode("utf-8")).hexdigest()
     return h
+
+
+@dataclass(frozen=True)
+class DurableCheckpoint:
+    """What :func:`load_checkpoint` found in a checkpoint directory."""
+
+    payload: dict | None          # folded sections; None = nothing durable
+    snapshot: LoadedSnapshot | None   # the base snapshot, if one verified
+    rejected: tuple[int, ...]     # corrupt snapshot generations skipped
+    seq: int                      # seq of the last durable record
+    journal_records: int          # records folded in past the snapshot
+    generation: int               # newest snapshot or segment on disk
+    stale: bool                   # records past ``seq`` the fold can't reach
+
+
+def _fold(payload: dict, records: list[dict]) -> dict:
+    """Advance checkpoint sections by journal records, oldest first.
+
+    The backlog is a FIFO: each record's ``rows`` joined its tail, and
+    each ``[shed, applied]`` pair of its ``fifo`` took rows off its head
+    — the shed ones dropped, the applied ones into the retrain buffers.
+    Every other section is carried by the last record in full, except
+    the drift windows (grown by the scored samples) and the published
+    bundles (merged per edge)."""
+    stream = payload.get("stream", {})
+    queue = list(stream.get("backlog", ()))
+    head = 0
+    applied: list = []
+    samples: list = []
+    for record in records:
+        queue.extend(record["rows"])
+        for shed, take in record["fifo"]:
+            head += shed
+            applied.extend(queue[head:head + take])
+            head += take
+        samples.extend(record["drift"])
+    last = records[-1]
+    return {
+        **payload,
+        "tail": last["tail"],
+        "retrain": RetrainController.fold_state(
+            payload.get("retrain", {}), applied,
+            [record["retrain"] for record in records]),
+        "drift": DriftMonitor.fold_state(payload.get("drift", {}), samples),
+        "stream": {**last["stream"], "backlog": queue[head:]},
+        "obs": last["obs"],
+    }
+
+
+def load_checkpoint(directory: str | Path) -> DurableCheckpoint:
+    """The newest durable stream state: the newest snapshot that
+    verifies, with every journal record after it folded in.
+
+    Records extend their base one ``seq`` at a time, so the fold stops
+    at a gap in the ``seq`` chain and at a torn record.  A torn tail of
+    the newest segment is a crash cutting the last append; reopening
+    that segment truncates it.  Anything else leaves records on disk the
+    fold cannot reach (``stale``, only possible when bytes rot on disk):
+    the supervisor then appends to a fresh segment and snapshots at
+    once, so they are never folded later.  Reads only."""
+    snapshots = SnapshotStore(directory)
+    segments = JournalSegments(directory)
+    loaded = snapshots.load_latest()
+    seq = loaded.last_seq if loaded is not None else 0
+    start = loaded.generation if loaded is not None else 0
+    on_disk = segments.generations()
+    generation = max(snapshots.generations() + on_disk, default=0)
+    records: list[dict] = []
+    stale = False
+    for segment in [g for g in on_disk if g >= start]:
+        scan = Journal.scan_file(segments.path_for(segment))
+        for record in scan.records:
+            n = int(record.get("seq", 0))
+            if n <= seq:
+                continue            # already in the base snapshot
+            if n != seq + 1:
+                stale = True
+                break
+            records.append(record)
+            seq = n
+        if stale or scan.torn is not None:
+            stale = stale or segment != generation
+            break
+    payload = loaded.payload if loaded is not None else None
+    if records:
+        payload = _fold(payload or {}, records)
+    return DurableCheckpoint(
+        payload=payload,
+        snapshot=loaded,
+        rejected=(loaded.rejected if loaded is not None
+                  else tuple(reversed(snapshots.generations()))),
+        seq=seq,
+        journal_records=len(records),
+        generation=generation,
+        stale=stale,
+    )
 
 
 class StreamSupervisor:
@@ -141,6 +255,10 @@ class StreamSupervisor:
                     self.events, source=tail.path.name)
         self.state_dir = Path(state_dir)
         self.checkpoints = SnapshotStore(self.state_dir / "checkpoints")
+        # fsync per record: the journal is the commit point, as durable
+        # against a power cut as the snapshots' atomic fsynced writes.
+        self.segments = JournalSegments(self.checkpoints.directory,
+                                        fsync=True)
         self.active = active if active is not None \
             else ActiveSet(lenient=True, obs=self.obs)
         self.predictor = BatchOnlinePredictor(
@@ -158,7 +276,16 @@ class StreamSupervisor:
         self.cycles = 0
         self.data_now = 0.0          # newest applied completion time
         self._ckpt_data_now = 0.0    # data_now at the last durable checkpoint
-        self._generation = 0
+        # What the next journal record carries: rows that joined the
+        # backlog, [shed, applied] per cycle, scored drift samples.
+        self._rows: list[tuple] = []
+        self._fifo: list[list[int]] = []
+        self._samples: list[tuple] = []
+        self._seq = 0                # seq of the last journal record
+        self._generation = 0         # newest snapshot / open segment
+        self._segment_bytes = 0      # size of the open segment
+        self._snapshot_bytes: int | None = None   # None: snapshot next
+        self._journal_records = 0    # records since the newest snapshot
         self._last_beat = float(clock())
         self._stop = False
         self._drain = True
@@ -167,12 +294,20 @@ class StreamSupervisor:
     # -- recovery -----------------------------------------------------------
 
     def _recover(self) -> None:
-        loaded = self.checkpoints.load_latest()
-        # Next write must clear even invalid newer generations on disk —
-        # SnapshotStore.write refuses to overwrite an existing file.
-        generations = self.checkpoints.generations()
-        self._generation = generations[-1] if generations else 0
-        if loaded is None:
+        durable = load_checkpoint(self.checkpoints.directory)
+        self._seq = durable.seq
+        self._journal_records = durable.journal_records
+        # Append past everything on disk: new generations must not
+        # collide with corrupt ones recovery skipped, and records the
+        # fold could not reach stay behind a fresh segment and snapshot.
+        self._generation = durable.generation + int(durable.stale)
+        scan = self.segments.open(self._generation)
+        self._segment_bytes = scan.valid_bytes
+        if durable.snapshot is not None and not durable.stale:
+            self._snapshot_bytes = self.checkpoints.path_for(
+                durable.snapshot.generation).stat().st_size
+        payload = durable.payload
+        if payload is None:
             # A cold start is still a recovery point: nothing a previous
             # incarnation emitted before its first checkpoint was ever
             # durable, so the event seq and SLO state roll back to zero
@@ -184,7 +319,6 @@ class StreamSupervisor:
             if self.slo is not None:
                 self.slo.load_state({})
             return
-        payload = loaded.payload
         # Roll the event seq back *first*: everything emitted past the
         # checkpoint (sink lines included) is discarded, so the events
         # the resumed loop re-emits land on the same sequence numbers —
@@ -211,17 +345,20 @@ class StreamSupervisor:
             "stream_recoveries_total",
             "Supervisor starts that resumed from a checkpoint.",
         ).inc()
-        if loaded.rejected:
+        if durable.rejected:
             registry.counter(
                 "stream_checkpoint_fallbacks_total",
                 "Corrupt newer checkpoint generations skipped at recovery.",
-            ).inc(len(loaded.rejected))
+            ).inc(len(durable.rejected))
         if self.events is not None:
             self.events.emit(
                 "durability", "stream_recovered",
-                severity="warning" if loaded.rejected else "info",
-                generation=loaded.generation,
-                rejected_generations=len(loaded.rejected),
+                severity="warning" if durable.rejected else "info",
+                generation=(durable.snapshot.generation
+                            if durable.snapshot is not None else 0),
+                rejected_generations=len(durable.rejected),
+                journal_records=durable.journal_records,
+                truncated_bytes=scan.truncated_bytes,
                 applied_records=self.applied_records,
                 data_now=self.data_now,
             )
@@ -229,9 +366,15 @@ class StreamSupervisor:
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Atomically persist (tail position, consumer state) as one
-        generation; prune old generations.  Returns the generation."""
-        self._generation += 1
+        """Commit everything since the previous checkpoint as one
+        fsynced journal record, then compact to a snapshot if none
+        exists yet or the open segment has outgrown the last one.
+        Returns the newest generation.
+
+        A failed append may leave a partial frame behind, so an
+        exception here ends the incarnation like any crash: the next
+        one truncates the tear and resumes from the previous record."""
+        self._seq += 1
         obs_state = {}
         if self.events is not None:
             obs_state["events"] = self.events.state_dict()
@@ -239,10 +382,7 @@ class StreamSupervisor:
             obs_state["slo"] = self.slo.state_dict()
         sections = {
             "tail": self.tail.state_dict(),
-            "retrain": self.controller.state_dict(),
-            "drift": self.drift.dump_state(),
             "stream": {
-                "backlog": [list(row) for row in self._backlog],
                 "applied_records": int(self.applied_records),
                 "applied_digest": self.applied_digest,
                 "shed_records": int(self.shed_records),
@@ -252,17 +392,56 @@ class StreamSupervisor:
             },
             "obs": obs_state,
         }
-        self.checkpoints.write(self._generation, sections,
-                               last_seq=self.applied_records)
+        end = self.segments.journal.append({
+            "seq": self._seq,
+            **sections,
+            "rows": self._rows,
+            "fifo": self._fifo,
+            "drift": self._samples,
+            "retrain": self.controller.state_delta(),
+        })
         self._ckpt_data_now = float(self.data_now)
-        self.checkpoints.prune(keep=max(2, self.config.keep_checkpoints))
+        self._rows, self._fifo, self._samples = [], [], []
+        self._count_bytes("journal", end - self._segment_bytes)
+        self._segment_bytes = end
+        self._journal_records += 1
+        if self._snapshot_bytes is None or end > self._snapshot_bytes:
+            self._snapshot(sections)
         registry = self.obs.registry
         registry.counter(
-            "stream_checkpoints_total", "Checkpoints written.").inc()
+            "stream_checkpoints_total",
+            "Checkpoints written (one journal record each).").inc()
         registry.gauge(
             "stream_checkpoint_generation",
             "Newest checkpoint generation.").set(float(self._generation))
         return self._generation
+
+    def _snapshot(self, sections: dict) -> None:
+        """Write the whole state as the next generation (``last_seq`` is
+        the record just appended), rotate to its segment, prune."""
+        self._generation += 1
+        path = self.checkpoints.write(self._generation, {
+            **sections,
+            "stream": {**sections["stream"],
+                       "backlog": [list(row) for row in self._backlog]},
+            "retrain": self.controller.state_dict(),
+            "drift": self.drift.dump_state(),
+        }, last_seq=self._seq)
+        self._snapshot_bytes = path.stat().st_size
+        self._count_bytes("snapshot", self._snapshot_bytes)
+        self.obs.registry.counter(
+            "stream_snapshots_total", "Checkpoint snapshots written.").inc()
+        self._segment_bytes = self.segments.rotate(
+            self._generation, self.checkpoints,
+            max(2, self.config.keep_checkpoints)).valid_bytes
+        self._journal_records = 0
+
+    def _count_bytes(self, kind: str, n: int) -> None:
+        self.obs.registry.counter(
+            "stream_checkpoint_bytes_total",
+            "Checkpoint bytes written, by kind (journal / snapshot).",
+            labels={"kind": kind},
+        ).inc(n)
 
     # -- the loop -----------------------------------------------------------
 
@@ -275,21 +454,26 @@ class StreamSupervisor:
         self.cycles += 1
         batch = self.tail.poll() if poll else None
         self._crash("polled")
-        ingested = 0
+        ingested = shed = 0
         if batch is not None and len(batch.records):
             ingested = len(batch.records)
-            self._backlog.extend(batch.records.tolist())
+            rows = batch.records.tolist()
+            self._backlog.extend(rows)
+            self._rows.extend(rows)
             overflow = len(self._backlog) - self.config.max_backlog_records
             if overflow > 0:
                 # Shed the *oldest* unapplied rows: bounded memory beats
                 # complete history, and newest data drives drift best.
                 del self._backlog[:overflow]
+                shed = overflow
                 self.shed_records += overflow
                 self.obs.registry.counter(
                     "stream_shed_records_total",
                     "Backlog rows dropped (oldest-first) at the cap.",
                 ).inc(overflow)
         applied = self._apply()
+        if shed or applied:
+            self._fifo.append([shed, applied])
         self._crash("applied")
         if self.controller is not None:
             self.controller.refit_due(self.data_now)
@@ -329,10 +513,11 @@ class StreamSupervisor:
         scored = ~((elapsed <= 0) | (nb <= 0) | ~np.isfinite(rates)
                    | (rates < 0))
         idx = np.flatnonzero(scored)
-        self.drift.record_batch(
-            arr["src"][idx].tolist(), arr["dst"][idx].tolist(),
-            [prediction.tiers[i] for i in idx.tolist()],
-            rates[idx].tolist(), (nb[idx] / elapsed[idx]).tolist())
+        srcs, dsts = arr["src"][idx].tolist(), arr["dst"][idx].tolist()
+        tiers = [prediction.tiers[i] for i in idx.tolist()]
+        self._samples.extend(self.drift.record_batch(
+            srcs, dsts, tiers,
+            rates[idx].tolist(), (nb[idx] / elapsed[idx]).tolist()))
         self.controller.observe(arr, scored=scored)
         self.applied_digest = fold_digest(self.applied_digest, arr)
         self.applied_records += take
@@ -421,6 +606,7 @@ class StreamSupervisor:
         # incarnation recovers from the last durable generation, which is
         # the whole point.
         self.checkpoint()
+        self.segments.close()
         return ran
 
     def request_stop(self, drain: bool = True) -> None:
@@ -441,6 +627,7 @@ class StreamSupervisor:
             "tail_resets": self.tail.resets,
             "quarantined_rows": self.tail.report.quarantined_rows,
             "checkpoint_generation": self._generation,
+            "journal_records": self._journal_records,
             "data_now": self.data_now,
             "heartbeat_age_s": age,
             "heartbeat_stale": age > self.config.heartbeat_stale_s,
@@ -455,18 +642,22 @@ class StreamSupervisor:
 
 
 def read_stream_status(state_dir: str | Path) -> dict:
-    """Offline ``stream status``: summarize the newest valid checkpoint
-    in ``state_dir`` without constructing a supervisor."""
-    loaded = SnapshotStore(Path(state_dir) / "checkpoints").load_latest()
-    if loaded is None:
+    """Offline ``stream status``: summarize the durable state in
+    ``state_dir`` — the newest valid snapshot with its journal suffix
+    folded in (:func:`load_checkpoint`) — without constructing a
+    supervisor."""
+    durable = load_checkpoint(Path(state_dir) / "checkpoints")
+    if durable.payload is None:
         return {"checkpoint_generation": 0, "recovered": False}
-    payload = loaded.payload
+    payload = durable.payload
     stream = payload.get("stream", {})
     tail = payload.get("tail", {})
     return {
         "recovered": True,
-        "checkpoint_generation": loaded.generation,
-        "rejected_generations": list(loaded.rejected),
+        "checkpoint_generation": (durable.snapshot.generation
+                                  if durable.snapshot is not None else 0),
+        "rejected_generations": list(durable.rejected),
+        "journal_records": durable.journal_records,
         "applied_records": int(stream.get("applied_records", 0)),
         "applied_digest": str(stream.get("applied_digest", "")),
         "backlog_records": len(stream.get("backlog", ())),

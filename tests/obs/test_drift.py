@@ -108,12 +108,26 @@ class TestRecordBatch:
         batched_apes = []
         for lo, hi in ((0, 1), (1, 9), (9, 9), (9, 40), (40, 70)):
             columns = [[row[j] for row in rows[lo:hi]] for j in range(5)]
-            batched_apes += batched.record_batch(*columns)
+            batched_apes += [ape for _, _, _, ape in
+                             batched.record_batch(*columns)]
         assert [v.hex() for v in batched_apes] == \
             [v.hex() for v in looped_apes]
         assert batched.dump_state() == looped.dump_state()
         assert self._drift_gauges(batched_registry) == \
             self._drift_gauges(looped_registry)
+
+    def test_fold_state_replays_the_returned_samples(self):
+        rows = self._rows()
+        mon = DriftMonitor(window=16)
+        mon.record_batch(*[[row[j] for row in rows[:5]] for j in range(5)])
+        state = mon.dump_state()
+        samples = mon.record_batch(
+            *[[row[j] for row in rows[5:]] for j in range(5)])
+        assert [tier for _, _, tier, _ in samples] == [
+            getattr(row[2], "value", row[2]) for row in rows[5:]]
+        # JSON round trip, as the samples travel through a journal.
+        samples = [list(sample) for sample in samples]
+        assert DriftMonitor.fold_state(state, samples) == mon.dump_state()
 
     def test_bad_row_leaves_the_monitor_untouched(self):
         mon = DriftMonitor(window=8)

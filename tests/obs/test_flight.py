@@ -152,7 +152,8 @@ class TestHealthSnapshot:
             registry=reg, events=events, flight=flight,
             slo_status={"firing": ["s"]},
             stream_status={"applied_records": 7, "generation": 2,
-                           "backlog": 0, "recoveries": 1, "breakers": {}},
+                           "backlog": 0, "fallbacks": 1, "journal": 3,
+                           "breakers": {}},
         )
         assert snap["requests_total"] == 10.0
         assert snap["latency"]["count"] == 10
@@ -183,11 +184,12 @@ class TestHealthSnapshot:
             registry=reg, events=events, flight=flight,
             slo_status={"firing": ["s"]},
             stream_status={"applied_records": 7, "generation": 2,
-                           "backlog": 0, "recoveries": 1,
+                           "backlog": 0, "fallbacks": 1, "journal": 3,
                            "breakers": {"A->B": "OPEN"}},
         )
         text = render_top(snap, history=[1.0, 5.0, 3.0])
         for needle in ("tier mix", "ingest", "drift", "stream",
+                       "journal        3", "fallbacks   1",
                        "breaker A->B", "slo burn", "FIRING",
                        "flight recorder", "recent events",
                        "breaker_open", "throughput"):

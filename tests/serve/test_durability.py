@@ -260,7 +260,7 @@ class TestRecovery:
         state, _ = recover_serving_state(tmp_path)
         _feed(state)
         before_cut = state.last_seq
-        wal = state._wal_path(state.generation)
+        wal = state.segments.path_for(state.generation)
         state.close()
         size = wal.stat().st_size
         with wal.open("r+b") as fh:
@@ -317,7 +317,7 @@ class TestRecovery:
         assert len(generations) <= 2
         # Journal segments older than the oldest kept snapshot are gone
         # (including the gen-0 cold-start segment).
-        segments = state._wal_generations()
+        segments = state.segments.generations()
         assert min(segments) >= min(generations)
         state.close()
 
@@ -352,7 +352,7 @@ class TestRecovery:
         state, _ = recover_serving_state(tmp_path)
         state.apply(mutation.add(7, _view()))
         state.apply(["progress", 7, "nan", None])
-        wal = state._wal_path(state.generation)
+        wal = state.segments.path_for(state.generation)
         state.close()
         records = list(Journal(wal).replay())
         assert records == [

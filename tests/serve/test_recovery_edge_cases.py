@@ -1,11 +1,11 @@
 """Recovery edge cases: zero-byte journals, all-corrupt snapshot dirs,
-checkpoints torn mid-write."""
+checkpoints torn mid-write (a snapshot, or a journal record)."""
 
 import dataclasses
 
 import pytest
 
-from repro.logs.io import write_jsonl
+from repro.logs.io import read_jsonl, write_jsonl
 from repro.obs import Observability
 from repro.serve.durability import recover_serving_state
 from repro.serve.durability.journal import Journal
@@ -17,6 +17,7 @@ from repro.serve.stream import (
     StreamConfig,
     StreamSupervisor,
     TailIngester,
+    fold_digest,
 )
 from tests.core.conftest import make_random_store
 
@@ -104,22 +105,103 @@ class TestTornCheckpoint:
     def test_supervisor_resumes_from_previous_generation(self, tmp_path):
         live = tmp_path / "live.jsonl"
         write_jsonl(make_random_store(n=40, n_endpoints=4, seed=6), live)
-        first = _supervisor(tmp_path, live, max_apply_per_cycle=8)
-        first.run(max_cycles=3)
+        kept, _ = read_jsonl(live, strict=False)
+        first = _supervisor(tmp_path, live, max_apply_per_cycle=2)
+        # Cycle until a second snapshot has journal records behind it.
+        for _ in range(60):
+            first.cycle()
+            if first.obs.registry.flat().get("stream_snapshots_total", 0) \
+                    >= 2 and first.status()["journal_records"]:
+                break
+        live_status = first.status()
+        assert live_status["checkpoint_generation"] >= 2
+        assert live_status["applied_records"] < 40
         ckpt_dir = tmp_path / "state" / "checkpoints"
-        # Tear the two newest: the parting checkpoint duplicates the last
-        # cycle's, so one generation back still holds the same count.
-        for path in sorted(ckpt_dir.glob("snapshot-*.json"))[-2:]:
-            blob = path.read_bytes()
-            path.write_bytes(blob[: len(blob) // 2])
+        newest = max(SnapshotStore(ckpt_dir).generations())
+        path = ckpt_dir / f"snapshot-{newest:08d}.json"
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])    # torn mid-write
 
-        second = _supervisor(tmp_path, live, max_apply_per_cycle=8)
+        second = _supervisor(tmp_path, live, max_apply_per_cycle=2)
         flat = second.obs.registry.flat()
-        assert flat["stream_checkpoint_fallbacks_total"] == 2.0
-        # It fell back to cycle 2's checkpoint (8 records per cycle).
-        assert second.applied_records == first.applied_records - 8
-        second.run(max_cycles=10)
+        assert flat["stream_checkpoint_fallbacks_total"] == 1.0
+        # The previous snapshot plus its segment, then the open one, is
+        # the whole durable state: a corrupt snapshot costs a longer
+        # replay, not records.
+        status = second.status()
+        for key in ("applied_records", "applied_digest", "tail_offset",
+                    "backlog_records", "cycles"):
+            assert status[key] == live_status[key], key
+        # ...plus the one event the resumed incarnation emits.
+        assert status["event_seq"] == live_status["event_seq"] + 1
+        assert status["journal_records"] > live_status["journal_records"]
+        second.run(max_cycles=40)
         assert second.applied_records == 40      # and still loses nothing
+        assert second.applied_digest == fold_digest("", kept.raw())
+
+    def test_records_past_a_double_fault_are_never_folded(self, tmp_path):
+        live = tmp_path / "live.jsonl"
+        write_jsonl(make_random_store(n=40, n_endpoints=4, seed=6), live)
+        kept, _ = read_jsonl(live, strict=False)
+        first = _supervisor(tmp_path, live, max_apply_per_cycle=2)
+        for _ in range(60):
+            first.cycle()
+            if first.obs.registry.flat().get("stream_snapshots_total", 0) \
+                    >= 2 and first.status()["journal_records"]:
+                break
+        ckpt_dir = tmp_path / "state" / "checkpoints"
+        newest = max(SnapshotStore(ckpt_dir).generations())
+        # Rot both the newest snapshot and the last record before it:
+        # the fallback's fold stops there, and the newer segment's
+        # records no longer extend anything.
+        snapshot = ckpt_dir / f"snapshot-{newest:08d}.json"
+        snapshot.write_bytes(snapshot.read_bytes()[:100])
+        segment = ckpt_dir / f"wal-{newest - 1:08d}.log"
+        blob = bytearray(segment.read_bytes())
+        blob[-1] ^= 0xFF
+        segment.write_bytes(bytes(blob))
+
+        second = _supervisor(tmp_path, live, max_apply_per_cycle=2)
+        rolled_back = second.applied_records
+        assert rolled_back < first.applied_records
+        assert second.applied_digest == fold_digest(
+            "", kept.raw()[:rolled_back])
+        second.run(max_cycles=60)
+        assert second.applied_records == 40
+        assert second.applied_digest == fold_digest("", kept.raw())
+        third = _supervisor(tmp_path, live, max_apply_per_cycle=2)
+        assert third.applied_records == 40
+        assert third.applied_digest == second.applied_digest
+
+    def test_supervisor_rolls_back_one_torn_journal_record(self, tmp_path):
+        live = tmp_path / "live.jsonl"
+        write_jsonl(make_random_store(n=40, n_endpoints=4, seed=6), live)
+        kept, _ = read_jsonl(live, strict=False)
+        first = _supervisor(tmp_path, live, max_apply_per_cycle=8)
+        first.cycle()                   # first checkpoint: snapshot 1
+        first.cycle()
+        previous = first.status()
+        segment = first.segments.journal.path
+        start = segment.stat().st_size
+        first.cycle()                   # the record to tear
+        assert first.segments.journal.path == segment   # no compaction
+        blob = segment.read_bytes()
+        assert len(blob) > start and first.applied_records == 24
+
+        for cut in range(start, len(blob)):
+            segment.write_bytes(blob[:cut])
+            second = _supervisor(tmp_path, live, max_apply_per_cycle=8)
+            status = second.status()
+            assert status["applied_records"] == previous["applied_records"]
+            assert status["applied_digest"] == previous["applied_digest"]
+            assert status["tail_offset"] == previous["tail_offset"]
+            assert "stream_checkpoint_fallbacks_total" not in \
+                second.obs.registry.flat()
+            assert segment.stat().st_size == start, cut  # torn bytes cut
+
+        second.run(max_cycles=10)
+        assert second.applied_records == 40
+        assert second.applied_digest == fold_digest("", kept.raw())
 
 
 def _fake_fit(task):

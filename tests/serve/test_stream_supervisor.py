@@ -131,6 +131,38 @@ def test_status_and_offline_reader_agree(tmp_path, live):
     assert offline["applied_records"] == status["applied_records"] == 50
     assert offline["applied_digest"] == status["applied_digest"]
     assert offline["tail_offset"] == status["tail_offset"]
+    # The offline reader folds the journal suffix, so it is as fresh as
+    # the live loop, not as stale as its newest snapshot.
+    assert offline["event_seq"] == status["event_seq"] > 0
+    assert offline["journal_records"] == status["journal_records"]
+    assert offline["checkpoint_generation"] == status["checkpoint_generation"]
+
+
+def test_offline_reader_folds_records_past_the_snapshot(tmp_path, live):
+    supervisor = _build(tmp_path, live, max_apply_per_cycle=4)
+    supervisor.cycle()                          # first checkpoint: snapshot
+    supervisor.cycle()
+    supervisor.cycle()
+    status = supervisor.status()
+    assert status["journal_records"] == 2
+    offline = read_stream_status(tmp_path / "state")
+    assert offline["journal_records"] == 2
+    for key in ("applied_records", "applied_digest", "backlog_records",
+                "cycles", "event_seq"):
+        assert offline[key] == status[key], key
+    assert offline["applied_records"] == 12
+
+
+def test_checkpoints_after_the_segment_is_closed(tmp_path, live):
+    supervisor = _build(tmp_path, live, max_apply_per_cycle=4)
+    supervisor.run(max_cycles=2)                # closes the segment's handle
+    supervisor.segments.close()                 # closing twice is harmless
+    supervisor.run(max_cycles=2)                # the next append reopens it
+    supervisor.segments.close()
+    supervisor.checkpoint()
+    offline = read_stream_status(tmp_path / "state")
+    assert offline["applied_records"] == supervisor.applied_records == 16
+    assert offline["applied_digest"] == supervisor.applied_digest
 
 
 def test_offline_reader_on_empty_dir(tmp_path):

@@ -555,6 +555,12 @@ class TestDiagnosisCLI:
         snap = json.loads(capsys.readouterr().out)
         assert snap["stream"]["applied_records"] == 40
         assert "firing" in snap["slo"]
+        assert snap["stream"]["fallbacks"] == 0
+        assert "recoveries" not in snap["stream"]
+        from repro.serve.stream import read_stream_status
+
+        offline = read_stream_status(stream_state)
+        assert snap["stream"]["journal"] == offline["journal_records"]
 
     def test_top_requires_a_source(self, capsys):
         rc = main(["top", "--once"])
