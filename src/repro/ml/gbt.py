@@ -13,12 +13,20 @@ the regularisation knobs that matter for the reproduction: shrinkage
 (``gamma``), ``min_child_weight``, row subsampling and per-tree column
 subsampling, plus early stopping on a validation split.
 
-Trees grow with the fused histogram kernel of :mod:`repro.ml.tree`, and
-:meth:`GradientBoostingRegressor.predict` runs the flattened all-trees
-kernel of :mod:`repro.ml.forest`.  Their oracles live in ``tests/``: a
-golden fingerprint of the grown trees (``tests/ml/test_tree.py``) and a
-per-tree ``predict_binned`` loop that ``predict`` must match bit for bit
-(``tests/ml/test_forest.py``).
+A fit bins once, builds one :class:`~repro.ml.tree.BinLayout`, and grows
+every tree of :mod:`repro.ml.tree` on global row indices against it.
+The grower returns each leaf's rows, out-of-bag rows included, so the
+residuals are refreshed from that partition rather than by a
+``predict_binned`` pass per tree; ``predict_binned`` runs only for an
+``eval_set``.  :meth:`GradientBoostingRegressor.predict` runs the
+flattened all-trees kernel of :mod:`repro.ml.forest`.
+
+Their oracles live in ``tests/``: a golden fingerprint of the grown trees
+(``tests/ml/test_tree.py``); the per-tree grower plus per-tree
+``predict_binned`` residual refresh that every tree, ``train_scores_``
+and ``eval_scores_`` must match bit for bit (``tests/ml/grower_oracle.py``);
+and a per-tree ``predict_binned`` loop that ``predict`` must match bit
+for bit (``tests/ml/test_forest.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from repro.ml.binning import QuantileBinner
 from repro.ml.forest import FlattenedForest
-from repro.ml.tree import RegressionTree, TreeGrowthParams
+from repro.ml.tree import BinLayout, RegressionTree, TreeGrowthParams
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -160,50 +168,57 @@ class GradientBoostingRegressor:
         n_sub = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
 
-        hess = np.ones(n, dtype=np.float64)
-        for it in range(self.n_estimators):
-            grad = pred - y  # d/dpred of 1/2 (pred - y)^2
+        # One bin layout per fit; every tree grows on global row indices.
+        layout = BinLayout(codes, n_bins)
+        all_rows = np.arange(n, dtype=np.int64)
+        in_bag = np.zeros(n, dtype=bool)
+        # Row 0 holds the gradients, row 1 the (unit) hessians.
+        gh = np.ones((2, n), dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for it in range(self.n_estimators):
+                np.subtract(pred, y, out=gh[0])  # d/dpred of 1/2 (pred - y)^2
 
-            if n_sub < n:
-                rows = rng.choice(n, size=n_sub, replace=False)
-            else:
-                rows = None
-            if n_cols < self.n_features_:
-                cols = np.sort(
-                    rng.choice(self.n_features_, size=n_cols, replace=False)
-                )
-            else:
-                cols = None
-
-            tree = RegressionTree(self.tree_params, self.max_bins)
-            if rows is None:
-                tree.fit_binned(codes, grad, hess, n_bins, feature_subset=cols)
-            else:
-                tree.fit_binned(
-                    codes[rows], grad[rows], hess[rows], n_bins, feature_subset=cols
-                )
-            self.trees_.append(tree)
-
-            pred += self.learning_rate * tree.predict_binned(codes)
-            self.train_scores_.append(float(np.sqrt(np.mean((pred - y) ** 2))))
-
-            if val_codes is not None:
-                val_pred += self.learning_rate * tree.predict_binned(val_codes)
-                val_rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
-                self.eval_scores_.append(val_rmse)
-                if val_rmse < best_val - 1e-12:
-                    best_val = val_rmse
-                    rounds_since_best = 0
-                    self.best_iteration_ = it
+                if n_sub < n:
+                    bag = rng.choice(n, size=n_sub, replace=False)
+                    # Out-of-bag rows ride behind the in-bag prefix, so the
+                    # grower's partition places every row in its leaf.
+                    in_bag[:] = False
+                    in_bag[bag] = True
+                    rows = np.concatenate([bag, all_rows[~in_bag]])
                 else:
-                    rounds_since_best += 1
-                    if (
-                        self.early_stopping_rounds is not None
-                        and rounds_since_best >= self.early_stopping_rounds
-                    ):
-                        # Keep only the trees up to the best iteration.
-                        self.trees_ = self.trees_[: self.best_iteration_ + 1]
-                        break
+                    rows = all_rows
+                if n_cols < self.n_features_:
+                    cols = np.sort(
+                        rng.choice(self.n_features_, size=n_cols, replace=False)
+                    )
+                else:
+                    cols = None
+
+                tree = RegressionTree(self.tree_params, self.max_bins)
+                leaves = tree._grow(layout, gh, rows, n_sub, layout.allowed(cols))
+                self.trees_.append(tree)
+
+                for node, leaf_rows in leaves:
+                    pred[leaf_rows] += self.learning_rate * tree.node_value_[node]
+                self.train_scores_.append(float(np.sqrt(np.mean((pred - y) ** 2))))
+
+                if val_codes is not None:
+                    val_pred += self.learning_rate * tree.predict_binned(val_codes)
+                    val_rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
+                    self.eval_scores_.append(val_rmse)
+                    if val_rmse < best_val - 1e-12:
+                        best_val = val_rmse
+                        rounds_since_best = 0
+                        self.best_iteration_ = it
+                    else:
+                        rounds_since_best += 1
+                        if (
+                            self.early_stopping_rounds is not None
+                            and rounds_since_best >= self.early_stopping_rounds
+                        ):
+                            # Keep only the trees up to the best iteration.
+                            self.trees_ = self.trees_[: self.best_iteration_ + 1]
+                            break
         return self
 
     # -- inference --------------------------------------------------------

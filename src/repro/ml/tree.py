@@ -14,15 +14,33 @@ Split finding is histogram-based: features are pre-binned by
 :class:`repro.ml.binning.QuantileBinner` and per-node (G, H) histograms are
 accumulated with ``np.bincount`` — O(n) per feature per node, no sorting.
 
-One ``np.bincount`` over ``offset + code`` keys accumulates *all*
-features' histograms at once, the gain scan runs vectorised over the
-concatenated bin space, and each split computes the histogram for the
-smaller child only — the larger child is ``parent - sibling`` (LightGBM's
-subtraction trick), skipping roughly half the histogram work per level.
+A :class:`BinLayout` lays the binned matrix out as one concatenated bin
+space (offsets, bin-to-feature map, segment starts, histogram keys and
+the allowed-cut mask).  A boosting fit builds it once and grows all its trees
+on global row indices against it.  The grower is a stack of nodes, one
+node at a time: one ``np.bincount`` over the layout's keys accumulates
+*all* features' g and h histograms at once, the gain scan runs
+vectorised over the concatenated bin space, and each split computes the
+histogram for the smaller child only — the larger child is ``parent -
+sibling`` (LightGBM's subtraction trick).  Out-of-bag rows ride through
+the row partition behind the in-bag prefix, so the grower hands back
+every row's leaf and boosting needs no ``predict_binned`` to refresh its
+residuals.
 
-The oracles live in ``tests/ml/test_tree.py``: a brute-force per-feature
-``bincount`` + ``cumsum`` split scan that the root split must match, and a
-golden fingerprint of the trees grown on seeded data.
+The bits depend on three things, kept on purpose: each node sums its
+rows in ``rng.choice`` order (not sorted), siblings come from
+subtraction, and each node's totals are a ``grad[rows].sum()`` of their
+own (a segmented ``reduceat`` would round differently).  Growing a whole
+level at once was measured slower on this repository's fits (tens of
+rows, about 4.8 splits per tree): the cost is numpy dispatch per node,
+not histogram width (``docs/performance.md``, "GBT fit").
+
+The oracles live in ``tests/ml/``: a brute-force per-feature ``bincount``
++ ``cumsum`` split scan that the root split must match and a golden
+fingerprint of the trees grown on seeded data (``test_tree.py``), and the
+per-node grower that rebuilt its bin space for every tree, which every
+node array must match bit for bit (``grower_oracle.py``,
+``test_grower_parity.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ import numpy as np
 
 from repro.ml.binning import QuantileBinner
 
-__all__ = ["RegressionTree", "TreeGrowthParams"]
+__all__ = ["BinLayout", "RegressionTree", "TreeGrowthParams"]
 
 _LEAF = -1  # sentinel in the feature array marking a leaf node
 
@@ -158,10 +176,16 @@ class RegressionTree:
             raise ValueError(f"bad shapes codes{codes.shape} grad{grad.shape}")
         if grad.shape != hess.shape:
             raise ValueError("grad/hess shape mismatch")
-        n_features = codes.shape[1]
-        if feature_subset is None:
-            feature_subset = np.arange(n_features)
-        self._grow(codes, grad, hess, np.asarray(n_bins), feature_subset)
+        layout = BinLayout(codes, n_bins)
+        rows = np.arange(codes.shape[0], dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._grow(
+                layout,
+                np.stack([grad, hess]),
+                rows,
+                rows.size,
+                layout.allowed(feature_subset),
+            )
         return self
 
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
@@ -200,14 +224,38 @@ class RegressionTree:
 
     def _grow(
         self,
-        codes: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        n_bins: np.ndarray,
-        feature_subset: np.ndarray,
-    ) -> None:
+        layout: BinLayout,
+        gh: np.ndarray,
+        rows: np.ndarray,
+        n_bag: int,
+        allowed: np.ndarray,
+    ) -> list[tuple[int, np.ndarray]]:
+        """Grow on ``layout``'s rows and return every leaf's rows.
+
+        ``gh`` stacks per-row gradients over hessians, shape ``(2, n)``.
+        ``rows`` holds global row indices: the first ``n_bag`` are in-bag
+        (their order is the order every node sums them in), the rest ride
+        through the partition without touching a statistic, so the caller
+        can update predictions for all rows from the returned
+        ``(leaf_node, rows)`` pairs.  The caller holds one ``np.errstate``
+        for the whole fit: the gain scan divides by zero-cover cuts that
+        ``allowed`` or the child-weight test then masks out.
+        """
         p = self.params
-        n_features = codes.shape[1]
+        lam = p.reg_lambda
+        mcw = p.min_child_weight
+        gamma = p.gamma
+        # With lam > 0 or mcw > 0 the child-weight test already implies a
+        # positive denominator, so the explicit check only runs otherwise.
+        check_denominators = not (lam > 0.0 or mcw > 0.0)
+        n_features = layout.n_features
+        total_bins = layout.total_bins
+        keys_gh = layout.keys_gh
+        columns = layout.columns
+        seg_start = layout.seg_start
+        offsets = layout.offsets
+        bin_feature = layout.bin_feature
+        add = np.add.reduce  # ndarray.sum's pairwise sum, minus its wrapper
         max_nodes = 2 ** (p.max_depth + 1) - 1
 
         feature = np.full(max_nodes, _LEAF, dtype=np.int32)
@@ -218,67 +266,86 @@ class RegressionTree:
         gain_arr = np.zeros(max_nodes, dtype=np.float64)
         feat_gain = np.zeros(n_features, dtype=np.float64)
         feat_count = np.zeros(n_features, dtype=np.int64)
+        # Zero-led cumsum buffer, one row each for g and h: cum[:, 1:] is
+        # the running sum over the concatenated bin space and
+        # cum[:, seg_start[b]] the sum before bin b's feature begins, so a
+        # feature's left sums are one take away.
+        cum = np.zeros((2, total_bins + 1), dtype=np.float64)
+        # sides[0] = (G_L, G_R) and sides[1] = (H_L, H_R) for every cut,
+        # so each statistic's two sides are one contiguous operand.
+        sides = np.empty((2, 2, total_bins), dtype=np.float64)
+        totals = np.empty((2, 1), dtype=np.float64)
+        leaves: list[tuple[int, np.ndarray]] = []
 
-        # Concatenated bin space: feature f's bins live at
-        # [offsets[f], offsets[f+1]); one bincount over offset+code keys
-        # fills every feature's histogram in a single pass.
-        nb = np.asarray(n_bins, dtype=np.int64)
-        offsets = np.zeros(n_features + 1, dtype=np.int64)
-        np.cumsum(nb, out=offsets[1:])
-        total_bins = int(offsets[-1])
-        pos_feat = np.repeat(np.arange(n_features, dtype=np.int64), nb)
-        allowed = np.zeros(total_bins, dtype=bool)
-        for f in np.asarray(feature_subset, dtype=np.int64):
-            if nb[f] >= 2:
-                # Valid cuts are "after bin b" for b in [0, nb-2].
-                allowed[offsets[f] : offsets[f] + nb[f] - 1] = True
-        off_codes = codes.astype(np.int64) + offsets[:-1][None, :]
+        def node_hist(node_gh: np.ndarray, bag: np.ndarray) -> np.ndarray:
+            # One bincount fills the g histogram in [0, T) and the h one in
+            # [T, 2T); each bin still sums its rows in bag order.
+            return np.bincount(
+                keys_gh.take(bag, axis=0).reshape(-1),
+                weights=node_gh.T.repeat(n_features, axis=1).reshape(-1),
+                minlength=2 * total_bins,
+            ).reshape(2, total_bins)
 
-        def node_hist(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            keys = off_codes[rows].reshape(-1)
-            hg = np.bincount(
-                keys,
-                weights=np.repeat(grad[rows], n_features),
-                minlength=total_bins,
-            )
-            hh = np.bincount(
-                keys,
-                weights=np.repeat(hess[rows], n_features),
-                minlength=total_bins,
-            )
-            return hg, hh
-
-        all_rows = np.arange(codes.shape[0], dtype=np.int64)
-        # Stack of (node_id, depth, row_indices, hist_g, hist_h); a None
-        # histogram is computed on demand.
-        stack: list = [(0, 0, all_rows, None, None)]
+        # Stack of (node_id, depth, rows, n_in, gh[:, bag], hist); None
+        # entries are computed on demand.
+        stack: list = [(0, 0, rows, n_bag, None, None)]
         next_free = 1
 
         while stack:
-            node_id, depth, rows, hist_g, hist_h = stack.pop()
-            g_tot = float(grad[rows].sum())
-            h_tot = float(hess[rows].sum())
-            value[node_id] = -g_tot / (h_tot + p.reg_lambda)
+            node_id, depth, rows, n_in, node_gh, hist = stack.pop()
+            bag = rows[:n_in]
+            if node_gh is None:
+                node_gh = gh.take(bag, axis=1)
+            g_tot = float(add(node_gh[0]))
+            h_tot = float(add(node_gh[1]))
+            value[node_id] = -g_tot / (h_tot + lam)
 
-            if depth >= p.max_depth or h_tot < 2.0 * p.min_child_weight:
+            if depth >= p.max_depth or h_tot < 2.0 * mcw:
+                leaves.append((node_id, rows))
                 continue
 
-            if hist_g is None:
-                hist_g, hist_h = node_hist(rows)
-            best = self._best_split_fused(
-                hist_g, hist_h, g_tot, h_tot, offsets, allowed, pos_feat
-            )
-            if best is None:
+            if hist is None:
+                hist = node_hist(node_gh, bag)
+            # Gain scan over the concatenated bin space; one argmax over
+            # every allowed cut replaces a per-feature loop.
+            hist.cumsum(axis=1, out=cum[:, 1:])
+            np.subtract(cum[:, 1:], cum.take(seg_start, axis=1), out=sides[:, 0])
+            totals[0, 0] = g_tot
+            totals[1, 0] = h_tot
+            np.subtract(totals, sides[:, 0], out=sides[:, 1])
+            grads, covers = sides
+            denom = covers + lam
+            score = grads * grads
+            score /= denom
+            gains = score[0] + score[1]
+            gains -= g_tot * g_tot / (h_tot + lam)
+            gains *= 0.5
+            if gamma:
+                gains -= gamma
+            heavy = covers >= mcw
+            ok = heavy[0] & heavy[1] & allowed
+            if check_denominators:
+                positive = denom > 0.0
+                ok &= positive[0] & positive[1]
+            gains = np.where(ok, gains, -np.inf)
+            b = int(gains.argmax())
+            bgain = float(gains[b])
+            if not bgain > 0.0:
+                leaves.append((node_id, rows))
                 continue
-            bfeat, bbin, bgain = best
+            bfeat = int(bin_feature[b])
+            bbin = int(b - offsets[bfeat])
 
-            mask = codes[rows, bfeat] <= bbin
-            rows_l = rows[mask]
-            rows_r = rows[~mask]
+            mask = columns[bfeat].take(rows) <= bbin
+            n_in_l = int(np.count_nonzero(mask[:n_in]))
+            n_in_r = n_in - n_in_l
             # Guard against degenerate splits (shouldn't pass gain check, but
             # defend the invariant that children are non-empty).
-            if rows_l.size == 0 or rows_r.size == 0:
+            if n_in_l == 0 or n_in_r == 0:
+                leaves.append((node_id, rows))
                 continue
+            rows_l = rows[mask]
+            rows_r = rows[~mask]
 
             feature[node_id] = bfeat
             split_bin[node_id] = bbin
@@ -287,21 +354,23 @@ class RegressionTree:
             feat_count[bfeat] += 1
             left[node_id] = next_free
             right[node_id] = next_free + 1
-            hg_l = hh_l = hg_r = hh_r = None
+            gh_l = gh_r = hist_l = hist_r = None
             if depth + 1 < p.max_depth:
                 # Sibling subtraction: bincount only the smaller child, the
                 # larger one is parent minus sibling.  Children at max depth
                 # never split, so their histograms are never materialised.
-                if rows_l.size <= rows_r.size:
-                    hg_l, hh_l = node_hist(rows_l)
-                    hg_r = hist_g - hg_l
-                    hh_r = hist_h - hh_l
+                if n_in_l <= n_in_r:
+                    bag_l = rows_l[:n_in_l]
+                    gh_l = gh.take(bag_l, axis=1)
+                    hist_l = node_hist(gh_l, bag_l)
+                    hist_r = hist - hist_l
                 else:
-                    hg_r, hh_r = node_hist(rows_r)
-                    hg_l = hist_g - hg_r
-                    hh_l = hist_h - hh_r
-            stack.append((next_free, depth + 1, rows_l, hg_l, hh_l))
-            stack.append((next_free + 1, depth + 1, rows_r, hg_r, hh_r))
+                    bag_r = rows_r[:n_in_r]
+                    gh_r = gh.take(bag_r, axis=1)
+                    hist_r = node_hist(gh_r, bag_r)
+                    hist_l = hist - hist_r
+            stack.append((next_free, depth + 1, rows_l, n_in_l, gh_l, hist_l))
+            stack.append((next_free + 1, depth + 1, rows_r, n_in_r, gh_r, hist_r))
             next_free += 2
 
         self.node_feature_ = feature[:next_free]
@@ -312,57 +381,44 @@ class RegressionTree:
         self.node_gain_ = gain_arr[:next_free]
         self.feature_gain_ = feat_gain
         self.feature_count_ = feat_count
+        return leaves
 
-    def _best_split_fused(
-        self,
-        hist_g: np.ndarray,
-        hist_h: np.ndarray,
-        g_tot: float,
-        h_tot: float,
-        offsets: np.ndarray,
-        allowed: np.ndarray,
-        pos_feat: np.ndarray,
-    ) -> tuple[int, int, float] | None:
-        """Vectorised gain scan over the concatenated bin space.
 
-        ``allowed`` masks out each feature's last bin (no cut after it),
-        features outside the subsample, and single-bin features, so one
-        ``argmax`` over all features replaces the per-feature python loop.
-        """
-        p = self.params
-        parent_score = g_tot * g_tot / (h_tot + p.reg_lambda)
-        cg = np.cumsum(hist_g)
-        ch = np.cumsum(hist_h)
-        # Per-feature left sums: global cumsum minus the cumsum just before
-        # the feature's segment starts.
-        base_g = np.empty_like(cg)
-        base_g[0] = 0.0
-        base_g[1:] = cg[:-1]
-        base_h = np.empty_like(ch)
-        base_h[0] = 0.0
-        base_h[1:] = ch[:-1]
-        seg_base_g = base_g[offsets[:-1]].take(pos_feat)
-        seg_base_h = base_h[offsets[:-1]].take(pos_feat)
-        gl = cg - seg_base_g
-        hl = ch - seg_base_h
-        gr = g_tot - gl
-        hr = h_tot - hl
-        dl = hl + p.reg_lambda
-        dr = hr + p.reg_lambda
-        ok = (
-            allowed
-            & (hl >= p.min_child_weight)
-            & (hr >= p.min_child_weight)
-            & (dl > 0.0)
-            & (dr > 0.0)
+class BinLayout:
+    """A binned matrix laid out as one concatenated bin space.
+
+    Feature ``f``'s bins live at ``[offsets[f], offsets[f+1])``, so one
+    ``np.bincount`` over a node's ``keys_gh`` rows fills every feature's
+    g and h histograms at once.  A boosting fit builds the layout once
+    and grows every tree on global row indices against it.
+    """
+
+    def __init__(self, codes: np.ndarray, n_bins: np.ndarray) -> None:
+        codes = np.asarray(codes)
+        nb = np.asarray(n_bins, dtype=np.int64)
+        self.n_features = codes.shape[1]
+        self.offsets = np.zeros(self.n_features + 1, dtype=np.int64)
+        np.cumsum(nb, out=self.offsets[1:])
+        self.total_bins = int(self.offsets[-1])
+        # Bin -> feature map, and each bin's segment start (the index of
+        # the running sum just before its feature begins).
+        self.bin_feature = np.repeat(np.arange(self.n_features, dtype=np.int64), nb)
+        self.seg_start = self.offsets.take(self.bin_feature)
+        # Valid cuts are "after bin b" for every bin but its feature's last.
+        self.cut_ok = (
+            np.arange(self.total_bins) < self.offsets.take(self.bin_feature + 1) - 1
         )
-        if not ok.any():
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent_score) - p.gamma
-        gains[~ok] = -np.inf
-        b = int(np.argmax(gains))
-        if not gains[b] > 0.0:
-            return None
-        f = int(pos_feat[b])
-        return f, int(b - offsets[f]), float(gains[b])
+        # Histogram keys per row: its g bins at offset + code, then its h
+        # bins one bin space further, shape (n, 2 * n_features).
+        off_codes = codes.astype(np.int64) + self.offsets[:-1][None, :]
+        self.keys_gh = np.concatenate([off_codes, off_codes + self.total_bins], axis=1)
+        # Feature-major copy: a split's row mask gathers from one row.
+        self.columns = np.ascontiguousarray(codes.T)
+
+    def allowed(self, feature_subset: np.ndarray | None) -> np.ndarray:
+        """Allowed-cut mask restricted to ``feature_subset`` (all if None)."""
+        if feature_subset is None:
+            return self.cut_ok
+        keep = np.zeros(self.n_features, dtype=bool)
+        keep[np.asarray(feature_subset, dtype=np.int64)] = True
+        return self.cut_ok & keep.take(self.bin_feature)

@@ -11,12 +11,15 @@ bad refit take serving down.  Three defence layers:
    ``threshold * hysteresis``) so an edge oscillating around the line
    cannot flap, and a per-edge cooldown spaces attempts out.  After an
    edge's first attempt the latch is judged only on the drift samples
-   scored since that attempt — the generation now serving — and the
-   edge is due again only once it has ``required`` of them.  A
-   published refit whose own samples are still breached and no better
-   than the MdAPE that triggered it is a *loss*: ``required`` doubles
-   (``min_samples * 2**losses``, capped at the drift window), and a win
-   or a released latch resets it.
+   scored since its last published or skipped attempt — the generation
+   now serving — and the edge is due again only once it has
+   ``required`` of them.  A failed attempt leaves the serving
+   generation unchanged, so it keeps that generation's evidence: the
+   breaker, not the evidence gate, bounds how often a failing edge is
+   retried.  A published refit whose own samples are still breached
+   and no better than the MdAPE that triggered it is a *loss*:
+   ``required`` doubles (``min_samples * 2**losses``, capped at the
+   drift window), and a win or a released latch resets it.
 2. **contained execution** — refits fan out through
    :func:`repro.exec.parallel_map` with a per-fit ``timeout`` and
    ``return_exceptions=True``: a hung or crashing fit surfaces as a
@@ -297,7 +300,9 @@ class RetrainController:
         self._breakers: dict[Edge, CircuitBreaker] = {}
         self._breached: dict[Edge, bool] = {}
         self._last_attempt: dict[Edge, float] = {}
-        self._fresh: dict[Edge, int] = {}    # drift samples since last attempt
+        # Drift samples scored since the edge's last published or
+        # skipped attempt (a failed attempt changes no generation).
+        self._fresh: dict[Edge, int] = {}
         self._trigger: dict[Edge, float] = {}  # MdAPE behind an unjudged publish
         self._losses: dict[Edge, int] = {}     # consecutive losing publishes
         self._published: dict[Edge, int] = {}       # edge -> live generation
@@ -487,8 +492,8 @@ class RetrainController:
                 buffer = self._buffers.get(edge)
                 trigger = self.evidence(edge).mdape
                 self._last_attempt[edge] = float(now)
-                self._fresh[edge] = 0
                 if buffer is None or len(buffer) < policy.min_fit_rows:
+                    self._fresh[edge] = 0
                     outcomes[edge] = "skipped"
                     self._count("skipped")
                     # An admitted HALF_OPEN probe that cannot run must
@@ -524,6 +529,7 @@ class RetrainController:
                         ok, reason = self._publish(edge, result)
                         if ok:
                             outcomes[edge] = "ok"
+                            self._fresh[edge] = 0
                             if math.isfinite(trigger):
                                 self._trigger[edge] = float(trigger)
                             else:

@@ -203,6 +203,27 @@ class TestEvidenceGate:
         _score(ctl, obs.drift, 1, ape=2.0)
         assert ctl.due(1e9) == [EDGE]
 
+    def test_failed_attempt_keeps_its_evidence(self, tmp_path, obs):
+        """A failure leaves the serving generation in place, so its
+        samples still count: the edge is retried past the cooldown with
+        no new sample, and the breaker opens on consecutive failures."""
+        ctl = _controller(tmp_path, obs, fit_fn=_fail_fit)
+        ctl.observe(_rows(*EDGE, 10))
+        _score(ctl, obs.drift, 8)
+        assert ctl.refit_due(0.0) == {EDGE: "failed"}
+        assert ctl.due(5.0) == []               # inside cooldown
+        assert ctl.evidence(EDGE).n == 8        # nothing was discarded
+        assert ctl.refit_due(11.0) == {EDGE: "failed"}
+        assert ctl.breaker(EDGE).state is BreakerState.OPEN
+        assert ctl.due(50.0) == []              # the breaker, not evidence
+
+    def test_skipped_attempt_restarts_the_window(self, tmp_path, obs):
+        ctl = _controller(tmp_path, obs, min_fit_rows=16)
+        _score(ctl, obs.drift, 8)               # 8 rows < min_fit_rows
+        assert ctl.refit_due(0.0) == {EDGE: "skipped"}
+        assert ctl.evidence(EDGE).n == 0
+        assert ctl.due(1e9) == []
+
     def test_latch_judged_on_post_publish_samples_only(self, tmp_path, obs):
         ctl = _controller(tmp_path, obs)
         ctl.observe(_rows(*EDGE, 10))
