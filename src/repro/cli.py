@@ -623,7 +623,6 @@ def _cmd_stream_run(args: argparse.Namespace) -> int:
     controller = RetrainController(
         FallbackChain.from_log(store),
         obs.drift,
-        args.artifacts or Path(args.state_dir) / "artifacts",
         policy=policy,
         registry=obs.registry,
         tracer=obs.tracer,
@@ -1135,8 +1134,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="growing CSV/JSONL transfer log to follow")
     s.add_argument("--state-dir", required=True,
                    help="checkpoint directory (resumed if it exists)")
-    s.add_argument("--artifacts", default=None,
-                   help="model artifact root (default: STATE_DIR/artifacts)")
     s.add_argument("--cycles", type=int, default=None,
                    help="stop after this many supervision cycles")
     s.add_argument("--max-seconds", type=float, default=None,
@@ -1163,8 +1160,8 @@ def main(argv: list[str] | None = None) -> int:
 
     s = stream_sub.add_parser(
         "chaos",
-        help="fault-injection proof: crashes, poisoned refits, corrupt "
-             "artifacts, truncation/rotation — exits non-zero on any "
+        help="fault-injection proof: crashes, poisoned refits, divergent "
+             "publishes, truncation/rotation — exits non-zero on any "
              "violated guarantee",
     )
     s.add_argument("--quick", action="store_true",

@@ -59,8 +59,7 @@ class ModelIntegrityError(ValueError):
 
 def legacy_load_count() -> int:
     """How many version-1 (checksum-less) artifacts this process has
-    loaded.  Mirrored into ``durability_legacy_artifacts_total`` by the
-    serving artifact store."""
+    loaded."""
     return _legacy_loads
 
 

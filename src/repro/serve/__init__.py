@@ -39,9 +39,8 @@ transfers.  This package is that serving layer:
   ``repro-tools metrics``, and crash injection (:func:`run_crash_replay`)
   behind ``repro-tools state verify``;
 - :mod:`repro.serve.durability` — the write-ahead journal, checksummed
-  generation-numbered snapshots, :func:`recover_serving_state`, and the
-  probe-gated hot-reload model artifact store, behind
-  ``repro-tools state snapshot|recover|verify``;
+  generation-numbered snapshots and :func:`recover_serving_state`,
+  behind ``repro-tools state snapshot|recover|verify``;
 - :mod:`repro.serve.shard` — the fault-tolerant sharded serving tier
   (``repro-tools shard chaos``, ``serve-bench --shards N``):
   :class:`ShardCluster` supervises one durable worker process per
@@ -94,8 +93,6 @@ from repro.serve.chaos import (
 from repro.serve.durability import (
     DurabilityConfig,
     DurableServingState,
-    ModelArtifactStore,
-    ModelReloader,
     RecoveryReport,
     recover_serving_state,
 )
@@ -159,8 +156,6 @@ __all__ = [
     "DurableServingState",
     "RecoveryReport",
     "recover_serving_state",
-    "ModelArtifactStore",
-    "ModelReloader",
     "ShardCluster",
     "ClusterConfig",
     "ShardState",

@@ -18,22 +18,13 @@ it survive the process:
 - :mod:`~repro.serve.durability.recovery` —
   :class:`DurableServingState` (journal-before-apply mutations) and
   :func:`recover_serving_state` (snapshot + journal-suffix replay,
-  provably equivalent to an uninterrupted run);
-- :mod:`~repro.serve.durability.artifacts` — checksummed,
-  version-pinned model artifacts with probe-gated hot reload and
-  automatic rollback (:class:`ModelReloader`).
+  provably equivalent to an uninterrupted run).
 
 ``repro-tools state snapshot|recover|verify`` exposes the layer
 operationally; ``docs/durability.md`` documents file formats, the
 recovery algorithm, and the failure matrix.
 """
 
-from repro.serve.durability.artifacts import (
-    LoadedArtifact,
-    ModelArtifactStore,
-    ModelReloader,
-    ReloadResult,
-)
 from repro.serve.durability.journal import Journal, JournalScan, TornRecord
 from repro.serve.durability.recovery import (
     DurabilityConfig,
@@ -55,8 +46,4 @@ __all__ = [
     "DurableServingState",
     "RecoveryReport",
     "recover_serving_state",
-    "ModelArtifactStore",
-    "ModelReloader",
-    "LoadedArtifact",
-    "ReloadResult",
 ]

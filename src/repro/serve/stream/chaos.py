@@ -10,15 +10,17 @@ supervisor is started, killed at a scripted stage (after poll, apply,
 retrain or checkpoint — via
 :class:`~repro.serve.stream.supervisor.SimulatedCrash`) and restarted
 against the same state directory.  One edge's fit always raises (the
-poisoned edge); one edge's published artifacts are always corrupted
-between publish and reload (the corrupt edge).  A second, uninterrupted
-supervisor follows the same appends in its own directories.  The checks:
+poisoned edge); one edge's fit always returns a divergent model, with
+finite coefficients whose probe predictions overflow to ±inf, so the
+probe gate refuses every publish of it (the corrupt edge).  A second,
+uninterrupted supervisor follows the same appends in its own
+directories.  The checks:
 *exactly-once ingestion* (the running SHA-256 digest of applied records
 equals the digest of the file's kept rows, in order, across every
 crash); the poisoned edge's *breaker opens* and unschedules it while a
 non-edge tier still answers for it; the corrupt edge's live model is
 *never unseated* while ``durability_rollback_total`` counts the refused
-artifacts; and *alert determinism* — the crash-resumed SLO alert ledger
+publishes; and *alert determinism* — the crash-resumed SLO alert ledger
 and SLI sample windows equal the reference's, the JSONL sink's event
 seqs strictly increase (recovery truncated re-emitted tails) and its
 ``slo/alert`` events mirror the ledger one for one.
@@ -46,13 +48,13 @@ import numpy as np
 
 from repro.logs.io import read_jsonl
 from repro.logs.store import LogStore
+from repro.ml.linear import LinearRegression
 from repro.obs import Observability
 from repro.obs.events import EventLog, read_events
 from repro.obs.slo import SLO, SLOEngine
 from repro.serve.chaos import (
     ChaosConfig,
     Verdict,
-    _corrupt_file,
     _work_dir,
     make_chaos_log,
     write_corrupt_jsonl,
@@ -115,7 +117,7 @@ class StreamChaosReport(Verdict):
     poisoned_refit_failures: int = 0
     poisoned_tier: str = ""
     rollbacks: int = 0
-    corrupt_artifacts_published: int = 0
+    refused_publishes: int = 0
 
     @property
     def title(self) -> str:
@@ -123,14 +125,24 @@ class StreamChaosReport(Verdict):
                 f"{self.crashes_injected} injected crashes")
 
 
-def _chaos_fit(task, poisoned=(), seed=0):
+def _chaos_fit(task, poisoned=(), corrupt=(), seed=0):
     """Scenario fit function: instant synthetic fit, except the poisoned
-    edges which always crash — the stand-in for a worker dying or a fit
-    diverging on garbage rows.  Top level so it pickles."""
+    edges, which always crash (the stand-in for a worker dying), and the
+    corrupt edges, which return a divergent model: every coefficient and
+    the intercept are the largest finite float, so the model encodes
+    cleanly but its probe predictions overflow to ±inf.  Top level so
+    it pickles."""
     src, dst, _rows = task
     if (src, dst) in tuple(tuple(e) for e in poisoned):
         raise RuntimeError(f"poisoned refit for {src}->{dst}")
-    return dataclasses.replace(make_synthetic_model(seed), src=src, dst=dst)
+    result = dataclasses.replace(make_synthetic_model(seed), src=src, dst=dst)
+    if (src, dst) in tuple(tuple(e) for e in corrupt):
+        divergent = LinearRegression()
+        big = np.finfo(np.float64).max
+        divergent.coef_ = np.full_like(result.model.coef_, big)
+        divergent.intercept_ = big
+        result = dataclasses.replace(result, model=divergent)
+    return result
 
 
 def _completion_ordered(log: LogStore) -> LogStore:
@@ -155,7 +167,6 @@ def _policy() -> RetrainPolicy:
         buffer_rows=256,
         min_fit_rows=4,
         probe_rows=4,
-        keep_artifacts=2,
     )
 
 
@@ -193,7 +204,7 @@ def run_stream_chaos(
     return report
 
 
-# -- scenario A: crashes, poison, artifact corruption -------------------------
+# -- scenario A: crashes, poison, divergent publishes -------------------------
 
 
 def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
@@ -222,13 +233,6 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     corrupt_edge = tuple(edges[1])
     report.poisoned_edge = f"{poisoned_edge[0]}->{poisoned_edge[1]}"
 
-    corrupt_publishes = {"n": 0}
-
-    def publish_hook(edge, generation, path):
-        if tuple(edge) == corrupt_edge:
-            corrupt_publishes["n"] += 1
-            _corrupt_file(path)
-
     base_model = dataclasses.replace(
         make_synthetic_model(cfg.seed),
         src=corrupt_edge[0], dst=corrupt_edge[1])
@@ -248,20 +252,19 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
         checkpoint_every=1,
     )
 
-    def build(root: Path, obs: Observability, publish_hook,
+    def build(root: Path, obs: Observability,
               crash_hook=None) -> StreamSupervisor:
-        """One supervisor incarnation over ``root``'s log, state and
-        artifact directories."""
+        """One supervisor incarnation over ``root``'s log and state
+        directory."""
         chain = FallbackChain.from_log(
             kept, edge_models={corrupt_edge: base_model})
         tail = TailIngester(root / "transfers.jsonl", fmt="jsonl",
                             registry=obs.registry, seed=cfg.seed)
         controller = RetrainController(
-            chain, obs.drift, root / "artifacts", policy=_policy(),
+            chain, obs.drift, policy=_policy(),
             fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
-                           seed=cfg.seed),
+                           corrupt=(corrupt_edge,), seed=cfg.seed),
             registry=obs.registry, tracer=obs.tracer, seed=cfg.seed,
-            publish_hook=publish_hook,
         )
         return StreamSupervisor(
             tail, controller, root / "state", obs=obs,
@@ -283,12 +286,7 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     ref_obs.slo = SLOEngine(_chaos_slos(), registry=ref_obs.registry,
                             events=ref_obs.events)
 
-    def ref_publish_hook(edge, generation, path):
-        # Same artifact corruption, but not counted into the report.
-        if tuple(edge) == corrupt_edge:
-            _corrupt_file(path)
-
-    ref = build(ref_root, ref_obs, ref_publish_hook)
+    ref = build(ref_root, ref_obs)
 
     def crash_hook_for(stage: str):
         def hook(s):
@@ -314,14 +312,13 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
         if phase < cfg.phases - 1:
             stage = cfg.crash_stages[phase % len(cfg.crash_stages)]
-            victim = build(root, obs, publish_hook,
-                           crash_hook=crash_hook_for(stage))
+            victim = build(root, obs, crash_hook=crash_hook_for(stage))
             report.incarnations += 1
             try:
                 victim.run(max_cycles=cfg.cycles_per_incarnation)
             except SimulatedCrash:
                 report.crashes_injected += 1
-        survivor = build(root, obs, publish_hook)
+        survivor = build(root, obs)
         report.incarnations += 1
         survivor.run(max_cycles=cfg.cycles_per_incarnation)
         final = survivor
@@ -382,16 +379,23 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
     # Never-unseat: the corrupt edge's live entry is the construction-time
     # object, every one of its publishes was refused at the probe gate.
-    report.corrupt_artifacts_published = corrupt_publishes["n"]
+    # The durable event sink counts the refusals the surviving history
+    # committed (the fit never raises for this edge, so each failed
+    # refit is a refused publish); the counter also counts those of
+    # attempts a crash rolled back.
+    sink = list(read_events(events_path))
+    corrupt_label = f"{corrupt_edge[0]}->{corrupt_edge[1]}"
+    report.refused_publishes = sum(
+        1 for e in sink if e.category == "stream"
+        and e.name == "refit_failed" and e.attrs.get("edge") == corrupt_label)
     report.rollbacks = int(
         obs.registry.flat().get("durability_rollback_total", 0))
     report.check(
         "live model never unseated",
         final.controller.chain.edge_models.get(corrupt_edge) is base_model
-        and report.rollbacks >= 1 and report.corrupt_artifacts_published >= 1,
-        f"{corrupt_edge[0]}->{corrupt_edge[1]}: {report.rollbacks} "
-        f"rollbacks over {report.corrupt_artifacts_published} corrupted "
-        f"artifacts")
+        and report.rollbacks >= 1 and report.refused_publishes >= 1,
+        f"{corrupt_label}: {report.rollbacks} rollbacks over "
+        f"{report.refused_publishes} refused publishes")
 
     # Alert determinism: the crash-resumed engine ledger vs the
     # uninterrupted reference's, exactly.  Global event seqs differ (the
@@ -421,7 +425,6 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     # The sink half of the proof: seqs strictly increasing (recovery
     # truncated every superseded tail) and the slo/alert events mirroring
     # the engine ledger one for one.
-    sink = list(read_events(events_path))
     seqs = [e.seq for e in sink]
     report.check(
         "alert determinism: event sink seqs strictly increasing",
@@ -477,7 +480,7 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
                         seed=cfg.seed)
     controller = RetrainController(
-        chain, obs.drift, root / "artifacts", policy=_policy(),
+        chain, obs.drift, policy=_policy(),
         fit_fn=partial(_chaos_fit, seed=cfg.seed), registry=obs.registry)
     supervisor = StreamSupervisor(
         tail, controller, state_dir, obs=obs,

@@ -25,33 +25,35 @@ bad refit take serving down.  Three defence layers:
    ``return_exceptions=True``: a hung or crashing fit surfaces as a
    per-edge failure, never as a stalled or aborted fan-out.
 3. **gated publication + circuit breaker** — a successful fit is
-   published to the edge's :class:`~repro.serve.durability.ModelArtifactStore`
-   and swapped in *only* through :class:`~repro.serve.durability.ModelReloader`'s
-   probe gate, so the live :class:`~repro.serve.FallbackChain` entry is
-   never unseated by an artifact that cannot reproduce its own
-   publish-time predictions.  Consecutive failures (fit errors,
-   timeouts, failed probes) open a per-edge :class:`CircuitBreaker`:
-   while open, the edge is not refit at all — it keeps serving through
-   whatever the chain already has (the existing model, or the fallback
-   tiers below it) until the cooldown admits a half-open probe attempt.
+   encoded into the edge's bundle (:func:`repro.ml.persistence.model_to_dict`,
+   a format-v2 document with its own checksum) together with a probe: a
+   seed for the probe rows and the predictions the fitted model made on
+   them.  :func:`probe_gate` decodes that bundle and requires the decoded
+   model to reproduce those predictions before the chain splice, so the
+   live :class:`~repro.serve.FallbackChain` entry is never unseated by a
+   model that cannot reproduce its own publish-time answers.  Consecutive
+   failures (fit errors, timeouts, refused publishes) open a per-edge
+   :class:`CircuitBreaker`: while open, the edge is not refit at all —
+   it keeps serving through whatever the chain already has (the existing
+   model, or the fallback tiers below it) until the cooldown admits a
+   half-open probe attempt.
 
 Everything the controller knows (buffers, breakers, latches, the
-fresh-evidence counts and backoff, published generations, the metadata
-bundle needed to re-splice a published model after restart) round-trips
-through :meth:`RetrainController.state_dict` so the supervisor can
-checkpoint it atomically with the tail position.
+fresh-evidence counts and backoff, per-edge generation counters, and
+each published bundle, encoded model included) round-trips through
+:meth:`RetrainController.state_dict` so the supervisor can checkpoint it
+atomically with the tail position.  The checkpoint's journal record is
+the only commit point for a refit: :meth:`RetrainController.load_state`
+rebuilds the published models from the record through the same gate.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-import re
 from dataclasses import dataclass
 from collections import deque
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -60,11 +62,11 @@ from repro.core.pipeline import EdgeModelResult, fit_edge_model
 from repro.exec import TaskTimeout, derive_seed, parallel_map
 from repro.logs.schema import LOG_DTYPE
 from repro.logs.store import LogStore
-from repro.ml.persistence import model_from_dict, model_to_dict
+from repro.ml.persistence import (ModelIntegrityError, model_from_dict,
+                                   model_to_dict)
 from repro.obs import DriftStats, MetricsRegistry, Tracer
 from repro.obs.events import EventLog
 from repro.obs.tracing import NULL_SPAN
-from repro.serve.durability import ModelArtifactStore, ModelReloader
 from repro.serve.fallback import FallbackChain
 
 __all__ = [
@@ -73,12 +75,17 @@ __all__ = [
     "RetrainPolicy",
     "RetrainController",
     "fit_edge_from_rows",
+    "probe_gate",
 ]
 
 Edge = tuple[str, str]
 
 _SRC = LOG_DTYPE.names.index("src")
 _DST = LOG_DTYPE.names.index("dst")
+
+# How closely a decoded model must reproduce its publish-time probe.
+_PROBE_RTOL = 1e-9
+_PROBE_ATOL = 1e-6
 
 
 class BreakerState(enum.Enum):
@@ -178,7 +185,6 @@ class RetrainPolicy:
     buffer_rows: int = 512           # per-edge training buffer (bounded)
     min_fit_rows: int = 32           # don't fit on fewer rows
     probe_rows: int = 8              # publish-time probe batch size
-    keep_artifacts: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.hysteresis <= 1.0:
@@ -198,10 +204,6 @@ def fit_edge_from_rows(task: tuple, min_samples: int = 30) -> EdgeModelResult:
                           min_samples=min_samples)
 
 
-def _edge_key(edge: Edge) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", f"{edge[0]}__{edge[1]}")
-
-
 def _floats_to_json(values) -> list:
     # Checkpoints are strict JSON (allow_nan=False): the NaN holes in
     # significance / test_errors map to null, as in edge_result_to_payload.
@@ -214,10 +216,22 @@ def _floats_from_json(values) -> np.ndarray:
                       dtype=np.float64)
 
 
-def _result_to_bundle(result: EdgeModelResult) -> dict:
-    """The JSON-safe remainder of an :class:`EdgeModelResult` once its
-    estimator lives in the artifact store: everything the chain needs to
-    re-splice the model after a restart."""
+def _probe(model, seed: int, rows: int, width: int) -> np.ndarray:
+    """``model``'s predictions on the probe rows ``seed`` draws.  A
+    divergent model overflows here, and the gate refuses it, so the
+    overflow is not also warned about."""
+    x = np.random.default_rng(seed).standard_normal((rows, width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(model.predict(x), dtype=np.float64)
+
+
+def _result_to_bundle(result: EdgeModelResult, probe_seed: int,
+                      probe_rows: int) -> dict:
+    """An :class:`EdgeModelResult` as strict JSON: the encoded estimator
+    and scaler, the metadata the chain needs, and the probe — its seed
+    and the predictions ``result.model`` makes on the rows it draws."""
+    reference = _probe(result.model, probe_seed, probe_rows,
+                       _model_input_width(result))
     return {
         "src": result.src,
         "dst": result.dst,
@@ -231,6 +245,9 @@ def _result_to_bundle(result: EdgeModelResult) -> dict:
         "mdape": float(result.mdape),
         "scaler": (model_to_dict(result.scaler)
                    if result.scaler is not None else None),
+        "model": model_to_dict(result.model),
+        "probe": {"seed": int(probe_seed),
+                  "reference": _floats_to_json(reference)},
     }
 
 
@@ -250,6 +267,42 @@ def _bundle_to_result(bundle: dict, model) -> EdgeModelResult:
         scaler=(model_from_dict(bundle["scaler"])
                 if bundle.get("scaler") else None),
     )
+
+
+def probe_gate(bundle: dict) -> EdgeModelResult:
+    """Decode a published bundle and admit it only if its model
+    reproduces the probe predictions made at publish time: the same
+    shape, finite, and within rtol 1e-9 / atol 1e-6.
+
+    A live publish runs it on the bundle it is about to journal, and
+    :meth:`RetrainController.load_state` on every bundle it restores.
+    Returns the decoded result; raises ``ValueError`` on any refusal
+    (:class:`~repro.ml.persistence.ModelIntegrityError` when a document
+    fails its checksum or does not decode)."""
+    if not isinstance(bundle, dict) or bundle.get("model") is None \
+            or bundle.get("probe") is None:
+        raise ValueError("bundle carries no encoded model")
+    try:
+        result = _bundle_to_result(bundle, model_from_dict(bundle["model"]))
+        probe = bundle["probe"]
+        reference = _floats_from_json(probe["reference"])
+        seed, width = int(probe["seed"]), _model_input_width(result)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ModelIntegrityError(f"bundle undecodable: {exc!r}") from exc
+    try:
+        predictions = _probe(result.model, seed, reference.shape[0], width)
+    except Exception as exc:  # noqa: BLE001 - any crash fails the gate
+        raise ValueError(f"probe predict raised {exc!r}") from exc
+    if predictions.shape != reference.shape:
+        raise ValueError("probe prediction shape mismatch")
+    if not np.all(np.isfinite(predictions)):
+        raise ValueError("probe predictions are non-finite")
+    if not np.allclose(predictions, reference,
+                       rtol=_PROBE_RTOL, atol=_PROBE_ATOL):
+        worst = float(np.max(np.abs(predictions - reference)))
+        raise ValueError(
+            f"probe predictions deviate (max |delta| {worst:.3g})")
+    return result
 
 
 def _model_input_width(result: EdgeModelResult) -> int:
@@ -272,18 +325,21 @@ class RetrainController:
         self,
         chain: FallbackChain,
         drift,
-        artifact_root: str | Path,
+        artifact_root=None,
         policy: RetrainPolicy | None = None,
         fit_fn=None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         seed: int = 0,
-        publish_hook=None,
         events: EventLog | None = None,
     ) -> None:
+        """``artifact_root`` is accepted and ignored: a published model
+        is committed inside the supervisor's checkpoint record, not in a
+        directory of its own.  The slot stays third and positional
+        because the benchmark's stream workload still passes a path
+        there."""
         self.chain = chain
         self.drift = drift
-        self.artifact_root = Path(artifact_root)
         self.policy = policy or RetrainPolicy()
         self.fit_fn = fit_fn if fit_fn is not None else partial(
             fit_edge_from_rows, min_samples=self.policy.min_fit_rows)
@@ -291,10 +347,6 @@ class RetrainController:
         self.tracer = tracer
         self.events = events
         self.seed = int(seed)
-        # Test/chaos hook: called as publish_hook(edge, generation, path)
-        # after publish but before reload — where artifact corruption
-        # between writer and reader is injected.
-        self.publish_hook = publish_hook
 
         self._buffers: dict[Edge, deque[tuple]] = {}
         self._breakers: dict[Edge, CircuitBreaker] = {}
@@ -305,28 +357,12 @@ class RetrainController:
         self._fresh: dict[Edge, int] = {}
         self._trigger: dict[Edge, float] = {}  # MdAPE behind an unjudged publish
         self._losses: dict[Edge, int] = {}     # consecutive losing publishes
+        self._generations: dict[Edge, int] = {}     # publishes attempted
         self._published: dict[Edge, int] = {}       # edge -> live generation
-        self._bundles: dict[Edge, dict] = {}        # edge -> metadata bundle
+        self._bundles: dict[Edge, dict] = {}        # edge -> published bundle
         self._journaled: dict[Edge, int] = {}  # generations state_delta sent
-        self._stores: dict[Edge, ModelArtifactStore] = {}
-        self._reloaders: dict[Edge, ModelReloader] = {}
 
     # -- wiring -------------------------------------------------------------
-
-    def _store(self, edge: Edge) -> ModelArtifactStore:
-        store = self._stores.get(edge)
-        if store is None:
-            store = ModelArtifactStore(
-                self.artifact_root / _edge_key(edge), registry=self.registry)
-            self._stores[edge] = store
-        return store
-
-    def _reloader(self, edge: Edge) -> ModelReloader:
-        reloader = self._reloaders.get(edge)
-        if reloader is None:
-            reloader = ModelReloader(self._store(edge))
-            self._reloaders[edge] = reloader
-        return reloader
 
     def breaker(self, edge: Edge) -> CircuitBreaker:
         breaker = self._breakers.get(edge)
@@ -585,33 +621,40 @@ class RetrainController:
                 "Circuit-breaker open transitions.",
             ).inc()
 
+    def _refuse(self) -> None:
+        if self.registry is not None:
+            self.registry.counter(
+                "durability_rollback_total",
+                "Published or restored models the probe gate refused; "
+                "serving stayed on the previous generation.",
+            ).inc()
+
     def _publish(self, edge: Edge, result: EdgeModelResult) -> tuple[bool, str]:
-        """Artifact-store publish + probe-gated reload + chain splice.
+        """Encode the fit into its bundle, run :func:`probe_gate` on it,
+        splice the decoded model.  The next checkpoint record journals
+        the bundle: that record, not this call, commits the publish.
 
         The live chain entry is touched only on the full success path;
         every failure leaves it byte-for-byte what it was.
         """
-        store = self._store(edge)
-        reloader = self._reloader(edge)
-        width = _model_input_width(result)
-        probe_seed = derive_seed(self.seed, edge[0], edge[1],
-                                 store.latest_generation() + 1)
-        probe_x = np.random.default_rng(probe_seed).standard_normal(
-            (self.policy.probe_rows, width))
-        try:
-            generation = store.publish(result.model, probe_x)
-        except Exception as exc:  # noqa: BLE001 - any publish crash is a failure
-            return False, f"publish failed: {exc}"
-        if self.publish_hook is not None:
-            self.publish_hook(edge, generation, store.path_for(generation))
-        outcome = reloader.reload()
-        if outcome.status != "reloaded" or outcome.generation != generation:
-            return False, f"reload {outcome.status}: {outcome.reason}"
-        self.chain.edge_models[edge] = dataclasses.replace(
-            result, model=reloader.model)
+        generation = self._generations.get(edge, 0) + 1
+        self._generations[edge] = generation
+        with self._span("stream.publish", edge=f"{edge[0]}->{edge[1]}",
+                        generation=generation) as span:
+            try:
+                bundle = _result_to_bundle(
+                    result,
+                    derive_seed(self.seed, edge[0], edge[1], generation),
+                    self.policy.probe_rows)
+                live = probe_gate(bundle)
+            except Exception as exc:  # noqa: BLE001 - any failure refuses
+                span.attrs["outcome"] = "refused"
+                self._refuse()
+                return False, f"publish refused: {exc}"
+            span.attrs["outcome"] = "published"
+        self.chain.edge_models[edge] = live
         self._published[edge] = generation
-        self._bundles[edge] = _result_to_bundle(result)
-        store.prune(keep=self.policy.keep_artifacts)
+        self._bundles[edge] = bundle
         return True, ""
 
     # -- durability ---------------------------------------------------------
@@ -637,6 +680,10 @@ class RetrainController:
             ],
             "losses": [
                 [s, d, int(n)] for (s, d), n in sorted(self._losses.items())
+            ],
+            "generations": [
+                [s, d, int(n)]
+                for (s, d), n in sorted(self._generations.items())
             ],
         }
 
@@ -694,15 +741,14 @@ class RetrainController:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore buffers/breakers/latches, then re-splice previously
-        published models from the artifact store.
+        """Restore buffers/breakers/latches, then rebuild the published
+        models from their bundles.
 
-        The splice is gated exactly like a live publish: the reloader
-        must reach *the recorded generation* through its probe gate.  A
-        corrupted artifact, or a newer on-disk generation this checkpoint
-        never acknowledged, fails the gate or the generation match — the
-        chain keeps its construction-time entry and drift re-triggers the
-        refit instead.
+        Each rebuild passes :func:`probe_gate`, exactly like a live
+        publish.  A bundle the gate refuses (one written before bundles
+        carried their model, say) withdraws its edge: the chain keeps
+        its construction-time entry, ``durability_rollback_total``
+        counts it, and drift re-triggers the refit.
         """
         self._buffers.clear()
         for s, d, rows in state.get("buffers", ()):
@@ -734,27 +780,32 @@ class RetrainController:
         self._losses = {
             (str(s), str(d)): int(n) for s, d, n in state.get("losses", ())
         }
+        self._generations = {
+            (str(s), str(d)): int(n)
+            for s, d, n in state.get("generations", ())
+        }
         self._published.clear()
         self._bundles.clear()
         self._journaled = {}
         for s, d, generation, bundle in state.get("published", ()):
             edge = (str(s), str(d))
             self._journaled[edge] = int(generation)
-            reloader = self._reloader(edge)
-            outcome = reloader.reload()
-            if (outcome.status == "reloaded"
-                    and outcome.generation == int(generation)
-                    and bundle is not None):
-                self.chain.edge_models[edge] = _bundle_to_result(
-                    bundle, reloader.model)
-                self._published[edge] = int(generation)
-                self._bundles[edge] = bundle
-            elif self.events is not None:
-                self.events.emit(
-                    "stream", "retrain_rollback", severity="warning",
-                    edge=f"{edge[0]}->{edge[1]}",
-                    generation=int(generation),
-                    status=outcome.status, reason=outcome.reason,
-                )
+            # Checkpoints without counters: never reuse a live number.
+            self._generations[edge] = max(self._generations.get(edge, 0),
+                                          int(generation))
+            try:
+                live = probe_gate(bundle)
+            except ValueError as exc:
+                self._refuse()
+                if self.events is not None:
+                    self.events.emit(
+                        "stream", "retrain_rollback", severity="warning",
+                        edge=f"{edge[0]}->{edge[1]}",
+                        generation=int(generation), reason=str(exc),
+                    )
+                continue
+            self.chain.edge_models[edge] = live
+            self._published[edge] = int(generation)
+            self._bundles[edge] = bundle
         for edge in self._breakers:
             self._export_breaker(edge)

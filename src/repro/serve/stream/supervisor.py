@@ -23,10 +23,9 @@ anywhere rolls the *pair* (position, consumption) back to the same
 consistent point: on restart the tail re-reads exactly the bytes whose
 effects were lost, and a record's effects are committed exactly once.
 A crash mid-append leaves a torn record, which fails its CRC and is
-truncated — the previous record is the commit point.  (Retrain
-publishes artifacts to disk outside this transaction — deliberately: a
-re-published model is idempotent-by-generation-gate, see
-:meth:`~repro.serve.stream.retrain.RetrainController.load_state`.)
+truncated — the previous record is the commit point.  A refit's
+published model rides in the same record (its encoded bundle), so
+exactly-once covers publishes too.
 
 **Snapshot plus journal suffix.**  Records extend the newest
 :class:`~repro.serve.durability.SnapshotStore` generation one ``seq`` at

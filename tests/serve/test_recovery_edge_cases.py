@@ -1,11 +1,15 @@
 """Recovery edge cases: zero-byte journals, all-corrupt snapshot dirs,
-checkpoints torn mid-write (a snapshot, or a journal record)."""
+checkpoints torn mid-write (a snapshot, or a journal record), and a
+bit-flip inside a journal record that carries a published model."""
 
 import dataclasses
+import json
+import struct
 
 import pytest
 
 from repro.logs.io import read_jsonl, write_jsonl
+from repro.ml.persistence import model_to_dict
 from repro.obs import Observability
 from repro.serve.durability import recover_serving_state
 from repro.serve.durability.journal import Journal
@@ -14,6 +18,7 @@ from repro.serve.fallback import FallbackChain
 from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
     RetrainController,
+    RetrainPolicy,
     StreamConfig,
     StreamSupervisor,
     TailIngester,
@@ -204,24 +209,107 @@ class TestTornCheckpoint:
         assert second.applied_digest == fold_digest("", kept.raw())
 
 
+class TestJournalBitFlip:
+    def test_flipped_publish_record_stops_the_fold(self, tmp_path):
+        """One byte flipped inside a journal record that republishes an
+        edge, with a newer record behind it: the fold stops before it,
+        the chain serves the generation committed before it, and the
+        run re-applies the rest to the exact digest."""
+        live = tmp_path / "live.jsonl"
+        write_jsonl(make_random_store(n=60, n_endpoints=4, seed=11), live)
+        kept, _ = read_jsonl(live, strict=False)
+        first = _supervisor(tmp_path, live, fit_fn=_row_seeded_fit,
+                            max_apply_per_cycle=3, cooldown_s=0.0,
+                            min_samples=3)
+        committed = {}      # seq -> (applied, generations, served models)
+        checkpoint = first.checkpoint
+
+        def capture():
+            generation = checkpoint()
+            committed[first._seq] = (first.applied_records,
+                                     dict(first.controller._published),
+                                     _served(first))
+            return generation
+
+        first.checkpoint = capture
+        target = None
+        for _ in range(60):
+            first.cycle()
+            frames = _frames(first.segments.journal.path)
+            target = next((
+                (offset, length, record)
+                for (offset, length, record), _ in zip(frames, frames[1:])
+                if any(g is not None and g >= 2
+                       for _, _, g, _ in record["retrain"]["published"])),
+                None)
+            if target is not None:
+                break
+        assert target is not None, "no republish followed by a record"
+        offset, length, record = target
+        segment = first.segments.journal.path
+        blob = bytearray(segment.read_bytes())
+        blob[offset + 8 + length // 2] ^= 0x01
+        segment.write_bytes(bytes(blob))
+
+        second = _supervisor(tmp_path, live, fit_fn=_row_seeded_fit,
+                             max_apply_per_cycle=3, cooldown_s=0.0,
+                             min_samples=3)
+        applied, generations, served = committed[record["seq"] - 1]
+        assert all(generations.get((src, dst)) != g
+                   for src, dst, g, _ in record["retrain"]["published"])
+        assert second.applied_records == applied
+        assert second.controller._published == generations
+        assert _served(second) == served
+        assert "durability_rollback_total" not in \
+            second.obs.registry.flat()
+        second.run(max_cycles=60)
+        assert second.applied_records == len(kept)
+        assert second.applied_digest == fold_digest("", kept.raw())
+
+
+def _frames(path) -> list[tuple[int, int, dict]]:
+    """(offset, payload length, record) for each frame of a segment."""
+    data = path.read_bytes()
+    out, offset = [], 0
+    while offset < len(data):
+        length, _crc = struct.unpack_from("<II", data, offset)
+        out.append((offset, length,
+                    json.loads(data[offset + 8:offset + 8 + length])))
+        offset += 8 + length
+    return out
+
+
+def _served(sup) -> dict:
+    """The chain's published models, as encoded documents."""
+    chain = sup.controller.chain.edge_models
+    return {edge: model_to_dict(chain[edge].model)
+            for edge in sup.controller._published}
+
+
 def _fake_fit(task):
     src, dst, _arr = task
     return dataclasses.replace(make_synthetic_model(0), src=src, dst=dst)
 
 
-def _supervisor(tmp_path, live, **config_overrides):
-    from repro.logs.io import read_jsonl
-    from repro.serve.stream import RetrainPolicy
+def _row_seeded_fit(task):
+    # A different model for every buffer size, so generations differ.
+    src, dst, arr = task
+    return dataclasses.replace(make_synthetic_model(len(arr)),
+                               src=src, dst=dst)
 
+
+def _supervisor(tmp_path, live, fit_fn=_fake_fit, cooldown_s=1e9,
+                min_samples=12, **config_overrides):
     obs = Observability.create(trace=False)
     store, _ = read_jsonl(live, strict=False)
     config = dict(poll_interval_s=0.0, max_apply_per_cycle=16,
                   checkpoint_every=1)
     config.update(config_overrides)
     controller = RetrainController(
-        FallbackChain.from_log(store), obs.drift, tmp_path / "artifacts",
-        policy=RetrainPolicy(min_fit_rows=4, buffer_rows=64, cooldown_s=1e9),
-        fit_fn=_fake_fit, registry=obs.registry)
+        FallbackChain.from_log(store), obs.drift,
+        policy=RetrainPolicy(min_samples=min_samples, min_fit_rows=4,
+                             buffer_rows=64, cooldown_s=cooldown_s),
+        fit_fn=fit_fn, registry=obs.registry)
     return StreamSupervisor(
         TailIngester(live, registry=obs.registry),
         controller, tmp_path / "state", obs=obs,

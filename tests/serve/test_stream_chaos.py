@@ -59,8 +59,8 @@ class TestCircuitBreaker:
 
 class TestNeverUnseated:
     def test_live_model_survives_corrupt_publishes(self, report):
-        assert report.corrupt_artifacts_published >= 1
-        assert report.rollbacks >= report.corrupt_artifacts_published
+        assert report.refused_publishes >= 1
+        assert report.rollbacks >= report.refused_publishes
         assert passed(report, "live model never unseated")
 
 

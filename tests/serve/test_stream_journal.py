@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.logs.io import read_jsonl, write_jsonl
+from repro.ml.persistence import model_to_dict
 from repro.obs import Observability, stream_slos
 from repro.serve.fallback import FallbackChain
 from repro.serve.fixtures import make_synthetic_model
@@ -40,12 +41,12 @@ def _fake_fit(task):
     return dataclasses.replace(make_synthetic_model(0), src=src, dst=dst)
 
 
-def _build(root, live, store, artifacts, crash_hook=None, **config):
+def _build(root, live, store, crash_hook=None, **config):
     obs = Observability.create(
         trace=False, drift_window=16, slos=stream_slos(),
         events_path=root / "state" / "events.jsonl")
     controller = RetrainController(
-        FallbackChain.from_log(store), obs.drift, artifacts,
+        FallbackChain.from_log(store), obs.drift,
         policy=RetrainPolicy(min_samples=3, min_fit_rows=4, buffer_rows=24,
                              cooldown_s=0.0),
         fit_fn=_fake_fit, registry=obs.registry)
@@ -57,10 +58,14 @@ def _build(root, live, store, artifacts, crash_hook=None, **config):
 
 
 def _sections(sup) -> dict:
-    """Everything a checkpoint must carry, as canonical JSON values."""
+    """Everything a checkpoint must carry, as canonical JSON values; the
+    chain's edge models compare as encoded documents."""
     return json.loads(json.dumps({
         "tail": sup.tail.state_dict(),
         "retrain": sup.controller.state_dict(),
+        "models": {f"{src}->{dst}": model_to_dict(result.model)
+                   for (src, dst), result
+                   in sup.controller.chain.edge_models.items()},
         "drift": sup.drift.dump_state(),
         "backlog": [list(row) for row in sup._backlog],
         "scalars": [sup.applied_records, sup.applied_digest,
@@ -74,11 +79,7 @@ def _crash_and_rebuild(root, cycles, crash_stage, apply_cap, every,
                        backlog_cap):
     """Feed a log in chunks for ``cycles`` cycles, die at ``crash_stage``
     of the last one (``None``: just stop), rebuild from disk.  Returns
-    (dead supervisor, rebuilt supervisor, sections at the last record).
-
-    Model artifacts are published outside the checkpoint transaction, so
-    the rebuild reads a copy of the artifact store taken at the last
-    record — a newer on-disk generation would (by design) be refused."""
+    (dead supervisor, rebuilt supervisor, sections at the last record)."""
     store = make_random_store(n=60, n_endpoints=4, seed=11)
     full = root / "full.jsonl"
     write_jsonl(store, full)
@@ -86,7 +87,6 @@ def _crash_and_rebuild(root, cycles, crash_stage, apply_cap, every,
     chunks = ["".join(part) for part in np.array_split(lines, 5)]
     live = root / "live.jsonl"
     live.write_text("")
-    durable_artifacts = root / "artifacts-at-last-record"
     at = {"cycle": 0}
 
     def hook(stage):
@@ -95,16 +95,13 @@ def _crash_and_rebuild(root, cycles, crash_stage, apply_cap, every,
 
     config = dict(max_apply_per_cycle=apply_cap, checkpoint_every=every,
                   max_backlog_records=backlog_cap)
-    sup = _build(root, live, store, root / "artifacts", hook, **config)
+    sup = _build(root, live, store, hook, **config)
     durable = {"sections": _sections(sup)}
     checkpoint = sup.checkpoint
 
     def checkpoint_and_capture():
         generation = checkpoint()
         durable["sections"] = _sections(sup)
-        shutil.rmtree(durable_artifacts, ignore_errors=True)
-        if (root / "artifacts").exists():
-            shutil.copytree(root / "artifacts", durable_artifacts)
         return generation
 
     sup.checkpoint = checkpoint_and_capture
@@ -117,7 +114,7 @@ def _crash_and_rebuild(root, cycles, crash_stage, apply_cap, every,
             sup.cycle()
         except SimulatedCrash:
             break
-    rebuilt = _build(root, live, store, durable_artifacts, **config)
+    rebuilt = _build(root, live, store, **config)
     return sup, rebuilt, durable["sections"]
 
 
@@ -188,7 +185,7 @@ def test_snapshot_only_state_dir_recovers(tmp_path):
 
     obs = Observability.create(trace=False)
     controller = RetrainController(
-        FallbackChain.from_log(kept), obs.drift, tmp_path / "artifacts",
+        FallbackChain.from_log(kept), obs.drift,
         policy=RetrainPolicy(min_samples=10**6, min_fit_rows=4,
                              buffer_rows=64),
         registry=obs.registry)

@@ -1,12 +1,15 @@
 """Circuit breaker transitions and the drift-triggered retrain path."""
 
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
+from repro.logs.io import read_jsonl, write_jsonl
 from repro.logs.schema import LOG_DTYPE
+from repro.ml.persistence import model_to_dict
 from repro.obs import DriftMonitor, Observability
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.fixtures import make_synthetic_model
@@ -15,7 +18,13 @@ from repro.serve.stream import (
     CircuitBreaker,
     RetrainController,
     RetrainPolicy,
+    SimulatedCrash,
+    StreamConfig,
+    StreamSupervisor,
+    TailIngester,
+    retrain,
 )
+from repro.serve.stream.supervisor import load_checkpoint
 from tests.core.conftest import make_random_store
 
 EDGE = ("EP0", "EP1")
@@ -47,6 +56,13 @@ def _fake_fit(task):
     return dataclasses.replace(make_synthetic_model(0), src=src, dst=dst)
 
 
+def _row_seeded_fit(task):
+    # A different model for every buffer size, so generations differ.
+    src, dst, arr = task
+    return dataclasses.replace(make_synthetic_model(len(arr)),
+                               src=src, dst=dst)
+
+
 def _fail_fit(task):
     raise RuntimeError("poisoned fit")
 
@@ -61,17 +77,16 @@ def _policy(**overrides):
         mdape_threshold=25.0, p95_threshold=75.0, min_samples=4,
         hysteresis=0.5, cooldown_s=10.0, fit_timeout_s=30.0,
         breaker_failures=2, breaker_cooldown_s=100.0, workers=1,
-        buffer_rows=64, min_fit_rows=4, probe_rows=4, keep_artifacts=2,
+        buffer_rows=64, min_fit_rows=4, probe_rows=4,
     )
     base.update(overrides)
     return RetrainPolicy(**base)
 
 
-def _controller(tmp_path, obs, fit_fn=_fake_fit, drift=None,
-                **policy_overrides):
+def _controller(obs, fit_fn=_fake_fit, drift=None, **policy_overrides):
     chain = FallbackChain.from_log(make_random_store(n=60, seed=7))
     return RetrainController(
-        chain, drift or obs.drift, tmp_path / "artifacts",
+        chain, drift or obs.drift,
         policy=_policy(**policy_overrides), fit_fn=fit_fn,
         registry=obs.registry, seed=0,
     )
@@ -150,8 +165,8 @@ class TestCircuitBreaker:
 
 
 class TestScheduling:
-    def test_due_needs_breach_with_samples(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_due_needs_breach_with_samples(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         assert ctl.due(0.0) == []               # no drift yet
         _breach(obs.drift, n=2)
@@ -159,8 +174,8 @@ class TestScheduling:
         _breach(obs.drift, n=6)
         assert ctl.due(0.0) == [EDGE]
 
-    def test_hysteresis_latch_holds_until_released(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_hysteresis_latch_holds_until_released(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift, n=8, ape=4.0)
         assert ctl.due(0.0) == [EDGE]
@@ -176,8 +191,8 @@ class TestScheduling:
             obs.drift.record(*EDGE, ModelTier.EDGE, 1.01e6, 1e6)
         assert ctl.due(0.0) == []
 
-    def test_cooldown_spaces_attempts(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_cooldown_spaces_attempts(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(100.0) == {EDGE: "ok"}
@@ -189,8 +204,8 @@ class TestScheduling:
 
 
 class TestEvidenceGate:
-    def test_no_refit_without_fresh_evidence(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_no_refit_without_fresh_evidence(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(0.0) == {EDGE: "ok"}
@@ -203,11 +218,11 @@ class TestEvidenceGate:
         _score(ctl, obs.drift, 1, ape=2.0)
         assert ctl.due(1e9) == [EDGE]
 
-    def test_failed_attempt_keeps_its_evidence(self, tmp_path, obs):
+    def test_failed_attempt_keeps_its_evidence(self, obs):
         """A failure leaves the serving generation in place, so its
         samples still count: the edge is retried past the cooldown with
         no new sample, and the breaker opens on consecutive failures."""
-        ctl = _controller(tmp_path, obs, fit_fn=_fail_fit)
+        ctl = _controller(obs, fit_fn=_fail_fit)
         ctl.observe(_rows(*EDGE, 10))
         _score(ctl, obs.drift, 8)
         assert ctl.refit_due(0.0) == {EDGE: "failed"}
@@ -217,15 +232,15 @@ class TestEvidenceGate:
         assert ctl.breaker(EDGE).state is BreakerState.OPEN
         assert ctl.due(50.0) == []              # the breaker, not evidence
 
-    def test_skipped_attempt_restarts_the_window(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs, min_fit_rows=16)
+    def test_skipped_attempt_restarts_the_window(self, obs):
+        ctl = _controller(obs, min_fit_rows=16)
         _score(ctl, obs.drift, 8)               # 8 rows < min_fit_rows
         assert ctl.refit_due(0.0) == {EDGE: "skipped"}
         assert ctl.evidence(EDGE).n == 0
         assert ctl.due(1e9) == []
 
-    def test_latch_judged_on_post_publish_samples_only(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_latch_judged_on_post_publish_samples_only(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift, n=8)
         assert ctl.refit_due(0.0) == {EDGE: "ok"}
@@ -238,9 +253,9 @@ class TestEvidenceGate:
         assert ctl._breached[EDGE] is False
 
     def test_losing_edge_backs_off_to_the_cap_and_a_win_resets(
-            self, tmp_path, obs):
+            self, obs):
         drift = DriftMonitor(registry=obs.registry, window=32)
-        ctl = _controller(tmp_path, obs, drift=drift)
+        ctl = _controller(obs, drift=drift)
         ctl.observe(_rows(*EDGE, 10))
         _breach(drift, n=8)                     # trigger MdAPE 400%
         now = 0.0
@@ -266,8 +281,8 @@ class TestEvidenceGate:
         assert ctl.due(now + 100.0) == [EDGE]
         assert ctl.required(EDGE) == 4
 
-    def test_released_latch_resets_the_backoff(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_released_latch_resets_the_backoff(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(0.0) == {EDGE: "ok"}
@@ -279,10 +294,8 @@ class TestEvidenceGate:
         assert ctl._breached[EDGE] is False
         assert ctl.required(EDGE) == 4
 
-    def test_evidence_state_round_trips(self, tmp_path, obs):
-        import json
-
-        ctl = _controller(tmp_path, obs)
+    def test_evidence_state_round_trips(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(0.0) == {EDGE: "ok"}
@@ -297,7 +310,7 @@ class TestEvidenceGate:
         assert state["losses"] == [[*EDGE, 1]]
         assert state["trigger"] == [[*EDGE, 400.0]]
 
-        fresh = _controller(tmp_path, obs)
+        fresh = _controller(obs)
         fresh.load_state(state)
         assert fresh.state_dict() == ctl.state_dict()
         # Both see the same rows: a second loss (required 16), then due.
@@ -310,18 +323,18 @@ class TestEvidenceGate:
             assert fresh.required(EDGE) == ctl.required(EDGE) == 16
         assert fresh.state_dict() == ctl.state_dict()
 
-    def test_pre_evidence_checkpoint_loads(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_pre_evidence_checkpoint_loads(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.refit_due(0.0) == {EDGE: "ok"}
         # The checkpoint layout from before the evidence gate.
         state = {k: v for k, v in ctl.state_dict().items()
-                 if k not in ("fresh", "trigger", "losses")}
+                 if k not in ("fresh", "trigger", "losses", "generations")}
         assert sorted(state) == ["breached", "breakers", "buffers",
                                  "last_attempt", "published"]
 
-        old = _controller(tmp_path, obs)
+        old = _controller(obs)
         old.load_state(state)
         assert old._published == ctl._published
         assert old.required(EDGE) == 4          # no backoff
@@ -331,8 +344,8 @@ class TestEvidenceGate:
 
 
 class TestRetrain:
-    def test_success_publishes_and_splices(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_success_publishes_and_splices(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         before = ctl.chain.edge_models.get(EDGE)
@@ -345,15 +358,14 @@ class TestRetrain:
         flat = obs.registry.flat()
         assert flat['stream_refits_total{status="ok"}'] == 1.0
 
-    def test_insufficient_rows_skips_without_breaker_harm(
-            self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_insufficient_rows_skips_without_breaker_harm(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 2))            # < min_fit_rows
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "skipped"}
         assert ctl.breaker(EDGE).failures == 0
 
-    def test_failures_open_the_breaker_and_block(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs, fit_fn=_fail_fit)
+    def test_failures_open_the_breaker_and_block(self, obs):
+        ctl = _controller(obs, fit_fn=_fail_fit)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "failed"}
@@ -369,8 +381,8 @@ class TestRetrain:
         # a fallback tier.
         assert ctl.chain.resolve(*EDGE) is not ModelTier.EDGE
 
-    def test_timeout_counts_as_breaker_failure(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs, fit_fn=_slow_fit,
+    def test_timeout_counts_as_breaker_failure(self, obs):
+        ctl = _controller(obs, fit_fn=_slow_fit,
                           fit_timeout_s=0.2, breaker_failures=1)
         ctl.observe(_rows(*EDGE, 10))
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "timeout"}
@@ -378,17 +390,21 @@ class TestRetrain:
         flat = obs.registry.flat()
         assert flat['stream_refits_total{status="timeout"}'] == 1.0
 
-    def test_corrupt_artifact_never_unseats_live_model(self, tmp_path, obs):
+    def test_corrupt_artifact_never_unseats_live_model(self, obs,
+                                                       monkeypatch):
+        # Rot the encoded model between encode and gate: its checksum
+        # no longer matches, so the gate refuses the publish.
+        encode = retrain._result_to_bundle
         seen = {"n": 0}
 
-        def corrupt(edge, generation, path):
+        def corrupt(*args):
+            bundle = encode(*args)
+            bundle["model"]["coef"][0] += 1.0
             seen["n"] += 1
-            blob = bytearray(path.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            path.write_bytes(bytes(blob))
+            return bundle
 
-        ctl = _controller(tmp_path, obs)
-        ctl.publish_hook = corrupt
+        monkeypatch.setattr(retrain, "_result_to_bundle", corrupt)
+        ctl = _controller(obs)
         original = dataclasses.replace(make_synthetic_model(1),
                                        src=EDGE[0], dst=EDGE[1])
         ctl.chain.edge_models[EDGE] = original
@@ -396,18 +412,19 @@ class TestRetrain:
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "failed"}
         assert seen["n"] == 1
         assert ctl.chain.edge_models[EDGE] is original
-        assert obs.registry.flat()["durability_rollback_total"] >= 1.0
+        assert EDGE not in ctl._published
+        assert obs.registry.flat()["durability_rollback_total"] == 1.0
 
 
 class TestDurability:
-    def test_state_round_trip_resplices_published_model(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_state_round_trip_resplices_published_model(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         _breach(obs.drift)
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "ok"}
         state = ctl.state_dict()
 
-        fresh = _controller(tmp_path, obs)
+        fresh = _controller(obs)
         assert EDGE not in fresh.chain.edge_models
         fresh.load_state(state)
         spliced = fresh.chain.edge_models[EDGE]
@@ -416,25 +433,111 @@ class TestDurability:
         assert len(fresh._buffers[EDGE]) == 10
         assert fresh.breaker(EDGE).state is BreakerState.CLOSED
 
-    def test_corrupt_artifact_blocks_resplice(self, tmp_path, obs):
-        ctl = _controller(tmp_path, obs)
+    def test_corrupt_artifact_blocks_resplice(self, obs):
+        ctl = _controller(obs)
         ctl.observe(_rows(*EDGE, 10))
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "ok"}
-        state = ctl.state_dict()
-        for artifact in (tmp_path / "artifacts").rglob("model-*.json"):
-            artifact.write_text("{corrupt")
+        state = json.loads(json.dumps(ctl.state_dict()))
+        state["published"][0][3]["model"]["coef"][0] += 1.0
 
-        fresh = _controller(tmp_path, obs)
+        fresh = _controller(obs)
         fresh.load_state(state)
         assert EDGE not in fresh.chain.edge_models  # gate held
         assert EDGE not in fresh._published
+        assert obs.registry.flat()["durability_rollback_total"] == 1.0
 
-    def test_bundle_with_nan_significance_is_strict_json(self, tmp_path, obs):
+    def test_artifact_root_slot_is_ignored(self, tmp_path, obs):
+        """The third positional slot still takes a path (the benchmark's
+        stream workload passes one) and nothing is ever written there."""
+        ctl = RetrainController(
+            FallbackChain.from_log(make_random_store(n=60, seed=7)),
+            obs.drift, tmp_path / "artifacts", policy=_policy(),
+            fit_fn=_fake_fit, registry=obs.registry)
+        ctl.observe(_rows(*EDGE, 10))
+        assert ctl.retrain([EDGE], 0.0) == {EDGE: "ok"}
+        assert not (tmp_path / "artifacts").exists()
+
+    def test_load_state_serves_the_committed_generation(self, obs):
+        """A crash between a publish and its checkpoint: the state from
+        after generation 1 must restore generation 1, although
+        generation 2 was published (never committed) after it."""
+        ctl = _controller(obs, fit_fn=_row_seeded_fit)
+        ctl.observe(_rows(*EDGE, 10))
+        assert ctl.retrain([EDGE], 0.0) == {EDGE: "ok"}
+        committed = json.loads(json.dumps(ctl.state_dict(), allow_nan=False))
+        ctl.observe(_rows(*EDGE, 10, seed=1))
+        assert ctl.retrain([EDGE], 1.0) == {EDGE: "ok"}
+        uncommitted = ctl._bundles[EDGE]["model"]
+
+        fresh = _controller(obs, fit_fn=_row_seeded_fit)
+        fresh.load_state(committed)
+        [[_, _, generation, bundle]] = committed["published"]
+        assert generation == 1
+        assert fresh._published == {EDGE: 1}
+        served = model_to_dict(fresh.chain.edge_models[EDGE].model)
+        assert served == bundle["model"] != uncommitted
+        assert "durability_rollback_total" not in obs.registry.flat()
+        # The counter carries on from the committed state, not from 2.
+        fresh.observe(_rows(*EDGE, 10, seed=2))
+        assert fresh.retrain([EDGE], 2.0) == {EDGE: "ok"}
+        assert fresh._published == {EDGE: 2}
+
+    def test_crash_after_a_publish_rebuilds_the_last_record(self, tmp_path):
+        """Kill the supervisor at ``retrained`` in a cycle that published
+        over an already committed generation: the rebuilt chain serves
+        exactly the models of the last journal record."""
+        live = tmp_path / "live.jsonl"
+        write_jsonl(make_random_store(n=60, n_endpoints=4, seed=11), live)
+        crashed = {}
+
+        def build(crash_hook=None):
+            obs = Observability.create(trace=False)
+            store, _ = read_jsonl(live, strict=False)
+            controller = RetrainController(
+                FallbackChain.from_log(store), obs.drift,
+                policy=_policy(min_samples=3, cooldown_s=0.0),
+                fit_fn=_row_seeded_fit, registry=obs.registry)
+            return StreamSupervisor(
+                TailIngester(live, registry=obs.registry), controller,
+                tmp_path / "state", obs=obs,
+                config=StreamConfig(poll_interval_s=0.0,
+                                    max_apply_per_cycle=3),
+                sleep=lambda _s: None, crash_hook=crash_hook)
+
+        def hook(stage):
+            published = dict(sup.controller._published)
+            if stage == "applied":
+                crashed["before"] = published
+            elif stage == "retrained" and any(
+                    crashed["before"].get(e, g) != g
+                    for e, g in published.items()):
+                crashed["published"] = published
+                raise SimulatedCrash(stage)
+
+        sup = build(hook)
+        with pytest.raises(SimulatedCrash):
+            sup.run(max_cycles=40)
+        # The crash landed on a republish: the record holds an older
+        # generation of the same edge than the one the chain served.
+        record = load_checkpoint(tmp_path / "state" / "checkpoints")
+        committed = {(s, d): (g, b)
+                     for s, d, g, b in record.payload["retrain"]["published"]}
+        assert any(e in committed and committed[e][0] < g
+                   for e, g in crashed["published"].items())
+
+        rebuilt = build()
+        chain = rebuilt.controller.chain.edge_models
+        assert rebuilt.controller._published == {
+            e: g for e, (g, _) in committed.items()}
+        for edge, (_, bundle) in committed.items():
+            assert model_to_dict(chain[edge].model) == bundle["model"]
+        assert "durability_rollback_total" not in \
+            rebuilt.obs.registry.flat()
+
+    def test_bundle_with_nan_significance_is_strict_json(self, obs):
         # Real fits leave NaN holes in significance (eliminated features)
         # and checkpoints are strict JSON (allow_nan=False): the bundle
         # must encode them as null and restore them as NaN.
-        import json
-
         from repro.serve.stream.retrain import (_bundle_to_result,
                                                 _result_to_bundle)
 
@@ -443,18 +546,16 @@ class TestDurability:
         significance[::2] = np.nan
         result = dataclasses.replace(result, significance=significance)
 
-        bundle = _result_to_bundle(result)
+        bundle = _result_to_bundle(result, 0, 4)
         encoded = json.dumps(bundle, sort_keys=True, allow_nan=False)
         back = _bundle_to_result(json.loads(encoded), result.model)
         np.testing.assert_array_equal(back.significance, significance)
         np.testing.assert_array_equal(back.test_errors, result.test_errors)
 
-    def test_checkpoint_after_real_publish_is_strict_json(self, tmp_path, obs):
+    def test_checkpoint_after_real_publish_is_strict_json(self, obs):
         # End-to-end variant: a controller that published a model with NaN
         # significance must produce a state_dict the snapshot checksum
         # (strict JSON) can encode.
-        import json
-
         def _nan_fit(task):
             src, dst, _arr = task
             base = make_synthetic_model(0)
@@ -464,12 +565,12 @@ class TestDurability:
             return dataclasses.replace(base, src=src, dst=dst,
                                        significance=significance)
 
-        ctl = _controller(tmp_path, obs, fit_fn=_nan_fit)
+        ctl = _controller(obs, fit_fn=_nan_fit)
         ctl.observe(_rows(*EDGE, 10))
         assert ctl.retrain([EDGE], 0.0) == {EDGE: "ok"}
         state = ctl.state_dict()
         json.dumps(state, sort_keys=True, allow_nan=False)  # must not raise
 
-        fresh = _controller(tmp_path, obs, fit_fn=_nan_fit)
+        fresh = _controller(obs, fit_fn=_nan_fit)
         fresh.load_state(json.loads(json.dumps(state, allow_nan=False)))
         assert np.isnan(fresh.chain.edge_models[EDGE].significance).all()

@@ -33,7 +33,7 @@ def _build(tmp_path, live, obs=None, crash_hook=None, **config_overrides):
                   checkpoint_every=1)
     config.update(config_overrides)
     controller = RetrainController(
-        FallbackChain.from_log(store), obs.drift, tmp_path / "artifacts",
+        FallbackChain.from_log(store), obs.drift,
         policy=RetrainPolicy(min_samples=4, min_fit_rows=4, buffer_rows=64,
                              cooldown_s=1e9),
         fit_fn=_fake_fit, registry=obs.registry)

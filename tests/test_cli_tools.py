@@ -460,6 +460,8 @@ class TestStream:
             capsys.readouterr().out.split("wrote metrics JSON")[0])
         assert status["applied_records"] == 40
         assert (tmp_path / "metrics.json").exists()
+        # Published models ride in the checkpoint records: no side store.
+        assert not (state_dir / "artifacts").exists()
 
         rc = main(["stream", "status", "--state-dir", str(state_dir)])
         assert rc == 0
