@@ -4,11 +4,14 @@ These are real pytest-benchmark measurements (multiple rounds), unlike the
 experiment benches which regenerate a table once.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.contention import ContentionComputer, IntervalOverlapIndex
 from repro.core.features import build_feature_matrix
+from repro.core.pipeline import GBTSettings
 from repro.logs.io import read_jsonl, write_jsonl
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
@@ -59,6 +62,23 @@ def test_perf_gbt_training(benchmark):
         ).fit(X, y)
     )
     assert len(model.trees_) == 100
+
+
+def test_perf_gbt_handback(benchmark):
+    """Pickle round trip of one fitted default-settings (300-tree) edge
+    model with its forest built: what a fit fan-out worker hands back."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(80, 12))
+    y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.05, 80)
+    model = GBTSettings().build(0).fit(X, y)
+    model.predict(X)
+    back = benchmark(
+        lambda: pickle.loads(
+            pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+    )
+    assert len(back.trees_) == 300
+    assert np.array_equal(back.predict(X), model.predict(X))
 
 
 def test_perf_gbt_prediction(benchmark):

@@ -477,9 +477,11 @@ def _edge_models_config(
 _TASK_MASKS: dict[tuple[str, float], np.ndarray] = {}
 
 
-def _fit_edge_task(task: dict) -> dict:
+def _fit_edge_task(task: dict) -> EdgeModelResult:
     """Top-level worker task: fit one edge against the shared mmap scratch
-    matrix and return the result as its exact-round-trip payload."""
+    matrix.  The result goes back to the parent as the object itself: the
+    pool pickles it, and a GBT pickles as one packed node table with its
+    forest and training curve (:mod:`repro.ml.gbt`)."""
     from repro.exec.scratch import load_feature_matrix
 
     features = load_feature_matrix(task["manifest"])
@@ -502,7 +504,7 @@ def _fit_edge_task(task: dict) -> dict:
         gbt=GBTSettings(**gbt_params) if gbt_params else None,
         _threshold_mask=mask,
     )
-    return edge_result_to_payload(result)
+    return result
 
 
 def _fit_missing_edges(
@@ -533,7 +535,7 @@ def _fit_missing_edges(
             for s, d in edges
         ]
     from repro.exec.engine import parallel_map
-    from repro.exec.scratch import write_feature_matrix
+    from repro.exec.scratch import forget_feature_matrix, write_feature_matrix
 
     with tempfile.TemporaryDirectory(prefix="repro-exec-") as tmp:
         manifest = str(write_feature_matrix(features, tmp))
@@ -541,15 +543,21 @@ def _fit_missing_edges(
             {"manifest": manifest, "src": s, "dst": d, "config": config}
             for s, d in edges
         ]
-        payloads = parallel_map(
-            _fit_edge_task,
-            tasks,
-            workers=workers,
-            label="fit_edge",
-            registry=registry,
-            tracer=tracer,
-        )
-    return [edge_result_from_payload(p) for p in payloads]
+        try:
+            return parallel_map(
+                _fit_edge_task,
+                tasks,
+                workers=workers,
+                label="fit_edge",
+                registry=registry,
+                tracer=tracer,
+            )
+        finally:
+            # Tasks retried in this process after a worker crash cached
+            # the mapped matrix and its mask here; the directory is about
+            # to go, so drop them rather than pin deleted files.
+            forget_feature_matrix(manifest)
+            _TASK_MASKS.pop((manifest, float(config["threshold"])), None)
 
 
 def fit_all_edge_models(
@@ -571,11 +579,16 @@ def fit_all_edge_models(
     ``workers`` (default: the ``REPRO_WORKERS`` environment variable,
     else 1) fans the per-edge fits out over worker processes via
     :func:`repro.exec.parallel_map`; the feature matrix is shared through
-    memory-mapped scratch files, and results are bit-identical to the
-    serial path for any worker count.  ``cache`` (an
+    memory-mapped scratch files.  Each worker hands its fitted
+    :class:`EdgeModelResult` back as the object itself (a GBT pickles as
+    one packed node table, its memoized forest and training curve
+    included), so the results are equal to the serial path's in every
+    attribute for any worker count, not only in
+    :func:`edge_results_fingerprint`.  ``cache`` (an
     :class:`repro.exec.ArtifactCache`) memoizes each edge's fitted bundle
-    keyed by the store fingerprint + fit configuration, so repeated
-    experiments over the same log skip the fit entirely.
+    as its :func:`edge_result_to_payload` JSON, keyed by the store
+    fingerprint + fit configuration, so repeated experiments over the
+    same log skip the fit entirely.
     """
     from repro.exec.engine import resolve_workers
 

@@ -306,6 +306,7 @@ def parallel_map(
 
     outcomes: dict[int, tuple] = {}
     crashes = 0
+    busy = 0.0  # summed worker-side task durations
     with _span(tracer, "exec.parallel_map", label=label, tasks=len(items),
                workers=count) as span:
         try:
@@ -329,6 +330,7 @@ def parallel_map(
                     if status == "timeout":
                         _count_timeout(registry, label, events)
                     _observe_duration(registry, label, duration)
+                    busy += duration
         except BrokenExecutor:
             crashes += 1
 
@@ -366,6 +368,8 @@ def parallel_map(
                 status = "error" if isinstance(value, Exception) else "ok"
                 outcomes[i] = (status, value, "")
         span.attrs["crashes"] = crashes
+        # busy_s / (workers * span duration) is the fan-out's efficiency.
+        span.attrs["busy_s"] = busy
 
     if not return_exceptions:
         for i in range(len(items)):

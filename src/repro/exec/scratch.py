@@ -24,7 +24,12 @@ from repro.atomicio import atomic_write_bytes, atomic_write_json
 from repro.core.features import FeatureMatrix
 from repro.logs.store import LogStore
 
-__all__ = ["write_feature_matrix", "load_feature_matrix", "clear_process_cache"]
+__all__ = [
+    "write_feature_matrix",
+    "load_feature_matrix",
+    "forget_feature_matrix",
+    "clear_process_cache",
+]
 
 _MANIFEST_VERSION = 1
 
@@ -94,6 +99,12 @@ def load_feature_matrix(
     features = FeatureMatrix(store=LogStore(raw), columns=columns, y=y)
     _PROCESS_CACHE[key] = features
     return features
+
+
+def forget_feature_matrix(manifest_path: str | Path) -> None:
+    """Drop one manifest's cached matrix (and with it the process's maps
+    of its files); call before deleting its scratch directory."""
+    _PROCESS_CACHE.pop(str(Path(manifest_path).resolve()), None)
 
 
 def clear_process_cache() -> None:

@@ -21,6 +21,15 @@ residuals are refreshed from that partition rather than by a
 ``eval_set``.  :meth:`GradientBoostingRegressor.predict` runs the
 flattened all-trees kernel of :mod:`repro.ml.forest`.
 
+A fitted model crosses a process pipe (``repro.exec.parallel_map``
+hands fitted edges back from its workers) as one pickle state: the
+trees' eight node fields as one concatenated array each plus the cut
+offsets, rebuilt on load as views by offset slicing.  Plain pickling
+would send some 2,400 small arrays per 300-tree model, and the
+per-array overhead dominates.  The memoized forest and the training
+curves ride along.  The JSON codec of :mod:`repro.ml.persistence` stays
+the only on-disk format.
+
 Their oracles live in ``tests/``: a golden fingerprint of the grown trees
 (``tests/ml/test_tree.py``); the per-tree grower plus per-tree
 ``predict_binned`` residual refresh that every tree, ``train_scores_``
@@ -38,6 +47,57 @@ from repro.ml.forest import FlattenedForest
 from repro.ml.tree import BinLayout, RegressionTree, TreeGrowthParams
 
 __all__ = ["GradientBoostingRegressor"]
+
+# The per-tree node arrays a pickle state packs, node-table fields first
+# (one entry per node), then the per-feature totals (one per feature).
+_NODE_FIELDS = (
+    "node_feature_",
+    "node_bin_",
+    "node_left_",
+    "node_right_",
+    "node_value_",
+    "node_gain_",
+)
+_FEATURE_FIELDS = ("feature_gain_", "feature_count_")
+
+
+def _pack_trees(trees: list[RegressionTree]) -> dict:
+    """One concatenated array per node field plus the cut offsets; a
+    fixed number of arrays however many trees there are."""
+    if not trees:
+        return {}
+    packed = {
+        "node_cuts": np.cumsum([0] + [t.node_feature_.size for t in trees]),
+        "feature_cuts": np.cumsum([0] + [t.feature_gain_.size for t in trees]),
+    }
+    for name in _NODE_FIELDS + _FEATURE_FIELDS:
+        packed[name] = np.concatenate([getattr(t, name) for t in trees])
+    return packed
+
+
+def _unpack_trees(
+    packed: dict, params: TreeGrowthParams, max_bins: int
+) -> list[RegressionTree]:
+    """Inverse of :func:`_pack_trees`: each tree's arrays are views into
+    the packed ones, cut by plain slicing (``np.split`` costs about three
+    times as much at these sizes)."""
+    if not packed:
+        return []
+    node_cuts = packed["node_cuts"].tolist()
+    feature_cuts = packed["feature_cuts"].tolist()
+    node_arrays = [(name, packed[name]) for name in _NODE_FIELDS]
+    feature_arrays = [(name, packed[name]) for name in _FEATURE_FIELDS]
+    trees = []
+    for i in range(len(node_cuts) - 1):
+        tree = RegressionTree(params, max_bins)
+        lo, hi = node_cuts[i], node_cuts[i + 1]
+        for name, arr in node_arrays:
+            setattr(tree, name, arr[lo:hi])
+        lo, hi = feature_cuts[i], feature_cuts[i + 1]
+        for name, arr in feature_arrays:
+            setattr(tree, name, arr[lo:hi])
+        trees.append(tree)
+    return trees
 
 
 class GradientBoostingRegressor:
@@ -220,6 +280,21 @@ class GradientBoostingRegressor:
                             self.trees_ = self.trees_[: self.best_iteration_ + 1]
                             break
         return self
+
+    # -- pickling ---------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # ``trees_`` travels packed (see _pack_trees); everything else,
+        # the memoized forest included, pickles as it is.
+        state = self.__dict__.copy()
+        state["trees_"] = _pack_trees(self.trees_)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.trees_ = _unpack_trees(
+            state["trees_"], self.tree_params, self.max_bins
+        )
 
     # -- inference --------------------------------------------------------
 

@@ -19,6 +19,13 @@ counter (:func:`legacy_load_count`) so operators can see how much
 unchecksummed inventory is still in rotation.  :func:`save_model` writes
 atomically (write-temp -> fsync -> ``os.replace``): a crash mid-save
 leaves the previous artifact intact, never a truncated JSON file.
+
+This JSON format is the only one a model is written in: model files,
+the artifact cache and the stream checkpoint journal all carry it.  A
+:class:`~repro.ml.gbt.GradientBoostingRegressor` also has a pickle
+state (one packed node table), but that serves only the in-memory hop
+from a fit fan-out worker back to its own parent process, over a pipe
+the process pool pickles anyway; nothing writes it to a file.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.exec.engine import (
     resolve_workers,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 
 
 def _square(x):
@@ -145,6 +146,18 @@ class TestParallelMap:
             "exec_task_seconds", labels={"label": "m"}
         )
         assert hist.count == 8
+
+    def test_span_records_worker_busy_seconds(self):
+        tracer = Tracer()
+        parallel_map(_nap, [0.02] * 4, workers=2, label="b", tracer=tracer)
+        (span,) = [s for s in tracer.spans() if s.name == "exec.parallel_map"]
+        # Four 20 ms naps: the workers were busy at least that long.
+        assert span.attrs["busy_s"] >= 0.08
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _sleep_on_two(x):

@@ -3,8 +3,12 @@
 These are the acceptance checks for the parallel engine: per-edge model
 fits, a full harness experiment, and the cold-vs-warm feature cache must
 all produce the same artifacts whether the work ran serially or fanned
-out over worker processes.
+out over worker processes.  For the edge fits that holds for the
+returned objects, not only for their payload fingerprint.
 """
+
+import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.core.pipeline import (
 from repro.exec.cache import ArtifactCache
 from repro.obs.metrics import MetricsRegistry
 from tests.core.conftest import make_random_store
+from tests.ml.test_gbt_pickle import assert_same_array, assert_same_gbt
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +66,20 @@ class TestFitAllParity:
         )
         assert edge_results_fingerprint(serial) == \
             edge_results_fingerprint(parallel)
+        # The objects too, in every attribute, not only their payloads.
+        for a, b in zip(serial, parallel, strict=True):
+            for name in ("src", "dst", "model_kind", "feature_names",
+                         "n_train", "n_test", "mdape"):
+                assert getattr(a, name) == getattr(b, name), name
+            for name in ("kept", "significance", "test_errors"):
+                assert_same_array(getattr(a, name), getattr(b, name))
+            # The fit's own eval built the forest; it must come back too.
+            assert len(b.model.train_scores_) == 30
+            assert b.model._forest is not None
+            assert_same_gbt(a.model, b.model)
+            assert a.scaler.ddof == b.scaler.ddof
+            assert_same_array(a.scaler.mean_, b.scaler.mean_)
+            assert_same_array(a.scaler.scale_, b.scaler.scale_)
 
     def test_explanation_significance_survives_round_trip(
         self, features, edges
@@ -77,6 +96,44 @@ class TestFitAllParity:
             assert np.array_equal(
                 a.significance, b.significance, equal_nan=True
             )
+
+
+def _refuse_pool(*args, **kwargs):
+    raise BrokenExecutor("pool refused to start")
+
+
+class TestCrashRetryReleasesScratch:
+    def test_serial_retry_leaves_no_cached_matrix(
+        self, features, edges, monkeypatch
+    ):
+        import repro.exec.engine as engine
+        from repro.core import pipeline
+        from repro.exec import scratch
+
+        scratch.clear_process_cache()
+        pipeline._TASK_MASKS.clear()
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _refuse_pool)
+        registry = MetricsRegistry()
+        serial = fit_all_edge_models(
+            features, edges[:3], model="linear", threshold=0.0, seed=3,
+            workers=1,
+        )
+        for _ in range(3):
+            retried = fit_all_edge_models(
+                features, edges[:3], model="linear", threshold=0.0, seed=3,
+                workers=2, registry=registry,
+            )
+            assert edge_results_fingerprint(retried) == \
+                edge_results_fingerprint(serial)
+        # Every task ran in this process, against a scratch directory
+        # that is gone now; nothing of it may stay cached or mapped.
+        flat = registry.flat()
+        assert flat['exec_serial_retries_total{label="fit_edge"}'] == 9.0
+        assert scratch._PROCESS_CACHE == {}
+        assert pipeline._TASK_MASKS == {}
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps") as maps:
+                assert "repro-exec-" not in maps.read()
 
 
 class TestEdgeModelCacheParity:
