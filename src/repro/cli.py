@@ -24,7 +24,10 @@ would be operated against real logs::
     repro-tools events query --file events.jsonl --category slo --json
     repro-tools slo check --metrics metrics.json --p99-target 0.25
 
-``train`` writes a bundle (model + scaler + feature bookkeeping) as JSON;
+``train`` writes a model file: the fitted edge in the pipeline's edge
+codec (:func:`repro.core.pipeline.edge_result_to_payload`) plus
+``bundle_version`` 2, and every command that takes ``--model`` refuses
+any other version;
 ``predict`` replays the log to reconstruct the active-transfer view at the
 requested instant and runs the batch predictor on that one request;
 ``advise`` sweeps tunables in one vectorized batch call through the
@@ -67,13 +70,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from repro.atomicio import atomic_write_text
 from repro.core.features import build_feature_matrix
-from repro.core.pipeline import EdgeModelResult, GBTSettings, fit_edge_model
+from repro.core.pipeline import (
+    EdgeModelResult,
+    GBTSettings,
+    edge_result_from_payload,
+    edge_result_to_payload,
+    fit_edge_model,
+)
 from repro.logs.io import read_csv, write_csv
-from repro.ml.persistence import model_from_dict, model_to_dict
 from repro.sim.fleet import build_production_fleet, production_background_loads
 from repro.sim.gridftp import TransferRequest
 from repro.sim.service import TransferService
@@ -104,6 +110,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The ``train`` model file: the edge codec's payload plus this version.
+# Version 1 files (no significance or test errors) are refused.
+_BUNDLE_VERSION = 2
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     log = read_csv(args.log)
     features = build_feature_matrix(log)
@@ -116,20 +127,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         gbt=GBTSettings(),
     )
-    bundle = {
-        "bundle_version": 1,
-        "src": result.src,
-        "dst": result.dst,
-        "model_kind": result.model_kind,
-        "feature_names": list(result.feature_names),
-        "kept": result.kept.tolist(),
-        "mdape": result.mdape,
-        "n_train": result.n_train,
-        "n_test": result.n_test,
-        "model": model_to_dict(result.model),
-        "scaler": model_to_dict(result.scaler),
-    }
-    atomic_write_text(args.out, json.dumps(bundle))
+    atomic_write_text(args.out, json.dumps(
+        {"bundle_version": _BUNDLE_VERSION, **edge_result_to_payload(result)}))
     print(
         f"wrote {args.out}: {args.model} model for {args.src} -> {args.dst}, "
         f"test MdAPE {result.mdape:.2f}% "
@@ -140,22 +139,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _load_bundle(path: str) -> EdgeModelResult:
     bundle = json.loads(Path(path).read_text())
-    if bundle.get("bundle_version") != 1:
-        raise ValueError(f"unsupported bundle_version in {path}")
-    return EdgeModelResult(
-        src=bundle["src"],
-        dst=bundle["dst"],
-        model_kind=bundle["model_kind"],
-        feature_names=tuple(bundle["feature_names"]),
-        kept=np.array(bundle["kept"], dtype=bool),
-        significance=np.full(len(bundle["feature_names"]), np.nan),
-        n_train=bundle["n_train"],
-        n_test=bundle["n_test"],
-        test_errors=np.array([0.0]),
-        mdape=bundle["mdape"],
-        model=model_from_dict(bundle["model"]),
-        scaler=model_from_dict(bundle["scaler"]),
-    )
+    version = bundle.get("bundle_version")
+    if version != _BUNDLE_VERSION:
+        raise ValueError(
+            f"{path}: bundle_version {version!r} is not supported (this "
+            f"build reads {_BUNDLE_VERSION}); re-run `repro-tools train`"
+        )
+    return edge_result_from_payload(bundle)
 
 
 def _request_from_args(result: EdgeModelResult, args: argparse.Namespace) -> TransferRequest:

@@ -395,27 +395,40 @@ def fit_edge_model(
     )
 
 
+def _finite_or_null(values) -> list:
+    """Floats for strict JSON (``allow_nan=False``): every non-finite
+    value becomes null, which ``np.array(..., dtype=float64)`` reads back
+    as NaN."""
+    return [float(v) if math.isfinite(v) else None
+            for v in np.asarray(values, dtype=np.float64)]
+
+
 def edge_result_to_payload(result: EdgeModelResult) -> dict:
-    """A strict-JSON document for one fitted edge (no NaN tokens: the
-    NaN holes in ``significance`` map to null).  The round-trip through
-    :func:`edge_result_from_payload` is exact — ``repr``-based JSON float
-    encoding preserves every float64 bit — which is what lets cached and
-    freshly fitted results be byte-identical."""
+    """The one strict-JSON document for a fitted edge: the artifact
+    cache, :func:`edge_results_fingerprint`, the stream journal's
+    published bundles and the ``repro-tools train`` model file all use it.
+
+    Non-finite floats in ``significance`` (the NaN holes of eliminated
+    features) and ``test_errors`` are written as null and read back as
+    NaN; a missing scaler is null.  Every finite float round-trips
+    through :func:`edge_result_from_payload` bit for bit (``repr``-based
+    JSON float encoding), which is what lets cached and freshly fitted
+    results be byte-identical."""
     return {
         "src": result.src,
         "dst": result.dst,
         "model_kind": result.model_kind,
         "feature_names": list(result.feature_names),
         "kept": [bool(k) for k in result.kept],
-        "significance": [
-            None if math.isnan(v) else float(v) for v in result.significance
-        ],
-        "n_train": result.n_train,
-        "n_test": result.n_test,
-        "test_errors": [float(e) for e in result.test_errors],
-        "mdape": result.mdape,
+        "significance": _finite_or_null(result.significance),
+        "n_train": int(result.n_train),
+        "n_test": int(result.n_test),
+        "test_errors": _finite_or_null(result.test_errors),
+        "mdape": float(result.mdape),
+        # "scaler" before "model": journal records keep their byte layout.
+        "scaler": (model_to_dict(result.scaler)
+                   if result.scaler is not None else None),
         "model": model_to_dict(result.model),
-        "scaler": model_to_dict(result.scaler),
     }
 
 
@@ -427,16 +440,14 @@ def edge_result_from_payload(payload: dict) -> EdgeModelResult:
         model_kind=payload["model_kind"],
         feature_names=tuple(payload["feature_names"]),
         kept=np.array(payload["kept"], dtype=bool),
-        significance=np.array(
-            [math.nan if v is None else v for v in payload["significance"]],
-            dtype=np.float64,
-        ),
+        significance=np.array(payload["significance"], dtype=np.float64),
         n_train=int(payload["n_train"]),
         n_test=int(payload["n_test"]),
         test_errors=np.array(payload["test_errors"], dtype=np.float64),
         mdape=float(payload["mdape"]),
         model=model_from_dict(payload["model"]),
-        scaler=model_from_dict(payload["scaler"]),
+        scaler=(model_from_dict(payload["scaler"])
+                if payload["scaler"] is not None else None),
     )
 
 

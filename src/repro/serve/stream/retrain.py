@@ -25,9 +25,10 @@ bad refit take serving down.  Three defence layers:
    ``return_exceptions=True``: a hung or crashing fit surfaces as a
    per-edge failure, never as a stalled or aborted fan-out.
 3. **gated publication + circuit breaker** — a successful fit is
-   encoded into the edge's bundle (:func:`repro.ml.persistence.model_to_dict`,
-   a format-v2 document with its own checksum) together with a probe: a
-   seed for the probe rows and the predictions the fitted model made on
+   encoded into the edge's bundle (the edge codec,
+   :func:`repro.core.pipeline.edge_result_to_payload`, whose model and
+   scaler are format-v2 documents with their own checksums) together
+   with a probe: a seed for the probe rows and the predictions the fitted model made on
    them.  :func:`probe_gate` decodes that bundle and requires the decoded
    model to reproduce those predictions before the chain splice, so the
    live :class:`~repro.serve.FallbackChain` entry is never unseated by a
@@ -58,12 +59,13 @@ from functools import partial
 import numpy as np
 
 from repro.core.features import build_feature_matrix
-from repro.core.pipeline import EdgeModelResult, fit_edge_model
+from repro.core.pipeline import (EdgeModelResult, _finite_or_null,
+                                 edge_result_from_payload,
+                                 edge_result_to_payload, fit_edge_model)
 from repro.exec import TaskTimeout, derive_seed, parallel_map
 from repro.logs.schema import LOG_DTYPE
 from repro.logs.store import LogStore
-from repro.ml.persistence import (ModelIntegrityError, model_from_dict,
-                                   model_to_dict)
+from repro.ml.persistence import ModelIntegrityError
 from repro.obs import DriftStats, MetricsRegistry, Tracer
 from repro.obs.events import EventLog
 from repro.obs.tracing import NULL_SPAN
@@ -204,18 +206,6 @@ def fit_edge_from_rows(task: tuple, min_samples: int = 30) -> EdgeModelResult:
                           min_samples=min_samples)
 
 
-def _floats_to_json(values) -> list:
-    # Checkpoints are strict JSON (allow_nan=False): the NaN holes in
-    # significance / test_errors map to null, as in edge_result_to_payload.
-    return [float(v) if math.isfinite(v) else None
-            for v in np.asarray(values, dtype=np.float64)]
-
-
-def _floats_from_json(values) -> np.ndarray:
-    return np.asarray([math.nan if v is None else float(v) for v in values],
-                      dtype=np.float64)
-
-
 def _probe(model, seed: int, rows: int, width: int) -> np.ndarray:
     """``model``'s predictions on the probe rows ``seed`` draws.  A
     divergent model overflows here, and the gate refuses it, so the
@@ -227,52 +217,22 @@ def _probe(model, seed: int, rows: int, width: int) -> np.ndarray:
 
 def _result_to_bundle(result: EdgeModelResult, probe_seed: int,
                       probe_rows: int) -> dict:
-    """An :class:`EdgeModelResult` as strict JSON: the encoded estimator
-    and scaler, the metadata the chain needs, and the probe — its seed
-    and the predictions ``result.model`` makes on the rows it draws."""
+    """A published bundle: the edge's
+    :func:`~repro.core.pipeline.edge_result_to_payload` document plus the
+    probe — its seed and the predictions ``result.model`` makes on the
+    rows it draws (non-finite ones as null, by the codec's rule)."""
     reference = _probe(result.model, probe_seed, probe_rows,
                        _model_input_width(result))
-    return {
-        "src": result.src,
-        "dst": result.dst,
-        "model_kind": result.model_kind,
-        "feature_names": list(result.feature_names),
-        "kept": [bool(v) for v in np.asarray(result.kept)],
-        "significance": _floats_to_json(result.significance),
-        "n_train": int(result.n_train),
-        "n_test": int(result.n_test),
-        "test_errors": _floats_to_json(result.test_errors),
-        "mdape": float(result.mdape),
-        "scaler": (model_to_dict(result.scaler)
-                   if result.scaler is not None else None),
-        "model": model_to_dict(result.model),
-        "probe": {"seed": int(probe_seed),
-                  "reference": _floats_to_json(reference)},
-    }
-
-
-def _bundle_to_result(bundle: dict, model) -> EdgeModelResult:
-    return EdgeModelResult(
-        src=str(bundle["src"]),
-        dst=str(bundle["dst"]),
-        model_kind=str(bundle["model_kind"]),
-        feature_names=tuple(bundle["feature_names"]),
-        kept=np.asarray(bundle["kept"], dtype=bool),
-        significance=_floats_from_json(bundle["significance"]),
-        n_train=int(bundle["n_train"]),
-        n_test=int(bundle["n_test"]),
-        test_errors=_floats_from_json(bundle["test_errors"]),
-        mdape=float(bundle["mdape"]),
-        model=model,
-        scaler=(model_from_dict(bundle["scaler"])
-                if bundle.get("scaler") else None),
-    )
+    return {**edge_result_to_payload(result),
+            "probe": {"seed": int(probe_seed),
+                      "reference": _finite_or_null(reference)}}
 
 
 def probe_gate(bundle: dict) -> EdgeModelResult:
-    """Decode a published bundle and admit it only if its model
-    reproduces the probe predictions made at publish time: the same
-    shape, finite, and within rtol 1e-9 / atol 1e-6.
+    """Decode a published bundle with
+    :func:`~repro.core.pipeline.edge_result_from_payload` and admit it
+    only if its model reproduces the probe predictions made at publish
+    time: the same shape, finite, and within rtol 1e-9 / atol 1e-6.
 
     A live publish runs it on the bundle it is about to journal, and
     :meth:`RetrainController.load_state` on every bundle it restores.
@@ -283,9 +243,9 @@ def probe_gate(bundle: dict) -> EdgeModelResult:
             or bundle.get("probe") is None:
         raise ValueError("bundle carries no encoded model")
     try:
-        result = _bundle_to_result(bundle, model_from_dict(bundle["model"]))
+        result = edge_result_from_payload(bundle)
         probe = bundle["probe"]
-        reference = _floats_from_json(probe["reference"])
+        reference = np.asarray(probe["reference"], dtype=np.float64)
         seed, width = int(probe["seed"]), _model_input_width(result)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ModelIntegrityError(f"bundle undecodable: {exc!r}") from exc

@@ -1,7 +1,13 @@
 """Tests for the model-training pipelines (§5.1-§5.4)."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     build_feature_matrix,
@@ -13,7 +19,14 @@ from repro.core import (
     significance_grid,
 )
 from repro.core.endpoint_features import capability_columns
-from repro.core.pipeline import GBTSettings
+from repro.core.pipeline import (
+    GBTSettings,
+    edge_result_from_payload,
+    edge_result_to_payload,
+    edge_results_fingerprint,
+)
+from repro.ml.persistence import model_to_dict
+from repro.serve.stream.retrain import _result_to_bundle, probe_gate
 from tests.core.conftest import make_random_store
 
 
@@ -91,6 +104,89 @@ class TestFitEdgeModel:
                            seed=3, gbt=GBTSettings(n_estimators=30))
         assert a.mdape == b.mdape
         assert np.array_equal(a.test_errors, b.test_errors)
+
+
+# edge_results_fingerprint of the linear and GBT fits in ``edge_fits``.
+# The codec's null rule only widened from NaN to every non-finite value,
+# so a fit with finite arrays must keep these bytes.
+EDGE_CODEC_FINGERPRINT = (
+    "102e3d8cfa630cca88f8c4f32ed225268c820e8a265cc154f6166f33a6caf07c")
+
+# A value written over one array slot: a hole, or any finite float
+# (negative zero and subnormals included).
+_SLOT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+_EDITS = st.lists(st.tuples(st.integers(0, 10_000), _SLOT), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def edge_fits(busy_fm):
+    src, dst = select_heavy_edges(busy_fm.store, min_samples=50,
+                                  threshold=0.0)[0]
+    return {
+        kind: fit_edge_model(busy_fm, src, dst, model=kind, threshold=0.0,
+                             seed=0, gbt=GBTSettings(n_estimators=40))
+        for kind in ("linear", "gbt")
+    }
+
+
+def _edited(values, edits):
+    out = np.array(values, dtype=np.float64)
+    for i, v in edits:
+        out[i % out.size] = v
+    return out
+
+
+def _assert_decodes_to(back, result):
+    """``back`` is ``result`` after a strict-JSON round trip: every
+    non-finite float reads back as NaN, every finite one bit for bit."""
+    for name in ("significance", "test_errors"):
+        want = np.where(np.isfinite(getattr(result, name)),
+                        getattr(result, name), np.nan)
+        got = getattr(back, name)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        holes = np.isnan(want)
+        assert np.array_equal(np.isnan(got), holes), name
+        assert got[~holes].tobytes() == want[~holes].tobytes(), name
+    assert np.array_equal(back.kept, result.kept)
+    for name in ("src", "dst", "model_kind", "feature_names", "n_train",
+                 "n_test", "mdape"):
+        assert getattr(back, name) == getattr(result, name), name
+    assert model_to_dict(back.model) == model_to_dict(result.model)
+    if result.scaler is None:
+        assert back.scaler is None
+    else:
+        assert model_to_dict(back.scaler) == model_to_dict(result.scaler)
+
+
+def _strict_json(doc):
+    return json.loads(json.dumps(doc, allow_nan=False))
+
+
+class TestEdgeCodec:
+    @pytest.mark.parametrize("kind", ["linear", "gbt"])
+    @settings(max_examples=25, deadline=None)
+    @given(significance=_EDITS, test_errors=_EDITS, scaler=st.booleans(),
+           probe_seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, edge_fits, kind, significance, test_errors,
+                        scaler, probe_seed):
+        fit = edge_fits[kind]
+        result = dataclasses.replace(
+            fit,
+            significance=_edited(fit.significance, significance),
+            test_errors=_edited(fit.test_errors, test_errors),
+            scaler=fit.scaler if scaler else None,
+        )
+        payload = _strict_json(edge_result_to_payload(result))
+        _assert_decodes_to(edge_result_from_payload(payload), result)
+        # The journal bundle is the same payload plus the probe.
+        bundle = _strict_json(_result_to_bundle(result, probe_seed, 4))
+        assert {k: v for k, v in bundle.items() if k != "probe"} == payload
+        _assert_decodes_to(probe_gate(bundle), result)
+
+    def test_fingerprint_pinned(self, edge_fits):
+        fits = [edge_fits["linear"], edge_fits["gbt"]]
+        assert edge_results_fingerprint(fits) == EDGE_CODEC_FINGERPRINT
 
 
 class TestFitAllAndGrid:

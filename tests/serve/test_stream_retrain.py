@@ -538,8 +538,8 @@ class TestDurability:
         # Real fits leave NaN holes in significance (eliminated features)
         # and checkpoints are strict JSON (allow_nan=False): the bundle
         # must encode them as null and restore them as NaN.
-        from repro.serve.stream.retrain import (_bundle_to_result,
-                                                _result_to_bundle)
+        from repro.core.pipeline import edge_result_from_payload
+        from repro.serve.stream.retrain import _result_to_bundle
 
         result = make_synthetic_model(seed=0)
         significance = np.asarray(result.significance, dtype=np.float64).copy()
@@ -548,7 +548,7 @@ class TestDurability:
 
         bundle = _result_to_bundle(result, 0, 4)
         encoded = json.dumps(bundle, sort_keys=True, allow_nan=False)
-        back = _bundle_to_result(json.loads(encoded), result.model)
+        back = edge_result_from_payload(json.loads(encoded))
         np.testing.assert_array_equal(back.significance, significance)
         np.testing.assert_array_equal(back.test_errors, result.test_errors)
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _load_bundle, main
+from repro.core.features import build_feature_matrix
+from repro.core.pipeline import GBTSettings, fit_edge_model
 from repro.logs.io import read_csv
+from tests.core.test_pipeline import _assert_decodes_to
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,37 @@ class TestTrain:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_model_file_is_lossless(self, workflow):
+        # The model file is the pipeline's edge codec: reloading it gives
+        # back the in-process fit in every field, significance's NaN
+        # holes and the per-transfer test errors included.
+        log_path, model_path, src, dst = workflow
+        fitted = fit_edge_model(
+            build_feature_matrix(read_csv(log_path)), src, dst, model="gbt",
+            threshold=0.0, seed=0, gbt=GBTSettings(),
+        )
+        _assert_decodes_to(_load_bundle(str(model_path)), fitted)
+        assert json.loads(model_path.read_text())["bundle_version"] == 2
+
+    def test_version_1_model_file_refused(self, workflow, tmp_path, capsys):
+        # A file as the old train wrote it: no significance, no test errors.
+        log_path, model_path, *_ = workflow
+        bundle = json.loads(model_path.read_text())
+        del bundle["significance"], bundle["test_errors"]
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({**bundle, "bundle_version": 1}))
+        rc = main(
+            [
+                "predict", "--model", str(old), "--log", str(log_path),
+                "--bytes", "5e10",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(old) in err and "bundle_version 1" in err
+        assert "re-run `repro-tools train`" in err
 
 
 class TestPredictAndAdvise:
