@@ -499,13 +499,9 @@ def _cmd_shard_chaos(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.serve.shard import ShardChaosConfig, run_shard_chaos
 
-    if args.quick:
-        config = ShardChaosConfig.quick()
-        if args.seed:
-            config = dataclasses.replace(config, seed=args.seed)
-    else:
-        config = ShardChaosConfig(
-            seed=args.seed, shards=args.shards, rounds=args.rounds)
+    config = (ShardChaosConfig.quick(seed=args.seed) if args.quick
+              else ShardChaosConfig(
+                  seed=args.seed, shards=args.shards, rounds=args.rounds))
     obs = Observability.create(trace=False, events_path=args.events_out)
     report = run_shard_chaos(config, obs=obs)
     if args.events_out:

@@ -75,26 +75,31 @@ __all__ = [
 ]
 
 
+# Fault-injection probabilities of the fault stream, each applied per
+# opportunity (make_durable_events).
+P_DUPLICATE_ADD = 0.05
+P_DUPLICATE_COMPLETE = 0.10
+P_UNKNOWN_COMPLETE = 0.10
+P_NEVER_COMPLETE = 0.05
+P_BAD_PROGRESS = 0.10
+P_GOOD_PROGRESS = 0.15
+# The serve replay predicts at the newest started_at skewed by up to this.
+CLOCK_SKEW_S = 120.0
+# Busiest edges the chaos chain gives a synthetic per-edge model.
+N_EDGE_MODELS = 3
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Replay size, fault-injection probabilities, and engine mode."""
+    """Replay size, prediction cadence, and engine mode."""
 
     n_transfers: int = 400
     n_endpoints: int = 12
     horizon_s: float = 4000.0
     seed: int = 0
-    # Fault-injection probabilities, each applied per opportunity.
-    p_duplicate_add: float = 0.05
-    p_duplicate_complete: float = 0.10
-    p_unknown_complete: float = 0.10
-    p_never_complete: float = 0.05
-    p_bad_progress: float = 0.10
-    p_good_progress: float = 0.15
-    clock_skew_s: float = 120.0
     # Prediction cadence.
     predict_every: int = 25
     batch_size: int = 8
-    n_edge_models: int = 3
     # Drop the global tier so known-but-unmodeled edges exercise the
     # analytical Eq. 1 bound instead (the global model otherwise covers
     # every endpoint the analytical tier could).
@@ -106,13 +111,6 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if self.n_transfers < 1 or self.n_endpoints < 4:
             raise ValueError("need >= 1 transfer and >= 4 endpoints")
-        for name in (
-            "p_duplicate_add", "p_duplicate_complete", "p_unknown_complete",
-            "p_never_complete", "p_bad_progress", "p_good_progress",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.predict_every < 1 or self.batch_size < 1:
             raise ValueError("predict_every and batch_size must be >= 1")
 
@@ -220,7 +218,7 @@ def make_chaos_chain(log: LogStore, config: ChaosConfig) -> FallbackChain:
     log-estimated endpoint capabilities, and log-derived analytical
     bounds and medians."""
     base = make_synthetic_model(config.seed)
-    edges = log.heavy_edges(1)[: config.n_edge_models]
+    edges = log.heavy_edges(1)[:N_EDGE_MODELS]
     edge_models = {
         (s, d): dataclasses.replace(base, src=s, dst=d) for s, d in edges
     }
@@ -321,11 +319,11 @@ def make_durable_events(
             add = mutation.add(tid, _view_from_row(row))
             events.append(add)
             live.append(tid)
-            if rng.random() < config.p_duplicate_add:
+            if rng.random() < P_DUPLICATE_ADD:
                 events.append(add)
         else:
             # A never-completing transfer's completion never arrives.
-            if rng.random() >= config.p_never_complete:
+            if rng.random() >= P_NEVER_COMPLETE:
                 events.append(mutation.complete(tid))
                 if tid in live:
                     live.remove(tid)
@@ -336,15 +334,15 @@ def make_durable_events(
                     realized * float(rng.uniform(0.7, 1.3)),
                     realized,
                 ))
-                if rng.random() < config.p_duplicate_complete:
+                if rng.random() < P_DUPLICATE_COMPLETE:
                     events.append(mutation.complete(tid))
-            if rng.random() < config.p_unknown_complete:
+            if rng.random() < P_UNKNOWN_COMPLETE:
                 events.append(mutation.complete(10**9 + tid))
-        if rng.random() < config.p_bad_progress and live:
+        if rng.random() < P_BAD_PROGRESS and live:
             victim = live[int(rng.integers(len(live)))]
             bad = float(rng.choice([np.nan, -1e8, np.inf]))
             events.append(mutation.progress(victim, rate=bad))
-        if rng.random() < config.p_good_progress and live:
+        if rng.random() < P_GOOD_PROGRESS and live:
             victim = live[int(rng.integers(len(live)))]
             events.append(mutation.progress(
                 victim, rate=float(rng.uniform(1e6, 5e8))))
@@ -420,7 +418,8 @@ def run_chaos_replay(
     default the chaos log) to the live serving stack.  Every
     ``predict_every`` records, a :func:`make_chaos_requests` batch is
     predicted at the newest applied ``started_at`` skewed by up to
-    ``clock_skew_s`` (skew and requests from one RNG seeded ``seed + 1``).
+    :data:`CLOCK_SKEW_S` (skew and requests from one RNG seeded
+    ``seed + 1``).
 
     With an :class:`~repro.obs.Observability` bundle the stack instruments
     itself, and with its drift monitor each transfer is *scored*:
@@ -502,7 +501,7 @@ def run_chaos_replay(
             progress(report)
 
         if n_event % cfg.predict_every == 0:
-            skewed = now + float(rng.uniform(-cfg.clock_skew_s, cfg.clock_skew_s))
+            skewed = now + float(rng.uniform(-CLOCK_SKEW_S, CLOCK_SKEW_S))
             batch = make_chaos_requests(rng, cfg.batch_size, chain, log)
             try:
                 pred = engine.predict_batch_detailed(batch, skewed)
@@ -626,7 +625,6 @@ def run_observed_replay(
     config: ChaosConfig | None = None,
     path: str | Path | None = None,
     obs: Observability | None = None,
-    corrupt_every: int = 7,
     progress=None,
     progress_every: int = 0,
 ) -> ObservedReplay:
@@ -644,7 +642,7 @@ def run_observed_replay(
     bundle = obs if obs is not None else Observability.create()
     with tempfile.TemporaryDirectory(prefix="repro-observed-") as tmp:
         path = Path(tmp) / "chaos.jsonl" if path is None else path
-        write_corrupt_jsonl(make_chaos_log(cfg), path, every=corrupt_every)
+        write_corrupt_jsonl(make_chaos_log(cfg), path)
         kept, quarantine = read_jsonl(
             path, strict=False, registry=bundle.registry, tracer=bundle.tracer
         )
@@ -709,7 +707,6 @@ def run_crash_replay(
     cut_bytes: int = 17,
     corrupt_snapshot: bool = False,
     snapshot_every: int = 64,
-    probe_requests: int = 32,
     obs: Observability | None = None,
 ) -> CrashReport:
     """One full crash-injection trial against the durability layer.
@@ -722,8 +719,10 @@ def run_crash_replay(
        through a journaled :class:`~repro.serve.durability.DurableServingState`
        (auto-snapshotting every ``snapshot_every`` records), then kill it.
     3. Injure the disk like a real crash would: tear ``cut_bytes`` off
-       the journal tail (a write killed at an arbitrary byte offset);
-       with ``corrupt_snapshot``, also flip a byte inside the newest
+       the journal tail (a write killed at an arbitrary byte offset;
+       the report's ``cut_bytes`` is the tear actually made, at most
+       the segment's size and 0 with no segment); with
+       ``corrupt_snapshot``, also flip a byte inside the newest
        snapshot so recovery must fall back a generation.
     4. Recover, re-deliver every event after the recovered ``last_seq``
        (the unacknowledged suffix a real event source would re-send),
@@ -743,7 +742,6 @@ def run_crash_replay(
     report = CrashReport(
         events_total=len(events),
         kill_after=kill,
-        cut_bytes=int(cut_bytes),
         corrupt_snapshot=bool(corrupt_snapshot),
     )
 
@@ -765,9 +763,9 @@ def run_crash_replay(
         # 3. injure the disk.
         if cut_bytes and wal_path.exists():
             size = wal_path.stat().st_size
-            cut = min(int(cut_bytes), size)
             with wal_path.open("r+b") as fh:
-                fh.truncate(size - cut)
+                fh.truncate(size - min(int(cut_bytes), size))
+            report.cut_bytes = size - wal_path.stat().st_size
         if corrupt_snapshot:
             generations = victim.snapshots.generations()
             if generations:
@@ -802,7 +800,7 @@ def run_crash_replay(
             == _drift_gauges(reference.registry))
         chain = make_chaos_chain(log, cfg)
         requests = make_chaos_requests(
-            np.random.default_rng(cfg.seed + 9), probe_requests, chain, log)
+            np.random.default_rng(cfg.seed + 9), 32, chain, log)
         now = cfg.horizon_s
         ref_rates = BatchOnlinePredictor(
             chain, reference.active).predict_batch(requests, now)

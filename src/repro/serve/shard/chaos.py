@@ -56,7 +56,7 @@ from repro.serve.chaos import (
 )
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.mutation import ServingState
-from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
+from repro.serve.shard.supervisor import ShardCluster
 from repro.serve.shard.worker import fingerprint_digest
 
 __all__ = ["ShardChaosConfig", "ShardChaosReport", "run_shard_chaos"]
@@ -89,12 +89,12 @@ class ShardChaosConfig:
                 raise ValueError(f"{name} {r} outside 0..{self.rounds - 1}")
 
     @classmethod
-    def quick(cls) -> "ShardChaosConfig":
+    def quick(cls, seed: int = 0) -> "ShardChaosConfig":
         """The CI smoke variant: 2 shards, 4 rounds, one of each fault."""
         return cls(
             shards=2, rounds=4, n_transfers=120, n_requests=32,
             kill_rounds=(1,), drain_round=2, rebalance_round=3,
-            checkpoint_round=3,
+            checkpoint_round=3, seed=seed,
         )
 
 
@@ -127,7 +127,6 @@ def run_shard_chaos(
     config: ShardChaosConfig | None = None,
     state_root: str | Path | None = None,
     obs: Observability | None = None,
-    cluster_config: ClusterConfig | None = None,
 ) -> ShardChaosReport:
     """Run the scripted chaos history; see the module docstring for the
     contracts asserted.  ``obs`` receives the router's ``shard_*``
@@ -145,9 +144,7 @@ def run_shard_chaos(
 
     with _work_dir(state_root, "repro-shard-chaos-") as state_root:
         cluster = ShardCluster(
-            chain, state_root, shards=config.shards, obs=obs,
-            config=cluster_config or ClusterConfig(),
-        ).start()
+            chain, state_root, shards=config.shards, obs=obs).start()
         try:
             _run_rounds(config, cluster, ref, chain, log, events,
                         cc.horizon_s, rng, report)

@@ -4,10 +4,11 @@ Two sub-scenarios, each a self-contained proof reported as named checks
 (:class:`~repro.serve.chaos.Verdict`):
 
 **A — crash / corruption.**  A completion-ordered JSONL log is appended
-in phases, with every Nth line corrupted and one phase boundary landing
-mid-line (a half-written trailing record).  Between phases the
-supervisor is started, killed at a scripted stage (after poll, apply,
-retrain or checkpoint — via
+in phases, with every :data:`CORRUPT_EVERY`-th line corrupted and one
+phase boundary landing mid-line (a half-written trailing record).
+Between phases the supervisor is started, killed at a scripted stage
+(after poll, apply, retrain or checkpoint, cycling through
+:data:`CRASH_STAGES` — via
 :class:`~repro.serve.stream.supervisor.SimulatedCrash`) and restarted
 against the same state directory.  One edge's fit always raises (the
 poisoned edge); one edge's fit always returns a divergent model, with
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.logs.io import read_jsonl
+from repro.logs.io import QuarantineReport, read_jsonl
 from repro.logs.store import LogStore
 from repro.ml.linear import LinearRegression
 from repro.obs import Observability
@@ -78,18 +79,22 @@ from repro.sim.gridftp import TransferRequest
 __all__ = ["StreamChaosConfig", "StreamChaosReport", "run_stream_chaos"]
 
 
+# Every CORRUPT_EVERY-th line of each chaos log is corrupted.
+CORRUPT_EVERY = 9
+# One scripted kill per non-final phase, cycling through these stages.
+CRASH_STAGES = ("applied", "polled", "retrained", "checkpointed")
+# Every supervisor's apply cap (its backlog cap is four times this) and
+# the cycles each run() may spend catching up with the appended log.
+MAX_APPLY_PER_CYCLE = 48
+CYCLES_PER_INCARNATION = 24
+
+
 @dataclass(frozen=True)
 class StreamChaosConfig:
     n_transfers: int = 240
     n_endpoints: int = 8
     seed: int = 0
-    corrupt_every: int = 9
     phases: int = 4
-    # One scripted kill per non-final phase, cycling through these stages.
-    crash_stages: tuple[str, ...] = (
-        "applied", "polled", "retrained", "checkpointed")
-    max_apply_per_cycle: int = 48
-    cycles_per_incarnation: int = 24
 
     def __post_init__(self) -> None:
         if self.phases < 2:
@@ -145,10 +150,16 @@ def _chaos_fit(task, poisoned=(), corrupt=(), seed=0):
     return result
 
 
-def _completion_ordered(log: LogStore) -> LogStore:
-    data = log.raw()
-    return LogStore(np.sort(data, order="te", kind="stable")
-                    if len(data) else data)
+def _corrupt_log(path: Path, n_transfers: int, n_endpoints: int,
+                 seed: int) -> tuple[LogStore, QuarantineReport]:
+    """Write the completion-ordered chaos log of ``seed`` to ``path`` as
+    JSONL with every :data:`CORRUPT_EVERY`-th line corrupted; return
+    what a lenient batch read keeps of it, and its quarantine report."""
+    data = make_chaos_log(ChaosConfig(
+        n_transfers=n_transfers, n_endpoints=n_endpoints, seed=seed)).raw()
+    log = LogStore(np.sort(data, order="te", kind="stable"))
+    write_corrupt_jsonl(log, path, every=CORRUPT_EVERY)
+    return read_jsonl(path, strict=False)
 
 
 def _policy() -> RetrainPolicy:
@@ -190,6 +201,44 @@ def _chaos_slos() -> list:
     ]
 
 
+def _attach_diagnosis(obs: Observability, path: Path) -> None:
+    """Give ``obs`` a durable JSONL event sink at ``path`` (its seqs are
+    checkpointed, so recovery must truncate and re-emit) and the
+    alert-deterministic SLO engine over :func:`_chaos_slos`."""
+    obs.events = EventLog(path=path, registry=obs.registry)
+    obs.slo = SLOEngine(_chaos_slos(), registry=obs.registry,
+                        events=obs.events)
+
+
+def _supervisor(root: Path, obs: Observability, log: LogStore, seed: int,
+                poisoned=(), corrupt=None, crash_hook=None
+                ) -> StreamSupervisor:
+    """One supervisor incarnation tailing ``root/transfers.jsonl`` with
+    its state in ``root/state``, serving a fresh chain derived from
+    ``log``.  ``corrupt`` maps each corrupt edge to its live model (every
+    refit of it diverges); every refit of a ``poisoned`` edge raises."""
+    chain = FallbackChain.from_log(log, edge_models=corrupt)
+    tail = TailIngester(root / "transfers.jsonl", fmt="jsonl",
+                        registry=obs.registry, seed=seed)
+    controller = RetrainController(
+        chain, obs.drift, policy=_policy(),
+        fit_fn=partial(_chaos_fit, poisoned=poisoned,
+                       corrupt=tuple(corrupt or ()), seed=seed),
+        registry=obs.registry, tracer=obs.tracer, seed=seed,
+    )
+    return StreamSupervisor(
+        tail, controller, root / "state", obs=obs,
+        config=StreamConfig(
+            poll_interval_s=0.0,
+            max_backlog_records=4 * MAX_APPLY_PER_CYCLE,
+            max_apply_per_cycle=MAX_APPLY_PER_CYCLE,
+            checkpoint_every=1,
+        ),
+        sleep=lambda _s: None,
+        crash_hook=crash_hook,
+    )
+
+
 def run_stream_chaos(
     config: StreamChaosConfig | None = None,
     work_dir: str | Path | None = None,
@@ -214,14 +263,10 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
     # The full corrupt file, pre-rendered so the reference is computable
     # up front; it reaches the live file in phased appends below.
-    log = _completion_ordered(make_chaos_log(ChaosConfig(
-        n_transfers=cfg.n_transfers, n_endpoints=cfg.n_endpoints,
-        seed=cfg.seed)))
     full = root / "full.jsonl"
-    write_corrupt_jsonl(log, full, every=cfg.corrupt_every)
+    kept, quarantine = _corrupt_log(full, cfg.n_transfers, cfg.n_endpoints,
+                                    cfg.seed)
     all_lines = full.read_text().splitlines(keepends=True)
-
-    kept, quarantine = read_jsonl(full, strict=False)
     report.reference_records = len(kept)
     reference_digest = fold_digest("", kept.raw())
 
@@ -237,41 +282,11 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
         make_synthetic_model(cfg.seed),
         src=corrupt_edge[0], dst=corrupt_edge[1])
 
-    # The crash run's diagnosis layer: a durable JSONL sink (its seqs are
-    # checkpointed, so recovery must truncate and re-emit) plus the
-    # alert-deterministic SLO engine.
     events_path = root / "events.jsonl"
-    obs.events = EventLog(path=events_path, registry=obs.registry)
-    obs.slo = SLOEngine(_chaos_slos(), registry=obs.registry,
-                        events=obs.events)
-
-    stream_config = StreamConfig(
-        poll_interval_s=0.0,
-        max_backlog_records=4 * cfg.max_apply_per_cycle,
-        max_apply_per_cycle=cfg.max_apply_per_cycle,
-        checkpoint_every=1,
-    )
-
-    def build(root: Path, obs: Observability,
-              crash_hook=None) -> StreamSupervisor:
-        """One supervisor incarnation over ``root``'s log and state
-        directory."""
-        chain = FallbackChain.from_log(
-            kept, edge_models={corrupt_edge: base_model})
-        tail = TailIngester(root / "transfers.jsonl", fmt="jsonl",
-                            registry=obs.registry, seed=cfg.seed)
-        controller = RetrainController(
-            chain, obs.drift, policy=_policy(),
-            fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
-                           corrupt=(corrupt_edge,), seed=cfg.seed),
-            registry=obs.registry, tracer=obs.tracer, seed=cfg.seed,
-        )
-        return StreamSupervisor(
-            tail, controller, root / "state", obs=obs,
-            config=stream_config,
-            sleep=lambda _s: None,
-            crash_hook=crash_hook,
-        )
+    _attach_diagnosis(obs, events_path)
+    build = partial(_supervisor, log=kept, seed=cfg.seed,
+                    poisoned=(poisoned_edge,),
+                    corrupt={corrupt_edge: base_model})
 
     # The uninterrupted reference: one persistent supervisor in its own
     # directories following the exact same phased appends, never crashed,
@@ -281,11 +296,7 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     ref_root.mkdir(parents=True, exist_ok=True)
     ref_live = ref_root / "transfers.jsonl"
     ref_obs = Observability.create(trace=False)
-    ref_obs.events = EventLog(path=ref_root / "events.jsonl",
-                              registry=ref_obs.registry)
-    ref_obs.slo = SLOEngine(_chaos_slos(), registry=ref_obs.registry,
-                            events=ref_obs.events)
-
+    _attach_diagnosis(ref_obs, ref_root / "events.jsonl")
     ref = build(ref_root, ref_obs)
 
     def crash_hook_for(stage: str):
@@ -311,18 +322,18 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
                 fh.write(text)
 
         if phase < cfg.phases - 1:
-            stage = cfg.crash_stages[phase % len(cfg.crash_stages)]
+            stage = CRASH_STAGES[phase % len(CRASH_STAGES)]
             victim = build(root, obs, crash_hook=crash_hook_for(stage))
             report.incarnations += 1
             try:
-                victim.run(max_cycles=cfg.cycles_per_incarnation)
+                victim.run(max_cycles=CYCLES_PER_INCARNATION)
             except SimulatedCrash:
                 report.crashes_injected += 1
         survivor = build(root, obs)
         report.incarnations += 1
-        survivor.run(max_cycles=cfg.cycles_per_incarnation)
+        survivor.run(max_cycles=CYCLES_PER_INCARNATION)
         final = survivor
-        ref.run(max_cycles=cfg.cycles_per_incarnation)
+        ref.run(max_cycles=CYCLES_PER_INCARNATION)
 
     report.check(
         "every scripted crash fired",
@@ -450,15 +461,11 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
                      report: StreamChaosReport) -> None:
     root.mkdir(parents=True, exist_ok=True)
     live = root / "transfers.jsonl"
-    state_dir = root / "state"
     obs = Observability.create(trace=False)
 
     def content(seed: int, n: int) -> tuple[str, LogStore]:
-        log = _completion_ordered(make_chaos_log(ChaosConfig(
-            n_transfers=n, n_endpoints=cfg.n_endpoints, seed=seed)))
         path = root / f"content-{seed}.jsonl"
-        write_corrupt_jsonl(log, path, every=cfg.corrupt_every)
-        kept, _ = read_jsonl(path, strict=False)
+        kept, _ = _corrupt_log(path, n, cfg.n_endpoints, seed)
         return path.read_text(), kept
 
     n = max(24, cfg.n_transfers // 5)
@@ -476,35 +483,20 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     digest = fold_digest(digest, kept_c.raw())
     reference = len(kept_a) + len(kept_b) + len(kept_c)
 
-    chain = FallbackChain.from_log(kept_a)
-    tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
-                        seed=cfg.seed)
-    controller = RetrainController(
-        chain, obs.drift, policy=_policy(),
-        fit_fn=partial(_chaos_fit, seed=cfg.seed), registry=obs.registry)
-    supervisor = StreamSupervisor(
-        tail, controller, state_dir, obs=obs,
-        config=StreamConfig(
-            poll_interval_s=0.0,
-            max_backlog_records=4096,
-            max_apply_per_cycle=cfg.max_apply_per_cycle,
-            checkpoint_every=1,
-        ),
-        sleep=lambda _s: None,
-    )
-
+    supervisor = _supervisor(root, obs, kept_a, cfg.seed)
+    tail = supervisor.tail
     live.write_text(text_a)
-    supervisor.run(max_cycles=cfg.cycles_per_incarnation)
+    supervisor.run(max_cycles=CYCLES_PER_INCARNATION)
     # Truncation: the file shrinks below the committed offset.
     live.write_text(text_b)
     report.check(
         "truncation shrinks the file below the committed offset",
         live.stat().st_size < tail.offset,
         f"{live.stat().st_size} < {tail.offset} bytes")
-    supervisor.run(max_cycles=cfg.cycles_per_incarnation)
+    supervisor.run(max_cycles=CYCLES_PER_INCARNATION)
     # Rotation: same-or-larger size, different leading bytes.
     live.write_text(text_c)
-    supervisor.run(max_cycles=cfg.cycles_per_incarnation)
+    supervisor.run(max_cycles=CYCLES_PER_INCARNATION)
 
     flat = obs.registry.flat()
     truncations = int(

@@ -54,6 +54,10 @@ class TestCrashProperty:
             True, "max |delta| 0 B/s over 32 probes")
         assert checks["active population equal"][0]
         assert checks["drift gauges equal"][0]
+        # The whole verdict, pinned: a refactor of the harness must leave
+        # every line of it byte-identical.
+        assert hashlib.sha256(report.render().encode()).hexdigest() == (
+            "c7426ff78dbe55ce356529754c62a2de94aab40761d09b306ea3a79e4ee2a940")
 
     @pytest.mark.parametrize("fraction", [0.0, 0.15, 0.5, 0.85, 1.0])
     def test_kill_anywhere(self, quick, fraction):
@@ -72,6 +76,24 @@ class TestCrashProperty:
             # recovery resumes before the kill point.
             assert report.recovery["truncated_bytes"] > 0
             assert report.recovery["last_seq"] < report.kill_after
+
+    def test_no_segment_reports_no_tear(self, quick):
+        """Killed before the first record: there is no journal tail to
+        tear, so the report names a 0-byte tear, not the one asked for."""
+        report = run_crash_replay(quick, kill_after_events=0)
+        assert report.ok, report.render()
+        assert report.cut_bytes == 0
+        assert "journal tail torn by 0 bytes" in report.render()
+
+    def test_oversized_tear_reports_the_segment_size(self, quick):
+        """A cut larger than the segment empties it: the report names the
+        bytes actually cut, the same for any oversized request."""
+        big = run_crash_replay(quick, cut_bytes=100_000)
+        bigger = run_crash_replay(quick, cut_bytes=1_000_000)
+        assert big.ok and bigger.ok, big.render()
+        assert 0 < big.cut_bytes < 100_000
+        assert bigger.cut_bytes == big.cut_bytes
+        assert f"journal tail torn by {big.cut_bytes} bytes" in big.render()
 
     def test_corrupt_snapshot_falls_back(self, quick):
         report = run_crash_replay(quick, corrupt_snapshot=True)

@@ -6,6 +6,8 @@ uses, over the same log-derived five-tier chaos chain, so "correct"
 always means *bit-identical to the unsharded code*.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,10 @@ class TestChaosAndBench:
         lines = report.render().splitlines()
         assert lines[0].startswith("shard chaos: 2 shards, 4 rounds")
         assert lines[1].split() == ["verdict", "OK"]
+        # The whole verdict, pinned: a refactor of the harness must leave
+        # every line of it byte-identical.
+        assert hashlib.sha256(report.render().encode()).hexdigest() == (
+            "e19d475a74bf36163ae803ed76560e72166a8e4034ddd5e01962d6f92aee4220")
 
     def test_bench_parity_small(self, tmp_path):
         result = run_shard_bench(

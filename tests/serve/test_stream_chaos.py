@@ -1,11 +1,18 @@
 """The streaming chaos harness is itself the acceptance proof — these
 tests run it and hold it to its own verdicts."""
 
+import hashlib
+
 import pytest
 
 from repro.obs import Observability
 from repro.serve.fallback import ModelTier
 from repro.serve.stream import StreamChaosConfig, run_stream_chaos
+
+# SHA-256 of the quick seed-0 run's full render(): a refactor of the
+# harness must leave every line of the verdict byte-identical.
+RENDER_SHA256 = (
+    "382d0c4cb57d04b2481df5de2bee088dbe274acbb3759e58223bc51ae2f141fc")
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +133,7 @@ class TestVerdict:
         assert "verdict" in text and "OK" in text
         assert report.poisoned_edge in text
         assert text.count("[PASS]") == len(report.checks)
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256
 
     def test_stream_metrics_exported(self, report):
         flat = report._registry_flat
