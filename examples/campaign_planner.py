@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core import build_feature_matrix, fit_edge_model
 from repro.core.pipeline import GBTSettings
-from repro.serve import ActiveSet, FleetScheduler, SweepAdvisor
+from repro.serve import ActiveSet, FallbackChain, FleetScheduler, SweepAdvisor
 from repro.sim import (
     TransferRequest,
     TransferService,
@@ -113,7 +113,9 @@ def main() -> None:
               "features) -> keeping user-requested tunables")
 
     # Step 2: admission plan with an endpoint cap.
-    planner = FleetScheduler(models, max_active_per_endpoint=3)
+    planner = FleetScheduler(
+        FallbackChain(edge_models=models), max_active_per_endpoint=3
+    )
     plan = planner.plan(backlog).entries
     by_start = sorted(plan, key=lambda p: p.start_at)
     print(f"\nadmission plan ({len(plan)} transfers; first and last three):")

@@ -13,10 +13,8 @@ a ``kind`` tag and cover :class:`~repro.ml.linear.LinearRegression`,
 Format version 2 adds a ``checksum`` field (SHA-256 over the canonical
 JSON of the rest of the document) verified at load time — a corrupted or
 hand-edited artifact raises :class:`ModelIntegrityError` instead of
-deserialising into a silently wrong model.  Version-1 artifacts (no
-checksum) still load, with a :class:`UserWarning` and a module-level
-counter (:func:`legacy_load_count`) so operators can see how much
-unchecksummed inventory is still in rotation.  :func:`save_model` writes
+deserialising into a silently wrong model.  Any other version, the
+checksum-less version 1 included, is refused.  :func:`save_model` writes
 atomically (write-temp -> fsync -> ``os.replace``): a crash mid-save
 leaves the previous artifact intact, never a truncated JSON file.
 
@@ -31,7 +29,6 @@ the process pool pickles anyway; nothing writes it to a file.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +46,14 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "ModelIntegrityError",
-    "legacy_load_count",
 ]
 
 _FORMAT_VERSION = 2
-
-# Version-1 (pre-checksum) artifacts loaded this process; see
-# legacy_load_count().
-_legacy_loads = 0
 
 
 class ModelIntegrityError(ValueError):
     """A persisted model failed its checksum (or carries none where one is
     required) — the artifact is corrupt, not merely outdated."""
-
-
-def legacy_load_count() -> int:
-    """How many version-1 (checksum-less) artifacts this process has
-    loaded."""
-    return _legacy_loads
 
 
 def _arr(a: np.ndarray | None) -> list | None:
@@ -234,10 +220,9 @@ def model_from_dict(d: dict):
     """Inverse of :func:`model_to_dict`.
 
     Version-2 documents are checksum-verified (raising
-    :class:`ModelIntegrityError` on mismatch or a missing checksum);
-    version-1 documents predate the checksum and load with a warning.
+    :class:`ModelIntegrityError` on mismatch or a missing checksum); any
+    other version raises ``ValueError``.
     """
-    global _legacy_loads
     version = d.get("format_version")
     if version == _FORMAT_VERSION:
         stored = d.get("checksum")
@@ -251,14 +236,6 @@ def model_from_dict(d: dict):
                 f"model checksum mismatch: stored {stored[:12]}..., "
                 f"computed {expected[:12]}... (corrupt or tampered artifact)"
             )
-    elif version == 1:
-        _legacy_loads += 1
-        warnings.warn(
-            "loading a version-1 model artifact without a checksum; "
-            "re-save to upgrade it to the checksummed format",
-            UserWarning,
-            stacklevel=2,
-        )
     else:
         raise ValueError(f"unsupported format_version {version!r}")
     dec = _DECODERS.get(d.get("kind"))

@@ -33,7 +33,7 @@ spans through the shared registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,23 +211,18 @@ class SweepRecommendation:
         }
 
 
-def _as_predictor_input(result):
-    if isinstance(result, Mapping) and not isinstance(result, FallbackChain):
-        return FallbackChain(edge_models=dict(result))
-    return result
-
-
 class SweepAdvisor:
     """Recommends (C, P) for a transfer with one batch prediction call.
 
     Parameters
     ----------
     result:
-        A :class:`~repro.serve.fallback.FallbackChain` (or plain
-        ``{(src, dst): EdgeModelResult}`` dict, which is wrapped) for
-        full routing + Eq. 1 clipping — or a single fitted
+        A :class:`~repro.serve.fallback.FallbackChain` for full
+        routing + Eq. 1 clipping — or a single fitted
         :class:`EdgeModelResult` / :class:`GlobalModelResult`, in which
-        case no bound is known and predictions are unclipped.
+        case no bound is known and predictions are unclipped.  A global
+        model that needs per-request adapter columns (``ROmax_src``,
+        ``RImax_dst``) is served through a chain's ``global_adapter``.
     active:
         The live in-flight population the sweep is scored against.
     grid:
@@ -245,13 +240,10 @@ class SweepAdvisor:
 
     def __init__(
         self,
-        result: EdgeModelResult | GlobalModelResult | FallbackChain | Mapping,
+        result: EdgeModelResult | GlobalModelResult | FallbackChain,
         active: ActiveSet,
         grid: tuple[tuple[int, int], ...] = DEFAULT_TUNABLE_GRID,
-        extra_columns: dict[str, float] | None = None,
         clip: bool = True,
-        max_iterations: int = 8,
-        tolerance: float = 0.01,
         obs: Observability | None = None,
     ) -> None:
         if not grid:
@@ -260,14 +252,7 @@ class SweepAdvisor:
             if c < 1 or p < 1:
                 raise ValueError(f"bad grid entry ({c}, {p})")
         self.grid = tuple((int(c), int(p)) for c, p in grid)
-        self.engine = BatchOnlinePredictor(
-            _as_predictor_input(result),
-            active,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            extra_columns=extra_columns,
-            obs=obs,
-        )
+        self.engine = BatchOnlinePredictor(result, active, obs=obs)
         self.clip = bool(clip)
         self.obs = obs
         self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
@@ -544,26 +529,20 @@ class FleetScheduler:
 
     def __init__(
         self,
-        chain: FallbackChain | Mapping,
+        chain: FallbackChain,
         max_active_per_endpoint: int = 4,
         clip: bool = True,
-        max_iterations: int = 8,
-        tolerance: float = 0.01,
         obs: Observability | None = None,
     ) -> None:
         if max_active_per_endpoint < 1:
             raise ValueError("max_active_per_endpoint must be >= 1")
-        chain = _as_predictor_input(chain)
         if not isinstance(chain, FallbackChain):
             raise TypeError(
-                "FleetScheduler needs a FallbackChain or a per-edge model "
-                f"mapping, got {type(chain).__name__}"
+                f"FleetScheduler needs a FallbackChain, got {type(chain).__name__}"
             )
         self.chain = chain
         self.max_active = int(max_active_per_endpoint)
         self.clip = bool(clip)
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
         self.obs = obs
         self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
             and obs.tracer.enabled else None
@@ -652,13 +631,7 @@ class FleetScheduler:
         label: str,
     ) -> FleetPlan:
         sim = ActiveSet.from_views(active.views() if active is not None else [])
-        engine = BatchOnlinePredictor(
-            self.chain,
-            sim,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            obs=self.obs,
-        )
+        engine = BatchOnlinePredictor(self.chain, sim, obs=self.obs)
         bounds: dict[tuple[str, str], float | None] = {}
         for req in backlog:
             edge = (req.src, req.dst)

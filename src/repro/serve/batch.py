@@ -28,19 +28,18 @@ batch at once, and answers a single request as a batch of one
   ``serve.fixpoint``) through its tracer.
 
 The predictor also accepts a :class:`~repro.serve.fallback.FallbackChain`
-(or a plain ``{(src, dst): EdgeModelResult}`` dict, which is wrapped into
-one) in place of a single model.  In that mode ``predict_batch`` never
-raises for an unknown edge: requests are partitioned across the chain's
-tiers — per-edge model, global model, analytical bound, median, default —
-and :meth:`~BatchOnlinePredictor.predict_batch_detailed` reports which
-tier served each request.  ``strict=True`` restores the old refuse-loudly
-behavior for edges without a usable per-edge model.
+in place of a single model.  In that mode ``predict_batch`` never raises
+for an unknown edge: requests are partitioned across the chain's tiers —
+per-edge model, global model, analytical bound, median, default — and
+:meth:`~BatchOnlinePredictor.predict_batch_detailed` reports which tier
+served each request.  Every tier runs the same fix-point
+(:meth:`~BatchOnlinePredictor._fixpoint`) on this one predictor, so the
+whole chain shares one set of stats and one tracer.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -72,6 +71,9 @@ _CONTENTION_NAMES = (
     "S_sout", "S_sin", "S_dout", "S_din",
     "G_src", "G_dst",
 )
+
+# Starting rate guess for every request's fix-point, bytes/s.
+INITIAL_RATE = 50e6
 
 
 # PredictorStats field -> (metric name, help, exported type).
@@ -264,15 +266,6 @@ class PredictorStats:
         (convergence speed; 1.0 means everything converged immediately)."""
         return self.feature_rows / self.requests if self.requests else 0.0
 
-    @property
-    def mean_iterations_per_request(self) -> float:
-        """Alias for :attr:`mean_feature_rows_per_request`, kept for
-        backwards compatibility.  The quantity was always feature *rows*
-        per request (the sum of alive-subset sizes over rounds), not the
-        number of global fix-point rounds — the old name under-described
-        it."""
-        return self.mean_feature_rows_per_request
-
 
 def _stat_property(name: str, metric: str, cast: type) -> property:
     def fget(self: PredictorStats):
@@ -374,31 +367,26 @@ class BatchOnlinePredictor:
     result:
         A fitted per-edge (:class:`EdgeModelResult`) or global
         (:class:`GlobalModelResult`) pipeline result — or a
-        :class:`~repro.serve.fallback.FallbackChain` (a plain
-        ``{(src, dst): EdgeModelResult}`` dict is also accepted and
-        wrapped), in which case requests are routed per edge through the
-        chain's tiers.
+        :class:`~repro.serve.fallback.FallbackChain`, in which case
+        requests are routed per edge through the chain's tiers.  An edge
+        is routed to its per-edge model if it is in ``edge_models`` at
+        construction and that model's features can be supplied; the
+        model itself is read from the chain at every call, so one
+        published later into a routed edge is served.
     active:
         The in-flight transfer population (mutate it freely between calls —
         predictions always reflect the current population).
     max_iterations / tolerance:
         Fix-point controls: predict -> assume duration -> re-estimate
         features -> re-predict until every request's rate moves by less
-        than ``tolerance`` (relative), at most ``max_iterations`` times.
+        than ``tolerance`` (relative), at most ``max_iterations`` times,
+        starting from :data:`INITIAL_RATE`.  A request still moving after
+        the last round is counted in ``stats.nonconverged_requests``.
     extra_columns:
         Constant extra features required by the model (e.g. ``ROmax_src``,
         ``RImax_dst`` for the global model).  In chain mode these are
         offered to every tier; the global tier's per-request adapter
         columns take precedence.
-    initial_rate:
-        Starting rate guess for the fix-point, bytes/s.
-    strict:
-        Chain mode only: raise ``KeyError`` for a request whose edge has
-        no usable per-edge model instead of falling back (the pre-chain
-        behavior).
-    warn_nonconverged:
-        Emit a ``RuntimeWarning`` whenever a call leaves requests
-        non-converged (always counted in ``stats.nonconverged_requests``).
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  When given,
         ``stats`` counters land in ``obs.registry`` (one predictor per
@@ -409,60 +397,41 @@ class BatchOnlinePredictor:
 
     def __init__(
         self,
-        result: EdgeModelResult | GlobalModelResult | FallbackChain | Mapping,
+        result: EdgeModelResult | GlobalModelResult | FallbackChain,
         active: ActiveSet,
         max_iterations: int = 8,
         tolerance: float = 0.01,
         extra_columns: dict[str, float] | None = None,
-        initial_rate: float = 50e6,
-        strict: bool = False,
-        warn_nonconverged: bool = False,
         obs: Observability | None = None,
     ) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if isinstance(result, Mapping):
-            result = FallbackChain(edge_models=dict(result))
         self.result = result
         self.active = active
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.extra_columns = dict(extra_columns or {})
-        self.initial_rate = float(initial_rate)
-        self.strict = bool(strict)
-        self.warn_nonconverged = bool(warn_nonconverged)
         self.obs = obs
         self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
             and obs.tracer.enabled else None
         self.stats = PredictorStats(obs.registry if obs is not None else None)
         self.unusable_edges: dict[tuple[str, str], str] = {}
+        # Chain mode: the edges whose per-edge model passed the features
+        # check at construction; the rest fall through the chain.
+        self._routed_edges: set[tuple[str, str]] = set()
         if isinstance(result, FallbackChain):
             self._chain = result
-            self._edge_engines: dict[tuple[str, str], BatchOnlinePredictor] = {}
             for edge, edge_result in result.edge_models.items():
                 try:
-                    engine = BatchOnlinePredictor(
-                        edge_result,
-                        active,
-                        max_iterations=max_iterations,
-                        tolerance=tolerance,
-                        extra_columns=self.extra_columns,
-                        initial_rate=initial_rate,
-                    )
+                    self._check_features(edge_result, self.extra_columns)
                 except KeyError as exc:
-                    if self.strict:
-                        raise
                     # A half-configured model is as unusable as a missing
                     # one: remember why and let its edge fall through.
                     self.unusable_edges[edge] = str(exc).strip("'\"")
                 else:
-                    # Tier engines share the parent's stats and tracer so
-                    # the whole chain reports as one predictor.
-                    engine.stats = self.stats
-                    engine.tracer = self.tracer
-                    self._edge_engines[edge] = engine
+                    self._routed_edges.add(edge)
         else:
             self._chain = None
             self._check_features(result, self.extra_columns)
@@ -542,14 +511,6 @@ class BatchOnlinePredictor:
 
         n_bad = int(nonconv.sum())
         self.stats.nonconverged_requests += n_bad
-        if n_bad and self.warn_nonconverged:
-            warnings.warn(
-                f"{n_bad}/{m} request(s) did not converge within "
-                f"{self.max_iterations} fix-point iterations "
-                f"(tolerance={self.tolerance})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         # Attribute the flattened-forest kernel's module totals moved during
         # this call (lazy builds + predict kernel time) to this predictor.
         forest_after = forest_totals()
@@ -611,16 +572,9 @@ class BatchOnlinePredictor:
         with self._span("serve.route", requests=m):
             for i, r in enumerate(requests):
                 edge = (r.src, r.dst)
-                if edge in self._edge_engines:
+                if edge in self._routed_edges:
                     edge_groups.setdefault(edge, []).append(i)
                     tiers[i] = ModelTier.EDGE
-                elif self.strict:
-                    known = sorted(f"{s}->{d}" for s, d in self._edge_engines)
-                    raise KeyError(
-                        f"no usable per-edge model for {r.src}->{r.dst} and "
-                        f"strict=True (usable edges: {known or 'none'}); pass "
-                        "strict=False to fall back through the chain"
-                    )
                 elif chain.global_covers(r.src, r.dst):
                     global_idx.append(i)
                     tiers[i] = ModelTier.GLOBAL
@@ -633,7 +587,7 @@ class BatchOnlinePredictor:
             with self._span("serve.tier.edge", edges=len(edge_groups)):
                 for edge, idx in edge_groups.items():
                     subset = [requests[i] for i in idx]
-                    sub_rates, sub_nonconv = self._edge_engines[edge]._fixpoint(
+                    sub_rates, sub_nonconv = self._fixpoint(
                         chain.edge_models[edge], subset, now, self.extra_columns
                     )
                     rates[idx] = sub_rates
@@ -693,7 +647,7 @@ class BatchOnlinePredictor:
         # only shrinks, so round r writes rows [0, alive.size) in place and
         # nothing reallocates.
         buf = np.empty((m, len(names)))
-        rates = np.full(m, self.initial_rate)
+        rates = np.full(m, INITIAL_RATE)
         alive = np.arange(m)
         with self._span("serve.fixpoint", requests=m) as span:
             span.attrs["serve.features.buffer"] = f"{m}x{len(names)}"
@@ -705,7 +659,7 @@ class BatchOnlinePredictor:
                 tf = time.perf_counter()
                 feats = self._feature_matrix(
                     names, extra, cols, alive, now, durations,
-                    states=states, buf=buf[: alive.size],
+                    states, buf[: alive.size],
                 )
                 self.stats.feature_time_s += time.perf_counter() - tf
 
@@ -827,19 +781,15 @@ class BatchOnlinePredictor:
         idx: np.ndarray,
         now: float,
         durations: np.ndarray,
-        states: tuple[list, list] | None = None,
-        buf: np.ndarray | None = None,
+        states: tuple[list, list],
+        buf: np.ndarray,
     ) -> np.ndarray:
-        """Fill (and return) the ``(idx.size, len(names))`` feature matrix.
-
-        ``buf`` is the caller's preallocated destination (the fix-point
-        reuses one buffer across rounds); when None a fresh array is
-        allocated.  Column values are identical to the old per-round
-        ``np.column_stack`` construction.
+        """Fill (and return) ``buf``, the ``(idx.size, len(names))``
+        feature matrix: the caller's preallocated destination (the
+        fix-point reuses one buffer across rounds).  ``states`` is the
+        pre-resolved endpoint state pair :meth:`_contention` takes.
         """
         feats = self._contention(cols, idx, now, durations, states)
-        if buf is None:
-            buf = np.empty((idx.size, len(names)))
         for j, name in enumerate(names):
             if name in feats:
                 buf[:, j] = feats[name]

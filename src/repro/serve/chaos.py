@@ -727,8 +727,14 @@ def run_crash_replay(
     4. Recover, re-deliver every event after the recovered ``last_seq``
        (the unacknowledged suffix a real event source would re-send),
        and require the result to be indistinguishable from (1).
+
+    A negative ``cut_bytes`` would grow the segment instead of tearing
+    it, so it raises ``ValueError``.
     """
     from repro.serve.durability import DurabilityConfig, recover_serving_state
+
+    if cut_bytes < 0:
+        raise ValueError(f"cut_bytes must be >= 0, got {cut_bytes}")
 
     cfg = config or ChaosConfig()
     log = make_chaos_log(cfg)

@@ -137,9 +137,10 @@ class FallbackChain:
     def resolve(self, src: str, dst: str) -> ModelTier:
         """The highest tier that *could* serve a ``src -> dst`` request.
 
-        Informational: the batch predictor performs the same walk but may
-        additionally skip an edge model whose features it cannot satisfy
-        (see ``BatchOnlinePredictor`` with ``strict=False``).
+        Informational: the batch predictor performs the same walk but
+        skips an edge model whose features it cannot satisfy (listed in
+        ``BatchOnlinePredictor.unusable_edges``) and routes only the edges
+        whose model was in the chain when the predictor was built.
         """
         if (src, dst) in self.edge_models:
             return ModelTier.EDGE

@@ -13,6 +13,7 @@ from repro.ml.scaler import StandardScaler
 from repro.serve import (
     DEFAULT_TUNABLE_GRID,
     ActiveSet,
+    FallbackChain,
     FleetScheduler,
     ModelTier,
     SourceSelector,
@@ -223,7 +224,7 @@ class TestAdmissionPlanner:
             _request(src="A", dst="B", total_bytes=80e9),
         ]
         plan = FleetScheduler(
-            models, max_active_per_endpoint=2
+            FallbackChain(edge_models=models), max_active_per_endpoint=2
         ).plan(backlog).entries
         assert len(plan) == 3
         assert {id(p.request) for p in plan} == {id(r) for r in backlog}
@@ -237,7 +238,7 @@ class TestAdmissionPlanner:
             _request(src="A", dst="B", total_bytes=50e9) for _ in range(4)
         ]
         plan = FleetScheduler(
-            models, max_active_per_endpoint=2
+            FallbackChain(edge_models=models), max_active_per_endpoint=2
         ).plan(backlog).entries
         starts = sorted(p.start_at for p in plan)
         # Only two may start immediately; the rest wait for completions.
@@ -247,7 +248,9 @@ class TestAdmissionPlanner:
     def test_unmodeled_edge_degrades(self):
         """An edge without a fitted model is planned through a coarser
         fallback tier instead of raising."""
-        scheduler = FleetScheduler({("A", "B"): _synthetic_edge_model()})
+        scheduler = FleetScheduler(
+            FallbackChain(edge_models={("A", "B"): _synthetic_edge_model()})
+        )
         plan = scheduler.plan(
             [_request(src="X", dst="Y"), _request(src="A", dst="B")]
         )
@@ -258,4 +261,4 @@ class TestAdmissionPlanner:
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ValueError):
-            FleetScheduler({}, max_active_per_endpoint=0)
+            FleetScheduler(FallbackChain(), max_active_per_endpoint=0)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.atomicio import checksum_payload
 from repro.ml import GradientBoostingRegressor, LinearRegression, StandardScaler
 from repro.ml.persistence import (
     ModelIntegrityError,
-    legacy_load_count,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -96,9 +96,10 @@ class TestDispatch:
             model_to_dict(object())
 
     def test_unknown_kind_rejected(self):
-        with pytest.warns(UserWarning, match="version-1"):
-            with pytest.raises(ValueError):
-                model_from_dict({"format_version": 1, "kind": "mystery"})
+        doc = {"format_version": 2, "kind": "mystery"}
+        doc["checksum"] = checksum_payload(doc)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            model_from_dict(doc)
 
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
@@ -147,19 +148,15 @@ class TestIntegrity:
         with pytest.raises(ModelIntegrityError):
             load_model(path)
 
-    def test_v1_document_loads_with_warning(self):
-        """Pre-checksum artifacts keep loading (a fleet upgrade must not
-        orphan existing model files) but are counted and warned about."""
+    def test_v1_document_refused(self):
+        """Pre-checksum (version 1) artifacts cannot be verified, so they
+        are refused like any other unsupported version."""
         X, y = _data(10)
         doc = model_to_dict(LinearRegression().fit(X, y))
         del doc["checksum"]
         doc["format_version"] = 1
-        before = legacy_load_count()
-        with pytest.warns(UserWarning, match="re-save"):
-            m = model_from_dict(doc)
-        assert legacy_load_count() == before + 1
-        assert np.array_equal(m.predict(X), model_from_dict(
-            model_to_dict(m)).predict(X))
+        with pytest.raises(ValueError, match="unsupported format_version 1"):
+            model_from_dict(doc)
 
     def test_save_is_atomic_under_fault(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous artifact intact at the

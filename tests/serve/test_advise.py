@@ -366,7 +366,9 @@ class TestFleetScheduler:
             sched.plan([_request()], policy="random")
 
     def test_plain_mapping_accepted(self):
-        sched = FleetScheduler({("A", "B"): _edge_model()})
+        sched = FleetScheduler(
+            FallbackChain(edge_models={("A", "B"): _edge_model()})
+        )
         plan = sched.plan([_request(src="A", dst="B")])
         assert plan.entries[0].tier is ModelTier.EDGE
 

@@ -95,6 +95,12 @@ class TestCrashProperty:
         assert bigger.cut_bytes == big.cut_bytes
         assert f"journal tail torn by {big.cut_bytes} bytes" in big.render()
 
+    def test_negative_tear_rejected(self, quick):
+        """Truncating to more than the segment's size would append zero
+        bytes, not tear any: a negative cut is refused up front."""
+        with pytest.raises(ValueError, match="cut_bytes must be >= 0"):
+            run_crash_replay(quick, cut_bytes=-5)
+
     def test_corrupt_snapshot_falls_back(self, quick):
         report = run_crash_replay(quick, corrupt_snapshot=True)
         assert report.ok, report.render()

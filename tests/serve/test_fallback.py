@@ -121,12 +121,13 @@ class TestChainPrediction:
 
     def test_edge_model_dict_accepted(self, edge_model, population):
         active = ActiveSet.from_views(population)
-        engine = BatchOnlinePredictor({("EP000", "EP001"): edge_model}, active)
+        chain = FallbackChain(edge_models={("EP000", "EP001"): edge_model})
+        engine = BatchOnlinePredictor(chain, active)
         detail = engine.predict_batch_detailed(
             [_req("EP000", "EP001"), _req("EP005", "EP006")], now=0.0
         )
         assert detail.tiers[0] is ModelTier.EDGE
-        assert detail.tiers[1] is ModelTier.DEFAULT  # bare dict: no lower tiers
+        assert detail.tiers[1] is ModelTier.DEFAULT  # edge models only
         assert detail.rates[1] == FallbackChain().default_rate
 
     def test_global_tier_uses_adapter_columns(self, population):
@@ -143,21 +144,10 @@ class TestChainPrediction:
         detail = engine.predict_batch_detailed([_req("EP002", "GHOST")], now=0.0)
         assert detail.tiers == (ModelTier.DEFAULT,)
 
-    def test_strict_unknown_edge_raises_helpfully(self, edge_model, population):
-        engine = BatchOnlinePredictor(
-            {("EP000", "EP001"): edge_model},
-            ActiveSet.from_views(population),
-            strict=True,
-        )
-        with pytest.raises(KeyError, match="EP004->EP005"):
-            engine.predict_batch([_req("EP004", "EP005")], now=0.0)
-        # Known edge still fine in strict mode.
-        assert engine.predict(_req("EP000", "EP001"), now=0.0) > 0
-
     def test_unusable_edge_model_falls_through(self, edge_model, population):
         """A partially-configured model (needs extra columns nobody
-        provided) must not poison the chain: lenient mode skips it, strict
-        mode raises a message naming the model and the missing features."""
+        provided) must not poison the chain: its edge falls through, and
+        ``unusable_edges`` names the missing features."""
         broken = dataclasses.replace(
             edge_model,
             src="EP002",
@@ -175,10 +165,6 @@ class TestChainPrediction:
         detail = engine.predict_batch_detailed([_req("EP002", "EP003")], now=0.0)
         assert detail.tiers == (ModelTier.MEDIAN,)
         assert detail.rates[0] == 7e7
-        with pytest.raises(KeyError, match="EP002->EP003"):
-            BatchOnlinePredictor(
-                chain, ActiveSet.from_views(population), strict=True
-            )
 
     def test_mixed_batch_tier_counters(self, edge_model, population):
         adapter, maxima = _capability_adapter("EP004", "EP005")
@@ -211,11 +197,9 @@ class TestNonConvergence:
         active = ActiveSet.from_views(population)
         engine = BatchOnlinePredictor(
             edge_model, active, max_iterations=1, tolerance=1e-12,
-            warn_nonconverged=True,
         )
         requests = [_req("EP000", "EP001"), _req("EP002", "EP003")]
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            detail = engine.predict_batch_detailed(requests, now=0.0)
+        detail = engine.predict_batch_detailed(requests, now=0.0)
         assert detail.nonconverged.all()
         assert engine.stats.nonconverged_requests == 2
         assert np.all(np.isfinite(detail.rates))

@@ -445,6 +445,11 @@ class TestState:
         out = capsys.readouterr().out
         assert "newest snapshot corrupted" in out
 
+    def test_verify_rejects_negative_cut(self, capsys):
+        rc = main(["state", "verify", "--quick", "--cut-bytes", "-5"])
+        assert rc == 2
+        assert "error: cut_bytes must be >= 0, got -5" in capsys.readouterr().err
+
     def test_recover_cold_start_and_snapshot_cycle(self, capsys, tmp_path):
         state_dir = tmp_path / "state"
         rc = main(["state", "recover", "--dir", str(state_dir),
