@@ -37,12 +37,18 @@ spaces fall back to an unpacked two-gather compare with identical results.
 
 Bit-exactness
 -------------
-Leaf values are accumulated **sequentially in tree order** (never
-``np.sum``, whose pairwise reduction rounds differently), and the learning
-rate is folded into the leaf values at flatten time — ``lr * leaf`` is the
-exact same scalar multiply the per-tree loop performs.  The result is
-bit-identical to ``base_score + sum_t lr * tree_t.predict_binned(codes)``;
-``tests/ml/test_forest.py`` pins this property over randomized models.
+Leaf values are accumulated **sequentially in tree order** by one
+``np.add.accumulate`` down a ``(n_trees + 1, rows)`` stack whose row 0 is
+the running output.  ``add.accumulate`` is defined as a running sum
+(``r[t] = r[t-1] + x[t]``), so every output rounds exactly as
+``base + l0 + l1 + ...`` does in a per-tree loop, but in one C pass instead
+of ``n_trees`` interpreted adds.  ``np.sum`` is never used: its pairwise
+reduction rounds differently.  The learning rate is folded into the leaf
+values at flatten time — ``lr * leaf`` is the exact same scalar multiply
+the per-tree loop performs.  The result is bit-identical to
+``base_score + sum_t lr * tree_t.predict_binned(codes)``;
+``tests/ml/test_forest.py`` pins this property over randomized models and
+at serving shapes (one row of a 300-tree model, chunk boundaries).
 
 All gathers run with ``mode='clip'`` — indices are in range by
 construction, and skipping numpy's bounds-check fault path roughly halves
@@ -189,9 +195,10 @@ class FlattenedForest:
     def leaf_value_matrix(self, codes: np.ndarray) -> np.ndarray:
         """Per-tree scaled leaf contributions, shape ``(n_trees, n)``.
 
-        ``base_score + vals[:t+1].sum(axis=0)`` reproduces staged
-        prediction; :meth:`predict_binned` is the ``t = n_trees - 1`` row
-        sum.  Used by ``GradientBoostingRegressor.staged_predict``.
+        A tree-order running sum (``np.add.accumulate``) of ``base_score``
+        stacked on these rows reproduces staged prediction; its last row is
+        :meth:`predict_binned`.  Used by
+        ``GradientBoostingRegressor.staged_predict``.
         """
         t0 = time.perf_counter()
         n = codes.shape[0]
@@ -228,6 +235,8 @@ class FlattenedForest:
         f = np.empty(lanes, dtype=np.int32)
         c = np.empty(lanes, dtype=np.int32)
         go = np.empty(lanes, dtype=np.bool_)
+        # Per-chunk stack: row 0 is the running output, rows 1..T the leaves.
+        stack = None if out is None else np.empty(lanes + chunk)
         row_base = np.arange(chunk, dtype=np.int64) * n_features
 
         for s in range(0, n, chunk):
@@ -259,12 +268,15 @@ class FlattenedForest:
                     np.greater(cc, ww, out=gg)
                 np.take(self.left_, nd, out=nd, mode="clip")
                 np.add(nd, gg, out=nd, casting="unsafe")
-            leaf = self.value_.take(nd, mode="clip").reshape(T, cn)
             if vals_out is not None:
-                vals_out[:, s:e] = leaf
+                leaf = self.value_.take(nd, mode="clip")
+                vals_out[:, s:e] = leaf.reshape(T, cn)
             if out is not None:
-                o = out[s:e]
-                # Sequential tree-order accumulation; np.sum's pairwise
-                # reduction would round differently.
-                for t in range(T):
-                    o += leaf[t]
+                # add.accumulate is a running sum (r[t] = r[t-1] + x[t]), so
+                # each output rounds as base + l0 + l1 + ... in tree order;
+                # np.sum's pairwise reduction would round differently.
+                acc = stack[: L + cn].reshape(T + 1, cn)
+                acc[0] = out[s:e]
+                np.take(self.value_, nd, out=acc[1:].reshape(-1), mode="clip")
+                np.add.accumulate(acc, axis=0, out=acc)
+                out[s:e] = acc[T]

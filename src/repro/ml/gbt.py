@@ -324,17 +324,19 @@ class GradientBoostingRegressor:
     def staged_predict(self, X: np.ndarray):
         """Yield predictions after each boosting round (for learning curves).
 
-        Each yielded array is an independent snapshot; accumulation happens
-        in place on one buffer instead of reallocating the full vector per
-        round.
+        Each yielded array is an independent snapshot of one row of a
+        single ``np.add.accumulate`` over the base row stacked on the leaf
+        value matrix: the same tree-order running sum ``predict`` rounds by.
         """
         X = self._check_predict_input(X)
         codes = self.binner_.transform(X)
         vals = self._ensure_forest().leaf_value_matrix(codes)
-        out = np.full(codes.shape[0], self.base_score_)
-        for t in range(vals.shape[0]):
-            out += vals[t]
-            yield out.copy()
+        stages = np.empty((vals.shape[0] + 1, codes.shape[0]))
+        stages[0] = self.base_score_
+        stages[1:] = vals
+        np.add.accumulate(stages, axis=0, out=stages)
+        for row in stages[1:]:
+            yield row.copy()
 
     # -- explanation ------------------------------------------------------
 

@@ -9,9 +9,11 @@ truncation — plus the staged-prediction and counter side contracts.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import GBTSettings
 from repro.ml.forest import (
     FlattenedForest,
     forest_totals,
@@ -113,6 +115,49 @@ class TestForestParity:
         second = model.predict(X_test)
         assert not np.array_equal(first, second)
         assert np.array_equal(second, predict_tree_loop(model, X_test))
+
+
+SERVING_TREES = 300
+# Rows per kernel chunk for a serving-size model (65536 // 300 = 218).
+CHUNK = FlattenedForest._TARGET_LANES // SERVING_TREES
+
+
+@pytest.fixture(scope="module")
+def serving_model():
+    """A model with the serving chain's GBT settings: 300 trees, depth 4."""
+    X, y, _ = _data(12, n=400, n_features=15)
+    model = GBTSettings().build(0).fit(X, y)
+    assert len(model.trees_) == SERVING_TREES
+    return model
+
+
+def _rows(n: int, lo: float = -0.2, hi: float = 1.2) -> np.ndarray:
+    return np.random.default_rng(n).uniform(lo, hi, size=(n, 15))
+
+
+class TestServingShapeParity:
+    """Parity at the row counts serving sends: one row, and around the
+    kernel's chunk boundary, where one call crosses into further chunks.
+    A one-tree model cannot see summation order; 300 trees can."""
+
+    def test_one_row(self, serving_model):
+        one = _rows(1)
+        assert np.array_equal(
+            serving_model.predict(one), predict_tree_loop(serving_model, one)
+        )
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_rows_around_chunk_boundary(self, serving_model, n):
+        X = _rows(n)
+        assert np.array_equal(
+            serving_model.predict(X), predict_tree_loop(serving_model, X)
+        )
+
+    def test_rows_outside_training_range(self, serving_model):
+        X = np.vstack([_rows(40, -1e6, -1.0), _rows(41, 2.0, 1e6)])
+        assert np.array_equal(
+            serving_model.predict(X), predict_tree_loop(serving_model, X)
+        )
 
 
 class TestStagedPredict:
