@@ -91,17 +91,19 @@ def test_perf_gbt_prediction(benchmark):
     assert pred.shape == (10_000,)
 
 
-def test_perf_gbt_predict_one_row(benchmark):
-    """One-row predict of a default-settings (300-tree, depth-4) model on
-    15 features, binning included: the per-call cost one serving request
-    pays once per fix-point round."""
+@pytest.mark.parametrize("rows", [1, 256])
+def test_perf_gbt_predict_one_row(benchmark, rows):
+    """Predict of a default-settings (300-tree, depth-4) model on 15 raw
+    features (predict never bins) at the serving traffic's shapes: one
+    row is what one request pays per fix-point round, 256 rows a full
+    batch."""
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(400, 15))
     y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.05, 400)
     model = GBTSettings().build(0).fit(X, y)
-    row = rng.uniform(size=(1, 15))
-    want = model.predict(row)
-    pred = benchmark(model.predict, row)
+    batch = rng.uniform(size=(rows, 15))
+    want = model.predict(batch)
+    pred = benchmark(model.predict, batch)
     assert len(model.trees_) == 300
     assert np.array_equal(pred, want)
 

@@ -91,8 +91,15 @@ class QuantileBinner:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def threshold_value(self, feature: int, bin_code: int) -> float:
-        """Raw-value threshold equivalent to the split ``code <= bin_code``."""
+    def threshold_value(
+        self, feature: int | np.ndarray, bin_code: int | np.ndarray
+    ) -> float | np.ndarray:
+        """Raw-value threshold of the split ``code <= bin_code``, for
+        scalars or equal-shape arrays, in one gather.  Below a feature's
+        last bin, ``code <= b`` is exactly ``x <= threshold`` for every
+        ``x`` but NaN, which bins last like ``+inf``; so prediction
+        compares raw values (:mod:`repro.ml.forest`) and never bins."""
         if self.upper_edges_ is None:
             raise RuntimeError("QuantileBinner used before fit()")
-        return float(self.upper_edges_[feature][bin_code])
+        starts = np.cumsum(self.n_bins_) - self.n_bins_
+        return np.concatenate(self.upper_edges_)[starts[feature] + bin_code]

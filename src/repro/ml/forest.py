@@ -13,27 +13,27 @@ Layout
 Node records for tree ``t`` occupy rows ``roots[t] .. roots[t+1]`` of four
 parallel arrays:
 
-``feature_``  int32   split feature (0 for leaves)
-``bin_``      int32   split bin code (``_LEAF_BIN`` sentinel for leaves)
-``left_``     int64   *global* index of the left child; leaves self-loop
-``value_``    float64 leaf weight, pre-scaled by the learning rate
+``feature_``    int32   split feature (0 for leaves)
+``threshold_``  float64 raw split threshold (``+inf`` for leaves)
+``left_``       int64   *global* index of the left child; leaves self-loop
+``value_``      float64 leaf weight, pre-scaled by the learning rate
 
 Two invariants make the walk branch-free:
 
 * ``right == left + 1`` (guaranteed by ``RegressionTree._grow``), so the
-  next node is ``left.take(node) + (code > bin)``.
-* Leaves self-loop with an impossibly large split bin, so lanes that reach
-  a leaf early simply stay put — no "active" mask is ever needed.
+  next node is ``left.take(node) + (x > threshold)``.
+* Leaves self-loop with the threshold ``+inf``, so lanes that reach a leaf
+  early simply stay put — no "active" mask is ever needed.
 
-When every bin code fits in 15 bits (``max_bins <= 0x7FFF``, true for any
-practical binner configuration) the kernel uses a *packed* table
-``(bin << 16) | feature`` and pre-shifted codes so that one int32 gather
-yields both halves of the comparison::
-
-    (code << 16) > ((bin << 16) | feature)   <=>   code > bin
-
-since ``feature >= 0`` and the shifted code has zero low bits.  Larger bin
-spaces fall back to an unpacked two-gather compare with identical results.
+The walk compares raw feature values, so a predict never bins.  Split
+``(f, b)`` sends a row right when its bin code exceeds ``b``; its
+threshold is ``upper_edges_[f][b]`` (``QuantileBinner.threshold_value``),
+and ``x > upper_edges_[f][b]`` is exactly ``code > b``: binning is a left
+``searchsorted`` clamped to the last bin, and the grower never cuts at a
+feature's last bin (``BinLayout.cut_ok``), so the clamp never meets a
+split.  NaN bins last, as ``+inf`` does, so the kernel maps NaN to
+``+inf`` once per call; ``+inf > +inf`` is false, so it still stays on a
+leaf (a ``not (x <= t)`` compare would move it off).
 
 Bit-exactness
 -------------
@@ -46,9 +46,10 @@ of ``n_trees`` interpreted adds.  ``np.sum`` is never used: its pairwise
 reduction rounds differently.  The learning rate is folded into the leaf
 values at flatten time — ``lr * leaf`` is the exact same scalar multiply
 the per-tree loop performs.  The result is bit-identical to
-``base_score + sum_t lr * tree_t.predict_binned(codes)``;
+``base_score + sum_t lr * tree_t.predict_binned(binner.transform(X))``;
 ``tests/ml/test_forest.py`` pins this property over randomized models and
-at serving shapes (one row of a 300-tree model, chunk boundaries).
+at serving shapes (one row of a 300-tree model, chunk boundaries, NaN,
+``±inf``, exact thresholds).
 
 All gathers run with ``mode='clip'`` — indices are in range by
 construction, and skipping numpy's bounds-check fault path roughly halves
@@ -58,18 +59,15 @@ gather cost on large lane counts.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ml.tree import RegressionTree
+from repro.ml.binning import QuantileBinner
+from repro.ml.tree import RegressionTree
 
 __all__ = ["FlattenedForest", "forest_totals", "reset_forest_totals"]
-
-_LEAF_BIN = 0x7FFF  # packed-path leaf sentinel: greater than any packable bin
-_LEAF_BIN_WIDE = np.iinfo(np.int32).max  # unpacked-path leaf sentinel
-_MAX_PACKED_BINS = 0x7FFF  # packed compare needs code << 16 to fit in int32
 
 # Module-wide totals mirrored into serving metrics
 # (``ml_forest_builds_total`` / ``ml_forest_predict_seconds_total``).
@@ -90,150 +88,105 @@ def reset_forest_totals() -> None:
     _TOTALS["predict_seconds"] = 0.0
 
 
+@dataclass(eq=False)
 class FlattenedForest:
     """Contiguous all-trees node table with a vectorised traversal kernel.
 
-    Build with :meth:`from_trees`; predict with :meth:`predict_binned` on
-    codes from the model's :class:`~repro.ml.binning.QuantileBinner`.
-    Instances are immutable snapshots of a fitted model — refitting the
-    model must discard and rebuild the forest.
+    Build with :meth:`from_trees`; predict with :meth:`predict` on raw
+    feature rows.  Instances are immutable snapshots of a fitted model —
+    refitting the model must discard and rebuild the forest.
     """
 
-    # Rows per traversal chunk are sized so ``chunk * n_trees`` lanes keep
-    # every scratch buffer cache-resident; 64k lanes measured fastest on
-    # the bench shapes (raising it degrades toward memory bandwidth).
-    _TARGET_LANES = 65536
+    # Rows per traversal chunk: ``chunk * n_trees`` lanes of ~45 B scratch
+    # each stay inside a 2 MiB L2 at 32k lanes (~1.5 MB), not at 64k.
+    # Predict medians, 300 trees, depth 4, 15 features, 2-vCPU x86 VM:
+    # 1 and 16 rows (one chunk either way) ~94 and ~250 us; 256 rows
+    # 3.4 ms at 32k lanes, 4.7 ms at 64k; 10,000 rows 117-121 ms at both.
+    _TARGET_LANES = 32768
 
-    def __init__(
-        self,
-        feature: np.ndarray,
-        bin_: np.ndarray,
-        left: np.ndarray,
-        value: np.ndarray,
-        roots: np.ndarray,
-        max_depth: int,
-        base_score: float,
-        max_bins: int,
-    ) -> None:
-        self.feature_ = feature
-        self.bin_ = bin_
-        self.left_ = left
-        self.value_ = value
-        self.roots_ = roots
-        self.max_depth = int(max_depth)
-        self.base_score = float(base_score)
-        self.max_bins = int(max_bins)
-        self.n_trees = int(roots.shape[0])
-        self.packed_ = None
-        if max_bins <= _MAX_PACKED_BINS:
-            # (bin << 16) | feature in one int32 word; leaves get the
-            # _LEAF_BIN sentinel so any shifted code compares below them.
-            self.packed_ = ((bin_.astype(np.int64) << 16) | feature).astype(
-                np.int32
-            )
+    feature_: np.ndarray
+    threshold_: np.ndarray
+    left_: np.ndarray
+    value_: np.ndarray
+    roots_: np.ndarray
+    max_depth: int
+    base_score: float
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.roots_.shape[0])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_trees(
         cls,
-        trees: Sequence["RegressionTree"],
+        trees: Sequence[RegressionTree],
         learning_rate: float,
         base_score: float,
-        max_bins: int,
-    ) -> "FlattenedForest":
-        """Flatten fitted trees into one table (leaf self-loops, lr folded)."""
-        n_nodes = sum(t.node_feature_.shape[0] for t in trees)
-        feature = np.zeros(n_nodes, dtype=np.int32)
-        bin_ = np.zeros(n_nodes, dtype=np.int32)
-        left = np.zeros(n_nodes, dtype=np.int64)
-        value = np.zeros(n_nodes, dtype=np.float64)
-        roots = np.zeros(len(trees), dtype=np.int64)
-        leaf_bin = _LEAF_BIN if max_bins <= _MAX_PACKED_BINS else _LEAF_BIN_WIDE
-        max_depth = 0
-        off = 0
-        for i, tree in enumerate(trees):
-            nn = tree.node_feature_.shape[0]
-            sl = slice(off, off + nn)
-            f = tree.node_feature_.astype(np.int32, copy=True)
-            b = tree.node_bin_.astype(np.int32, copy=True)
-            lf = tree.node_left_.astype(np.int64, copy=True)
-            is_leaf = f < 0
-            f[is_leaf] = 0
-            b[is_leaf] = leaf_bin
-            lf[is_leaf] = np.nonzero(is_leaf)[0]
-            feature[sl] = f
-            bin_[sl] = b
-            left[sl] = lf + off
-            # lr * leaf is the exact scalar multiply the per-tree loop does;
-            # folding it here keeps accumulation bit-identical.
-            value[sl] = learning_rate * tree.node_value_
-            roots[i] = off
-            max_depth = max(max_depth, tree.params.max_depth)
-            off += nn
+        binner: QuantileBinner,
+    ) -> FlattenedForest:
+        """Flatten fitted trees into one table: split bins become raw
+        thresholds, leaves self-loop, the learning rate is folded in."""
+        sizes = [t.node_feature_.shape[0] for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([t.node_feature_ for t in trees])
+        bins = np.concatenate([t.node_bin_ for t in trees])
+        left = np.concatenate([t.node_left_ for t in trees], dtype=np.int64)
+        left += np.repeat(roots, sizes)
+        split = feature >= 0
+        threshold = np.full(feature.shape[0], np.inf)
+        threshold[split] = binner.threshold_value(feature[split], bins[split])
+        feature[~split] = 0
+        left[~split] = np.flatnonzero(~split)
+        # lr * leaf is the exact scalar multiply the per-tree loop does;
+        # folding it here keeps accumulation bit-identical.
+        value = learning_rate * np.concatenate([t.node_value_ for t in trees])
+        max_depth = max(t.params.max_depth for t in trees)
         _TOTALS["builds"] += 1
-        return cls(
-            feature, bin_, left, value, roots, max_depth, base_score, max_bins
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature_.shape[0])
+        return cls(feature, threshold, left, value, roots, max_depth, base_score)
 
     # -- prediction --------------------------------------------------------
 
-    def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        """Predict from bin codes; bit-identical to the per-tree loop."""
-        t0 = time.perf_counter()
-        n = codes.shape[0]
-        out = np.full(n, self.base_score, dtype=np.float64)
-        if self.n_trees and n:
-            self._accumulate(codes, out, None)
-        _TOTALS["predict_seconds"] += time.perf_counter() - t0
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predict from raw feature rows; bit-identical to the per-tree
+        loop over binned codes."""
+        out = np.full(X.shape[0], self.base_score, dtype=np.float64)
+        self._accumulate(X, out, None)
         return out
 
-    def leaf_value_matrix(self, codes: np.ndarray) -> np.ndarray:
+    def leaf_value_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-tree scaled leaf contributions, shape ``(n_trees, n)``.
 
         A tree-order running sum (``np.add.accumulate``) of ``base_score``
         stacked on these rows reproduces staged prediction; its last row is
-        :meth:`predict_binned`.  Used by
+        :meth:`predict`.  Used by
         ``GradientBoostingRegressor.staged_predict``.
         """
-        t0 = time.perf_counter()
-        n = codes.shape[0]
-        vals = np.empty((self.n_trees, n), dtype=np.float64)
-        if self.n_trees and n:
-            self._accumulate(codes, None, vals)
-        _TOTALS["predict_seconds"] += time.perf_counter() - t0
+        vals = np.empty((self.n_trees, X.shape[0]), dtype=np.float64)
+        self._accumulate(X, None, vals)
         return vals
 
     # -- kernel ------------------------------------------------------------
 
     def _accumulate(
         self,
-        codes: np.ndarray,
+        X: np.ndarray,
         out: np.ndarray | None,
         vals_out: np.ndarray | None,
     ) -> None:
-        n = codes.shape[0]
-        n_features = codes.shape[1]
+        t0 = time.perf_counter()
+        n, n_features = X.shape
         T = self.n_trees
-        packed = self.packed_
-        if packed is not None:
-            # Pre-shift codes once so the per-level compare is one gather.
-            codes32 = np.ascontiguousarray(codes, dtype=np.int32)
-            codes32 = np.left_shift(codes32, 16)
-        else:
-            codes32 = np.ascontiguousarray(codes, dtype=np.int32)
+        # NaN bins like +inf (last bin); fmin maps NaN to +inf and keeps
+        # every other value, in one C-ordered copy.
+        xs = np.fmin(X, np.inf, order="C", dtype=np.float64)
 
-        chunk = max(1, min(n, self._TARGET_LANES // max(T, 1)))
+        chunk = max(1, min(n, self._TARGET_LANES // T))
         lanes = T * chunk
-        node = np.empty(lanes, dtype=np.int64)
-        cidx = np.empty(lanes, dtype=np.int64)
-        w = np.empty(lanes, dtype=np.int32)
+        node, cidx = np.empty((2, lanes), dtype=np.int64)
+        x, thr = np.empty((2, lanes), dtype=np.float64)
         f = np.empty(lanes, dtype=np.int32)
-        c = np.empty(lanes, dtype=np.int32)
         go = np.empty(lanes, dtype=np.bool_)
         # Per-chunk stack: row 0 is the running output, rows 1..T the leaves.
         stack = None if out is None else np.empty(lanes + chunk)
@@ -243,29 +196,17 @@ class FlattenedForest:
             e = min(s + chunk, n)
             cn = e - s
             L = T * cn
-            cflat = codes32[s:e].reshape(-1)
+            xflat = xs[s:e].reshape(-1)
             nd = node[:L]
             nd.reshape(T, cn)[:] = self.roots_[:, None]
-            ww, ff, cc, ci, gg = w[:L], f[:L], c[:L], cidx[:L], go[:L]
+            ff, xx, tt, ci, gg = f[:L], x[:L], thr[:L], cidx[:L], go[:L]
             rb = row_base[:cn]
             for _ in range(self.max_depth):
-                if packed is not None:
-                    np.take(packed, nd, out=ww, mode="clip")
-                    np.bitwise_and(ww, 0xFFFF, out=ff)
-                else:
-                    np.take(self.feature_, nd, out=ff, mode="clip")
-                np.add(
-                    rb[None, :],
-                    ff.reshape(T, cn),
-                    out=ci.reshape(T, cn),
-                    casting="unsafe",
-                )
-                np.take(cflat, ci, out=cc, mode="clip")
-                if packed is not None:
-                    np.greater(cc, ww, out=gg)
-                else:
-                    np.take(self.bin_, nd, out=ww, mode="clip")
-                    np.greater(cc, ww, out=gg)
+                np.take(self.feature_, nd, out=ff, mode="clip")
+                np.add(ff.reshape(T, cn), rb, out=ci.reshape(T, cn))
+                np.take(xflat, ci, out=xx, mode="clip")
+                np.take(self.threshold_, nd, out=tt, mode="clip")
+                np.greater(xx, tt, out=gg)
                 np.take(self.left_, nd, out=nd, mode="clip")
                 np.add(nd, gg, out=nd, casting="unsafe")
             if vals_out is not None:
@@ -280,3 +221,4 @@ class FlattenedForest:
                 np.take(self.value_, nd, out=acc[1:].reshape(-1), mode="clip")
                 np.add.accumulate(acc, axis=0, out=acc)
                 out[s:e] = acc[T]
+        _TOTALS["predict_seconds"] += time.perf_counter() - t0

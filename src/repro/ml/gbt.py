@@ -18,8 +18,9 @@ every tree of :mod:`repro.ml.tree` on global row indices against it.
 The grower returns each leaf's rows, out-of-bag rows included, so the
 residuals are refreshed from that partition rather than by a
 ``predict_binned`` pass per tree; ``predict_binned`` runs only for an
-``eval_set``.  :meth:`GradientBoostingRegressor.predict` runs the
-flattened all-trees kernel of :mod:`repro.ml.forest`.
+``eval_set``.  Only fitting bins: ``predict`` runs :mod:`repro.ml.forest`
+on raw values, going right where ``x > upper_edges_[f][b]``, which is
+``code > b`` because the grower never cuts at a feature's last bin.
 
 A fitted model crosses a process pipe (``repro.exec.parallel_map``
 hands fitted edges back from its workers) as one pickle state: the
@@ -44,21 +45,14 @@ import numpy as np
 
 from repro.ml.binning import QuantileBinner
 from repro.ml.forest import FlattenedForest
-from repro.ml.tree import BinLayout, RegressionTree, TreeGrowthParams
+from repro.ml.tree import FITTED_FIELDS, BinLayout, RegressionTree, TreeGrowthParams
 
 __all__ = ["GradientBoostingRegressor"]
 
 # The per-tree node arrays a pickle state packs, node-table fields first
 # (one entry per node), then the per-feature totals (one per feature).
-_NODE_FIELDS = (
-    "node_feature_",
-    "node_bin_",
-    "node_left_",
-    "node_right_",
-    "node_value_",
-    "node_gain_",
-)
-_FEATURE_FIELDS = ("feature_gain_", "feature_count_")
+_NODE_FIELDS = tuple(attr for attr, _, _ in FITTED_FIELDS[:6])
+_FEATURE_FIELDS = tuple(attr for attr, _, _ in FITTED_FIELDS[6:])
 
 
 def _pack_trees(trees: list[RegressionTree]) -> dict:
@@ -302,7 +296,7 @@ class GradientBoostingRegressor:
         """Flattened all-trees kernel, built lazily on first predict."""
         if self._forest is None:
             self._forest = FlattenedForest.from_trees(
-                self.trees_, self.learning_rate, self.base_score_, self.max_bins
+                self.trees_, self.learning_rate, self.base_score_, self.binner_
             )
         return self._forest
 
@@ -318,8 +312,7 @@ class GradientBoostingRegressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_input(X)
-        codes = self.binner_.transform(X)
-        return self._ensure_forest().predict_binned(codes)
+        return self._ensure_forest().predict(X)
 
     def staged_predict(self, X: np.ndarray):
         """Yield predictions after each boosting round (for learning curves).
@@ -329,9 +322,8 @@ class GradientBoostingRegressor:
         value matrix: the same tree-order running sum ``predict`` rounds by.
         """
         X = self._check_predict_input(X)
-        codes = self.binner_.transform(X)
-        vals = self._ensure_forest().leaf_value_matrix(codes)
-        stages = np.empty((vals.shape[0] + 1, codes.shape[0]))
+        vals = self._ensure_forest().leaf_value_matrix(X)
+        stages = np.empty((vals.shape[0] + 1, X.shape[0]))
         stages[0] = self.base_score_
         stages[1:] = vals
         np.add.accumulate(stages, axis=0, out=stages)

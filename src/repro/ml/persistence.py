@@ -20,6 +20,8 @@ leaves the previous artifact intact, never a truncated JSON file.
 
 This JSON format is the only one a model is written in: model files,
 the artifact cache and the stream checkpoint journal all carry it.  A
+decoded GBT whose trees break the forest kernel's invariants raises
+``ValueError`` (:func:`_check_gbt`).  A
 :class:`~repro.ml.gbt.GradientBoostingRegressor` also has a pickle
 state (one packed node table), but that serves only the in-memory hop
 from a fit fan-out worker back to its own parent process, over a pipe
@@ -38,7 +40,7 @@ from repro.ml.binning import QuantileBinner
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.scaler import StandardScaler
-from repro.ml.tree import RegressionTree, TreeGrowthParams
+from repro.ml.tree import FITTED_FIELDS, RegressionTree, TreeGrowthParams
 
 __all__ = [
     "save_model",
@@ -118,29 +120,69 @@ def _binner_from_dict(d: dict) -> QuantileBinner:
 def _tree_to_dict(t: RegressionTree) -> dict:
     if t.node_feature_ is None:
         raise ValueError("cannot persist an unfitted tree")
-    return {
-        "feature": _arr(t.node_feature_),
-        "bin": _arr(t.node_bin_),
-        "left": _arr(t.node_left_),
-        "right": _arr(t.node_right_),
-        "value": _arr(t.node_value_),
-        "gain": _arr(t.node_gain_),
-        "feature_gain": _arr(t.feature_gain_),
-        "feature_count": _arr(t.feature_count_),
-    }
+    return {key: _arr(getattr(t, attr)) for attr, key, _ in FITTED_FIELDS}
 
 
 def _tree_from_dict(d: dict, params: TreeGrowthParams, max_bins: int) -> RegressionTree:
     t = RegressionTree(params, max_bins)
-    t.node_feature_ = np.array(d["feature"], dtype=np.int32)
-    t.node_bin_ = np.array(d["bin"], dtype=np.int32)
-    t.node_left_ = np.array(d["left"], dtype=np.int32)
-    t.node_right_ = np.array(d["right"], dtype=np.int32)
-    t.node_value_ = np.array(d["value"], dtype=np.float64)
-    t.node_gain_ = np.array(d["gain"], dtype=np.float64)
-    t.feature_gain_ = np.array(d["feature_gain"], dtype=np.float64)
-    t.feature_count_ = np.array(d["feature_count"], dtype=np.int64)
+    for attr, key, dtype in FITTED_FIELDS:
+        setattr(t, attr, np.array(d[key], dtype=dtype))
     return t
+
+
+def _check_gbt(m: GradientBoostingRegressor) -> None:
+    """Raise ``ValueError`` naming the tree and the field unless the forest
+    kernel can walk ``m`` (its clipped gathers hide a bad index): finite,
+    sorted edges per feature (a fit's top edge may repeat); leaves with
+    feature -1; splits with a feature in range, a bin below its feature's
+    last (raw thresholds need it) and children ``left``, ``left + 1``
+    later in the tree; leaves within ``max_depth``.  One pass, all trees."""
+    edges = m.binner_.upper_edges_
+    if len(edges) != m.n_features_:
+        raise ValueError(f"binner: upper_edges has {len(edges)} features")
+    for f, e in enumerate(edges):
+        ok = e.ndim == 1 and e.size and np.isfinite(e).all() and (np.diff(e) >= 0).all()
+        if not ok:
+            raise ValueError(f"binner: upper_edges[{f}] is not finite and sorted")
+    if not m.trees_:
+        raise ValueError("trees: a model needs at least one tree")
+    node_attrs = [attr for attr, _, _ in FITTED_FIELDS[:5]]
+    lens = np.array([[getattr(t, a).size for a in node_attrs] for t in m.trees_])
+    for t in np.flatnonzero((lens != lens[:, :1]).any(axis=1) | (lens[:, 0] == 0)):
+        raise ValueError(f"tree {t}: node fields are empty or differ in length")
+    n = lens[:, 0]
+    tree_of = np.repeat(np.arange(n.size), n)
+    start = (np.cumsum(n) - n)[tree_of]
+    local = np.arange(start.size) - start
+    feature, bins, left, right = (
+        np.concatenate([getattr(t, a) for t in m.trees_], dtype=np.int64)
+        for a in node_attrs[:4]
+    )
+
+    def refuse(bad: np.ndarray, field: str, values: np.ndarray, rule: str) -> None:
+        if bad.any():
+            i = int(np.argmax(bad))
+            where = f"tree {tree_of[i]} node {local[i]}"
+            raise ValueError(f"{where}: {field} {values[i]} {rule}")
+
+    split = feature >= 0
+    last_bin = m.binner_.n_bins_.take(feature, mode="clip") - 1
+    bad_feature = (feature < -1) | (feature >= m.n_features_)
+    refuse(bad_feature, "feature", feature, "is out of range")
+    bad_bin = split & ((bins < 0) | (bins >= last_bin))
+    refuse(bad_bin, "bin", bins, "is not below its feature's last bin")
+    bad_left = split & ((left <= local) | (left + 1 >= n[tree_of]))
+    refuse(bad_left, "left", left, "is not a later node of the tree")
+    refuse(split & (right != left + 1), "right", right, "is not left + 1")
+    # Children follow their parents, so no tree is deeper than it is long.
+    max_depth = m.tree_params.max_depth
+    child = left + start
+    node = np.flatnonzero(local == 0)
+    for _ in range(min(max_depth, int(n.max()))):
+        node = node[split[node]]
+        node = np.unique(np.concatenate([child[node], child[node] + 1]))
+    deep = np.isin(np.arange(feature.size), node) & split
+    refuse(deep, "left", left, f"leads past max_depth {max_depth}")
 
 
 def _gbt_to_dict(m: GradientBoostingRegressor) -> dict:
@@ -187,6 +229,7 @@ def _gbt_from_dict(d: dict) -> GradientBoostingRegressor:
     m.trees_ = [
         _tree_from_dict(td, m.tree_params, m.max_bins) for td in d["trees"]
     ]
+    _check_gbt(m)
     return m
 
 

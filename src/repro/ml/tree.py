@@ -51,9 +51,23 @@ import numpy as np
 
 from repro.ml.binning import QuantileBinner
 
-__all__ = ["BinLayout", "RegressionTree", "TreeGrowthParams"]
+__all__ = ["BinLayout", "FITTED_FIELDS", "RegressionTree", "TreeGrowthParams"]
 
 _LEAF = -1  # sentinel in the feature array marking a leaf node
+
+# A fitted tree's arrays, node fields (one entry per node) first, then the
+# per-feature totals, each with its JSON key and dtype: the GBT pickle
+# state and the JSON codec of repro.ml.persistence both walk this table.
+FITTED_FIELDS = (
+    ("node_feature_", "feature", np.int32),
+    ("node_bin_", "bin", np.int32),
+    ("node_left_", "left", np.int32),
+    ("node_right_", "right", np.int32),
+    ("node_value_", "value", np.float64),
+    ("node_gain_", "gain", np.float64),
+    ("feature_gain_", "feature_gain", np.float64),
+    ("feature_count_", "feature_count", np.int64),
+)
 
 
 @dataclass(frozen=True)

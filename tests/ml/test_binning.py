@@ -33,13 +33,23 @@ class TestQuantileBinner:
 
     def test_threshold_value_consistent_with_codes(self):
         rng = np.random.default_rng(1)
-        X = rng.uniform(size=(1000, 1))
+        X = rng.uniform(size=(1000, 3))
         b = QuantileBinner(max_bins=16).fit(X)
-        codes = b.transform(X)
-        for cut in range(int(b.n_bins_[0]) - 1):
-            thr = b.threshold_value(0, cut)
-            # code <= cut  <=>  x <= threshold
-            assert np.array_equal(codes[:, 0] <= cut, X[:, 0] <= thr)
+        # Every cut a tree may make: each feature's bins but its last.
+        feature = np.repeat(np.arange(3), b.n_bins_ - 1)
+        cut = np.concatenate([np.arange(nb - 1) for nb in b.n_bins_])
+        thr = b.threshold_value(feature, cut)
+        assert thr[5] == b.threshold_value(int(feature[5]), int(cut[5]))
+        # Inputs on the edges: NaN, +-inf and each exact threshold.
+        on_cut = np.full((thr.size, 3), 0.5)
+        on_cut[np.arange(thr.size), feature] = thr
+        specials = np.array([[np.nan, np.inf, -np.inf]])
+        Xt = np.vstack([X, on_cut, specials, np.roll(specials, 1, axis=1)])
+        codes = b.transform(Xt)
+        # code <= cut  <=>  x <= threshold, with NaN compared as +inf
+        assert np.array_equal(
+            codes[:, feature] <= cut, np.fmin(Xt[:, feature], np.inf) <= thr
+        )
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

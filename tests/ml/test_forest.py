@@ -1,11 +1,13 @@
 """Flattened forest kernel: bit-parity with the per-tree reference loop.
 
 The kernel's contract is exact: ``GradientBoostingRegressor.predict``
-(one packed node table, all trees at once) must be *bit-identical* to
-:func:`predict_tree_loop` (the per-tree ``predict_binned`` loop below)
-for any fitted model.  These tests pin that property over
-randomized models — varied depth, bin budgets, subsampling, early-stop
-truncation — plus the staged-prediction and counter side contracts.
+(one node table of raw thresholds, all trees at once) must be
+*bit-identical* to :func:`predict_tree_loop` (the per-tree
+``predict_binned`` loop over binned codes below) for any fitted model.
+These tests pin that property over randomized models — varied depth,
+bin budgets, subsampling, early-stop truncation — and at the edges of
+the raw compare (NaN, ±inf, exact thresholds), plus the
+staged-prediction and counter side contracts.
 """
 
 import numpy as np
@@ -67,21 +69,26 @@ class TestForestParity:
         assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_unpacked_wide_bin_path(self):
-        # max_bins above the 15-bit packing limit forces the two-gather
-        # fallback kernel; results must still match the loop exactly.
+        # Bin codes wider than 15 bits: raw thresholds see no bin width,
+        # and results must still match the loop exactly.
         X, y, X_test = _data(3)
         model = GradientBoostingRegressor(
             n_estimators=15, max_depth=3, max_bins=0x8000, random_state=0
         ).fit(X, y)
-        assert model._ensure_forest().packed_ is None
         assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
-    def test_packed_path_used_for_default_bins(self):
-        X, y, _ = _data(4)
+    def test_tied_top_edge(self):
+        # A tied top value makes the binner's last edge repeat the last
+        # quantile; x > edge still equals code > bin on sorted edges.
+        X, y, X_test = _data(13)
+        X[:120, 0] = X[:, 0].max()
         model = GradientBoostingRegressor(
-            n_estimators=5, max_depth=3, random_state=0
+            n_estimators=10, max_depth=3, max_bins=4, random_state=0
         ).fit(X, y)
-        assert model._ensure_forest().packed_ is not None
+        edges = model.binner_.upper_edges_[0]
+        assert edges[-1] == edges[-2]
+        X_test[:10, 0] = edges[-1]
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -118,7 +125,7 @@ class TestForestParity:
 
 
 SERVING_TREES = 300
-# Rows per kernel chunk for a serving-size model (65536 // 300 = 218).
+# Rows per kernel chunk for a serving-size model (32768 // 300 = 109).
 CHUNK = FlattenedForest._TARGET_LANES // SERVING_TREES
 
 
@@ -146,7 +153,11 @@ class TestServingShapeParity:
             serving_model.predict(one), predict_tree_loop(serving_model, one)
         )
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    # Around the second chunk boundary, and on into a fifth chunk; the
+    # compare-edge test below covers the first.
+    @pytest.mark.parametrize(
+        "n", [2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 4 * CHUNK + 3]
+    )
     def test_rows_around_chunk_boundary(self, serving_model, n):
         X = _rows(n)
         assert np.array_equal(
@@ -158,6 +169,64 @@ class TestServingShapeParity:
         assert np.array_equal(
             serving_model.predict(X), predict_tree_loop(serving_model, X)
         )
+
+    # The kernel compares raw values where the oracle compares bin codes:
+    # these rows sit on the edges of that equivalence.  NaN bins last like
+    # +inf, -inf bins first, and a value equal to a split's threshold
+    # (``upper_edges_[f][b]``) has code b, so it goes left.
+    @pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "cut", "all-nan"])
+    def test_one_row_at_compare_edges(self, serving_model, kind):
+        row = _edge_rows(serving_model, 1, kind)
+        assert np.array_equal(
+            serving_model.predict(row), predict_tree_loop(serving_model, row)
+        )
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_mixed_compare_edges_across_chunks(self, serving_model, n):
+        X = _edge_rows(serving_model, n, "mixed")
+        assert np.array_equal(
+            serving_model.predict(X), predict_tree_loop(serving_model, X)
+        )
+
+
+def _split_thresholds(model):
+    """Each feature's raw split thresholds across the model's trees."""
+    feature = np.concatenate([t.node_feature_ for t in model.trees_])
+    bins = np.concatenate([t.node_bin_ for t in model.trees_])
+    split = feature >= 0
+    thr = model.binner_.threshold_value(feature[split], bins[split])
+    return [thr[feature[split] == f] for f in range(model.n_features_)]
+
+
+def _edge_rows(model, n: int, kind: str) -> np.ndarray:
+    """``n`` rows whose cells are NaN, +inf, -inf or exact split
+    thresholds (``kind='mixed'``: a random mix of those and ordinary
+    values, last row all NaN)."""
+    rng = np.random.default_rng(n)
+    X = _rows(n)
+    cuts = _split_thresholds(model)
+    cut_cells = np.column_stack(
+        [rng.choice(c, size=n) if c.size else X[:, f] for f, c in enumerate(cuts)]
+    )
+    if kind == "nan":
+        X[:, ::2] = np.nan
+    elif kind == "+inf":
+        X[:, ::2] = np.inf
+    elif kind == "-inf":
+        X[:, ::2] = -np.inf
+    elif kind == "cut":
+        X[:] = cut_cells
+    elif kind == "all-nan":
+        X[:] = np.nan
+    else:
+        pick = rng.integers(0, 5, size=X.shape)
+        X = np.select(
+            [pick == 0, pick == 1, pick == 2, pick == 3],
+            [np.nan, np.inf, -np.inf, cut_cells],
+            X,
+        )
+        X[-1] = np.nan
+    return X
 
 
 class TestStagedPredict:
@@ -198,7 +267,7 @@ class TestStagedPredict:
             n_estimators=10, max_depth=3, random_state=0
         ).fit(X, y)
         forest = model._ensure_forest()
-        vals = forest.leaf_value_matrix(model.binner_.transform(X_test))
+        vals = forest.leaf_value_matrix(X_test)
         out = np.full(X_test.shape[0], model.base_score_)
         for t in range(vals.shape[0]):
             out += vals[t]
@@ -227,6 +296,6 @@ class TestForestTotals:
         ).fit(X, y)
         reset_forest_totals()
         FlattenedForest.from_trees(
-            model.trees_, model.learning_rate, model.base_score_, model.max_bins
+            model.trees_, model.learning_rate, model.base_score_, model.binner_
         )
         assert forest_totals()["builds"] == 1

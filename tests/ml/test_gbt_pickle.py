@@ -29,7 +29,7 @@ TREE_FIELDS = (
     "feature_gain_",
     "feature_count_",
 )
-FOREST_FIELDS = ("feature_", "bin_", "left_", "value_", "roots_", "packed_")
+FOREST_FIELDS = ("feature_", "threshold_", "left_", "value_", "roots_")
 
 
 def assert_same_array(a, b):
@@ -68,7 +68,7 @@ def assert_same_gbt(a, b):
     else:
         for name in FOREST_FIELDS:
             assert_same_array(getattr(a._forest, name), getattr(b._forest, name))
-        for name in ("max_depth", "base_score", "max_bins", "n_trees"):
+        for name in ("max_depth", "base_score", "n_trees"):
             assert getattr(a._forest, name) == getattr(b._forest, name)
 
 

@@ -85,9 +85,100 @@ class TestGBTRoundtrip:
         assert m2.tree_params.min_child_weight == 3.0
         assert m2.subsample == 0.8
 
+    def test_tied_top_edge_round_trips(self):
+        """With the top value tied, a fit's last edge repeats the last
+        quantile: sorted, not strictly increasing edges decode."""
+        rng = np.random.default_rng(14)
+        X = rng.uniform(size=(300, 2))
+        X[:150, 0] = 1.0
+        m = GradientBoostingRegressor(
+            n_estimators=5, max_depth=2, max_bins=4, random_state=0
+        ).fit(X, X[:, 0] + X[:, 1])
+        edges = m.binner_.upper_edges_[0]
+        assert edges[-1] == edges[-2]
+        X_test = np.vstack([X, [[1.0, 0.5], [2.0, np.nan]]])
+        m2 = model_from_dict(model_to_dict(m))
+        assert np.array_equal(m2.predict(X_test), m.predict(X_test))
+
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError):
             model_to_dict(GradientBoostingRegressor())
+
+
+def _split_at_last_bin(doc):
+    tree = doc["trees"][0]
+    edges = doc["binner"]["upper_edges"][tree["feature"][0]]
+    tree["bin"][0] = len(edges) - 1
+
+
+def _reverse_edges(doc):
+    edges = doc["binner"]["upper_edges"]
+    edges[0] = edges[0][::-1]
+
+
+def _set(field, value, tree=0, node=0):
+    def edit(doc):
+        doc["trees"][tree][field][node] = value
+    return edit
+
+
+def _set_hyper(name, value):
+    def edit(doc):
+        doc["hyper"][name] = value
+    return edit
+
+
+def _drop_feature_edges(doc):
+    doc["binner"]["upper_edges"].pop()
+
+
+def _drop_leaf_value(doc):
+    doc["trees"][3]["value"].pop()
+
+
+def _drop_trees(doc):
+    doc["trees"] = []
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_split_at_last_bin, r"tree 0 node 0: bin \d+ is not below"),
+        (_set("bin", 10**6), r"tree 0 node 0: bin 1000000 is not below"),
+        (_set("bin", -1), r"tree 0 node 0: bin -1 is not below"),
+        (_set("left", 10**6), r"tree 0 node 0: left 1000000 is not a later node"),
+        (_set("left", 0), r"tree 0 node 0: left 0 is not a later node"),
+        (_set("right", 7, tree=2), r"tree 2 node 0: right 7 is not left \+ 1"),
+        (_set("feature", 4, tree=1), r"tree 1 node 0: feature 4 is out of range"),
+        (_set("feature", -2, tree=1), r"tree 1 node 0: feature -2 is out of range"),
+        (_set_hyper("max_depth", 1), r"tree 0 node \d+: left \d+ leads past max_depth"),
+        (_reverse_edges, r"binner: upper_edges\[0\] is not finite and sorted"),
+        (_drop_feature_edges, r"binner: upper_edges has 3 features"),
+        (_drop_leaf_value, r"tree 3: node fields are empty or differ in length"),
+        (_drop_trees, r"trees: a model needs at least one tree"),
+    ],
+    ids=[
+        "split-at-last-bin", "bin-1e6", "bin-negative", "left-1e6",
+        "left-not-after-parent", "right-not-left-plus-1",
+        "feature-too-large", "feature-below-leaf", "leaf-past-max-depth",
+        "reversed-edges", "missing-feature-edges", "short-value-field",
+        "no-trees",
+    ],
+)
+def test_malformed_gbt_document_refused_at_decode(edit, message):
+    """A re-sealed document that breaks a tree invariant would load and
+    serve wrong answers (the kernel's clipped gathers hide bad indices),
+    so decode refuses it, naming the tree and the field."""
+    X, y = _data(13)
+    doc = model_to_dict(
+        GradientBoostingRegressor(n_estimators=4, max_depth=3, random_state=0).fit(X, y)
+    )
+    assert all(t["feature"][0] >= 0 for t in doc["trees"])  # roots split
+    edit(doc)
+    doc["checksum"] = checksum_payload(doc)
+    with pytest.raises(ValueError, match=message) as info:
+        model_from_dict(doc)
+    assert not isinstance(info.value, ModelIntegrityError)
 
 
 class TestDispatch:
