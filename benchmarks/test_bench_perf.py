@@ -52,6 +52,60 @@ def test_perf_overlap_index_queries(benchmark):
     assert out.shape == (5000,)
 
 
+def test_perf_active_set_rebuild(benchmark):
+    """Index rebuild of a ~3k-transfer endpoint in a 10k-transfer
+    population after four writes (an arrival, a completion, two progress
+    reports): the miss every churned serving call pays.  The served index
+    must equal the per-view oracle's bit for bit."""
+    from repro.core.online import ActiveTransferView
+    from repro.serve import ActiveSet
+    from tests.serve.test_active_set import assert_same_index, oracle_index
+
+    rng = np.random.default_rng(8)
+    others = [f"EP{i:02d}" for i in range(12)]
+
+    def make_view():
+        hub = rng.random() < 0.3
+        src = "HUB" if hub else others[rng.integers(12)]
+        dst = others[rng.integers(12)]
+        end = float(rng.choice([np.inf, rng.uniform(10.0, 5000.0)], p=[0.1, 0.9]))
+        return ActiveTransferView(
+            src=src, dst=dst, rate=float(rng.uniform(1e6, 1e9)),
+            started_at=0.0, expected_end=end,
+            concurrency=int(rng.integers(1, 9)),
+            parallelism=int(rng.integers(1, 9)), n_files=int(rng.integers(1, 50)),
+        )
+
+    views = {tid: make_view() for tid in range(10_000)}
+    active = ActiveSet()
+    for tid, view in views.items():
+        active.add(tid, view)
+    active.endpoint_state("HUB")
+    hub = [tid for tid, v in views.items() if v.src == "HUB"]
+    next_id = [len(views)]
+
+    def churn_and_rebuild():
+        tid = next_id[0]
+        next_id[0] += 1
+        views[tid] = make_view()
+        active.add(tid, views[tid])
+        gone = hub.pop(int(rng.integers(len(hub))))
+        del views[gone]
+        active.complete(gone)
+        for tid in rng.choice(hub, size=2, replace=False).tolist():
+            views[tid] = active.progress(
+                tid, rate=float(rng.uniform(1e6, 1e9)),
+                expected_end=float(rng.uniform(10.0, 5000.0)),
+            )
+        if views[next_id[0] - 1].src == "HUB":
+            hub.append(next_id[0] - 1)
+        return active.endpoint_state("HUB")
+
+    index = benchmark(churn_and_rebuild)
+    assert 2_500 < index.n < 3_500
+    assert_same_index(index, oracle_index(views, "HUB"), "HUB")
+
+
 def test_perf_gbt_training(benchmark):
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(3000, 15))

@@ -273,11 +273,12 @@ class ActiveOverlapIndex:
         self._w_inf = w[~finite].sum(axis=0)
         te_f, w_f = te[finite], w[finite]
         order = np.argsort(te_f, kind="stable")
-        self._te_sorted = te_f[order]
+        te_s, w_s = te_f[order], w_f[order]
+        self._te_sorted = te_s
         zero = np.zeros((1, w.shape[1]))
-        self._w_cum = np.concatenate([zero, np.cumsum(w_f[order], axis=0)])
+        self._w_cum = np.concatenate([zero, np.cumsum(w_s, axis=0)])
         self._wte_cum = np.concatenate(
-            [zero, np.cumsum(w_f[order] * te_f[order][:, None], axis=0)]
+            [zero, np.cumsum(w_s * te_s[:, None], axis=0)]
         )
 
     def window_sums(self, a: float, b: np.ndarray) -> np.ndarray:

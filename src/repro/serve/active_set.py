@@ -6,17 +6,19 @@ against: it holds the transfers currently in flight
 keeps per-endpoint prefix-sum indexes (:class:`~repro.core.contention.ActiveOverlapIndex`)
 ready for bulk feature queries.
 
-Mutations are cheap and local: ``add``/``complete``/``progress`` touch only
-the two endpoints the transfer involves, invalidating just those endpoints'
-indexes; every other endpoint's state survives untouched.  Indexes are
-rebuilt lazily on the next query of a dirtied endpoint, so a burst of
-updates between prediction batches costs one rebuild per touched endpoint,
-not one per update — and endpoints outside the burst pay nothing.
+Mutations are cheap and local: ``add``/``complete``/``progress`` write a
+transfer's slot in a column store and invalidate only the two endpoints
+the transfer involves; every other endpoint's state survives untouched.
+Indexes are rebuilt lazily, from numpy masks over the store, on the next
+query of a dirtied endpoint, so a burst of updates between prediction
+batches costs one rebuild per touched endpoint, not one per update — and
+endpoints outside the burst pay nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -153,33 +155,18 @@ _M_IN_STREAMS = 3
 _M_TOUCH = 4
 _M_COLS = 5
 
+# Columns of the store's float block, one row per slot.  Rate and streams
+# sit side by side, as the out- and in-pairs of the ``_M_*`` weights do.
+_F_END = 0
+_F_RATE = 1
+_F_STREAMS = 2
+_F_INSTANCES = 3
+_F_COLS = 4
 
-def _build_state(
-    endpoint: str,
-    out_views: list[ActiveTransferView],
-    in_views: list[ActiveTransferView],
-) -> ActiveOverlapIndex:
-    """One index over every transfer touching ``endpoint``, with the five
-    ``_M_*`` weight columns (zero where a transfer does not play that
-    role), so the batch fix-point answers the endpoint's whole feature row
-    with one binary search per query."""
-    # A degenerate self-loop (src == dst == endpoint) appears in both view
-    # lists but must count once toward the G (instance) features.
-    touching = out_views + [v for v in in_views if v.src != endpoint]
-    te = np.array([v.expected_end for v in touching], dtype=np.float64)
-    weights = np.zeros((len(touching), _M_COLS), dtype=np.float64)
-    n_out = len(out_views)
-    for i, v in enumerate(out_views):
-        weights[i, _M_OUT_RATE] = v.rate
-        weights[i, _M_OUT_STREAMS] = v.streams
-        if v.dst == endpoint:  # self-loop: one row plays both roles
-            weights[i, _M_IN_RATE] = v.rate
-            weights[i, _M_IN_STREAMS] = v.streams
-    for i, v in enumerate(touching[n_out:], start=n_out):
-        weights[i, _M_IN_RATE] = v.rate
-        weights[i, _M_IN_STREAMS] = v.streams
-    weights[:, _M_TOUCH] = [v.instances for v in touching]
-    return ActiveOverlapIndex(te, weights)
+# A full store compacts (in place) when more than this share of its slots
+# is dead; otherwise it grows by a quarter.  A store under steady churn so
+# settles below 1.5 slots per live transfer.
+_COMPACT_SHARE = 0.125
 
 
 class ActiveSet:
@@ -195,6 +182,15 @@ class ActiveSet:
     Feature queries go through :meth:`endpoint_state`, which returns the
     (lazily rebuilt) prefix-sum index for one endpoint.
 
+    The population lives in one column store: a slot per transfer, in
+    insertion order, holding the view and its expected end, rate, streams,
+    instances and endpoint codes.  ``add`` appends a slot, ``progress``
+    rewrites its end and rate in place (a transfer keeps its place, as a
+    dict key does), ``complete`` marks it dead (endpoint codes -1).  A
+    dirtied endpoint's index is rebuilt from two masks over the codes, so
+    its rows come in insertion order: the order every index bit depends
+    on.
+
     By default malformed mutations raise (``KeyError`` for unknown or
     duplicate ids, ``ValueError`` for bad values) — correct for replay,
     where a bad call means a bug.  With ``lenient=True`` they are instead
@@ -208,13 +204,7 @@ class ActiveSet:
         self, lenient: bool = False, obs: Observability | None = None
     ) -> None:
         self.lenient = bool(lenient)
-        self._views: dict[int, ActiveTransferView] = {}
-        # endpoint -> insertion-ordered {transfer_id: None} sets.  Dicts keep
-        # deterministic ordering, which keeps batch-of-one and batch-of-many
-        # prefix sums bit-identical.
-        self._by_src: dict[str, dict[int, None]] = {}
-        self._by_dst: dict[str, dict[int, None]] = {}
-        self._state: dict[str, ActiveOverlapIndex] = {}
+        self._clear()
         registry = obs.registry if obs is not None else None
         self.stats = ActiveSetStats(registry)
         self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
@@ -223,15 +213,42 @@ class ActiveSet:
             "active_set_size", "In-flight transfers currently tracked."
         )
 
+    def _clear(self) -> None:
+        # transfer id -> slot; its order is slot order.
+        self._slot: dict[int, int] = {}
+        # slot -> view (None once completed); one entry per used slot.
+        self._view_at: list[ActiveTransferView | None] = []
+        self._num = np.empty((0, _F_COLS), dtype=np.float64)
+        self._src = np.empty(0, dtype=np.int32)
+        self._dst = np.empty(0, dtype=np.int32)
+        self._codes: dict[str, int] = {}  # endpoint -> code
+        self._state: dict[str, ActiveOverlapIndex] = {}
+
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_views(cls, views, obs: Observability | None = None) -> "ActiveSet":
-        """Build from bare views, assigning sequential ids ``0..n-1``."""
+        """Build from bare views, assigning sequential ids ``0..n-1``.  An
+        id is its view's slot, so each column is filled in one pass and the
+        id -> slot map holds one int per transfer, not two."""
         active = cls(obs=obs)
-        for i, v in enumerate(views):
-            active.add(i, v)
+        views = list(views)
+        n = len(views)
+        active._slot = {i: i for i in range(n)}
+        active._view_at = views
+        active._num = np.empty((n, _F_COLS))
+        for col, field in ((_F_END, "expected_end"), (_F_RATE, "rate"),
+                           (_F_STREAMS, "streams"),
+                           (_F_INSTANCES, "instances")):
+            active._num[:, col] = np.fromiter(
+                map(attrgetter(field), views), np.float64, n)
+        codes = active._codes
+        active._src = np.fromiter(
+            (codes.setdefault(v.src, len(codes)) for v in views), np.int32, n)
+        active._dst = np.fromiter(
+            (codes.setdefault(v.dst, len(codes)) for v in views), np.int32, n)
         active.stats.adds = 0
+        active._size_gauge.set(n)
         return active
 
     @classmethod
@@ -264,17 +281,15 @@ class ActiveSet:
         the original view (lenient) — a replayed start event must not
         double-count the transfer's contention.
         """
-        if transfer_id in self._views:
+        if transfer_id in self._slot:
             if self.lenient:
                 self.stats.ignored_adds += 1
                 return
             raise KeyError(f"transfer {transfer_id} already active")
-        self._views[transfer_id] = view
-        self._by_src.setdefault(view.src, {})[transfer_id] = None
-        self._by_dst.setdefault(view.dst, {})[transfer_id] = None
+        self._append(transfer_id, view)
         self._invalidate(view)
         self.stats.adds += 1
-        self._size_gauge.set(len(self._views))
+        self._size_gauge.set(len(self._slot))
 
     def complete(self, transfer_id: int) -> ActiveTransferView | None:
         """Remove a finished (or failed) transfer; returns its last view.
@@ -282,10 +297,17 @@ class ActiveSet:
         An unknown id (never added, or already completed) raises
         ``KeyError`` (strict) or returns ``None`` (lenient).
         """
-        if transfer_id not in self._views and self.lenient:
-            self.stats.ignored_completes += 1
-            return None
-        view = self._pop(transfer_id)
+        slot = self._slot.pop(transfer_id, None)
+        if slot is None:
+            if self.lenient:
+                self.stats.ignored_completes += 1
+                return None
+            raise KeyError(f"transfer {transfer_id} not active")
+        view = self._view_at[slot]
+        self._view_at[slot] = None
+        self._src[slot] = self._dst[slot] = -1
+        self._invalidate(view)
+        self._size_gauge.set(len(self._slot))
         self.stats.completes += 1
         return view
 
@@ -304,12 +326,13 @@ class ActiveSet:
         """
         if rate is None and expected_end is None:
             raise ValueError("progress needs rate and/or expected_end")
-        old = self._views.get(transfer_id)
-        if old is None:
+        slot = self._slot.get(transfer_id)
+        if slot is None:
             if self.lenient:
                 self.stats.ignored_progress += 1
                 return None
             raise KeyError(f"transfer {transfer_id} not active")
+        old = self._view_at[slot]
         changes: dict[str, float] = {}
         if rate is not None:
             changes["rate"] = float(rate)
@@ -322,20 +345,45 @@ class ActiveSet:
                 self.stats.rejected_progress += 1
                 return old
             raise
-        self._views[transfer_id] = view
+        self._view_at[slot] = view
+        self._num[slot, :_F_STREAMS] = (view.expected_end, view.rate)
         self._invalidate(view)
         self.stats.progress_updates += 1
         return view
 
-    def _pop(self, transfer_id: int) -> ActiveTransferView:
-        view = self._views.pop(transfer_id, None)
-        if view is None:
-            raise KeyError(f"transfer {transfer_id} not active")
-        self._by_src[view.src].pop(transfer_id, None)
-        self._by_dst[view.dst].pop(transfer_id, None)
-        self._invalidate(view)
-        self._size_gauge.set(len(self._views))
-        return view
+    def _append(self, transfer_id: int, view: ActiveTransferView) -> None:
+        """Give ``view`` the next slot (compacting or growing a full store
+        first) and fill its columns."""
+        slot = len(self._view_at)
+        if slot == self._src.size:
+            self._make_room()
+            slot = len(self._view_at)
+        self._slot[transfer_id] = slot
+        self._view_at.append(view)
+        self._num[slot] = (view.expected_end, view.rate, view.streams,
+                           view.instances)
+        codes = self._codes
+        self._src[slot] = codes.setdefault(view.src, len(codes))
+        self._dst[slot] = codes.setdefault(view.dst, len(codes))
+
+    def _make_room(self) -> None:
+        """Compact a full store in place if enough of it is dead (stable:
+        live slots keep their order), else grow it by a quarter."""
+        used = len(self._view_at)
+        if used - len(self._slot) > _COMPACT_SHARE * used:
+            keep = np.flatnonzero(self._src[:used] >= 0)
+            n = keep.size
+            self._num[:n] = self._num[keep]
+            self._src[:n] = self._src[keep]
+            self._dst[:n] = self._dst[keep]
+            self._view_at = [v for v in self._view_at if v is not None]
+            for slot, transfer_id in enumerate(self._slot):
+                self._slot[transfer_id] = slot
+            return
+        extra = used // 4 + 16
+        self._num = np.concatenate((self._num, np.empty((extra, _F_COLS))))
+        self._src = np.concatenate((self._src, np.empty(extra, np.int32)))
+        self._dst = np.concatenate((self._dst, np.empty(extra, np.int32)))
 
     def _invalidate(self, view: ActiveTransferView) -> None:
         self._state.pop(view.src, None)
@@ -351,47 +399,63 @@ class ActiveSet:
         """
         state = self._state.get(endpoint)
         if state is None:
-            span = (
-                self.tracer.span("active_set.rebuild", endpoint=endpoint)
-                if self.tracer else None
-            )
-            out_views = [
-                self._views[t] for t in self._by_src.get(endpoint, ())
-            ]
-            in_views = [
-                self._views[t] for t in self._by_dst.get(endpoint, ())
-            ]
-            if span is None:
-                state = _build_state(endpoint, out_views, in_views)
+            if self.tracer is None:
+                state = self._build_index(endpoint)
             else:
-                with span as sp:
-                    sp.attrs["transfers"] = len(out_views) + len(in_views)
-                    state = _build_state(endpoint, out_views, in_views)
+                with self.tracer.span("active_set.rebuild",
+                                      endpoint=endpoint) as sp:
+                    state = self._build_index(endpoint)
+                    sp.attrs["transfers"] = state.n
             self._state[endpoint] = state
             self.stats.state_rebuilds += 1
         return state
 
+    def _build_index(self, endpoint: str) -> ActiveOverlapIndex:
+        """One index over every transfer touching ``endpoint``, with the
+        five ``_M_*`` weight columns (zero where a transfer does not play
+        that role), so the batch fix-point answers the endpoint's whole
+        feature row with one binary search per query.  Rows: the
+        endpoint's out-transfers, then its in-transfers that are not
+        self-loops (a self-loop's one row plays both roles and counts once
+        toward the instance column), each in slot order."""
+        used = len(self._view_at)
+        code = self._codes.get(endpoint, -2)  # -2: matches no slot
+        src, dst = self._src[:used], self._dst[:used]
+        is_src = src == code
+        out_rows = np.flatnonzero(is_src)
+        in_rows = np.flatnonzero((dst == code) & ~is_src)
+        num = self._num[np.concatenate((out_rows, in_rows))]
+        k = out_rows.size
+        weights = np.zeros((num.shape[0], _M_COLS), dtype=np.float64)
+        rate_streams = slice(_F_RATE, _F_STREAMS + 1)
+        weights[:k, _M_OUT_RATE:_M_OUT_STREAMS + 1] = num[:k, rate_streams]
+        weights[k:, _M_IN_RATE:_M_IN_STREAMS + 1] = num[k:, rate_streams]
+        loops = np.flatnonzero(dst[out_rows] == code)
+        weights[loops, _M_IN_RATE:_M_IN_STREAMS + 1] = num[loops, rate_streams]
+        weights[:, _M_TOUCH] = num[:, _F_INSTANCES]
+        return ActiveOverlapIndex(num[:, _F_END], weights)
+
     def get(self, transfer_id: int) -> ActiveTransferView:
-        return self._views[transfer_id]
+        return self._view_at[self._slot[transfer_id]]
 
     def views(self) -> list[ActiveTransferView]:
         """All active views, insertion-ordered."""
-        return list(self._views.values())
+        return [v for v in self._view_at if v is not None]
 
     def ids(self) -> list[int]:
-        return list(self._views)
+        return list(self._slot)
 
     def endpoints(self) -> set[str]:
         """Endpoints with at least one in-flight transfer."""
-        return {v.src for v in self._views.values()} | {
-            v.dst for v in self._views.values()
-        }
+        used = len(self._view_at)
+        live = set(np.concatenate((self._src[:used], self._dst[:used])).tolist())
+        return {name for name, code in self._codes.items() if code in live}
 
     def __len__(self) -> int:
-        return len(self._views)
+        return len(self._slot)
 
     def __contains__(self, transfer_id: int) -> bool:
-        return transfer_id in self._views
+        return transfer_id in self._slot
 
     # -- durability --------------------------------------------------------
 
@@ -403,31 +467,25 @@ class ActiveSet:
         to the pre-snapshot process."""
         return {
             "views": [
-                [int(tid), view_to_dict(view)]
-                for tid, view in self._views.items()
+                [int(tid), view_to_dict(self._view_at[slot])]
+                for tid, slot in self._slot.items()
             ],
         }
 
     def load_snapshot(self, state: dict) -> None:
         """Restore the population from a :meth:`snapshot_state` payload.
 
-        Replaces the current contents wholesale and rebuilds the endpoint
-        key maps; indexes stay lazy (rebuilt on first query).  Mutation
+        Replaces the current contents wholesale and refills the column
+        store; indexes stay lazy (rebuilt on first query).  Mutation
         counters are deliberately *not* touched — the durability layer
         restores counter totals separately via
         :meth:`~repro.obs.MetricsRegistry.load_snapshot`, so a restored
         process continues the old totals instead of re-counting them.
         """
-        self._views.clear()
-        self._by_src.clear()
-        self._by_dst.clear()
-        self._state.clear()
+        self._clear()
         for tid, encoded in state.get("views", ()):
             tid = int(tid)
-            if tid in self._views:
+            if tid in self._slot:
                 raise ValueError(f"snapshot repeats transfer id {tid}")
-            view = view_from_dict(encoded)
-            self._views[tid] = view
-            self._by_src.setdefault(view.src, {})[tid] = None
-            self._by_dst.setdefault(view.dst, {})[tid] = None
-        self._size_gauge.set(len(self._views))
+            self._append(tid, view_from_dict(encoded))
+        self._size_gauge.set(len(self._slot))

@@ -70,6 +70,7 @@ class Journal:
         self.fsync = bool(fsync)
         self._fh = None
         self._last_seq: int | None = None
+        self.frame_bytes = 0  # size of the last appended frame
 
     # -- reading -----------------------------------------------------------
 
@@ -144,7 +145,8 @@ class Journal:
         return scan
 
     def append(self, record: dict) -> int:
-        """Frame and append one record; returns its end offset.
+        """Frame and append one record; returns its end offset (the
+        frame's size is left in :attr:`frame_bytes`).
 
         Enforces the WAL's ordering invariant: a record carrying ``seq``
         must be strictly newer than the previous one.
@@ -162,6 +164,7 @@ class Journal:
         payload = json.dumps(record, allow_nan=False).encode("utf-8")
         frame = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
         self._fh.write(frame + payload)
+        self.frame_bytes = len(frame) + len(payload)
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())

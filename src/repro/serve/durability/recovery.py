@@ -171,11 +171,9 @@ class DurableServingState(ServingState):
         self.last_seq += 1
         self._g_last_seq.set(self.last_seq)
         journal = self.segments.journal
-        before = journal.path.stat().st_size \
-            if journal.path.exists() else 0
-        end = journal.append({"seq": self.last_seq, "m": mutation.record})
+        journal.append({"seq": self.last_seq, "m": mutation.record})
         self._m_records.inc()
-        self._m_bytes.inc(max(end - before, 0))
+        self._m_bytes.inc(journal.frame_bytes)
         self._apply(mutation)
         self._maybe_snapshot()
 

@@ -145,6 +145,7 @@ def _drop_trees(doc):
     [
         (_split_at_last_bin, r"tree 0 node 0: bin \d+ is not below"),
         (_set("bin", 10**6), r"tree 0 node 0: bin 1000000 is not below"),
+        (_set("bin", 10**10), r"tree 0: bin holds a value outside int32"),
         (_set("bin", -1), r"tree 0 node 0: bin -1 is not below"),
         (_set("left", 10**6), r"tree 0 node 0: left 1000000 is not a later node"),
         (_set("left", 0), r"tree 0 node 0: left 0 is not a later node"),
@@ -158,7 +159,7 @@ def _drop_trees(doc):
         (_drop_trees, r"trees: a model needs at least one tree"),
     ],
     ids=[
-        "split-at-last-bin", "bin-1e6", "bin-negative", "left-1e6",
+        "split-at-last-bin", "bin-1e6", "bin-1e10", "bin-negative", "left-1e6",
         "left-not-after-parent", "right-not-left-plus-1",
         "feature-too-large", "feature-below-leaf", "leaf-past-max-depth",
         "reversed-edges", "missing-feature-edges", "short-value-field",

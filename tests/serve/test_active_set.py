@@ -1,13 +1,25 @@
 """Tests for the incremental in-flight population (repro.serve.ActiveSet)."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import build_feature_matrix, fit_edge_model, select_heavy_edges
+from repro.core.contention import ActiveOverlapIndex
 from repro.core.online import ActiveTransferView, active_views_from_log
 from repro.core.pipeline import GBTSettings
 from repro.serve import ActiveSet, BatchOnlinePredictor
-from repro.serve.active_set import _M_OUT_RATE
+from repro.serve.active_set import (
+    _M_COLS,
+    _M_IN_RATE,
+    _M_IN_STREAMS,
+    _M_OUT_RATE,
+    _M_OUT_STREAMS,
+    _M_TOUCH,
+)
 from repro.sim.gridftp import TransferRequest
 from tests.core.conftest import make_random_store
 
@@ -238,3 +250,223 @@ class TestFromLogWindow:
         )
         active = ActiveSet.from_log_window(store, now=now)
         assert set(active.ids()) == {int(t) for t in expected}
+
+
+# -- differential test: the served index against a per-view build ------------
+
+
+def build_state_oracle(
+    endpoint: str,
+    out_views: list[ActiveTransferView],
+    in_views: list[ActiveTransferView],
+) -> ActiveOverlapIndex:
+    """The endpoint index built view by view: out-views first, then the
+    in-views that are not self-loops, each in insertion order, with the
+    five ``_M_*`` weight columns (zero where a view does not play that
+    role)."""
+    # A degenerate self-loop (src == dst == endpoint) appears in both view
+    # lists but must count once toward the G (instance) features.
+    touching = out_views + [v for v in in_views if v.src != endpoint]
+    te = np.array([v.expected_end for v in touching], dtype=np.float64)
+    weights = np.zeros((len(touching), _M_COLS), dtype=np.float64)
+    n_out = len(out_views)
+    for i, v in enumerate(out_views):
+        weights[i, _M_OUT_RATE] = v.rate
+        weights[i, _M_OUT_STREAMS] = v.streams
+        if v.dst == endpoint:  # self-loop: one row plays both roles
+            weights[i, _M_IN_RATE] = v.rate
+            weights[i, _M_IN_STREAMS] = v.streams
+    for i, v in enumerate(touching[n_out:], start=n_out):
+        weights[i, _M_IN_RATE] = v.rate
+        weights[i, _M_IN_STREAMS] = v.streams
+    weights[:, _M_TOUCH] = [v.instances for v in touching]
+    return ActiveOverlapIndex(te, weights)
+
+
+def oracle_index(views: dict, endpoint: str) -> ActiveOverlapIndex:
+    """:func:`build_state_oracle` over an insertion-ordered
+    ``{transfer_id: view}`` population."""
+    return build_state_oracle(
+        endpoint,
+        [v for v in views.values() if v.src == endpoint],
+        [v for v in views.values() if v.dst == endpoint],
+    )
+
+
+INDEX_ARRAYS = ("_te_sorted", "_w_cum", "_wte_cum", "_w_inf")
+
+
+def index_bytes(index: ActiveOverlapIndex) -> list[bytes]:
+    return [np.ascontiguousarray(getattr(index, name)).tobytes()
+            for name in INDEX_ARRAYS]
+
+
+def assert_same_index(got: ActiveOverlapIndex, want: ActiveOverlapIndex,
+                      where: str) -> None:
+    for name in INDEX_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, f"{where}: {name} shape"
+        assert a.tobytes() == b.tobytes(), f"{where}: {name} differs"
+
+
+STREAM_ENDPOINTS = ("A", "B", "C", "D", "E")
+# Queried too: "F" never holds a transfer.
+QUERY_ENDPOINTS = STREAM_ENDPOINTS + ("F",)
+# SHA-256 over every endpoint's index arrays at each checkpoint of
+# ``seeded_mutations(5, 1800)`` (taken from the per-view build above).
+INDEX_GOLDEN = (
+    "fd1ce858fc9709dfc2a9c40062aad2d630d966c6119aa2155a4878bdb7d0f395"
+)
+
+
+def _stream_end(rng) -> float:
+    """Ends drawn so that ties (small integers) and ``inf`` are common."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return float("inf")
+    if kind == 1:
+        return float(rng.integers(1, 30))
+    return float(rng.uniform(1.0, 500.0))
+
+
+def _stream_view(rng) -> ActiveTransferView:
+    src = STREAM_ENDPOINTS[rng.integers(len(STREAM_ENDPOINTS))]
+    dst = src if rng.random() < 0.15 else \
+        STREAM_ENDPOINTS[rng.integers(len(STREAM_ENDPOINTS))]
+    rate = 0.0 if rng.random() < 0.05 else float(rng.uniform(1e6, 1e9))
+    return ActiveTransferView(
+        src=src, dst=dst, rate=rate, started_at=0.0,
+        expected_end=_stream_end(rng), concurrency=int(rng.integers(1, 9)),
+        parallelism=int(rng.integers(1, 9)), n_files=int(rng.integers(1, 12)),
+    )
+
+
+def seeded_mutations(seed: int, steps: int):
+    """A seeded lenient-mode mutation stream over five endpoints: adds
+    (self-loops, rate 0, tied and ``inf`` ends), completes, re-adds of
+    completed ids, progress, and writes a lenient set drops (duplicate
+    adds, unknown completes and progress, NaN/negative/inf rates).  The
+    middle third mostly completes, so dead slots pile up.  Yields
+    ``("snapshot",)`` once, two thirds in."""
+    rng = np.random.default_rng(seed)
+    live: list[int] = []
+    gone: list[int] = []
+    next_id = 0
+    for step in range(steps):
+        if step == 2 * steps // 3:
+            yield ("snapshot",)
+        p_add = 0.12 if steps // 3 <= step < 2 * steps // 3 else 0.5
+        u = rng.random()
+        if u < 0.06:  # a write the lenient set drops
+            kind = rng.integers(4)
+            if kind == 0 and live:
+                yield ("add", live[rng.integers(len(live))], _stream_view(rng))
+            elif kind == 1:
+                yield ("complete", 10**6 + int(rng.integers(100)))
+            elif kind == 2:
+                yield ("progress", 10**6, 1e7, None)
+            elif live:
+                bad = (float("nan"), -1.0, float("inf"))[rng.integers(3)]
+                yield ("progress", live[rng.integers(len(live))], bad, None)
+        elif u < 0.06 + p_add or not live:
+            if gone and rng.random() < 0.2:
+                tid = gone.pop(int(rng.integers(len(gone))))
+            else:
+                tid, next_id = next_id, next_id + 1
+            live.append(tid)
+            yield ("add", tid, _stream_view(rng))
+        elif u < 0.06 + p_add + (1.0 - 0.06 - p_add) / 2:
+            tid = live.pop(int(rng.integers(len(live))))
+            gone.append(tid)
+            yield ("complete", tid)
+        else:
+            tid = live[rng.integers(len(live))]
+            which = rng.integers(3)
+            rate = None if which == 1 else float(rng.uniform(0.0, 1e9))
+            end = None if which == 0 else _stream_end(rng)
+            yield ("progress", tid, rate, end)
+
+
+def _apply_reference(views: dict, op: tuple) -> None:
+    """What a lenient set must hold after ``op``: the dict semantics the
+    column store has to reproduce (progress keeps a transfer's place)."""
+    if op[0] == "add":
+        views.setdefault(op[1], op[2])
+    elif op[0] == "complete":
+        views.pop(op[1], None)
+    elif op[1] in views:
+        changes = {k: v for k, v in (("rate", op[2]), ("expected_end", op[3]))
+                   if v is not None}
+        try:
+            views[op[1]] = replace(views[op[1]], **changes)
+        except ValueError:
+            pass
+
+
+def _apply_active(active: ActiveSet, op: tuple) -> None:
+    if op[0] == "add":
+        active.add(op[1], op[2])
+    elif op[0] == "complete":
+        active.complete(op[1])
+    else:
+        active.progress(op[1], rate=op[2], expected_end=op[3])
+
+
+class TestIndexMatchesOracle:
+    """Every endpoint index the set serves equals the per-view build over
+    the same insertion-ordered population, bit for bit."""
+
+    def test_seeded_stream_bit_identical(self):
+        active = ActiveSet(lenient=True)
+        views: dict[int, ActiveTransferView] = {}
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(99)
+        compactions, used = 0, 0
+        for step, op in enumerate(seeded_mutations(5, 1800)):
+            compactions += len(active._view_at) < used
+            used = len(active._view_at)
+            if op[0] == "snapshot":
+                state = json.loads(json.dumps(active.snapshot_state()))
+                restored = ActiveSet(lenient=True)
+                restored.load_snapshot(state)
+                active = restored
+                used = len(active._view_at)
+                continue
+            _apply_reference(views, op)
+            _apply_active(active, op)
+            if step % 7 == 0:
+                # Query a few endpoints, so others keep a cached index
+                # across later writes.
+                for e in rng.choice(QUERY_ENDPOINTS, size=2, replace=False):
+                    assert_same_index(active.endpoint_state(str(e)),
+                                      oracle_index(views, str(e)),
+                                      f"step {step} endpoint {e}")
+            if step % 60 == 0:
+                assert active.ids() == list(views)
+                assert active.views() == list(views.values())
+                bulk = ActiveSet.from_views(views.values())
+                for e in QUERY_ENDPOINTS:
+                    got = active.endpoint_state(e)
+                    want = oracle_index(views, e)
+                    assert_same_index(got, want, f"step {step} endpoint {e}")
+                    assert_same_index(bulk.endpoint_state(e), want,
+                                      f"from_views, step {step} endpoint {e}")
+                    for chunk in index_bytes(got):
+                        digest.update(chunk)
+        assert active.stats.ignored_total > 0
+        assert len(views) > 0
+        assert compactions >= 2  # dead slots were compacted away
+        assert digest.hexdigest() == INDEX_GOLDEN
+
+    def test_self_loop_and_inf_rows(self):
+        active = ActiveSet()
+        views = {
+            1: _view(src="A", dst="A", rate=3e8, end=float("inf")),
+            2: _view(src="B", dst="A", rate=2e8, end=40.0),
+            3: _view(src="A", dst="B", rate=1e8, end=40.0),
+            4: _view(src="A", dst="A", rate=5e8, end=40.0),
+        }
+        for tid, v in views.items():
+            active.add(tid, v)
+        for e in ("A", "B"):
+            assert_same_index(active.endpoint_state(e), oracle_index(views, e), e)

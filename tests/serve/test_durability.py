@@ -334,6 +334,32 @@ class TestRecovery:
         assert flat["durability_recoveries_total"] == 1
         assert flat["durability_snapshot_generation"] == 1
 
+    def test_journal_byte_and_record_totals(self, tmp_path):
+        """The WAL counters count exactly the framed bytes and records each
+        append wrote, across snapshot rotations to fresh segments."""
+        obs = Observability.create(trace=False)
+        config = DurabilityConfig(snapshot_every=7)
+        state, _ = recover_serving_state(tmp_path, obs=obs, config=config)
+        fed = []
+        apply = state.apply
+
+        def tap(record):
+            fed.append(mutation.decode(record).record)
+            apply(record)
+
+        state.apply = tap
+        _feed(state, n=20)
+        state.close()
+        assert state.generation >= 2  # rotated at least twice
+        framed = sum(
+            _HEADER.size + len(json.dumps({"seq": seq, "m": record},
+                                          allow_nan=False).encode("utf-8"))
+            for seq, record in enumerate(fed, start=1)
+        )
+        flat = obs.registry.flat()
+        assert flat["durability_journal_records_total"] == len(fed) == 35
+        assert flat["durability_journal_bytes_total"] == framed == 4724
+
     def test_restored_counters_continue_not_double_count(self, tmp_path):
         """Registry totals restored from a snapshot plus journal-suffix
         replay must equal an uninterrupted run's totals."""

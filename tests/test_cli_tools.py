@@ -90,6 +90,38 @@ class TestTrain:
         assert str(old) in err and "bundle_version 1" in err
         assert "re-run `repro-tools train`" in err
 
+    @pytest.mark.parametrize("bin_value, message", [
+        (10**10, "tree 0: bin holds a value outside int32"),
+        (None, "is not below its feature's last bin"),
+    ], ids=["bin-1e10", "last-bin"])
+    def test_resealed_bad_tree_refused(self, workflow, tmp_path, capsys,
+                                       bin_value, message):
+        """A model file whose inner checksum is re-sealed over a tree the
+        kernel cannot walk exits 2 with the tree and field named, whether
+        the bin is past the feature's last bin or past int32."""
+        from repro.atomicio import checksum_payload
+
+        log_path, model_path, *_ = workflow
+        bundle = json.loads(model_path.read_text())
+        model = bundle["model"]
+        tree = next(t for t in model["trees"] if t["feature"][0] >= 0)
+        assert tree is model["trees"][0]
+        if bin_value is None:
+            bin_value = len(model["binner"]["upper_edges"][tree["feature"][0]]) - 1
+        tree["bin"][0] = bin_value
+        model["checksum"] = checksum_payload(model)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bundle))
+        rc = main(
+            [
+                "predict", "--model", str(bad), "--log", str(log_path),
+                "--bytes", "5e10",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestPredictAndAdvise:
     def test_predict_prints_rate(self, workflow, capsys):
