@@ -50,7 +50,7 @@ from repro.ml.metrics import absolute_percentage_errors, mdape
 from repro.ml.persistence import model_from_dict, model_to_dict
 from repro.ml.scaler import StandardScaler
 from repro.ml.selection import low_variance_features, train_test_split
-from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.obs.tracing import Tracer, maybe_span
 
 __all__ = [
     "GBTSettings",
@@ -68,13 +68,6 @@ __all__ = [
 
 # Bump to invalidate cached per-edge model bundles after pipeline changes.
 EDGE_MODEL_VERSION = 1
-
-
-def _span(tracer: Tracer | None, name: str, **attrs):
-    """A tracer span, or the shared no-op when tracing is off."""
-    if tracer is None or not tracer.enabled:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)
 
 
 @dataclass(frozen=True)
@@ -346,7 +339,8 @@ def fit_edge_model(
     if model not in ("linear", "gbt"):
         raise ValueError(f"model must be 'linear' or 'gbt', got {model!r}")
     names = EXPLANATION_FEATURE_NAMES if explanation else FEATURE_NAMES
-    with _span(tracer, "pipeline.fit_edge", src=src, dst=dst, model=model):
+    with maybe_span(tracer, "pipeline.fit_edge", src=src, dst=dst,
+                    model=model):
         mask = (
             _threshold_mask
             if _threshold_mask is not None
@@ -358,7 +352,7 @@ def fit_edge_model(
                 f"edge {src}->{dst}: only {rows.size} transfers above the "
                 f"{threshold:.1f}*Rmax filter (need {min_samples})"
             )
-        with _span(tracer, "pipeline.prepare", rows=int(rows.size)):
+        with maybe_span(tracer, "pipeline.prepare", rows=int(rows.size)):
             tr, te = train_test_split(rows.size, train_fraction, rng=seed)
             X, y, kept = _prepare_edge_data(features, rows, names, tr)
             scaler = StandardScaler().fit(X[tr])
@@ -366,7 +360,7 @@ def fit_edge_model(
             X_te = scaler.transform(X[te])
 
         significance = np.full(len(names), np.nan)
-        with _span(tracer, "pipeline.train", n_train=int(tr.size)):
+        with maybe_span(tracer, "pipeline.train", n_train=int(tr.size)):
             if model == "linear":
                 fitted = LinearRegression().fit(X_tr, y[tr])
                 sig_kept = np.abs(fitted.coef_)
@@ -375,7 +369,7 @@ def fit_edge_model(
                 sig_kept = fitted.feature_importances("gain")
             significance[kept] = sig_kept
 
-        with _span(tracer, "pipeline.eval", n_test=int(te.size)):
+        with maybe_span(tracer, "pipeline.eval", n_test=int(te.size)):
             pred = fitted.predict(X_te)
             errors = absolute_percentage_errors(y[te], pred)
 
@@ -607,7 +601,7 @@ def fit_all_edge_models(
     config = _edge_models_config(
         model, threshold, train_fraction, seed, explanation, gbt
     )
-    with _span(tracer, "pipeline.fit_all_edges", edges=len(edges),
+    with maybe_span(tracer, "pipeline.fit_all_edges", edges=len(edges),
                workers=workers):
         results: dict[int, EdgeModelResult] = {}
         missing = list(range(len(edges)))
@@ -672,7 +666,8 @@ def fit_global_model(
     """
     if model not in ("linear", "gbt"):
         raise ValueError(f"model must be 'linear' or 'gbt', got {model!r}")
-    with _span(tracer, "pipeline.fit_global", edges=len(edges), model=model):
+    with maybe_span(tracer, "pipeline.fit_global", edges=len(edges),
+                    model=model):
         mask = threshold_mask(features.store, threshold)
         row_list = [
             _filtered_edge_rows(features, s, d, threshold, mask) for s, d in edges
@@ -681,7 +676,7 @@ def fit_global_model(
         if rows.size < 10:
             raise ValueError("too few pooled transfers for a global model")
 
-        with _span(tracer, "pipeline.prepare", rows=int(rows.size)):
+        with maybe_span(tracer, "pipeline.prepare", rows=int(rows.size)):
             X_base = features.matrix(FEATURE_NAMES, rows)
             y = features.y[rows]
 
@@ -705,13 +700,13 @@ def fit_global_model(
             X_tr = scaler.transform(X[tr][:, kept])
             X_te = scaler.transform(X[te][:, kept])
 
-        with _span(tracer, "pipeline.train", n_train=int(tr.size)):
+        with maybe_span(tracer, "pipeline.train", n_train=int(tr.size)):
             if model == "linear":
                 fitted = LinearRegression().fit(X_tr, y[tr])
             else:
                 fitted = (gbt or GBTSettings()).build(seed).fit(X_tr, y[tr])
 
-        with _span(tracer, "pipeline.eval", n_test=int(te.size)):
+        with maybe_span(tracer, "pipeline.eval", n_test=int(te.size)):
             pred = fitted.predict(X_te)
             errors = absolute_percentage_errors(y[te], pred)
     return GlobalModelResult(

@@ -49,7 +49,7 @@ from typing import Callable, Iterable
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
-from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.obs.tracing import Tracer, maybe_span
 
 __all__ = [
     "resolve_workers",
@@ -172,12 +172,6 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _span(tracer: Tracer | None, name: str, **attrs):
-    if tracer is None or not tracer.enabled:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)
-
-
 def _count_tasks(registry: MetricsRegistry | None, label: str, mode: str,
                  n: int = 1) -> None:
     if registry is not None and n:
@@ -251,7 +245,7 @@ def _serial_map(
         _warn_timeout_unavailable(label, registry, events)
     out = []
     for i, item in enumerate(items):
-        with _span(tracer, "exec.task", label=label, index=i):
+        with maybe_span(tracer, "exec.task", label=label, index=i):
             start = time.perf_counter()
             try:
                 with _deadline(timeout):
@@ -307,8 +301,8 @@ def parallel_map(
     outcomes: dict[int, tuple] = {}
     crashes = 0
     busy = 0.0  # summed worker-side task durations
-    with _span(tracer, "exec.parallel_map", label=label, tasks=len(items),
-               workers=count) as span:
+    with maybe_span(tracer, "exec.parallel_map", label=label,
+                    tasks=len(items), workers=count) as span:
         try:
             with ProcessPoolExecutor(max_workers=min(count, len(items))) as pool:
                 futures = [

@@ -39,7 +39,7 @@ import numpy as np
 from repro.logs.schema import LOG_DTYPE, batch_has_violations, record_violations
 from repro.logs.store import LogStore
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import maybe_span
 
 __all__ = [
     "write_csv",
@@ -222,12 +222,6 @@ def write_csv(store: LogStore, path: str | Path) -> None:
             writer.writerow([row[name].item() for name in LOG_DTYPE.names])
 
 
-def _ingest_span(tracer: Tracer | None, name: str):
-    if tracer is None or not tracer.enabled:
-        return NULL_SPAN
-    return tracer.span(name)
-
-
 def read_csv(
     path: str | Path,
     strict: bool = True,
@@ -246,7 +240,7 @@ def read_csv(
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    with _ingest_span(tracer, "ingest.read_csv") as span:
+    with maybe_span(tracer, "ingest.read_csv") as span:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -402,7 +396,7 @@ def read_jsonl(
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    with _ingest_span(tracer, "ingest.read_jsonl") as span:
+    with maybe_span(tracer, "ingest.read_jsonl") as span:
         with path.open() as fh:
             batch: list[tuple[int, str]] = []
             for line_no, line in enumerate(fh, 1):

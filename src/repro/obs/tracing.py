@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
 
-__all__ = ["Span", "SpanRecord", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "SpanRecord", "Tracer", "NULL_SPAN", "maybe_span"]
 
 # 10 µs .. ~5 s: spans include per-endpoint index rebuilds, far quicker
 # than whole prediction batches.
@@ -114,6 +114,14 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
+
+
+def maybe_span(tracer: "Tracer | None", name: str, **attrs):
+    """``tracer.span(name, **attrs)``, or :data:`NULL_SPAN` when there is
+    no tracer (a disabled one hands out the no-op itself)."""
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.span(name, **attrs)
 
 
 class Tracer:

@@ -41,7 +41,7 @@ from repro.core.analytical import clip_rates_to_bound
 from repro.core.online import ActiveTransferView
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import NULL_SPAN, maybe_span
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.fallback import FallbackChain, ModelTier
@@ -263,11 +263,6 @@ class SweepAdvisor:
     def chain(self) -> FallbackChain | None:
         return self.engine.chain
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     def bound_for(self, src: str, dst: str) -> float | None:
         """The Eq. 1 cap applied to this edge's sweep, or None."""
         if not self.clip or self.chain is None:
@@ -285,8 +280,8 @@ class SweepAdvisor:
         still differentiate candidates through the ``min(C, Nf)``-driven
         stream/instance features.
         """
-        with self._span(
-            "advise.sweep", edge=f"{request.src}->{request.dst}",
+        with maybe_span(
+            self.tracer, "advise.sweep", edge=f"{request.src}->{request.dst}",
             candidates=len(self.grid),
         ) as span:
             candidates = [
@@ -548,11 +543,6 @@ class FleetScheduler:
             and obs.tracer.enabled else None
         self.counters = _AdviseCounters(obs.registry if obs is not None else None)
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     # -- planning ----------------------------------------------------------
 
     def plan(
@@ -581,8 +571,8 @@ class FleetScheduler:
         """
         if policy not in ("planner", "greedy", "fifo"):
             raise ValueError(f"unknown policy {policy!r}")
-        with self._span(
-            "advise.plan", policy=policy, backlog=len(backlog)
+        with maybe_span(
+            self.tracer, "advise.plan", policy=policy, backlog=len(backlog)
         ) as span:
             if policy == "planner":
                 best = self._simulate(backlog, active, now, order="best",

@@ -49,7 +49,7 @@ import numpy as np
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.ml.forest import forest_totals
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import maybe_span
 from repro.serve.active_set import (
     _M_IN_RATE,
     _M_IN_STREAMS,
@@ -466,12 +466,6 @@ class BatchOnlinePredictor:
         that caps sweep predictions."""
         return self._chain
 
-    def _span(self, name: str, **attrs):
-        """A tracer span, or the shared no-op when tracing is off."""
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     # -- prediction --------------------------------------------------------
 
     def predict(self, request: TransferRequest, now: float) -> float:
@@ -495,7 +489,7 @@ class BatchOnlinePredictor:
         if m == 0:
             return BatchPrediction(np.zeros(0), (), np.zeros(0, dtype=bool))
         forest_before = forest_totals()
-        with self._span("serve.predict_batch", requests=m):
+        with maybe_span(self.tracer, "serve.predict_batch", requests=m):
             if self._chain is None:
                 rates, nonconv = self._fixpoint(self.result, requests, now,
                                                 self.extra_columns)
@@ -569,7 +563,7 @@ class BatchOnlinePredictor:
         tiers: list[ModelTier] = [ModelTier.DEFAULT] * m
         edge_groups: dict[tuple[str, str], list[int]] = {}
         global_idx: list[int] = []
-        with self._span("serve.route", requests=m):
+        with maybe_span(self.tracer, "serve.route", requests=m):
             for i, r in enumerate(requests):
                 edge = (r.src, r.dst)
                 if edge in self._routed_edges:
@@ -584,7 +578,8 @@ class BatchOnlinePredictor:
                     rates[i] = rate
 
         if edge_groups:
-            with self._span("serve.tier.edge", edges=len(edge_groups)):
+            with maybe_span(self.tracer, "serve.tier.edge",
+                            edges=len(edge_groups)):
                 for edge, idx in edge_groups.items():
                     subset = [requests[i] for i in idx]
                     sub_rates, sub_nonconv = self._fixpoint(
@@ -594,7 +589,8 @@ class BatchOnlinePredictor:
                     nonconv[idx] = sub_nonconv
 
         if global_idx:
-            with self._span("serve.tier.global", requests=len(global_idx)):
+            with maybe_span(self.tracer, "serve.tier.global",
+                            requests=len(global_idx)):
                 subset = [requests[i] for i in global_idx]
                 extra = dict(self.extra_columns)
                 if chain.global_adapter is not None:
@@ -634,7 +630,7 @@ class BatchOnlinePredictor:
             # and sliced (a fresh copy) on every round.
             names = tuple(np.asarray(names, dtype=object)[result.kept])
         m = len(requests)
-        with self._span("serve.columns", requests=m):
+        with maybe_span(self.tracer, "serve.columns", requests=m):
             cols = _columns(requests)
         # The active set is never mutated inside the fix-point, so each
         # endpoint's prefix-sum state resolves exactly once per call, not
@@ -649,7 +645,7 @@ class BatchOnlinePredictor:
         buf = np.empty((m, len(names)))
         rates = np.full(m, INITIAL_RATE)
         alive = np.arange(m)
-        with self._span("serve.fixpoint", requests=m) as span:
+        with maybe_span(self.tracer, "serve.fixpoint", requests=m) as span:
             span.attrs["serve.features.buffer"] = f"{m}x{len(names)}"
             iterations = 0
             for _ in range(self.max_iterations):

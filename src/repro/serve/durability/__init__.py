@@ -12,13 +12,15 @@ it survive the process:
 - :mod:`~repro.serve.durability.snapshot` — generation-numbered,
   checksummed, atomically replaced state snapshots with fallback past
   corrupt generations;
-- :mod:`~repro.serve.durability.segments` — the snapshot-plus-segments
-  directory layout (naming, listing, rotation, pruning) shared by the
-  serving state and the stream supervisor's checkpoints;
+- :mod:`~repro.serve.durability.segments` — the durable log both the
+  serving state and the stream supervisor's checkpoints keep: the
+  snapshot-plus-segments layout, :func:`durable_prefix` (the one scan
+  that decides which records are durable), where appends resume, and
+  how a snapshot rotates and prunes;
 - :mod:`~repro.serve.durability.recovery` —
   :class:`DurableServingState` (journal-before-apply mutations) and
-  :func:`recover_serving_state` (snapshot + journal-suffix replay,
-  provably equivalent to an uninterrupted run).
+  :func:`recover_serving_state` (the durable prefix replayed, provably
+  equivalent to an uninterrupted run).
 
 ``repro-tools state snapshot|recover|verify`` exposes the layer
 operationally; ``docs/durability.md`` documents file formats, the

@@ -27,7 +27,6 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 __all__ = ["Journal", "JournalScan", "TornRecord"]
 
@@ -118,11 +117,6 @@ class Journal:
             scan.valid_bytes = end
             offset = end
         return scan
-
-    def replay(self) -> Iterator[dict]:
-        """Intact records, oldest first (tears silently bound the tail —
-        use :meth:`scan_file` when the tear itself matters)."""
-        return iter(self.scan_file(self.path).records)
 
     # -- writing -----------------------------------------------------------
 

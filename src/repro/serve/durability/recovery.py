@@ -12,19 +12,15 @@ journal.  Periodic snapshots bound replay time; each snapshot bumps the
 generation, rotates the journal to a fresh segment, and prunes old
 generations (always keeping a predecessor for checksum fallback).
 
-:func:`recover_serving_state` is the inverse: load the newest snapshot
-that verifies (falling back past corrupt generations), restore all three
-components, then replay the journal suffix — records with ``seq`` beyond
-the snapshot — through the same decode-and-apply path the live process
-used.  Because replay is deterministic and the journal is written before
-the apply, the recovered state is equivalent to an uninterrupted process
-at the last acknowledged record; anything after the tear was never
-acknowledged and is the upstream's to re-send (``last_seq`` says exactly
-where to resume).
-
-The directory layout (snapshots beside numbered journal segments) is
-:class:`~repro.serve.durability.segments.JournalSegments`, shared with
-the stream supervisor's checkpoints.
+:func:`recover_serving_state` is the inverse: restore all three
+components from the durable prefix
+(:func:`~repro.serve.durability.segments.durable_prefix`, the scan the
+stream supervisor's checkpoints recover through too), then replay its
+records through the same decode-and-apply path the live process used.
+Because replay is deterministic and the journal is written before the
+apply, the recovered state is equivalent to an uninterrupted process at
+the prefix's last record; anything after it is the upstream's to
+re-send (``last_seq`` says exactly where to resume).
 """
 
 from __future__ import annotations
@@ -33,8 +29,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import Observability
-from repro.serve.durability.journal import Journal, TornRecord
-from repro.serve.durability.segments import JournalSegments
+from repro.obs.tracing import maybe_span
+from repro.serve.durability.journal import TornRecord
+from repro.serve.durability.segments import JournalSegments, durable_prefix
 from repro.serve.durability.snapshot import SnapshotStore
 from repro.serve.mutation import ServingState, decode
 
@@ -68,8 +65,8 @@ class RecoveryReport:
     snapshot_fallbacks: int = 0       # newer generations rejected as invalid
     replayed_records: int = 0
     replay_rejected: int = 0          # replayed mutations the state refused
-    truncated_bytes: int = 0          # torn journal tails cut away
-    torn: list[TornRecord] = field(default_factory=list)
+    truncated_bytes: int = 0          # torn journal-tail bytes cut away
+    torn: list[TornRecord] = field(default_factory=list)  # at most one
     last_seq: int = 0                 # resume point for the event source
     active_transfers: int = 0
     drift_observations: int = 0
@@ -197,12 +194,7 @@ class DurableServingState(ServingState):
         """Persist the current state as generation ``N+1``, rotate the
         journal to a fresh segment, prune old generations.  Returns the
         new generation number."""
-        tracer = self.obs.tracer
-        span = tracer.span("durability.snapshot") if tracer \
-            and tracer.enabled else None
-        if span is not None:
-            span.__enter__()
-        try:
+        with maybe_span(self.obs.tracer, "durability.snapshot"):
             generation = self.generation + 1
             self._g_generation.set(generation)
             sections = {
@@ -210,16 +202,13 @@ class DurableServingState(ServingState):
                 "drift": self.drift.dump_state(),
                 "registry": self.registry.snapshot(),
             }
-            self.snapshots.write(generation, sections, last_seq=self.last_seq)
+            self.segments.commit_snapshot(
+                self.snapshots, generation, sections, self.last_seq,
+                self.config.keep_snapshots)
             self.generation = generation
             self._snapshot_seq = self.last_seq
             self._m_snapshots.inc()
-            self.segments.rotate(generation, self.snapshots,
-                                 self.config.keep_snapshots)
             return generation
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     def close(self) -> None:
         self.segments.close()
@@ -239,69 +228,55 @@ def recover_serving_state(
 ) -> tuple[DurableServingState, RecoveryReport]:
     """Reconstruct a serving process's state from its durability directory.
 
-    Sequence: newest *valid* snapshot (checksum fallback past corrupt
-    generations) -> restore registry totals, active population, and drift
-    windows -> replay every journal record with ``seq`` beyond the
-    snapshot, in segment order, truncating torn tails -> reopen the
-    newest segment for appending.  An empty or missing directory is a
-    cold start: the returned state is empty with ``last_seq == 0``.
+    Sequence: the durable prefix (:func:`durable_prefix`: the newest
+    snapshot that verifies, then the records that extend it one ``seq``
+    at a time) -> restore registry totals, active population, and drift
+    windows -> replay the prefix's records -> reopen the journal for
+    appending (:meth:`JournalSegments.resume`).  When records past the
+    prefix are out of reach (a double fault), recovery snapshots at
+    once, so the records acknowledged after it never depend on them.
+    An empty or missing directory is a cold start: the returned state is
+    empty with ``last_seq == 0``.
 
     Returns ``(state, report)``; ``report.last_seq`` tells the event
-    source where to resume feeding (records after it were never
+    source where to resume feeding (records after it were lost or never
     acknowledged and must be re-sent).
     """
     state = DurableServingState(
         state_dir, obs=obs, lenient=lenient, config=config)
     report = RecoveryReport()
-    tracer = state.obs.tracer
-    span_cm = tracer.span("durability.recover") if tracer \
-        and tracer.enabled else None
-    if span_cm is not None:
-        span_cm.__enter__()
-    try:
-        loaded = state.snapshots.load_latest()
-        start_generation = 0
-        if loaded is not None:
-            report.snapshot_generation = loaded.generation
-            report.snapshot_fallbacks = len(loaded.rejected)
-            state._m_fallbacks.inc(len(loaded.rejected))
-            payload = loaded.payload
+    with maybe_span(state.obs.tracer, "durability.recover"):
+        prefix = durable_prefix(state.state_dir)
+        report.snapshot_fallbacks = len(prefix.rejected)
+        state._m_fallbacks.inc(len(prefix.rejected))
+        if prefix.snapshot is not None:
+            report.snapshot_generation = prefix.snapshot.generation
+            payload = prefix.snapshot.payload
             state.registry.load_snapshot(payload.get("registry", {}))
             state.active.load_snapshot(payload.get("active", {}))
             state.drift.load_snapshot(payload.get("drift", {}))
-            state.last_seq = loaded.last_seq
-            state._snapshot_seq = loaded.last_seq
-            start_generation = loaded.generation
-            state.generation = max(state.snapshots.generations() or [0])
+            state._snapshot_seq = prefix.snapshot.last_seq
+        # New snapshots must not collide with generations recovery skipped
+        # as corrupt, so the generation continues from the newest on disk.
+        state.generation = prefix.generation
         state._g_generation.set(state.generation)
 
         rejected_before = state._m_replay_rejected.value
-        segments = [g for g in state.segments.generations()
-                    if g >= start_generation]
-        for segment in segments:
-            scan = Journal.scan_file(state.segments.path_for(segment))
-            if scan.torn is not None:
-                report.torn.append(scan.torn)
-                report.truncated_bytes += scan.truncated_bytes
-            for record in scan.records:
-                seq = int(record.get("seq", 0))
-                if seq <= state.last_seq:
-                    continue  # already in the snapshot (or a duplicate)
-                state._replay(record)
-                state.last_seq = seq
-                report.replayed_records += 1
+        for record in prefix.records:
+            state._replay(record)
+        state.last_seq = prefix.seq
+        report.replayed_records = len(prefix.records)
+        report.torn = [prefix.torn] if prefix.torn is not None else []
+        _, scan = state.segments.resume(prefix)
+        report.truncated_bytes = scan.truncated_bytes
         state._m_truncated.inc(report.truncated_bytes)
         state._m_replayed.inc(report.replayed_records)
         report.replay_rejected = int(
             state._m_replay_rejected.value - rejected_before)
         state._m_recoveries.inc()
-
-        # New snapshots must not collide with generations recovery skipped
-        # as corrupt, so both the generation counter and the append segment
-        # continue from the newest thing on disk.
-        state.generation = max([state.generation] + segments)
-        state.segments.open(state.generation)
         state._g_last_seq.set(state.last_seq)
+        if prefix.stale:
+            state.snapshot()
         report.last_seq = state.last_seq
         report.active_transfers = len(state.active)
         report.drift_observations = state.drift.observations
@@ -314,6 +289,3 @@ def recover_serving_state(
                 **report.as_dict(),
             )
         return state, report
-    finally:
-        if span_cm is not None:
-            span_cm.__exit__(None, None, None)

@@ -264,9 +264,7 @@ class ShardCluster:
             reply = self._request(
                 handle, {"op": "ping"}, self.config.start_timeout_s)
         except ProtocolError:
-            self._reap(handle)
-            handle.state = ShardState.DOWN
-            self._g_up[handle.name].set(0)
+            self._take_down(handle)
             raise
         handle.acked_seq = int(reply["last_seq"])
         handle.state = ShardState.UP
@@ -281,9 +279,7 @@ class ShardCluster:
                     self._request(handle, {"op": "shutdown"}, 2.0)
                 except ProtocolError:
                     pass
-            self._reap(handle)
-            handle.state = ShardState.DOWN
-            self._g_up[handle.name].set(0)
+            self._take_down(handle)
         self._started = False
 
     def _reap(self, handle: _Handle) -> None:
@@ -303,6 +299,12 @@ class ShardCluster:
             except OSError:
                 pass
             handle.sock = None
+
+    def _take_down(self, handle: _Handle) -> None:
+        """Reap the slot's process and mark it DOWN."""
+        self._reap(handle)
+        handle.state = ShardState.DOWN
+        self._g_up[handle.name].set(0)
 
     def __enter__(self) -> "ShardCluster":
         return self.start()
@@ -381,12 +383,16 @@ class ShardCluster:
         """Drive ``handle`` from its journaled seq to the log head in
         chunks.  The worker's reply carries its durable ``last_seq``, so
         progress is measured by what actually hit the journal — a lost
-        ack never causes a double-send."""
+        ack never causes a double-send.  A worker whose journal ends
+        before the compacted log's base (its state dir was lost, or its
+        recovery stopped short of a corrupt record) cannot be caught up
+        from the log: that is a ``ProtocolError`` too, so the slot goes
+        DOWN and degrades instead of serving a state it never held."""
         target = self.seq
         while handle.acked_seq < target:
             start = handle.acked_seq - self._base
             if start < 0:
-                raise RuntimeError(
+                raise ProtocolError(
                     f"{handle.name} is behind the compacted log "
                     f"(acked {handle.acked_seq}, base {self._base})")
             chunk = self._mutations[start:start + self.config.replay_chunk]
@@ -420,21 +426,26 @@ class ShardCluster:
             self._restart_handle(handle)
             return True
         except ProtocolError as exc:
-            handle.state = ShardState.DOWN
-            self._g_up[handle.name].set(0)
             self._emit(
                 "restart_failed", severity="critical",
                 shard=handle.name, error=f"{type(exc).__name__}: {exc}")
             return False
 
     def _restart_handle(self, handle: _Handle) -> None:
+        """Respawn the slot's worker and replay the log past what it
+        journaled.  On a ``ProtocolError`` the slot is left DOWN with no
+        live process, whichever step failed."""
         before = handle.acked_seq
         self._reap(handle)
         handle.incarnation += 1
         handle.restarts += 1
         self._m_restarts[handle.name].inc()
         self._spawn(handle)            # recovery sets acked_seq = journaled
-        self._send_pending(handle)     # replay strictly after it
+        try:
+            self._send_pending(handle)     # replay strictly after it
+        except ProtocolError:
+            self._take_down(handle)
+            raise
         self._emit(
             "restarted",
             shard=handle.name, pid=handle.pid,

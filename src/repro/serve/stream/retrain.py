@@ -68,7 +68,7 @@ from repro.logs.store import LogStore
 from repro.ml.persistence import ModelIntegrityError
 from repro.obs import DriftStats, MetricsRegistry, Tracer
 from repro.obs.events import EventLog
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import maybe_span
 from repro.serve.fallback import FallbackChain
 
 __all__ = [
@@ -350,11 +350,6 @@ class RetrainController:
                 labels={"edge": f"{edge[0]}->{edge[1]}"},
             ).set(float(self.breaker(edge).state.value))
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None or not self.tracer.enabled:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     # -- observation --------------------------------------------------------
 
     def observe(self, records: np.ndarray,
@@ -474,7 +469,7 @@ class RetrainController:
         policy = self.policy
         outcomes: dict[Edge, str] = {}
         tasks: list[tuple[Edge, tuple]] = []
-        with self._span("stream.retrain", edges=len(edges)):
+        with maybe_span(self.tracer, "stream.retrain", edges=len(edges)):
             for edge in edges:
                 if not self.breaker(edge).allow(now):
                     outcomes[edge] = "blocked"
@@ -599,7 +594,8 @@ class RetrainController:
         """
         generation = self._generations.get(edge, 0) + 1
         self._generations[edge] = generation
-        with self._span("stream.publish", edge=f"{edge[0]}->{edge[1]}",
+        with maybe_span(self.tracer, "stream.publish",
+                        edge=f"{edge[0]}->{edge[1]}",
                         generation=generation) as span:
             try:
                 bundle = _result_to_bundle(

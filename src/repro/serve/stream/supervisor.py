@@ -34,8 +34,10 @@ a time, in the segment layout of
 whole state, as one checksummed document — is written only when none
 exists yet or when the open segment has outgrown the last snapshot, so
 replay stays shorter than one snapshot.  :func:`load_checkpoint` is the
-one recovery fold: the newest valid snapshot, then the journal suffix
-folded in, oldest first; both recovery and the offline readers use it.
+one recovery fold: the durable prefix
+(:func:`~repro.serve.durability.segments.durable_prefix`, the scan the
+serving state recovers through too) with its records folded into its
+snapshot, oldest first; both recovery and the offline readers use it.
 
 **Never block serving.**  The backlog is bounded: past
 ``max_backlog_records`` the *oldest* unapplied rows are shed and counted
@@ -64,15 +66,14 @@ from repro.logs.schema import LOG_DTYPE
 from repro.obs import DriftMonitor, Observability
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.durability.journal import Journal
-from repro.serve.durability.segments import JournalSegments
-from repro.serve.durability.snapshot import LoadedSnapshot, SnapshotStore
+from repro.serve.durability.segments import (DurablePrefix, JournalSegments,
+                                             durable_prefix)
+from repro.serve.durability.snapshot import SnapshotStore
 from repro.serve.stream.retrain import RetrainController
 from repro.serve.stream.tail import TailIngester
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
-    "DurableCheckpoint",
     "StreamConfig",
     "StreamSupervisor",
     "SimulatedCrash",
@@ -118,19 +119,6 @@ def fold_digest(digest: str, arr: np.ndarray) -> str:
     return h
 
 
-@dataclass(frozen=True)
-class DurableCheckpoint:
-    """What :func:`load_checkpoint` found in a checkpoint directory."""
-
-    payload: dict | None          # folded sections; None = nothing durable
-    snapshot: LoadedSnapshot | None   # the base snapshot, if one verified
-    rejected: tuple[int, ...]     # corrupt snapshot generations skipped
-    seq: int                      # seq of the last durable record
-    journal_records: int          # records folded in past the snapshot
-    generation: int               # newest snapshot or segment on disk
-    stale: bool                   # records past ``seq`` the fold can't reach
-
-
 def _fold(payload: dict, records: list[dict]) -> dict:
     """Advance checkpoint sections by journal records, oldest first.
 
@@ -165,53 +153,17 @@ def _fold(payload: dict, records: list[dict]) -> dict:
     }
 
 
-def load_checkpoint(directory: str | Path) -> DurableCheckpoint:
-    """The newest durable stream state: the newest snapshot that
-    verifies, with every journal record after it folded in.
-
-    Records extend their base one ``seq`` at a time, so the fold stops
-    at a gap in the ``seq`` chain and at a torn record.  A torn tail of
-    the newest segment is a crash cutting the last append; reopening
-    that segment truncates it.  Anything else leaves records on disk the
-    fold cannot reach (``stale``, only possible when bytes rot on disk):
-    the supervisor then appends to a fresh segment and snapshots at
-    once, so they are never folded later.  Reads only."""
-    snapshots = SnapshotStore(directory)
-    segments = JournalSegments(directory)
-    loaded = snapshots.load_latest()
-    seq = loaded.last_seq if loaded is not None else 0
-    start = loaded.generation if loaded is not None else 0
-    on_disk = segments.generations()
-    generation = max(snapshots.generations() + on_disk, default=0)
-    records: list[dict] = []
-    stale = False
-    for segment in [g for g in on_disk if g >= start]:
-        scan = Journal.scan_file(segments.path_for(segment))
-        for record in scan.records:
-            n = int(record.get("seq", 0))
-            if n <= seq:
-                continue            # already in the base snapshot
-            if n != seq + 1:
-                stale = True
-                break
-            records.append(record)
-            seq = n
-        if stale or scan.torn is not None:
-            stale = stale or segment != generation
-            break
-    payload = loaded.payload if loaded is not None else None
-    if records:
-        payload = _fold(payload or {}, records)
-    return DurableCheckpoint(
-        payload=payload,
-        snapshot=loaded,
-        rejected=(loaded.rejected if loaded is not None
-                  else tuple(reversed(snapshots.generations()))),
-        seq=seq,
-        journal_records=len(records),
-        generation=generation,
-        stale=stale,
-    )
+def load_checkpoint(
+        directory: str | Path) -> tuple[DurablePrefix, dict | None]:
+    """The newest durable stream state: the durable prefix of
+    ``directory`` and its sections — the prefix's snapshot with its
+    records folded in (``None`` when nothing is durable).  Reads only."""
+    prefix = durable_prefix(directory)
+    payload = prefix.snapshot.payload if prefix.snapshot is not None \
+        else None
+    if prefix.records:
+        payload = _fold(payload or {}, prefix.records)
+    return prefix, payload
 
 
 class StreamSupervisor:
@@ -293,19 +245,18 @@ class StreamSupervisor:
     # -- recovery -----------------------------------------------------------
 
     def _recover(self) -> None:
-        durable = load_checkpoint(self.checkpoints.directory)
+        durable, payload = load_checkpoint(self.checkpoints.directory)
         self._seq = durable.seq
-        self._journal_records = durable.journal_records
+        self._journal_records = len(durable.records)
         # Append past everything on disk: new generations must not
         # collide with corrupt ones recovery skipped, and records the
-        # fold could not reach stay behind a fresh segment and snapshot.
-        self._generation = durable.generation + int(durable.stale)
-        scan = self.segments.open(self._generation)
+        # fold could not reach stay behind a fresh segment and the
+        # snapshot the first checkpoint writes (_snapshot_bytes None).
+        self._generation, scan = self.segments.resume(durable)
         self._segment_bytes = scan.valid_bytes
         if durable.snapshot is not None and not durable.stale:
             self._snapshot_bytes = self.checkpoints.path_for(
                 durable.snapshot.generation).stat().st_size
-        payload = durable.payload
         if payload is None:
             # A cold start is still a recovery point: nothing a previous
             # incarnation emitted before its first checkpoint was ever
@@ -356,7 +307,7 @@ class StreamSupervisor:
                 generation=(durable.snapshot.generation
                             if durable.snapshot is not None else 0),
                 rejected_generations=len(durable.rejected),
-                journal_records=durable.journal_records,
+                journal_records=len(durable.records),
                 truncated_bytes=scan.truncated_bytes,
                 applied_records=self.applied_records,
                 data_now=self.data_now,
@@ -419,20 +370,21 @@ class StreamSupervisor:
         """Write the whole state as the next generation (``last_seq`` is
         the record just appended), rotate to its segment, prune."""
         self._generation += 1
-        path = self.checkpoints.write(self._generation, {
+        state = {
             **sections,
             "stream": {**sections["stream"],
                        "backlog": [list(row) for row in self._backlog]},
             "retrain": self.controller.state_dict(),
             "drift": self.drift.dump_state(),
-        }, last_seq=self._seq)
+        }
+        path = self.segments.commit_snapshot(
+            self.checkpoints, self._generation, state, self._seq,
+            max(2, self.config.keep_checkpoints))
         self._snapshot_bytes = path.stat().st_size
         self._count_bytes("snapshot", self._snapshot_bytes)
         self.obs.registry.counter(
             "stream_snapshots_total", "Checkpoint snapshots written.").inc()
-        self._segment_bytes = self.segments.rotate(
-            self._generation, self.checkpoints,
-            max(2, self.config.keep_checkpoints)).valid_bytes
+        self._segment_bytes = 0        # the snapshot's fresh segment
         self._journal_records = 0
 
     def _count_bytes(self, kind: str, n: int) -> None:
@@ -645,10 +597,9 @@ def read_stream_status(state_dir: str | Path) -> dict:
     ``state_dir`` — the newest valid snapshot with its journal suffix
     folded in (:func:`load_checkpoint`) — without constructing a
     supervisor."""
-    durable = load_checkpoint(Path(state_dir) / "checkpoints")
-    if durable.payload is None:
+    durable, payload = load_checkpoint(Path(state_dir) / "checkpoints")
+    if payload is None:
         return {"checkpoint_generation": 0, "recovered": False}
-    payload = durable.payload
     stream = payload.get("stream", {})
     tail = payload.get("tail", {})
     return {
@@ -656,7 +607,7 @@ def read_stream_status(state_dir: str | Path) -> dict:
         "checkpoint_generation": (durable.snapshot.generation
                                   if durable.snapshot is not None else 0),
         "rejected_generations": list(durable.rejected),
-        "journal_records": durable.journal_records,
+        "journal_records": len(durable.records),
         "applied_records": int(stream.get("applied_records", 0)),
         "applied_digest": str(stream.get("applied_digest", "")),
         "backlog_records": len(stream.get("backlog", ())),

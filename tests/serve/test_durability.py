@@ -57,7 +57,7 @@ class TestJournalFraming:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "wal.log"
         self._write(path)
-        records = list(Journal(path).replay())
+        records = Journal.scan_file(path).records
         assert [r["seq"] for r in records] == [1, 2, 3, 4, 5]
 
     def test_missing_file_scans_empty(self, tmp_path):
@@ -110,7 +110,7 @@ class TestJournalFraming:
         with Journal(path) as journal:
             journal.append({"seq": 3, "op": "noop"})  # seq 3 reusable: its
             # predecessor was torn away, so the last intact record is seq 2
-        records = list(Journal(path).replay())
+        records = Journal.scan_file(path).records
         assert [r["seq"] for r in records] == [1, 2, 3]
 
     def test_seq_must_increase(self, tmp_path):
@@ -380,7 +380,7 @@ class TestRecovery:
         state.apply(["progress", 7, "nan", None])
         wal = state.segments.path_for(state.generation)
         state.close()
-        records = list(Journal(wal).replay())
+        records = Journal.scan_file(wal).records
         assert records == [
             {"seq": 1, "m": mutation.add(7, _view())},
             {"seq": 2, "m": ["progress", 7, "nan", None]},

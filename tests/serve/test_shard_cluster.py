@@ -7,6 +7,8 @@ always means *bit-identical to the unsharded code*.
 """
 
 import hashlib
+import multiprocessing
+import shutil
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.serve.shard import (
     ShardChaosConfig,
     ShardCluster,
     ShardState,
+    edge_key,
     run_shard_bench,
     run_shard_chaos,
 )
@@ -152,6 +155,48 @@ class TestFailover:
         assert np.array_equal(np.asarray(detail.rates),
                               np.asarray(ref.rates))
         assert len(set(cluster.fingerprints().values())) == 1
+
+    def test_shard_behind_the_compacted_log_goes_down(self, tmp_path):
+        """A worker that restarts with a journal ending before the
+        compacted log's base (here its state dir was wiped) cannot be
+        caught up: the slot goes DOWN, its spawned worker is reaped, and
+        its edges degrade instead of serving an empty state."""
+        chain, views, requests = _fixture_data()
+        twin = ServingState()
+        with ShardCluster(chain, tmp_path / "state", shards=2) as cluster:
+            _add_views(cluster, views)
+            for i, v in enumerate(views):
+                twin.apply(mutation.add(i, v))
+            cluster.checkpoint()
+            shutil.rmtree(tmp_path / "state" / "shard-1")
+            cluster.kill("shard-1")
+            cluster.apply_mutations([mutation.complete(0)])
+            twin.apply(mutation.complete(0))
+
+            rows = {r["shard"]: r for r in cluster.status()}
+            assert rows["shard-1"]["state"] == "down"
+            assert rows["shard-1"]["pid"] is None
+            assert not [p for p in multiprocessing.active_children()
+                        if p.name == "repro-shard-shard-1"]
+            assert cluster.fingerprints() == {
+                "shard-0": fingerprint_digest(twin.state_fingerprint())}
+
+            detail = cluster.predict_batch_detailed(requests, now=0.0)
+            ref = _reference(chain, views)
+            ref.active.complete(0)
+            expected = ref.predict_batch_detailed(requests, now=0.0)
+            down = [i for i, r in enumerate(requests)
+                    if cluster.ring.lookup(edge_key(r.src, r.dst))
+                    == "shard-1"]
+            assert down and len(down) < len(requests)
+            for i, r in enumerate(requests):
+                if i in down:
+                    assert detail.tiers[i] is ModelTier.DEGRADED
+                    assert detail.rates[i] == chain.constant_rate(
+                        r.src, r.dst)[1]
+                else:
+                    assert detail.tiers[i] == expected.tiers[i]
+                    assert detail.rates[i] == expected.rates[i]
 
 
 class TestMutationValidation:

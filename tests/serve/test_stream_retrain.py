@@ -519,9 +519,9 @@ class TestDurability:
             sup.run(max_cycles=40)
         # The crash landed on a republish: the record holds an older
         # generation of the same edge than the one the chain served.
-        record = load_checkpoint(tmp_path / "state" / "checkpoints")
+        _, payload = load_checkpoint(tmp_path / "state" / "checkpoints")
         committed = {(s, d): (g, b)
-                     for s, d, g, b in record.payload["retrain"]["published"]}
+                     for s, d, g, b in payload["retrain"]["published"]}
         assert any(e in committed and committed[e][0] < g
                    for e, g in crashed["published"].items())
 
