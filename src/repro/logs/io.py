@@ -7,20 +7,38 @@ cache expensive simulation runs on disk.
 Production Globus logs are noisy (§4.3 is devoted to "unknown load" and
 log imperfections), so ``read_csv``/``read_jsonl`` support two modes:
 
-- **strict** (default): any malformed line or invariant violation raises,
-  exactly what replay experiments want — a corrupt cache should fail loudly;
+- **strict** (default): the first quarantined line raises, exactly what
+  replay experiments want — a corrupt cache should fail loudly;
 - **lenient** (``strict=False``): bad rows are *quarantined* into a
   structured :class:`QuarantineReport` (line number, field, reason
   category, raw text) and the clean remainder is returned, which is what
   a serving pipeline ingesting live telemetry wants.  Lenient reads
   return a ``(LogStore, QuarantineReport)`` pair.
 
+One ingest rule holds for both readers and for the stream tail
+(:class:`repro.serve.stream.TailIngester`), because all three run one
+line path, :func:`decode_lines` → :func:`consume_header` (CSV only) →
+:func:`parse_log_lines`; a whole-file read is a tail read of the whole
+file:
+
+- a record is one ``\\n``-terminated line (a whole-file read also takes
+  an unterminated last line; a tail holds it back until its newline
+  lands), with surrounding whitespace (``\\r`` included) stripped;
+- blank lines are skipped and are not rows;
+- a line that is not UTF-8 is quarantined as ``encoding``;
+- the CSV header is the first non-blank line; a wrong or undecodable one
+  is quarantined as ``bad_header`` and the rows after it stand on their
+  own;
+- strict mode reads leniently, one block of lines at a time, and raises
+  ``ValueError("<path>:<line>: [<field>] <reason>")`` for the first
+  quarantined line once the block holding it is parsed.
+
 Both readers accept a ``registry`` (:class:`~repro.obs.MetricsRegistry`):
 rows read, rows kept, and quarantined violations per reason category are
 counted into ``ingest_rows_total`` / ``ingest_rows_kept_total`` /
-``ingest_quarantined_total{reason=...}`` so ingestion health shows up in
-the same export as the serving metrics.  They also accept a ``tracer``
-(:class:`~repro.obs.Tracer`): each read is wrapped in an
+``ingest_quarantined_total{format=...,reason=...}`` so ingestion health
+shows up in the same export as the serving metrics.  They also accept a
+``tracer`` (:class:`~repro.obs.Tracer`): each read is wrapped in an
 ``ingest.read_csv`` / ``ingest.read_jsonl`` span carrying the final
 ``rows``/``kept`` counts.
 
@@ -33,6 +51,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +65,8 @@ __all__ = [
     "read_csv",
     "write_jsonl",
     "read_jsonl",
+    "decode_lines",
+    "consume_header",
     "parse_log_lines",
     "QuarantinedRow",
     "QuarantineReport",
@@ -61,6 +82,10 @@ _RAW_TRUNCATE = 160
 # the vectorized parse or trips an invariant falls back to the row loop,
 # which re-derives the exact per-row quarantine verdicts.
 _BULK_BATCH = 2048
+
+# Bytes a whole-file read takes at a time; each block is cut after its
+# last newline, so a read holds one block of text plus the kept rows.
+_READ_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -230,127 +255,217 @@ def read_csv(
 ):
     """Read a store written by :func:`write_csv`.
 
-    With ``strict=True`` (default) the first malformed line raises
+    With ``strict=True`` (default) the first quarantined line raises
     ``ValueError``; with ``strict=False`` bad rows are quarantined and the
     return value is a ``(LogStore, QuarantineReport)`` pair.  A
     ``registry`` receives ingestion counters (rows read/kept, quarantined
     violations per reason) for reads that complete; a ``tracer`` records
     the read as an ``ingest.read_csv`` span.
     """
+    return _read(path, "csv", strict, registry, tracer)
+
+
+def _read(
+    path: str | Path,
+    fmt: str,
+    strict: bool,
+    registry: MetricsRegistry | None,
+    tracer: Tracer | None,
+):
+    """A whole-file read: the tail's line path over ``path``, one block of
+    whole lines at a time (:func:`_line_blocks`).  Strict mode stops after
+    the first block that quarantined a line."""
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    with maybe_span(tracer, "ingest.read_csv") as span:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                if strict:
-                    raise ValueError(f"{path}: empty file (no CSV header)")
-                report.add(0, "<header>", "empty file (no CSV header)",
-                           category="bad_header")
-            elif tuple(header) != LOG_DTYPE.names:
-                if strict:
-                    raise ValueError(
-                        f"unexpected CSV header in {path}: {header}"
-                    )
-                report.add(1, "<header>", f"unexpected CSV header: {header}",
-                           category="bad_header")
-                header = None
-            if header is not None:
-                batch: list[tuple[int, list[str]]] = []
-                for line_no, raw in enumerate(reader, 2):
-                    if not raw:
-                        continue
-                    report.total_rows += 1
-                    batch.append((line_no, raw))
-                    if len(batch) >= _BULK_BATCH:
-                        _flush_csv_batch(path, batch, strict, report, chunks)
-                        batch = []
-                _flush_csv_batch(path, batch, strict, report, chunks)
+    line_no, header_seen = 1, fmt != "csv"
+    with maybe_span(tracer, f"ingest.read_{fmt}") as span:
+        with path.open("rb") as fh:
+            for blob in _line_blocks(fh):
+                lines = decode_lines(blob, line_no)
+                line_no += len(lines)
+                if not header_seen:
+                    header_seen, lines = consume_header(lines, report)
+                chunks.append(parse_log_lines(lines, fmt, report))
+                if strict and report.rows:
+                    break
+        if not header_seen:
+            report.add(0, "<header>", "empty file (no CSV header)",
+                       category="bad_header")
         arr = (
             np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
         )
-        report.kept_rows = int(len(arr))
         span.attrs["rows"] = report.total_rows
         span.attrs["kept"] = report.kept_rows
+    if strict and report.rows:
+        first = min(report.rows, key=lambda r: r.line_no)
+        raise ValueError(
+            f"{path}:{first.line_no}: [{first.field}] {first.reason}")
     if registry is not None:
-        report.count_into(registry, "csv")
+        report.count_into(registry, fmt)
     store = LogStore(arr)
     return store if strict else (store, report)
 
 
-def _flush_csv_batch(
-    path: Path,
-    batch: list[tuple[int, list[str]]],
-    strict: bool,
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The bytes of binary file ``fh`` as blocks of whole ``\\n``-terminated
+    lines, about :data:`_READ_BLOCK` bytes each; the end of the file also
+    ends its last line."""
+    rest = b""
+    for block in iter(lambda: fh.read(_READ_BLOCK), b""):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield rest + block[:cut]
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield rest + b"\n"
+
+
+def decode_lines(
+    blob: bytes, line_no: int
+) -> list[tuple[int, str | UnicodeDecodeError]]:
+    """Split ``blob`` into its ``\\n``-terminated lines, numbered from
+    ``line_no``; bytes after the last ``\\n`` are not a line.  A line that
+    is not UTF-8 comes back as its ``UnicodeDecodeError`` (whose
+    ``object`` holds the bytes): :func:`consume_header` and
+    :func:`parse_log_lines` quarantine it."""
+    lines: list[tuple[int, str | UnicodeDecodeError]] = []
+    for n, raw in enumerate(blob.split(b"\n")[:-1], line_no):
+        try:
+            lines.append((n, raw.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            lines.append((n, exc))
+    return lines
+
+
+def consume_header(
+    lines: list[tuple[int, str | UnicodeDecodeError]],
     report: QuarantineReport,
-    chunks: list[np.ndarray],
-) -> None:
-    """Append one batch's clean rows to ``chunks`` (bulk first, row loop
-    on any anomaly), preserving input order."""
-    if not batch:
-        return
-    arr = _bulk_csv_rows(batch)
-    if arr is None:
-        rows = []
-        for line_no, raw in batch:
-            row = _ingest_csv_row(path, line_no, raw, strict, report)
-            if row is not None:
-                rows.append(row)
-        arr = (
-            np.array(rows, dtype=LOG_DTYPE)
-            if rows else np.empty(0, dtype=LOG_DTYPE)
-        )
-    if len(arr):
-        chunks.append(arr)
+) -> tuple[bool, list[tuple[int, str | UnicodeDecodeError]]]:
+    """CSV: the first non-blank line is the header.  Returns whether
+    ``lines`` held one and the lines after it.  A wrong or undecodable
+    header is quarantined (``bad_header``, not a row); the rows after it
+    stand on their own."""
+    for i, (line_no, text) in enumerate(lines):
+        if isinstance(text, UnicodeDecodeError):
+            text = _printable(text)
+        text = text.strip()
+        if not text:
+            continue
+        header = _csv_fields(text)
+        if tuple(header) != LOG_DTYPE.names:
+            report.add(line_no, "<header>", f"unexpected CSV header: {header}",
+                       text, category="bad_header")
+        return True, lines[i + 1:]
+    return False, []
 
 
-def _bulk_csv_rows(batch: list[tuple[int, list[str]]]) -> np.ndarray | None:
-    """Vectorized parse of a CSV batch into LOG_DTYPE, or None if any row
-    needs the (quarantining, strict-raising) row loop.
+def parse_log_lines(
+    lines: list[tuple[int, str | UnicodeDecodeError]],
+    fmt: str,
+    report: QuarantineReport,
+) -> np.ndarray:
+    """Lenient parse of ``(line_no, text)`` lines, as :func:`decode_lines`
+    returns them, into a ``LOG_DTYPE`` array of the kept rows, in input
+    order.
 
-    numpy's string-to-number conversions reject the same literals Python's
-    ``float``/``int`` reject, so a batch that parses cleanly here parses
-    identically row by row; :func:`batch_has_violations` then clears the
-    invariants in one pass.  Any anomaly — wrong column count, parse
-    failure, possible violation — rejects the whole batch rather than
-    guessing which row caused it.
+    Blank lines are skipped; every other line counts as a row, and an
+    undecodable one is quarantined as ``encoding``.  Counts accumulate
+    into ``report`` across calls, so one report can describe a whole
+    file or tail session.  CSV lines must be data rows: the caller
+    consumes the header (:func:`consume_header`).  Rows are parsed in
+    batches of :data:`_BULK_BATCH`, column-wise first; only a batch that
+    fails the vectorized parse or trips an invariant falls back to the
+    row loop, which re-derives the exact per-row quarantine verdicts.
     """
-    n_cols = len(LOG_DTYPE.names)
-    if any(len(raw) != n_cols for _, raw in batch):
-        return None
-    arr = np.empty(len(batch), dtype=LOG_DTYPE)
-    try:
-        for i, name in enumerate(LOG_DTYPE.names):
-            col = [raw[i] for _, raw in batch]
-            if name in _FLOAT_FIELDS:
-                arr[name] = np.array(col, dtype=np.float64)
-            elif name in _INT_FIELDS:
-                arr[name] = np.array(col, dtype=np.int64)
-            else:
-                arr[name] = col
-    except (ValueError, OverflowError):
-        return None
-    if batch_has_violations(arr):
-        return None
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown log format: {fmt!r}")
+    rows = []
+    for line_no, text in lines:
+        if isinstance(text, UnicodeDecodeError):
+            report.total_rows += 1
+            report.add(line_no, "<row>", f"undecodable bytes: {text}",
+                       _printable(text), category="encoding")
+            continue
+        text = text.strip()
+        if text:
+            rows.append((line_no, text))
+    report.total_rows += len(rows)
+    chunks = [_flush(fmt, rows[i:i + _BULK_BATCH], report)
+              for i in range(0, len(rows), _BULK_BATCH)]
+    arr = np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
+    report.kept_rows += int(len(arr))
     return arr
 
 
+def _printable(exc: UnicodeDecodeError) -> str:
+    """An undecodable line's text, bad bytes as ``\\xNN`` escapes."""
+    return exc.object.decode("utf-8", "backslashreplace")
+
+
+def _flush(
+    fmt: str, batch: list[tuple[int, str]], report: QuarantineReport
+) -> np.ndarray:
+    """One batch's clean rows in input order: the bulk parse, or the row
+    loop on any anomaly."""
+    texts = [text for _, text in batch]
+    if fmt == "csv":
+        fields = _split_csv(texts)
+        arr = _bulk_csv_rows(fields)
+        if arr is None:
+            rows = [_ingest_csv_row(n, raw, report)
+                    for (n, _), raw in zip(batch, fields)]
+    else:
+        arr = _bulk_jsonl_rows(texts)
+        if arr is None:
+            rows = [_ingest_jsonl_row(n, line, report) for n, line in batch]
+    if arr is None:
+        arr = np.array([r for r in rows if r is not None], dtype=LOG_DTYPE)
+    return arr
+
+
+def _split_csv(texts: list[str]) -> list[list[str]]:
+    """Fields of each CSV line: one ``csv.reader`` pass over the batch,
+    or line by line when a record ran across lines (an unclosed quote)
+    or the reader refused one."""
+    try:
+        fields = list(csv.reader(texts))
+    except csv.Error:
+        fields = []
+    if len(fields) == len(texts):
+        return fields
+    return [_csv_fields(text) for text in texts]
+
+
+def _csv_fields(text: str) -> list[str]:
+    """One line's CSV fields; a line the reader refuses is one field."""
+    try:
+        return next(csv.reader([text]))
+    except csv.Error:
+        return [text]
+
+
+def _bulk_csv_rows(rows: list[list[str]]) -> np.ndarray | None:
+    """Vectorized parse of a CSV batch into LOG_DTYPE, or None if any row
+    needs the (quarantining) row loop.
+
+    numpy's string-to-number conversions reject the same literals Python's
+    ``float``/``int`` reject, so a batch that parses cleanly here parses
+    identically row by row; :func:`_bulk_columns` converts and clears the
+    invariants.  A wrong column count rejects the whole batch.
+    """
+    if any(len(row) != len(LOG_DTYPE.names) for row in rows):
+        return None
+    return _bulk_columns(list(zip(*rows)))
+
+
 def _ingest_csv_row(
-    path: Path,
-    line_no: int,
-    raw: list[str],
-    strict: bool,
-    report: QuarantineReport,
+    line_no: int, raw: list[str], report: QuarantineReport
 ) -> tuple | None:
     raw_text = ",".join(raw)
     if len(raw) != len(LOG_DTYPE.names):
-        if strict:
-            raise ValueError(
-                f"{path}:{line_no}: expected {len(LOG_DTYPE.names)} columns, "
-                f"got {len(raw)}"
-            )
         report.add(
             line_no, "<row>",
             f"expected {len(LOG_DTYPE.names)} columns, got {len(raw)}",
@@ -361,12 +476,10 @@ def _ingest_csv_row(
     try:
         values = dict(zip(LOG_DTYPE.names, _parse_row(raw)))
     except ValueError as exc:
-        if strict:
-            raise ValueError(f"{path}:{line_no}: {exc}") from exc
         report.add(line_no, "<row>", f"unparseable value: {exc}", raw_text,
                    category="unparseable_value")
         return None
-    return _validated(path, line_no, values, raw_text, strict, report)
+    return _validated(line_no, values, raw_text, report)
 
 
 def write_jsonl(store: LogStore, path: str | Path) -> None:
@@ -387,101 +500,38 @@ def read_jsonl(
 ):
     """Read a store written by :func:`write_jsonl`.
 
-    Same contract as :func:`read_csv`: strict mode raises on the first bad
-    line (including a truncated final line); ``strict=False`` quarantines
-    bad lines and returns ``(LogStore, QuarantineReport)``; a ``registry``
-    receives ingestion counters; a ``tracer`` records the read as an
-    ``ingest.read_jsonl`` span.
+    Same contract as :func:`read_csv`: strict mode raises on the first
+    quarantined line (a truncated final line included); ``strict=False``
+    quarantines bad lines and returns ``(LogStore, QuarantineReport)``; a
+    ``registry`` receives ingestion counters; a ``tracer`` records the
+    read as an ``ingest.read_jsonl`` span.
     """
-    path = Path(path)
-    report = QuarantineReport(source=str(path))
-    chunks: list[np.ndarray] = []
-    with maybe_span(tracer, "ingest.read_jsonl") as span:
-        with path.open() as fh:
-            batch: list[tuple[int, str]] = []
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                report.total_rows += 1
-                batch.append((line_no, line))
-                if len(batch) >= _BULK_BATCH:
-                    _flush_jsonl_batch(path, batch, strict, report, chunks)
-                    batch = []
-            _flush_jsonl_batch(path, batch, strict, report, chunks)
-        arr = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
-        )
-        report.kept_rows = int(len(arr))
-        span.attrs["rows"] = report.total_rows
-        span.attrs["kept"] = report.kept_rows
-    if registry is not None:
-        report.count_into(registry, "jsonl")
-    store = LogStore(arr)
-    return store if strict else (store, report)
+    return _read(path, "jsonl", strict, registry, tracer)
 
 
 def _ingest_jsonl_row(
-    path: Path,
-    line_no: int,
-    line: str,
-    strict: bool,
-    report: QuarantineReport,
+    line_no: int, line: str, report: QuarantineReport
 ) -> tuple | None:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        if strict:
-            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         report.add(line_no, "<row>", f"invalid JSON: {exc}", line,
                    category="invalid_json")
         return None
     if not isinstance(obj, dict):
-        if strict:
-            raise ValueError(f"{path}:{line_no}: expected a JSON object")
         report.add(line_no, "<row>", "expected a JSON object", line,
                    category="not_object")
         return None
     missing = set(LOG_DTYPE.names) - set(obj)
     if missing:
-        if strict:
-            raise ValueError(
-                f"{path}:{line_no}: missing fields {sorted(missing)}"
-            )
         for name in sorted(missing):
             report.add(line_no, name, "missing field", line,
                        category="missing_field")
         return None
-    return _validated(path, line_no, obj, line, strict, report)
+    return _validated(line_no, obj, line, report)
 
 
-def _flush_jsonl_batch(
-    path: Path,
-    batch: list[tuple[int, str]],
-    strict: bool,
-    report: QuarantineReport,
-    chunks: list[np.ndarray],
-) -> None:
-    """Append one batch's clean rows to ``chunks`` (bulk first, row loop
-    on any anomaly), preserving input order."""
-    if not batch:
-        return
-    arr = _bulk_jsonl_rows(batch)
-    if arr is None:
-        rows = []
-        for line_no, line in batch:
-            row = _ingest_jsonl_row(path, line_no, line, strict, report)
-            if row is not None:
-                rows.append(row)
-        arr = (
-            np.array(rows, dtype=LOG_DTYPE)
-            if rows else np.empty(0, dtype=LOG_DTYPE)
-        )
-    if len(arr):
-        chunks.append(arr)
-
-
-def _bulk_jsonl_rows(batch: list[tuple[int, str]]) -> np.ndarray | None:
+def _bulk_jsonl_rows(texts: list[str]) -> np.ndarray | None:
     """Vectorized conversion of a JSONL batch into LOG_DTYPE, or None if
     any line needs the row loop.
 
@@ -493,7 +543,7 @@ def _bulk_jsonl_rows(batch: list[tuple[int, str]]) -> np.ndarray | None:
     loop — not this fast path — decides what gets quarantined.
     """
     objs = []
-    for _, line in batch:
+    for line in texts:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
@@ -501,21 +551,32 @@ def _bulk_jsonl_rows(batch: list[tuple[int, str]]) -> np.ndarray | None:
         if not isinstance(obj, dict) or set(LOG_DTYPE.names) - set(obj):
             return None
         objs.append(obj)
-    arr = np.empty(len(objs), dtype=LOG_DTYPE)
+    cols = [[o[name] for o in objs] for name in LOG_DTYPE.names]
+    for name, col in zip(LOG_DTYPE.names, cols):
+        if name in _FLOAT_FIELDS or name in _INT_FIELDS:
+            if any(
+                isinstance(v, bool) or not isinstance(v, (int, float))
+                for v in col
+            ):
+                return None
+        elif any(not isinstance(v, str) for v in col):
+            return None
+    return _bulk_columns(cols)
+
+
+def _bulk_columns(cols: list) -> np.ndarray | None:
+    """One batch's columns as LOG_DTYPE rows, or None when a value does
+    not convert or :func:`batch_has_violations` finds a possible
+    violation: any anomaly rejects the whole batch rather than guessing
+    which row caused it."""
+    arr = np.empty(len(cols[0]), dtype=LOG_DTYPE)
     try:
-        for name in LOG_DTYPE.names:
-            col = [o[name] for o in objs]
-            if name in _FLOAT_FIELDS or name in _INT_FIELDS:
-                if any(
-                    isinstance(v, bool) or not isinstance(v, (int, float))
-                    for v in col
-                ):
-                    return None
-                dtype = np.float64 if name in _FLOAT_FIELDS else np.int64
-                arr[name] = np.array(col, dtype=dtype)
+        for name, col in zip(LOG_DTYPE.names, cols):
+            if name in _FLOAT_FIELDS:
+                arr[name] = np.array(col, dtype=np.float64)
+            elif name in _INT_FIELDS:
+                arr[name] = np.array(col, dtype=np.int64)
             else:
-                if any(not isinstance(v, str) for v in col):
-                    return None
                 arr[name] = col
     except (ValueError, OverflowError):
         return None
@@ -524,64 +585,15 @@ def _bulk_jsonl_rows(batch: list[tuple[int, str]]) -> np.ndarray | None:
     return arr
 
 
-def parse_log_lines(
-    lines: list[tuple[int, str]],
-    fmt: str,
-    report: QuarantineReport,
-) -> np.ndarray:
-    """Lenient incremental parse of already-split log lines.
-
-    The batch readers above own whole files; a tail ingester owns a file
-    *suffix* and hands decoded lines here as ``(line_no, text)`` pairs.
-    Parsing, quarantining, and the bulk-first fast path are identical to
-    ``read_csv(strict=False)`` / ``read_jsonl(strict=False)``, and counts
-    accumulate into ``report`` across calls, so one report can describe a
-    whole tail session.  CSV lines must be data rows — the caller owns
-    consuming and validating the header.  Returns the kept rows as a
-    ``LOG_DTYPE`` array in input order.
-    """
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown log format: {fmt!r}")
-    path = Path(report.source or "<stream>")
-    chunks: list[np.ndarray] = []
-    csv_batch: list[tuple[int, list[str]]] = []
-    jsonl_batch: list[tuple[int, str]] = []
-    for line_no, text in lines:
-        text = text.strip()
-        if not text:
-            continue
-        report.total_rows += 1
-        if fmt == "csv":
-            csv_batch.append((line_no, next(csv.reader([text]))))
-            if len(csv_batch) >= _BULK_BATCH:
-                _flush_csv_batch(path, csv_batch, False, report, chunks)
-                csv_batch = []
-        else:
-            jsonl_batch.append((line_no, text))
-            if len(jsonl_batch) >= _BULK_BATCH:
-                _flush_jsonl_batch(path, jsonl_batch, False, report, chunks)
-                jsonl_batch = []
-    _flush_csv_batch(path, csv_batch, False, report, chunks)
-    _flush_jsonl_batch(path, jsonl_batch, False, report, chunks)
-    arr = np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
-    report.kept_rows += int(len(arr))
-    return arr
-
-
 def _validated(
-    path: Path,
     line_no: int,
     values: dict,
     raw_text: str,
-    strict: bool,
     report: QuarantineReport,
 ) -> tuple | None:
     """Invariant-check a parsed record; returns its LOG_DTYPE tuple or None."""
     violations = record_violations(values)
     if violations:
-        if strict:
-            detail = "; ".join(f"{f}: {r}" for f, r in violations)
-            raise ValueError(f"{path}:{line_no}: {detail}")
         for field_name, reason in violations:
             report.add(line_no, field_name, reason, raw_text,
                        category=f"invariant_{field_name}")

@@ -83,6 +83,12 @@ __all__ = [
 ]
 
 
+# Snapshot generations kept on disk, and the heartbeat age (seconds) past
+# which ``status()`` reports the loop stale.
+KEEP_CHECKPOINTS = 3
+HEARTBEAT_STALE_S = 30.0
+
+
 class SimulatedCrash(RuntimeError):
     """Raised by a crash hook to kill the loop at a chosen stage (test /
     chaos instrumentation; production code never raises it)."""
@@ -94,8 +100,6 @@ class StreamConfig:
     max_backlog_records: int = 4096
     max_apply_per_cycle: int = 1024
     checkpoint_every: int = 1       # cycles between checkpoints
-    keep_checkpoints: int = 3
-    heartbeat_stale_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_backlog_records < 1 or self.max_apply_per_cycle < 1:
@@ -379,7 +383,7 @@ class StreamSupervisor:
         }
         path = self.segments.commit_snapshot(
             self.checkpoints, self._generation, state, self._seq,
-            max(2, self.config.keep_checkpoints))
+            KEEP_CHECKPOINTS)
         self._snapshot_bytes = path.stat().st_size
         self._count_bytes("snapshot", self._snapshot_bytes)
         self.obs.registry.counter(
@@ -576,12 +580,13 @@ class StreamSupervisor:
             "shed_records": self.shed_records,
             "tail_offset": self.tail.offset,
             "tail_resets": self.tail.resets,
-            "quarantined_rows": self.tail.report.quarantined_rows,
+            "quarantined_rows": (self.tail.report.total_rows
+                                 - self.tail.report.kept_rows),
             "checkpoint_generation": self._generation,
             "journal_records": self._journal_records,
             "data_now": self.data_now,
             "heartbeat_age_s": age,
-            "heartbeat_stale": age > self.config.heartbeat_stale_s,
+            "heartbeat_stale": age > HEARTBEAT_STALE_S,
             "breakers": {
                 f"{s}->{d}": breaker.state_dict()
                 for (s, d), breaker in sorted(

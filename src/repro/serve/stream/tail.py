@@ -19,10 +19,10 @@ locks).  The ingester owns exactly that mess:
   ``stream_tail_resets_total{reason=...}`` — re-ingesting a replaced
   file is correct, silently reading garbage from the middle of it is
   not.
-- **lenient parsing**: lines are handed to
-  :func:`repro.logs.io.parse_log_lines`, so corrupt batches quarantine
-  per line (counted into the shared registry) instead of stalling the
-  tail.  CSV headers are consumed and validated at offset 0 only.
+- **lenient parsing**: complete lines run the batch readers' one line
+  path (:mod:`repro.logs.io`), so the tail quarantines per line what
+  ``read_csv``/``read_jsonl(strict=False)`` quarantine instead of
+  stalling.
 - **retry with backoff + jitter**: transient ``OSError`` reads are
   retried; :meth:`next_delay` grows exponentially with *consecutive*
   failures (deterministically jittered so a fleet of tails cannot
@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.exec.retry import BackoffPolicy
-from repro.logs.io import QuarantineReport, parse_log_lines
-from repro.logs.schema import LOG_DTYPE
+from repro.logs.io import (QuarantineReport, consume_header, decode_lines,
+                          parse_log_lines)
 from repro.obs import MetricsRegistry
 from repro.obs.events import EventLog, QuarantineBurstDetector
 
@@ -49,6 +49,14 @@ __all__ = ["TailIngester", "TailBatch", "TailError"]
 
 # Bytes of file head hashed into the rotation signature.
 _SIGNATURE_BYTES = 4096
+
+# Read-retry backoff (seconds, exponential with jitter) and the
+# quarantine-burst window (rows) and rate that raise an ingest alert.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 5.0
+BACKOFF_JITTER = 0.25
+BURST_WINDOW_ROWS = 256
+BURST_MAX_RATE = 0.05
 
 
 class TailError(RuntimeError):
@@ -81,13 +89,8 @@ class TailIngester:
         fmt: str | None = None,
         registry: MetricsRegistry | None = None,
         max_consecutive_errors: int = 8,
-        backoff_base_s: float = 0.05,
-        backoff_max_s: float = 5.0,
-        jitter: float = 0.25,
         seed: int = 0,
         events: EventLog | None = None,
-        burst_window_rows: int = 256,
-        burst_max_rate: float = 0.05,
     ) -> None:
         self.path = Path(path)
         if fmt is None:
@@ -99,23 +102,17 @@ class TailIngester:
         self.fmt = fmt
         self.registry = registry
         self.max_consecutive_errors = int(max_consecutive_errors)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.jitter = float(jitter)
-        self._backoff = BackoffPolicy(
-            base_s=self.backoff_base_s,
-            max_s=self.backoff_max_s,
-            jitter=self.jitter,
-            seed=seed,
-        )
+        self._backoff = BackoffPolicy(base_s=BACKOFF_BASE_S,
+                                      max_s=BACKOFF_MAX_S,
+                                      jitter=BACKOFF_JITTER, seed=seed)
         self.report = QuarantineReport(source=str(self.path))
         self.events = events
         self.burst: QuarantineBurstDetector | None = None
         if events is not None:
             self.burst = QuarantineBurstDetector(
                 events,
-                window_rows=burst_window_rows,
-                max_rate=burst_max_rate,
+                window_rows=BURST_WINDOW_ROWS,
+                max_rate=BURST_MAX_RATE,
                 source=self.path.name,
             )
 
@@ -198,25 +195,15 @@ class TailIngester:
         end_offset = self.offset + len(blob)
 
         delta = QuarantineReport(source=str(self.path))
-        lines: list[tuple[int, str]] = []
-        line_no = self.line_no
-        first_line_no = line_no + 1
-        for raw in blob.split(b"\n")[:-1]:
-            line_no += 1
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                delta.total_rows += 1
-                delta.add(line_no, "<row>", f"undecodable bytes: {exc}",
-                          category="encoding")
-                continue
-            lines.append((line_no, text))
-        lines = self._consume_header(lines, delta)
+        first_line_no = self.line_no + 1
+        lines = decode_lines(blob, first_line_no)
+        if self.fmt == "csv" and not self.header_consumed:
+            self.header_consumed, lines = consume_header(lines, delta)
         records = parse_log_lines(lines, self.fmt, delta)
 
         # Commit the position only after the whole batch parsed.
         self.offset = end_offset
-        self.line_no = line_no
+        self.line_no += blob.count(b"\n")
         self._update_signature()
         self._merge(delta)
         if self.burst is not None:
@@ -236,7 +223,7 @@ class TailIngester:
             start_offset=start_offset,
             end_offset=end_offset,
             first_line_no=first_line_no,
-            last_line_no=line_no,
+            last_line_no=self.line_no,
             quarantined=delta.quarantined_rows,
         )
 
@@ -289,28 +276,6 @@ class TailIngester:
             return  # keep the previous signature; next poll retries
         self.signature = hashlib.sha256(head).hexdigest()
         self.signature_len = len(head)
-
-    def _consume_header(
-        self, lines: list[tuple[int, str]], delta: QuarantineReport
-    ) -> list[tuple[int, str]]:
-        """CSV only: the first non-empty line ever consumed is the header.
-        A wrong header is quarantined (``bad_header``) but the tail keeps
-        going — subsequent rows stand or fall on their own."""
-        if self.fmt != "csv" or self.header_consumed:
-            return lines
-        for i, (line_no, text) in enumerate(lines):
-            if not text.strip():
-                continue
-            self.header_consumed = True
-            import csv as _csv
-
-            header = next(_csv.reader([text]))
-            if tuple(header) != LOG_DTYPE.names:
-                delta.add(line_no, "<header>",
-                          f"unexpected CSV header: {header}",
-                          text, category="bad_header")
-            return lines[i + 1:]
-        return []
 
     def _merge(self, delta: QuarantineReport) -> None:
         self.report.total_rows += delta.total_rows

@@ -305,3 +305,38 @@ class TestQuarantineReasonCounts:
         assert flat['ingest_rows_kept_total{format="csv"}'] == 4
         assert flat['ingest_quarantined_total{format="csv",reason="column_shape"}'] == 1
         assert report.rows[0].reason_key == "column_shape"
+
+
+class TestUndecodableBytes:
+    """One byte that is not UTF-8 quarantines its line as ``encoding``;
+    the other rows still load."""
+
+    @pytest.fixture(params=["csv", "jsonl"])
+    def damaged(self, request, store, tmp_path):
+        fmt = request.param
+        path = tmp_path / f"log.{fmt}"
+        (write_csv if fmt == "csv" else write_jsonl)(store, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = 2 if fmt == "csv" else 1          # the second data row
+        lines[bad] = lines[bad].replace(b"A-DTN", b"A-\xffDTN", 1)
+        path.write_bytes(b"".join(lines))
+        reader = read_csv if fmt == "csv" else read_jsonl
+        return reader, path, bad + 1
+
+    def test_lenient_keeps_the_other_rows(self, damaged, store):
+        reader, path, line_no = damaged
+        loaded, report = reader(path, strict=False)
+        keep = np.ones(len(store), dtype=bool)
+        keep[1] = False
+        assert np.array_equal(loaded.raw(), store.raw()[keep])
+        assert report.reason_counts() == {"encoding": 1}
+        assert report.total_rows == len(store)
+        assert report.kept_rows == len(store) - 1
+        assert report.rows[0].line_no == line_no
+
+    def test_strict_names_the_path_and_line(self, damaged):
+        reader, path, line_no = damaged
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(
+            f"{path}:{line_no}: [<row>] undecodable bytes")

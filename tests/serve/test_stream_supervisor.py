@@ -138,6 +138,33 @@ def test_status_and_offline_reader_agree(tmp_path, live):
     assert offline["checkpoint_generation"] == status["checkpoint_generation"]
 
 
+def _write_with_bad_lines(path, seed, bad):
+    write_jsonl(make_random_store(n=50, n_endpoints=4, seed=seed), path)
+    lines = path.read_text().splitlines(keepends=True)
+    for i in bad:
+        lines[i] = "{not json\n"
+    path.write_text("".join(lines))
+
+
+def test_status_counts_durable_quarantine(tmp_path, live):
+    """``quarantined_rows`` is the checkpointed count (rows read minus
+    rows kept), so it survives a restart and adds up across a reset."""
+    _write_with_bad_lines(live, 11, bad=(2, 6))
+    first = _build(tmp_path, live)
+    first.run(max_cycles=2)
+    assert first.status()["quarantined_rows"] == 2
+
+    second = _build(tmp_path, live)             # restart from checkpoint
+    assert second.status()["quarantined_rows"] == 2
+
+    _write_with_bad_lines(live, 12, bad=(2, 8))  # replaced under the tail
+    second.run(max_cycles=10)
+    assert second.tail.resets == 1
+    assert second.status()["quarantined_rows"] == 4
+    offline = read_stream_status(tmp_path / "state")
+    assert offline["tail_rows_total"] - offline["tail_rows_kept"] == 4
+
+
 def test_offline_reader_folds_records_past_the_snapshot(tmp_path, live):
     supervisor = _build(tmp_path, live, max_apply_per_cycle=4)
     supervisor.cycle()                          # first checkpoint: snapshot
