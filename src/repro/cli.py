@@ -321,8 +321,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.serve.bench import run_serve_bench
 
-    if args.shards is not None:
-        return _serve_bench_shards(args)
     result = _load_bundle(args.model) if args.model else None
     obs = Observability.create(
         events_path=args.events_out,
@@ -352,47 +350,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if bench.max_abs_diff != 0.0:
         print("error: batched and per-request predictions disagree",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-def _serve_bench_shards(args: argparse.Namespace) -> int:
-    """``serve-bench --shards N``: the sharded tier against the
-    single-process reference (bit parity + exact count merge)."""
-    from repro.obs import MetricsRegistry, Observability
-    from repro.serve.shard import run_shard_bench
-
-    if args.shards < 1:
-        raise ValueError("--shards must be >= 1")
-    if args.model:
-        raise ValueError("--shards uses the synthetic chain; drop --model")
-    n_active, n_requests, repeats = args.actives, args.requests, args.repeats
-    if args.quick:
-        n_active = min(n_active, 500)
-        n_requests = min(n_requests, 128)
-        repeats = min(repeats if repeats > 1 else 2, 2)
-    obs = Observability.create(trace=False, events_path=args.events_out)
-    result = run_shard_bench(
-        shards=args.shards,
-        n_active=n_active,
-        n_requests=n_requests,
-        n_endpoints=args.endpoints,
-        seed=args.seed,
-        repeats=repeats,
-        obs=obs,
-    )
-    print(result.render())
-    if args.events_out:
-        print(f"wrote event log to {args.events_out}")
-    if args.metrics_out:
-        merged = MetricsRegistry()
-        if result.merged_snapshot is not None:
-            merged.load_snapshot(result.merged_snapshot)
-        atomic_write_text(args.metrics_out, merged.to_json(indent=2))
-        print(f"wrote merged cluster metrics JSON to {args.metrics_out}")
-    if not result.parity_ok:
-        print("error: sharded and single-process answers disagree "
-              "(or counts failed to merge exactly)", file=sys.stderr)
         return 1
     return 0
 
@@ -997,13 +954,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="arm the flight recorder: capture an exemplar "
                         "(request, tiers, per-span timings) for every "
                         "batch slower than this many seconds")
-    p.add_argument("--shards", type=int, default=None,
-                   help="benchmark the sharded serving tier with this many "
-                        "worker processes against the single-process "
-                        "reference (bit parity + exact count merge; "
-                        "incompatible with --model)")
-    p.add_argument("--quick", action="store_true",
-                   help="with --shards: small inputs for CI smoke runs")
     p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(

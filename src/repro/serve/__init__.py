@@ -42,7 +42,7 @@ transfers.  This package is that serving layer:
   generation-numbered snapshots and :func:`recover_serving_state`,
   behind ``repro-tools state snapshot|recover|verify``;
 - :mod:`repro.serve.shard` — the fault-tolerant sharded serving tier
-  (``repro-tools shard chaos``, ``serve-bench --shards N``):
+  (``repro-tools shard chaos``):
   :class:`ShardCluster` supervises one durable worker process per
   consistent-hash slot — mutations broadcast through a replication log,
   predictions partitioned by edge and reassembled in submission order,
@@ -105,7 +105,6 @@ from repro.serve.shard import (
     ShardCluster,
     ShardState,
     edge_key,
-    run_shard_bench,
     run_shard_chaos,
 )
 from repro.serve.stream import (
@@ -164,7 +163,6 @@ __all__ = [
     "ShardChaosConfig",
     "ShardChaosReport",
     "run_shard_chaos",
-    "run_shard_bench",
     "BreakerState",
     "CircuitBreaker",
     "RetrainController",

@@ -23,10 +23,7 @@ answer:
   :attr:`~repro.serve.fallback.ModelTier.DEGRADED` provenance, and
   snapshot-handoff rebalance;
 - :mod:`repro.serve.shard.chaos` — :func:`run_shard_chaos`, the
-  kill-anything proof behind ``repro-tools shard chaos``;
-- :mod:`repro.serve.shard.bench` — :func:`run_shard_bench`, the bit
-  parity and count-merge check behind
-  ``repro-tools serve-bench --shards``.
+  kill-anything proof behind ``repro-tools shard chaos``.
 
 Design invariants (the chaos harness asserts all three):
 
@@ -49,7 +46,6 @@ walkthroughs.
 
 from __future__ import annotations
 
-from repro.serve.shard.bench import ShardBenchResult, run_shard_bench
 from repro.serve.shard.chaos import (
     ShardChaosConfig,
     ShardChaosReport,
@@ -88,6 +84,4 @@ __all__ = [
     "ShardChaosConfig",
     "ShardChaosReport",
     "run_shard_chaos",
-    "ShardBenchResult",
-    "run_shard_bench",
 ]

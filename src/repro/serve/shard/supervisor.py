@@ -50,7 +50,7 @@ import os
 import shutil
 import signal
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +59,6 @@ import numpy as np
 from repro.exec.retry import BackoffPolicy, retry_call
 from repro.obs import MetricsRegistry, Observability
 from repro.serve.batch import BatchPrediction
-from repro.serve.durability import DurabilityConfig
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.mutation import decode
 from repro.serve.shard.protocol import (
@@ -93,30 +92,28 @@ class ShardState(enum.Enum):
         return self.value
 
 
+# Supervision policy no caller varies: per-request attempts before a
+# restart, the retry backoff (seconds; each cluster draws its own jitter
+# stream) and the mutations per replay frame.
+RETRY_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 1.0
+REPLAY_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Supervision policy for one :class:`ShardCluster`."""
+    """The timeouts of one :class:`ShardCluster`, which depend on the host."""
 
     request_timeout_s: float = 10.0   # per predict/fingerprint request
     mutate_timeout_s: float = 10.0    # per mutation chunk
     start_timeout_s: float = 30.0     # spawn -> first ping (covers recovery)
-    retry_attempts: int = 3           # per-request attempts before escalating
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base_s=0.05, max_s=1.0))
-    replay_chunk: int = 1024          # mutations per replay frame
-    ring_replicas: int = 64
-    durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    lenient: bool = True
 
     def __post_init__(self) -> None:
         for name in ("request_timeout_s", "mutate_timeout_s",
                      "start_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1")
-        if self.replay_chunk < 1:
-            raise ValueError("replay_chunk must be >= 1")
 
 
 class _Handle:
@@ -170,7 +167,9 @@ class ShardCluster:
         self.config = config or ClusterConfig()
         self.obs = obs if obs is not None else Observability.create(trace=False)
         self.registry: MetricsRegistry = self.obs.registry
-        self.ring = HashRing(names, replicas=self.config.ring_replicas)
+        self.ring = HashRing(names)
+        self._backoff = BackoffPolicy(base_s=BACKOFF_BASE_S,
+                                      max_s=BACKOFF_MAX_S)
         try:
             self._mp = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX platforms
@@ -251,8 +250,7 @@ class ShardCluster:
         proc = self._mp.Process(
             target=worker_entry,
             args=(handle.name, child_sock, str(handle.state_dir),
-                  self.chain, self.config.durability, self.config.lenient,
-                  tuple(close_fds)),
+                  self.chain, tuple(close_fds)),
             daemon=True,
             name=f"repro-shard-{handle.name}",
         )
@@ -341,8 +339,8 @@ class ShardCluster:
 
         return retry_call(
             lambda: self._request(handle, payload, timeout),
-            max_attempts=self.config.retry_attempts,
-            policy=self.config.backoff,
+            max_attempts=RETRY_ATTEMPTS,
+            policy=self._backoff,
             retry_on=(FrameTimeout,),
             on_retry=on_retry,
         )
@@ -395,7 +393,7 @@ class ShardCluster:
                 raise ProtocolError(
                     f"{handle.name} is behind the compacted log "
                     f"(acked {handle.acked_seq}, base {self._base})")
-            chunk = self._mutations[start:start + self.config.replay_chunk]
+            chunk = self._mutations[start:start + REPLAY_CHUNK]
             reply = self._request(
                 handle, {"op": "mutate", "mutations": chunk},
                 self.config.mutate_timeout_s)

@@ -45,10 +45,7 @@ from pathlib import Path
 
 from repro.obs import Observability
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.durability import (
-    DurabilityConfig,
-    recover_serving_state,
-)
+from repro.serve.durability import recover_serving_state
 from repro.serve.fallback import FallbackChain
 from repro.serve.shard.protocol import (
     ConnectionClosed,
@@ -80,15 +77,11 @@ class ShardWorker:
         sock: socket.socket,
         state_dir: str | Path,
         chain: FallbackChain,
-        durability: DurabilityConfig | None = None,
-        lenient: bool = True,
     ) -> None:
         self.shard = str(shard)
         self.sock = sock
         self.state_dir = Path(state_dir)
         self.chain = chain
-        self.durability = durability or DurabilityConfig()
-        self.lenient = lenient
         self.state = None
         self.predictor = None
         self._recovery = None
@@ -96,16 +89,14 @@ class ShardWorker:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Recover the durable state and build the predictor.  Runs before
+        """Recover the durable state (lenient, default
+        :class:`~repro.serve.durability.DurabilityConfig`) and build the
+        predictor.  Runs before
         the first reply, so answering the handshake ping *is* the
         readiness signal."""
         obs = Observability.create(trace=False)
         self.state, self._recovery = recover_serving_state(
-            self.state_dir,
-            obs=obs,
-            lenient=self.lenient,
-            config=self.durability,
-        )
+            self.state_dir, obs=obs)
         self.predictor = BatchOnlinePredictor(
             self.chain, self.state.active, obs=obs
         )
@@ -205,12 +196,10 @@ def worker_entry(
     sock: socket.socket,
     state_dir: str,
     chain: FallbackChain,
-    durability: DurabilityConfig | None,
-    lenient: bool,
     close_fds: tuple[int, ...] = (),
 ) -> None:
     """``multiprocessing.Process`` target (fork start method: the chain
-    and config arrive by inheritance, nothing is pickled).
+    arrives by inheritance, nothing is pickled).
 
     ``close_fds`` lists the *other* socketpair fds the fork inherited —
     the parent ends of every sibling's pipe plus the parent end of this
@@ -223,10 +212,7 @@ def worker_entry(
             os.close(fd)
         except OSError:
             pass
-    worker = ShardWorker(
-        shard, sock, state_dir, chain,
-        durability=durability, lenient=lenient,
-    )
+    worker = ShardWorker(shard, sock, state_dir, chain)
     try:
         worker.start()
         worker.run()

@@ -27,7 +27,7 @@ locks).  The ingester owns exactly that mess:
   retried; :meth:`next_delay` grows exponentially with *consecutive*
   failures (deterministically jittered so a fleet of tails cannot
   thundering-herd a recovering filesystem), and a run of
-  ``max_consecutive_errors`` failures raises :class:`TailError` for the
+  ``MAX_CONSECUTIVE_ERRORS`` failures raises :class:`TailError` for the
   supervisor to surface.
 """
 
@@ -50,17 +50,19 @@ __all__ = ["TailIngester", "TailBatch", "TailError"]
 # Bytes of file head hashed into the rotation signature.
 _SIGNATURE_BYTES = 4096
 
-# Read-retry backoff (seconds, exponential with jitter) and the
-# quarantine-burst window (rows) and rate that raise an ingest alert.
+# Read-retry backoff (seconds, exponential with jitter), the run of
+# failed reads that raises TailError, and the quarantine-burst window
+# (rows) and rate that raise an ingest alert.
 BACKOFF_BASE_S = 0.05
 BACKOFF_MAX_S = 5.0
 BACKOFF_JITTER = 0.25
+MAX_CONSECUTIVE_ERRORS = 8
 BURST_WINDOW_ROWS = 256
 BURST_MAX_RATE = 0.05
 
 
 class TailError(RuntimeError):
-    """The tail failed ``max_consecutive_errors`` reads in a row."""
+    """The tail failed ``MAX_CONSECUTIVE_ERRORS`` reads in a row."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,6 @@ class TailIngester:
         path: str | Path,
         fmt: str | None = None,
         registry: MetricsRegistry | None = None,
-        max_consecutive_errors: int = 8,
         seed: int = 0,
         events: EventLog | None = None,
     ) -> None:
@@ -97,11 +98,8 @@ class TailIngester:
             fmt = "jsonl" if self.path.suffix in (".jsonl", ".ndjson") else "csv"
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown log format: {fmt!r}")
-        if max_consecutive_errors < 1:
-            raise ValueError("max_consecutive_errors must be >= 1")
         self.fmt = fmt
         self.registry = registry
-        self.max_consecutive_errors = int(max_consecutive_errors)
         self._backoff = BackoffPolicy(base_s=BACKOFF_BASE_S,
                                       max_s=BACKOFF_MAX_S,
                                       jitter=BACKOFF_JITTER, seed=seed)
@@ -168,7 +166,7 @@ class TailIngester:
 
         Returns ``None`` when there is nothing new (or only a partial
         trailing line).  Transient read errors also return ``None`` —
-        until ``max_consecutive_errors`` of them in a row, which raises
+        until ``MAX_CONSECUTIVE_ERRORS`` of them in a row, which raises
         :class:`TailError`.
         """
         try:
@@ -299,7 +297,7 @@ class TailIngester:
                 "Transient tail read failures.",
                 labels={"path": self.path.name},
             ).inc()
-        if self.consecutive_errors >= self.max_consecutive_errors:
+        if self.consecutive_errors >= MAX_CONSECUTIVE_ERRORS:
             raise TailError(
                 f"{self.path}: {self.consecutive_errors} consecutive read "
                 f"failures (last: {exc!r})"

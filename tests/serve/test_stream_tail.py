@@ -5,6 +5,7 @@ import pytest
 from repro.logs.io import write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.stream import TailError, TailIngester
+from repro.serve.stream.tail import MAX_CONSECUTIVE_ERRORS
 from tests.core.conftest import make_random_store
 
 
@@ -129,22 +130,23 @@ class TestResets:
 
 class TestRetries:
     def test_missing_file_backs_off_then_raises(self, tmp_path):
-        tail = TailIngester(tmp_path / "never.jsonl",
-                            max_consecutive_errors=3)
+        tail = TailIngester(tmp_path / "never.jsonl")
         assert tail.next_delay(1.0) == 1.0      # healthy: idle interval
-        assert tail.poll() is None
-        delay_1 = tail.next_delay(0.0)
-        assert tail.poll() is None
-        delay_2 = tail.next_delay(0.0)
-        assert 0 < delay_1 <= delay_2           # exponential-ish growth
-        with pytest.raises(TailError, match="3 consecutive"):
+        delays = []
+        for _ in range(MAX_CONSECUTIVE_ERRORS - 1):
+            assert tail.poll() is None
+            delays.append(tail.next_delay(0.0))
+        assert 0 < delays[0] <= delays[1]       # exponential-ish growth
+        with pytest.raises(
+                TailError, match=f"{MAX_CONSECUTIVE_ERRORS} consecutive"):
             tail.poll()
 
     def test_recovery_clears_the_error_run(self, live, jsonl_lines):
-        tail = TailIngester(live, max_consecutive_errors=3)
+        tail = TailIngester(live)
         live.unlink()
-        tail.poll()
-        assert tail.consecutive_errors == 1
+        for _ in range(MAX_CONSECUTIVE_ERRORS - 1):
+            assert tail.poll() is None
+        assert tail.consecutive_errors == MAX_CONSECUTIVE_ERRORS - 1
         live.write_text(jsonl_lines[0])
         assert len(tail.poll().records) == 1
         assert tail.consecutive_errors == 0

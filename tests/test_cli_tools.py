@@ -716,8 +716,8 @@ class TestDiagnosisCLI:
 
 
 class TestShardCLI:
-    """`shard chaos`, `serve-bench --shards`, and the events tail
-    follow/last flags — the sharded tier's operator surface."""
+    """`shard chaos` and the events tail follow/last flags — the sharded
+    tier's operator surface."""
 
     @pytest.fixture(scope="class")
     def shard_artifacts(self, tmp_path_factory):
@@ -765,34 +765,6 @@ class TestShardCLI:
                  for c in json.loads(metrics.read_text())["counters"]}
         assert "shard_requests_total" in names
         assert "shard_restarts_total" in names
-
-    def test_serve_bench_shards_parity(self, tmp_path, capsys):
-        metrics = tmp_path / "merged.json"
-        rc = main([
-            "serve-bench", "--shards", "2", "--quick",
-            "--actives", "120", "--requests", "48", "--endpoints", "6",
-            "--metrics-out", str(metrics),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "parity                    OK" in out
-        merged = json.loads(metrics.read_text())
-        assert any(c["name"] == "shard_requests_total"
-                   for c in merged["counters"])
-
-    def test_serve_bench_shards_needs_four_endpoints(self, capsys):
-        """The sharded bench serves the chaos chain, whose log needs at
-        least 4 endpoints: a named error, not a crash."""
-        rc = main(["serve-bench", "--shards", "2", "--quick",
-                   "--endpoints", "3"])
-        assert rc == 2
-        assert ">= 4 endpoints" in capsys.readouterr().err
-
-    def test_serve_bench_shards_rejects_model(self, tmp_path, capsys):
-        rc = main(["serve-bench", "--shards", "2",
-                   "--model", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "--shards" in capsys.readouterr().err
 
     def test_events_tail_last_alias(self, shard_artifacts, capsys):
         _, events, _ = shard_artifacts
