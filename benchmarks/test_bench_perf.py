@@ -52,14 +52,11 @@ def test_perf_overlap_index_queries(benchmark):
     assert out.shape == (5000,)
 
 
-def test_perf_active_set_rebuild(benchmark):
-    """Index rebuild of a ~3k-transfer endpoint in a 10k-transfer
-    population after four writes (an arrival, a completion, two progress
-    reports): the miss every churned serving call pays.  The served index
-    must equal the per-view oracle's bit for bit."""
+def _hub_population():
+    """A 10k-transfer population in which a ~3k-transfer endpoint, HUB,
+    sends 30% of the transfers, and the view maker for more of them."""
     from repro.core.online import ActiveTransferView
     from repro.serve import ActiveSet
-    from tests.serve.test_active_set import assert_same_index, oracle_index
 
     rng = np.random.default_rng(8)
     others = [f"EP{i:02d}" for i in range(12)]
@@ -80,6 +77,20 @@ def test_perf_active_set_rebuild(benchmark):
     active = ActiveSet()
     for tid, view in views.items():
         active.add(tid, view)
+    return rng, views, active, make_view
+
+
+def test_perf_active_set_rebuild(benchmark):
+    """Refresh of a ~3k-transfer endpoint's index in a 10k-transfer
+    population after four writes (an arrival, a completion, two progress
+    reports): the miss every churned serving call pays.  HUB's index is
+    built before the writes, so this times the patch path (pending rows
+    deleted, current rows merged in, prefix sums continued); the store
+    compacts now and then, and the read after it is a full build.  The
+    served index must equal the per-view oracle's bit for bit."""
+    from tests.serve.test_active_set import assert_same_index, oracle_index
+
+    rng, views, active, make_view = _hub_population()
     active.endpoint_state("HUB")
     hub = [tid for tid, v in views.items() if v.src == "HUB"]
     next_id = [len(views)]
@@ -103,6 +114,25 @@ def test_perf_active_set_rebuild(benchmark):
 
     index = benchmark(churn_and_rebuild)
     assert 2_500 < index.n < 3_500
+    assert active.stats.state_patches > 0
+    assert_same_index(index, oracle_index(views, "HUB"), "HUB")
+
+
+def test_perf_active_set_full_build(benchmark):
+    """Cold build of the same ~3k-transfer endpoint's index from masks
+    over the 10k-slot store: what a first read, or the first read after a
+    compaction, pays.  It must equal the per-view oracle's bit for bit."""
+    from tests.serve.test_active_set import assert_same_index, oracle_index
+
+    _, views, active, _ = _hub_population()
+
+    def cold_build():
+        active._state.clear()
+        return active.endpoint_state("HUB")
+
+    index = benchmark(cold_build)
+    assert 2_500 < index.n < 3_500
+    assert active.stats.state_patches == 0
     assert_same_index(index, oracle_index(views, "HUB"), "HUB")
 
 

@@ -268,18 +268,68 @@ class ActiveOverlapIndex:
             w = w.reshape(-1, 1)
         if w.shape[0] != te.size:
             raise ValueError("weights must have shape (n,) or (n, k)")
-        self.n = te.size
         finite = np.isfinite(te)
-        self._w_inf = w[~finite].sum(axis=0)
         te_f, w_f = te[finite], w[finite]
         order = np.argsort(te_f, kind="stable")
-        te_s, w_s = te_f[order], w_f[order]
+        self._assemble(te_f[order], w_f[order], w[~finite], None, 0)
+
+    @classmethod
+    def from_sorted(
+        cls,
+        te_sorted: np.ndarray,
+        w_tail: np.ndarray,
+        w_inf: np.ndarray,
+        base: "ActiveOverlapIndex | None" = None,
+        start: int = 0,
+    ) -> "ActiveOverlapIndex":
+        """The index over rows already in query order: finite ends
+        ``te_sorted`` ascending, the ``(m - start, k)`` weights
+        ``w_tail`` of its rows from ``start`` on, and the ``(j, k)``
+        weights ``w_inf`` of the ``te = inf`` rows.  It equals, bit for
+        bit, the index the constructor builds from the same rows in that
+        order.
+
+        With ``start > 0``, ``base`` is an index whose first ``start``
+        sorted rows are these rows' first ``start``: the prefix sums reuse
+        ``base``'s up to ``start`` and continue from there, so a few
+        changed rows cost the cumsum of the suffix past the first of them,
+        not of every row.
+        """
+        index = cls.__new__(cls)
+        index._assemble(te_sorted, w_tail, w_inf, base, start)
+        return index
+
+    def _assemble(self, te_s: np.ndarray, w_tail: np.ndarray,
+                  w_inf: np.ndarray, base: "ActiveOverlapIndex | None",
+                  start: int) -> None:
+        self.n = te_s.size + w_inf.shape[0]
+        # Summed over a C-ordered block, whatever layout the caller holds
+        # (summing along a contiguous axis would add pairwise instead).
+        self._w_inf = np.ascontiguousarray(w_inf).sum(axis=0)
         self._te_sorted = te_s
-        zero = np.zeros((1, w.shape[1]))
-        self._w_cum = np.concatenate([zero, np.cumsum(w_s, axis=0)])
-        self._wte_cum = np.concatenate(
-            [zero, np.cumsum(w_s * te_s[:, None], axis=0)]
-        )
+        # Both prefix-sum tables in one block, one table column per row:
+        # each column's cumsum is its own recurrence over contiguous
+        # memory, and one call runs them all.
+        k = w_tail.shape[1]
+        cum = np.empty((2 * k, te_s.size + 1))
+        if start == 0:
+            # Not continued at row 0: the cumsum's first entry is the row
+            # itself, while 0.0 + row turns a -0.0 weight into +0.0.
+            cum[:, 0] = 0.0
+            run = cum[:, 1:]
+        else:
+            # np.cumsum is a strict left-to-right recurrence, so seeding
+            # it with base's running sums at ``start`` repeats base's
+            # additions.
+            cum[:, :start + 1] = base._cum[:, :start + 1]
+            run = cum[:, start:]
+        w_t = w_tail.T
+        cum[:k, start + 1:] = w_t
+        np.multiply(w_t, te_s[start:], out=cum[k:, start + 1:])
+        np.cumsum(run, axis=1, out=run)
+        self._cum = cum
+        self._w_cum = cum[:k].T
+        self._wte_cum = cum[k:].T
 
     def window_sums(self, a: float, b: np.ndarray) -> np.ndarray:
         """``sum_i w_i * max(0, min(te_i, b) - a)`` per query end ``b``.

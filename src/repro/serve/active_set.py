@@ -7,12 +7,18 @@ keeps per-endpoint prefix-sum indexes (:class:`~repro.core.contention.ActiveOver
 ready for bulk feature queries.
 
 Mutations are cheap and local: ``add``/``complete``/``progress`` write a
-transfer's slot in a column store and invalidate only the two endpoints
-the transfer involves; every other endpoint's state survives untouched.
-Indexes are rebuilt lazily, from numpy masks over the store, on the next
-query of a dirtied endpoint, so a burst of updates between prediction
-batches costs one rebuild per touched endpoint, not one per update — and
-endpoints outside the burst pay nothing.
+transfer's slot in a column store and mark it pending on only the two
+endpoints the transfer involves; every other endpoint's state survives
+untouched.  Indexes are refreshed lazily, on the next query of a dirtied
+endpoint, so a burst of updates between prediction batches costs one
+refresh per touched endpoint, not one per update — and endpoints outside
+the burst pay nothing.  A refresh patches the built index: it drops the
+pending slots' old rows, merges their current rows in at their place in
+the index order, and continues the prefix sums from the first changed
+row.  An endpoint with no built index (a cold read, the first read after
+a compaction, more pending writes than indexed rows) is built whole, from
+numpy masks over the store.  A patched index is bit-identical to a
+full build of the same population.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.core.contention import ActiveOverlapIndex
 from repro.core.online import ActiveTransferView, active_views_from_log
 from repro.logs.store import LogStore
 from repro.obs import MetricsRegistry, Observability
+from repro.obs.tracing import maybe_span
 
 __all__ = [
     "ActiveSet",
@@ -76,7 +83,10 @@ _ACTIVE_METRICS: dict[str, tuple[str, str]] = {
         "active_set_progress_updates_total", "Accepted progress reports."),
     "state_rebuilds": (
         "active_set_state_rebuilds_total",
-        "Per-endpoint prefix-sum index rebuilds."),
+        "Per-endpoint prefix-sum index refreshes (full builds and patches)."),
+    "state_patches": (
+        "active_set_state_patches_total",
+        "Index refreshes patched from pending writes instead of rebuilt."),
     "ignored_adds": (
         "active_set_ignored_adds_total", "Duplicate adds dropped (lenient)."),
     "ignored_completes": (
@@ -168,6 +178,82 @@ _F_COLS = 4
 # settles below 1.5 slots per live transfer.
 _COMPACT_SHARE = 0.125
 
+# An index row's order key: its slot, plus this for an in-row (an
+# endpoint's out-rows, self-loops included, come before its in-rows).
+# Rows with equal ends sit in key order, as a stable sort over "out-rows,
+# then in-rows, each in slot order" leaves them.
+_IN_KEY = 1 << 32
+
+# Rows of the block :meth:`ActiveSet._rows` returns, one index row per
+# column: the end, the order key (exact as a float) and the five ``_M_*``
+# weights.
+_R_END = 0
+_R_KEY = 1
+_R_W = 2
+_R_COLS = _R_W + _M_COLS
+
+
+class _Built:
+    """One endpoint's served index with what patching it needs: the order
+    key of each of its rows in index order (by end, then key, so the
+    ``inf``-end rows come last, in key order), and the rows written since,
+    as order key -> the end the row is indexed under (None for a slot not
+    indexed yet).  A row's weights are not kept: until its slot is
+    written, the store still holds them."""
+
+    __slots__ = ("index", "key", "pending")
+
+    def __init__(self, index: ActiveOverlapIndex, key: np.ndarray) -> None:
+        self.index = index
+        self.key = key
+        self.pending: dict[int, float | None] = {}
+
+
+def _index(tail: np.ndarray, base: ActiveOverlapIndex | None,
+           start: int) -> ActiveOverlapIndex:
+    """The index whose rows from ``start`` on are the ``_R_*`` block
+    ``tail`` (in index order) and whose first ``start`` rows, all with
+    finite ends, are ``base``'s."""
+    m = int(tail[_R_END].searchsorted(np.inf))  # finite-end rows in tail
+    te = tail[_R_END, :m]
+    te = np.concatenate((base._te_sorted[:start], te)) if start else te.copy()
+    return ActiveOverlapIndex.from_sorted(
+        te, tail[_R_W:, :m].T, tail[_R_W:, m:].T, base, start)
+
+
+def _place(te: np.ndarray, key: np.ndarray, t, k) -> np.ndarray:
+    """Where rows ``(t, k)`` go among the rows of an index, ordered by
+    end, then key: the number of its rows that precede each.  ``te`` are
+    its finite ends, ``key`` all its rows' keys."""
+    t = np.asarray(t, dtype=np.float64)
+    pos = te.searchsorted(t)
+    ties = te.searchsorted(t, side="right")
+    ties[t == np.inf] = key.size  # the inf-end rows follow the finite
+    for j in np.flatnonzero(ties > pos).tolist():
+        pos[j] += key[pos[j]:ties[j]].searchsorted(k[j])
+    return pos
+
+
+def _splice(key: np.ndarray, dropped: list[int], new: np.ndarray,
+            at: list[int]) -> tuple[np.ndarray, int]:
+    """``key`` without its entries ``dropped``, with ``new``'s (in
+    order) inserted before its ``at`` (ascending), in a few slice copies;
+    also returns the first position that changed."""
+    events = sorted([(p, 0, j) for j, p in enumerate(at)]
+                    + [(d, 1, 0) for d in dropped])
+    pieces, done = [], 0
+    for p, drop, j in events:
+        if p > done:
+            pieces.append(key[done:p])
+            done = p
+        if drop:
+            done = p + 1
+        else:
+            pieces.append(new[j:j + 1])
+    pieces.append(key[done:])
+    first = events[0][0] if events else key.size
+    return np.concatenate(pieces), first
+
 
 class ActiveSet:
     """Mutable registry of in-flight transfers with per-endpoint indexes.
@@ -180,16 +266,19 @@ class ActiveSet:
         active.complete(tid)                          # completion / failure
 
     Feature queries go through :meth:`endpoint_state`, which returns the
-    (lazily rebuilt) prefix-sum index for one endpoint.
+    (lazily refreshed) prefix-sum index for one endpoint.
 
     The population lives in one column store: a slot per transfer, in
     insertion order, holding the view and its expected end, rate, streams,
     instances and endpoint codes.  ``add`` appends a slot, ``progress``
     rewrites its end and rate in place (a transfer keeps its place, as a
-    dict key does), ``complete`` marks it dead (endpoint codes -1).  A
-    dirtied endpoint's index is rebuilt from two masks over the codes, so
-    its rows come in insertion order: the order every index bit depends
-    on.
+    dict key does), ``complete`` marks it dead (endpoint codes -1).  An
+    index's rows sit by end, then out-rows before in-rows, then slot
+    order: the order every index bit depends on.  A write records its slot
+    as pending on the transfer's endpoints; the next query patches their
+    indexes from those slots' current rows.  A compaction renumbers slots,
+    so it drops every built index, and the next query of each endpoint
+    builds it from two masks over the codes.
 
     By default malformed mutations raise (``KeyError`` for unknown or
     duplicate ids, ``ValueError`` for bad values) — correct for replay,
@@ -222,7 +311,7 @@ class ActiveSet:
         self._src = np.empty(0, dtype=np.int32)
         self._dst = np.empty(0, dtype=np.int32)
         self._codes: dict[str, int] = {}  # endpoint -> code
-        self._state: dict[str, ActiveOverlapIndex] = {}
+        self._state: dict[str, _Built] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -287,7 +376,7 @@ class ActiveSet:
                 return
             raise KeyError(f"transfer {transfer_id} already active")
         self._append(transfer_id, view)
-        self._invalidate(view)
+        self._touch(view, self._slot[transfer_id], None)
         self.stats.adds += 1
         self._size_gauge.set(len(self._slot))
 
@@ -306,7 +395,7 @@ class ActiveSet:
         view = self._view_at[slot]
         self._view_at[slot] = None
         self._src[slot] = self._dst[slot] = -1
-        self._invalidate(view)
+        self._touch(view, slot, view.expected_end)
         self._size_gauge.set(len(self._slot))
         self.stats.completes += 1
         return view
@@ -347,7 +436,7 @@ class ActiveSet:
             raise
         self._view_at[slot] = view
         self._num[slot, :_F_STREAMS] = (view.expected_end, view.rate)
-        self._invalidate(view)
+        self._touch(view, slot, old.expected_end)
         self.stats.progress_updates += 1
         return view
 
@@ -379,61 +468,117 @@ class ActiveSet:
             self._view_at = [v for v in self._view_at if v is not None]
             for slot, transfer_id in enumerate(self._slot):
                 self._slot[transfer_id] = slot
+            self._state.clear()  # their keys and pending slots are stale
             return
         extra = used // 4 + 16
         self._num = np.concatenate((self._num, np.empty((extra, _F_COLS))))
         self._src = np.concatenate((self._src, np.empty(extra, np.int32)))
         self._dst = np.concatenate((self._dst, np.empty(extra, np.int32)))
 
-    def _invalidate(self, view: ActiveTransferView) -> None:
-        self._state.pop(view.src, None)
-        self._state.pop(view.dst, None)
+    def _touch(self, view: ActiveTransferView, slot: int,
+               end: float | None) -> None:
+        """Mark ``slot``'s row pending on the view's endpoints, with the
+        end it held before this write (None: a new slot).  The first write
+        since a refresh records the end the row is indexed under.  An
+        index with more pending rows than rows is dropped instead:
+        rebuilding it costs no more than patching it, and an endpoint
+        written but never read holds no unbounded pending set."""
+        for endpoint, key in ((view.src, slot), (view.dst, slot + _IN_KEY)):
+            built = self._state.get(endpoint)
+            if built is not None:
+                built.pending.setdefault(key, end)
+                if len(built.pending) > built.index.n:
+                    del self._state[endpoint]
+            if view.src == view.dst:
+                break  # a self-loop has one row, an out-row
 
     # -- queries -----------------------------------------------------------
 
     def endpoint_state(self, endpoint: str) -> ActiveOverlapIndex:
-        """The endpoint's bulk-query index (rebuilt only if dirtied).
+        """The endpoint's bulk-query index (refreshed only if dirtied).
 
         Its ``window_sums(now, b)`` returns one column per ``_M_*`` role:
         out-rate, out-streams, in-rate, in-streams, touching instances.
         """
-        state = self._state.get(endpoint)
-        if state is None:
-            if self.tracer is None:
-                state = self._build_index(endpoint)
+        built = self._state.get(endpoint)
+        if built is not None and not built.pending:
+            return built.index
+        with maybe_span(self.tracer, "active_set.rebuild",
+                        endpoint=endpoint) as sp:
+            sp.attrs["patched"] = built is not None
+            if built is None:
+                built = self._build(endpoint)
             else:
-                with self.tracer.span("active_set.rebuild",
-                                      endpoint=endpoint) as sp:
-                    state = self._build_index(endpoint)
-                    sp.attrs["transfers"] = state.n
-            self._state[endpoint] = state
-            self.stats.state_rebuilds += 1
-        return state
+                built = self._patch(endpoint, built)
+                self.stats.state_patches += 1
+            sp.attrs["transfers"] = built.index.n
+        self._state[endpoint] = built
+        self.stats.state_rebuilds += 1
+        return built.index
 
-    def _build_index(self, endpoint: str) -> ActiveOverlapIndex:
+    def _rows(self, slots: np.ndarray, code: int) -> np.ndarray:
+        """The ``_R_*`` block of ``slots`` (live, each touching endpoint
+        ``code``) in its index: end, order key and the five ``_M_*``
+        weights, zero where a transfer does not play that role (a
+        self-loop's one row plays both and counts once toward the
+        instance column)."""
+        num = np.ascontiguousarray(self._num.take(slots, axis=0).T)
+        is_out = self._src.take(slots) == code
+        is_in = self._dst.take(slots) == code
+        rows = np.empty((_R_COLS, slots.size), dtype=np.float64)
+        rows[_R_END] = num[_F_END]
+        rows[_R_KEY] = np.where(is_out, slots, slots + _IN_KEY)
+        w = rows[_R_W:]
+        w[_M_OUT_RATE:_M_OUT_STREAMS + 1] = np.where(
+            is_out, num[_F_RATE:_F_STREAMS + 1], 0.0)
+        w[_M_IN_RATE:_M_IN_STREAMS + 1] = np.where(
+            is_in, num[_F_RATE:_F_STREAMS + 1], 0.0)
+        w[_M_TOUCH] = num[_F_INSTANCES]
+        return rows
+
+    def _build(self, endpoint: str) -> _Built:
         """One index over every transfer touching ``endpoint``, with the
-        five ``_M_*`` weight columns (zero where a transfer does not play
-        that role), so the batch fix-point answers the endpoint's whole
-        feature row with one binary search per query.  Rows: the
-        endpoint's out-transfers, then its in-transfers that are not
-        self-loops (a self-loop's one row plays both roles and counts once
-        toward the instance column), each in slot order."""
+        five ``_M_*`` weight columns, so the batch fix-point answers the
+        endpoint's whole feature row with one binary search per query.
+        Rows: the endpoint's out-transfers, then its in-transfers that are
+        not self-loops, each in slot order (so in key order), stably
+        sorted by end."""
         used = len(self._view_at)
         code = self._codes.get(endpoint, -2)  # -2: matches no slot
         src, dst = self._src[:used], self._dst[:used]
         is_src = src == code
-        out_rows = np.flatnonzero(is_src)
-        in_rows = np.flatnonzero((dst == code) & ~is_src)
-        num = self._num[np.concatenate((out_rows, in_rows))]
-        k = out_rows.size
-        weights = np.zeros((num.shape[0], _M_COLS), dtype=np.float64)
-        rate_streams = slice(_F_RATE, _F_STREAMS + 1)
-        weights[:k, _M_OUT_RATE:_M_OUT_STREAMS + 1] = num[:k, rate_streams]
-        weights[k:, _M_IN_RATE:_M_IN_STREAMS + 1] = num[k:, rate_streams]
-        loops = np.flatnonzero(dst[out_rows] == code)
-        weights[loops, _M_IN_RATE:_M_IN_STREAMS + 1] = num[loops, rate_streams]
-        weights[:, _M_TOUCH] = num[:, _F_INSTANCES]
-        return ActiveOverlapIndex(num[:, _F_END], weights)
+        slots = np.concatenate((np.flatnonzero(is_src),
+                                np.flatnonzero((dst == code) & ~is_src)))
+        rows = self._rows(slots, code)
+        rows = rows.take(np.argsort(rows[_R_END], kind="stable"), axis=1)
+        return _Built(_index(rows, None, 0), rows[_R_KEY].astype(np.int64))
+
+    def _patch(self, endpoint: str, built: _Built) -> _Built:
+        """``built`` with its pending rows deleted and their slots' current
+        rows (live ones) merged in at their place in the index order; the
+        prefix sums continue from the first row that changed, and only
+        the rows from there on are read back from the store."""
+        gone, new = [], []  # (end, key) pairs; a pending key is its row's
+        for key, end in built.pending.items():
+            if end is not None:
+                gone.append((end, key))
+            slot = key & (_IN_KEY - 1)
+            if self._src[slot] >= 0:
+                new.append((float(self._num[slot, _F_END]), key))
+        new.sort()
+        te, key = built.index._te_sorted, built.key
+        pos = _place(te, key, [e for e, _ in gone + new],
+                     [k for _, k in gone + new]).tolist()
+        key, first = _splice(key, sorted(pos[:len(gone)]),
+                             np.array([k for _, k in new], dtype=np.int64),
+                             pos[len(gone):])
+        # The first changed row may be an inf-end one: the finite rows
+        # then all stay, but every inf row is read back for their sum.
+        finite = te.size + sum((e != np.inf) for e, _ in new) \
+            - sum((e != np.inf) for e, _ in gone)
+        start = min(first, finite)
+        tail = self._rows(key[start:] & (_IN_KEY - 1), self._codes[endpoint])
+        return _Built(_index(tail, built.index, start), key)
 
     def get(self, transfer_id: int) -> ActiveTransferView:
         return self._view_at[self._slot[transfer_id]]

@@ -6,8 +6,9 @@ It plays three roles at once:
 
 **Router.**  Mutation records (:mod:`repro.serve.mutation`: transfer
 add/progress/complete, drift observations) are validated, appended to an
-in-memory replication log and broadcast to every worker — contention
-state is fully replicated, predictions are partitioned.  A predict batch
+in-memory replication log and broadcast to every worker pipelined (each
+worker is sent the batch before any ack is read) — contention state is
+fully replicated, predictions are partitioned.  A predict batch
 is grouped by the consistent-hash ring, dispatched to all owning shards
 pipelined (send everything, then collect), and reassembled in submission
 order.
@@ -314,19 +315,28 @@ class ShardCluster:
 
     def _request(self, handle: _Handle, payload: dict,
                  timeout: float) -> dict:
-        """One request/response exchange.  Replies are matched by ``id``;
-        stale replies (from a request that timed out earlier) are
-        discarded, so a retry never pairs with the wrong answer."""
+        """One request/response exchange."""
+        return self._await(handle, self._send(handle, payload),
+                           payload.get("op"), timeout)
+
+    def _send(self, handle: _Handle, payload: dict) -> int:
+        """Send one request; returns the ``id`` its reply will carry."""
         handle.req_id += 1
         send_frame(handle.sock, {**payload, "id": handle.req_id})
+        return handle.req_id
+
+    def _await(self, handle: _Handle, req_id: int, op: str | None,
+               timeout: float) -> dict:
+        """The reply to request ``req_id``.  Replies are matched by
+        ``id``; stale replies (from a request that timed out earlier) are
+        discarded, so a retry never pairs with the wrong answer."""
         while True:
             reply = recv_frame(handle.sock, timeout)
-            if reply.get("id") == handle.req_id:
+            if reply.get("id") == req_id:
                 break
         if "error" in reply:
             raise ProtocolError(
-                f"{handle.name} failed {payload.get('op')!r}: "
-                f"{reply['error']}")
+                f"{handle.name} failed {op!r}: {reply['error']}")
         return reply
 
     def _request_retry(self, handle: _Handle, payload: dict,
@@ -355,6 +365,13 @@ class ShardCluster:
         from the rejected batch is logged or sent — a record every worker
         refuses would otherwise be replayed into every restart and take
         the shards DOWN.  The log keeps the canonical form of each record.
+
+        Every UP shard is sent its first pending chunk before any ack is
+        read, so the workers journal and apply the batch at once; the acks
+        are then read in slot order.  A shard with more than one chunk to
+        catch up continues on its own there, and a failed send, like a
+        failed ack, is recovered in slot order, so events come in the
+        order a one-shard-at-a-time broadcast emits them.
         """
         records = []
         for i, record in enumerate(mutations):
@@ -364,11 +381,20 @@ class ShardCluster:
                 raise ValueError(f"mutation {i}: {exc}") from None
         self._mutations.extend(records)
         self._m_mutations.inc(len(records))
-        for handle in self._handles.values():
-            if handle.state is not ShardState.UP:
-                continue
+        up = [h for h in self._handles.values() if h.state is ShardState.UP]
+        sent: dict[str, int | ProtocolError] = {}
+        for handle in up:
+            if handle.acked_seq < self.seq:
+                try:
+                    sent[handle.name] = self._send_chunk(handle)
+                except ProtocolError as exc:
+                    sent[handle.name] = exc
+        for handle in up:
+            first = sent.get(handle.name)
             try:
-                self._send_pending(handle)
+                if isinstance(first, ProtocolError):
+                    raise first
+                self._send_pending(handle, first)
             except ProtocolError as exc:
                 self._recover_shard(handle, context="mutate", error=exc)
 
@@ -377,26 +403,20 @@ class ShardCluster:
         """The global mutation sequence (log head)."""
         return self._base + len(self._mutations)
 
-    def _send_pending(self, handle: _Handle) -> None:
+    def _send_pending(self, handle: _Handle,
+                      sent: int | None = None) -> None:
         """Drive ``handle`` from its journaled seq to the log head in
-        chunks.  The worker's reply carries its durable ``last_seq``, so
-        progress is measured by what actually hit the journal — a lost
-        ack never causes a double-send.  A worker whose journal ends
-        before the compacted log's base (its state dir was lost, or its
-        recovery stopped short of a corrupt record) cannot be caught up
-        from the log: that is a ``ProtocolError`` too, so the slot goes
-        DOWN and degrades instead of serving a state it never held."""
+        chunks (``sent``: the id of a first chunk already sent).  The
+        worker's reply carries its durable ``last_seq``, so progress is
+        measured by what actually hit the journal — a lost ack never
+        causes a double-send."""
         target = self.seq
         while handle.acked_seq < target:
-            start = handle.acked_seq - self._base
-            if start < 0:
-                raise ProtocolError(
-                    f"{handle.name} is behind the compacted log "
-                    f"(acked {handle.acked_seq}, base {self._base})")
-            chunk = self._mutations[start:start + REPLAY_CHUNK]
-            reply = self._request(
-                handle, {"op": "mutate", "mutations": chunk},
-                self.config.mutate_timeout_s)
+            if sent is None:
+                sent = self._send_chunk(handle)
+            reply = self._await(handle, sent, "mutate",
+                                self.config.mutate_timeout_s)
+            sent = None
             new_seq = int(reply["last_seq"])
             if new_seq <= handle.acked_seq:
                 raise ProtocolError(
@@ -404,6 +424,21 @@ class ShardCluster:
                     f"{handle.acked_seq}")
             handle.acked_seq = new_seq
             self._g_seq[handle.name].set(new_seq)
+
+    def _send_chunk(self, handle: _Handle) -> int:
+        """Send ``handle`` the log chunk after its journaled seq; returns
+        the request id.  A worker whose journal ends before the compacted
+        log's base (its state dir was lost, or its recovery stopped short
+        of a corrupt record) cannot be caught up from the log: that is a
+        ``ProtocolError`` too, so the slot goes DOWN and degrades instead
+        of serving a state it never held."""
+        start = handle.acked_seq - self._base
+        if start < 0:
+            raise ProtocolError(
+                f"{handle.name} is behind the compacted log "
+                f"(acked {handle.acked_seq}, base {self._base})")
+        chunk = self._mutations[start:start + REPLAY_CHUNK]
+        return self._send(handle, {"op": "mutate", "mutations": chunk})
 
     # -- failure handling --------------------------------------------------
 
@@ -574,10 +609,9 @@ class ShardCluster:
             if handle.state is not ShardState.UP:
                 degraded.append((name, idxs))
                 continue
-            handle.req_id += 1
             try:
-                send_frame(handle.sock, {**frame, "id": handle.req_id})
-                pending.append((handle, frame, handle.req_id, idxs))
+                pending.append((handle, frame, self._send(handle, frame),
+                                idxs))
             except ConnectionClosed as exc:
                 if self._recover_shard(handle, context="predict", error=exc):
                     pending.append((handle, frame, None, idxs))
@@ -624,16 +658,8 @@ class ShardCluster:
         try:
             if req_id is not None:
                 try:
-                    while True:
-                        reply = recv_frame(
-                            handle.sock, self.config.request_timeout_s)
-                        if reply.get("id") == req_id:
-                            break
-                    if "error" in reply:
-                        raise ProtocolError(
-                            f"{handle.name} failed 'predict': "
-                            f"{reply['error']}")
-                    return reply
+                    return self._await(handle, req_id, "predict",
+                                       self.config.request_timeout_s)
                 except FrameTimeout:
                     self._m_retries[handle.name].inc()
                     return self._request_retry(

@@ -470,3 +470,166 @@ class TestIndexMatchesOracle:
             active.add(tid, v)
         for e in ("A", "B"):
             assert_same_index(active.endpoint_state(e), oracle_index(views, e), e)
+
+
+# -- the patch path: a built index refreshed from its pending writes ---------
+
+
+def assert_all_endpoints(active: ActiveSet, views: dict, where: str) -> None:
+    for e in QUERY_ENDPOINTS:
+        assert_same_index(active.endpoint_state(e), oracle_index(views, e),
+                          f"{where} endpoint {e}")
+
+
+class _Twin:
+    """A strict set and its insertion-ordered reference population, fed
+    the same writes; :meth:`check` reads every endpoint against the
+    oracle and returns how many of those reads were patches."""
+
+    def __init__(self, views: dict | None = None) -> None:
+        self.active = ActiveSet()
+        self.views: dict[int, ActiveTransferView] = {}
+        for tid, view in (views or {}).items():
+            self.add(tid, view)
+
+    def add(self, tid: int, view: ActiveTransferView) -> None:
+        self.active.add(tid, view)
+        self.views[tid] = view
+
+    def complete(self, tid: int) -> None:
+        self.active.complete(tid)
+        del self.views[tid]
+
+    def progress(self, tid: int, rate=None, end=None) -> None:
+        self.views[tid] = self.active.progress(tid, rate=rate,
+                                               expected_end=end)
+
+    def check(self, where: str) -> int:
+        before = self.active.stats.state_patches
+        assert_all_endpoints(self.active, self.views, where)
+        return self.active.stats.state_patches - before
+
+
+class TestPatchedIndex:
+    """Every refresh of a built index is a patch that must equal the
+    per-view build bit for bit; each case asserts that patches happened,
+    so a silent fallback to full builds cannot pass."""
+
+    def test_every_read_after_every_write(self):
+        active = ActiveSet(lenient=True)
+        views: dict[int, ActiveTransferView] = {}
+        for step, op in enumerate(seeded_mutations(11, 900)):
+            if op[0] == "snapshot":
+                continue
+            _apply_reference(views, op)
+            _apply_active(active, op)
+            assert_all_endpoints(active, views, f"step {step}")
+        stats = active.stats
+        assert stats.state_patches > 1000
+        assert stats.state_rebuilds > stats.state_patches
+
+    def test_progress_across_a_run_of_tied_ends(self):
+        twin = _Twin({
+            0: _view(src="A", dst="B", end=10.0),
+            1: _view(src="B", dst="A", end=10.0, rate=2e8),
+            2: _view(src="A", dst="C", end=10.0, rate=3e8),
+            3: _view(src="A", dst="B", end=5.0, rate=4e8),
+            4: _view(src="C", dst="A", end=10.0, rate=5e8),
+            5: _view(src="A", dst="D", end=20.0, rate=6e8),
+        })
+        twin.check("built")
+        twin.progress(3, end=10.0)        # into the run, between keys
+        assert twin.check("end 5 -> 10") > 0
+        twin.progress(0, end=30.0)        # out of the run, past its end
+        twin.progress(4, rate=7e8)        # in place inside the run
+        assert twin.check("end 10 -> 30, rate") > 0
+        twin.progress(0, end=10.0)        # back to the head of the run
+        twin.progress(5, end=10.0)
+        assert twin.check("back into the run") > 0
+
+    def test_finite_and_inf_ends_swap(self):
+        twin = _Twin({
+            0: _view(src="A", dst="B", end=float("inf")),
+            1: _view(src="A", dst="B", end=40.0, rate=2e8),
+            2: _view(src="B", dst="A", end=float("inf"), rate=3e8),
+            3: _view(src="B", dst="A", end=15.0, rate=4e8),
+        })
+        twin.check("built")
+        twin.progress(1, end=float("inf"))
+        twin.progress(2, end=25.0)
+        assert twin.check("finite <-> inf") > 0
+        twin.progress(0, end=5.0)
+        twin.progress(1, end=50.0)
+        twin.progress(3, end=float("inf"))
+        assert twin.check("every end flipped") > 0
+
+    def test_add_and_complete_between_reads(self):
+        twin = _Twin({0: _view(src="A", dst="B", end=30.0),
+                      1: _view(src="B", dst="A", end=20.0, rate=2e8)})
+        twin.check("built")
+        twin.add(9, _view(src="A", dst="B", end=25.0, rate=9e8))
+        twin.complete(9)                  # never indexed, gone again
+        assert twin.check("add + complete") > 0
+        twin.add(9, _view(src="B", dst="A", end=25.0, rate=8e8))
+        twin.complete(0)
+        twin.add(0, _view(src="A", dst="C", end=20.0, rate=7e8))
+        assert twin.check("re-added ids") > 0
+
+    def test_self_loop_progress(self):
+        twin = _Twin({0: _view(src="A", dst="A", end=20.0),
+                      1: _view(src="A", dst="B", end=20.0, rate=2e8),
+                      2: _view(src="B", dst="A", end=10.0, rate=3e8)})
+        twin.check("built")
+        twin.progress(0, rate=5e8, end=5.0)
+        assert twin.check("self-loop moved to the head") > 0
+        twin.progress(0, end=float("inf"))
+        twin.add(3, _view(src="A", dst="A", end=20.0, rate=4e8))
+        assert twin.check("self-loops: inf and a new tie") > 0
+
+    def test_negative_zero_rate_at_position_zero(self):
+        twin = _Twin({0: _view(src="A", dst="B", end=5.0),
+                      1: _view(src="A", dst="B", end=10.0, rate=2e8)})
+        twin.check("built")
+        twin.progress(0, rate=-0.0)
+        assert twin.check("-0.0 rate at the first row") > 0
+        w_cum = twin.active.endpoint_state("A")._w_cum
+        assert np.signbit(w_cum[1, _M_OUT_RATE])  # 0.0 + -0.0 would be +0.0
+        twin.progress(1, rate=-0.0, end=1.0)
+        assert twin.check("a second -0.0 row moved to the head") > 0
+
+    def test_compaction_while_writes_are_pending(self):
+        rng = np.random.default_rng(3)
+        twin = _Twin({tid: _stream_view(rng) for tid in range(40)})
+        twin.check("built")
+        for tid in range(0, 40, 2):
+            twin.complete(tid)
+        twin.progress(1, rate=1e7)
+        assert twin.check("completions patched") > 0
+        twin.progress(3, rate=2e7)        # pending when the store compacts
+        used, tid = 0, 100
+        while len(twin.active._view_at) > used:  # until it compacts
+            used = len(twin.active._view_at)
+            twin.add(tid, _stream_view(rng))
+            tid += 1
+        assert twin.active._state == {}   # every built index dropped
+        assert twin.check("after the compaction") == 0
+        twin.progress(5, rate=3e7)
+        twin.complete(7)
+        assert twin.check("patched again") > 0
+
+    def test_writes_past_the_pending_bound(self):
+        twin = _Twin({0: _view(src="A", dst="B", end=10.0),
+                      1: _view(src="B", dst="C", end=10.0)})
+        twin.check("built")
+        twin.progress(0, rate=2e8)
+        assert twin.check("one pending write") > 0
+        for tid in range(10, 12):
+            twin.add(tid, _view(src="A", dst="C", end=5.0 + tid))
+        assert "A" not in twin.active._state  # 2 pending > 1 indexed row
+        assert "B" in twin.active._state
+        patches = twin.active.stats.state_patches
+        assert_same_index(twin.active.endpoint_state("A"),
+                          oracle_index(twin.views, "A"), "A rebuilt")
+        assert twin.active.stats.state_patches == patches
+        twin.progress(10, end=float("inf"))
+        assert twin.check("patched after the rebuild") > 0

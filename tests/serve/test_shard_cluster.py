@@ -8,6 +8,7 @@ always means *bit-identical to the unsharded code*.
 
 import hashlib
 import multiprocessing
+import select
 import shutil
 
 import numpy as np
@@ -154,6 +155,73 @@ class TestFailover:
         assert np.array_equal(np.asarray(detail.rates),
                               np.asarray(ref.rates))
         assert len(set(cluster.fingerprints().values())) == 1
+
+    def test_broadcast_sends_every_shard_before_reading_an_ack(
+            self, cluster3, monkeypatch):
+        cluster, *_ = cluster3
+        calls = []
+        send, await_ = cluster._send, cluster._await
+
+        def logged_send(handle, payload):
+            calls.append(("send", handle.name))
+            return send(handle, payload)
+
+        def logged_await(handle, req_id, op, timeout):
+            calls.append(("ack", handle.name))
+            return await_(handle, req_id, op, timeout)
+
+        monkeypatch.setattr(cluster, "_send", logged_send)
+        monkeypatch.setattr(cluster, "_await", logged_await)
+        cluster.apply_mutations([mutation.complete(0)])
+        names = ["shard-0", "shard-1", "shard-2"]
+        assert calls == [("send", n) for n in names] + [
+            ("ack", n) for n in names]
+        assert {r["acked_seq"] for r in cluster.status()} == {cluster.seq}
+
+    @pytest.mark.parametrize("victim", ["shard-0", "shard-1"])
+    def test_kill_between_mutate_send_and_ack(self, tmp_path, monkeypatch,
+                                              victim):
+        """A worker SIGKILLed after its mutate frame was sent and before
+        the router read its ack (already written) is found dead on the
+        next call, restarted and replayed: its fingerprint and answers
+        then equal the in-process twin's."""
+        chain, views, requests = _fixture_data()
+        twin = ServingState()
+        reference = _reference(chain, views)
+        with ShardCluster(chain, tmp_path / "state", shards=2,
+                          obs=Observability.create(trace=False)) as cluster:
+            _add_views(cluster, views)
+            for i, v in enumerate(views):
+                twin.apply(mutation.add(i, v))
+            await_ = cluster._await
+            killed = []
+
+            def kill_before_ack(handle, req_id, op, timeout):
+                if op == "mutate" and handle.name == victim and not killed:
+                    select.select([handle.sock], [], [], 10.0)
+                    killed.append(handle.pid)
+                    cluster.kill(victim)
+                return await_(handle, req_id, op, timeout)
+
+            monkeypatch.setattr(cluster, "_await", kill_before_ack)
+            for tid in (0, 1):
+                cluster.apply_mutations([mutation.complete(tid)])
+                twin.apply(mutation.complete(tid))
+                reference.active.complete(tid)
+            assert killed
+            rows = {r["shard"]: r for r in cluster.status()}
+            assert rows[victim]["restarts"] == 1
+            assert rows[victim]["state"] == "up"
+            assert rows[victim]["pid"] != killed[0]
+            assert cluster.fingerprints() == {
+                name: fingerprint_digest(twin.state_fingerprint())
+                for name in ("shard-0", "shard-1")}
+            detail = cluster.predict_batch_detailed(requests, now=0.0)
+        ref = reference.predict_batch_detailed(requests, now=0.0)
+        assert np.asarray(detail.rates).tobytes() == \
+            np.asarray(ref.rates).tobytes()
+        assert list(detail.tiers) == list(ref.tiers)
+        assert ModelTier.DEGRADED not in detail.tiers
 
     def test_shard_behind_the_compacted_log_goes_down(self, tmp_path):
         """A worker that restarts with a journal ending before the
