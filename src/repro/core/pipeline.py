@@ -304,7 +304,6 @@ def _filtered_edge_rows(
     features: FeatureMatrix,
     src: str,
     dst: str,
-    threshold: float,
     threshold_mask_full: np.ndarray,
 ) -> np.ndarray:
     rows = features.edge_rows(src, dst)
@@ -346,7 +345,7 @@ def fit_edge_model(
             if _threshold_mask is not None
             else threshold_mask(features.store, threshold)
         )
-        rows = _filtered_edge_rows(features, src, dst, threshold, mask)
+        rows = _filtered_edge_rows(features, src, dst, mask)
         if rows.size < min_samples:
             raise ValueError(
                 f"edge {src}->{dst}: only {rows.size} transfers above the "
@@ -669,9 +668,7 @@ def fit_global_model(
     with maybe_span(tracer, "pipeline.fit_global", edges=len(edges),
                     model=model):
         mask = threshold_mask(features.store, threshold)
-        row_list = [
-            _filtered_edge_rows(features, s, d, threshold, mask) for s, d in edges
-        ]
+        row_list = [_filtered_edge_rows(features, s, d, mask) for s, d in edges]
         rows = np.sort(np.concatenate([r for r in row_list if r.size]))
         if rows.size < 10:
             raise ValueError("too few pooled transfers for a global model")

@@ -8,8 +8,8 @@ available, so this package implements the required pieces on top of NumPy:
   normalisation (§5, preprocessing).
 - :class:`~repro.ml.linear.LinearRegression` — ordinary least squares with a
   coefficient report used for the Figure 9 explanation study.
-- :class:`~repro.ml.tree.RegressionTree` — exact-greedy second-order
-  regression tree, the weak learner for boosting.
+- :class:`~repro.ml.tree.RegressionTree` — histogram second-order
+  regression tree, the weak learner boosting grows.
 - :class:`~repro.ml.gbt.GradientBoostingRegressor` — XGBoost-style
   second-order gradient boosting with shrinkage, L2 leaf regularisation,
   row/column subsampling and gain-based feature importances (Figure 12).

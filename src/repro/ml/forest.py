@@ -1,7 +1,6 @@
 """Flattened forest kernel: all trees of a fitted GBT in one node table.
 
-:class:`~repro.ml.tree.RegressionTree` already predicts with a vectorised
-level-by-level walk, but a boosted model pays that walk once *per tree* —
+This is the only tree walk in ``src/``.  A walk per tree would pay
 ``n_estimators`` rounds of python dispatch, per-tree gathers, and a fresh
 output vector each round.  :class:`FlattenedForest` packs every tree's node
 arrays into one contiguous table and descends **all samples through all
@@ -39,17 +38,18 @@ Bit-exactness
 -------------
 Leaf values are accumulated **sequentially in tree order** by one
 ``np.add.accumulate`` down a ``(n_trees + 1, rows)`` stack whose row 0 is
-the running output.  ``add.accumulate`` is defined as a running sum
+the base score.  ``add.accumulate`` is defined as a running sum
 (``r[t] = r[t-1] + x[t]``), so every output rounds exactly as
 ``base + l0 + l1 + ...`` does in a per-tree loop, but in one C pass instead
 of ``n_trees`` interpreted adds.  ``np.sum`` is never used: its pairwise
 reduction rounds differently.  The learning rate is folded into the leaf
 values at flatten time — ``lr * leaf`` is the exact same scalar multiply
 the per-tree loop performs.  The result is bit-identical to
-``base_score + sum_t lr * tree_t.predict_binned(binner.transform(X))``;
-``tests/ml/test_forest.py`` pins this property over randomized models and
-at serving shapes (one row of a 300-tree model, chunk boundaries, NaN,
-``±inf``, exact thresholds).
+``base_score + sum_t lr * walk(tree_t, binner.transform(X))``, where
+``walk`` is the binned per-tree walk kept as the oracle in
+``tests/ml/grower_oracle.py``; ``tests/ml/test_forest.py`` pins this
+property over randomized models and at serving shapes (one row of a
+300-tree model, chunk boundaries, NaN, ``±inf``, exact thresholds).
 
 All gathers run with ``mode='clip'`` — indices are in range by
 construction, and skipping numpy's bounds-check fault path roughly halves
@@ -151,33 +151,10 @@ class FlattenedForest:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict from raw feature rows; bit-identical to the per-tree
         loop over binned codes."""
-        out = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        self._accumulate(X, out, None)
-        return out
-
-    def leaf_value_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree scaled leaf contributions, shape ``(n_trees, n)``.
-
-        A tree-order running sum (``np.add.accumulate``) of ``base_score``
-        stacked on these rows reproduces staged prediction; its last row is
-        :meth:`predict`.  Used by
-        ``GradientBoostingRegressor.staged_predict``.
-        """
-        vals = np.empty((self.n_trees, X.shape[0]), dtype=np.float64)
-        self._accumulate(X, None, vals)
-        return vals
-
-    # -- kernel ------------------------------------------------------------
-
-    def _accumulate(
-        self,
-        X: np.ndarray,
-        out: np.ndarray | None,
-        vals_out: np.ndarray | None,
-    ) -> None:
         t0 = time.perf_counter()
         n, n_features = X.shape
         T = self.n_trees
+        out = np.empty(n, dtype=np.float64)
         # NaN bins like +inf (last bin); fmin maps NaN to +inf and keeps
         # every other value, in one C-ordered copy.
         xs = np.fmin(X, np.inf, order="C", dtype=np.float64)
@@ -188,8 +165,8 @@ class FlattenedForest:
         x, thr = np.empty((2, lanes), dtype=np.float64)
         f = np.empty(lanes, dtype=np.int32)
         go = np.empty(lanes, dtype=np.bool_)
-        # Per-chunk stack: row 0 is the running output, rows 1..T the leaves.
-        stack = None if out is None else np.empty(lanes + chunk)
+        # Per-chunk stack: row 0 is the base score, rows 1..T the leaves.
+        stack = np.empty(lanes + chunk)
         row_base = np.arange(chunk, dtype=np.int64) * n_features
 
         for s in range(0, n, chunk):
@@ -209,16 +186,13 @@ class FlattenedForest:
                 np.greater(xx, tt, out=gg)
                 np.take(self.left_, nd, out=nd, mode="clip")
                 np.add(nd, gg, out=nd, casting="unsafe")
-            if vals_out is not None:
-                leaf = self.value_.take(nd, mode="clip")
-                vals_out[:, s:e] = leaf.reshape(T, cn)
-            if out is not None:
-                # add.accumulate is a running sum (r[t] = r[t-1] + x[t]), so
-                # each output rounds as base + l0 + l1 + ... in tree order;
-                # np.sum's pairwise reduction would round differently.
-                acc = stack[: L + cn].reshape(T + 1, cn)
-                acc[0] = out[s:e]
-                np.take(self.value_, nd, out=acc[1:].reshape(-1), mode="clip")
-                np.add.accumulate(acc, axis=0, out=acc)
-                out[s:e] = acc[T]
+            # add.accumulate is a running sum (r[t] = r[t-1] + x[t]), so
+            # each output rounds as base + l0 + l1 + ... in tree order;
+            # np.sum's pairwise reduction would round differently.
+            acc = stack[: L + cn].reshape(T + 1, cn)
+            acc[0] = self.base_score
+            np.take(self.value_, nd, out=acc[1:].reshape(-1), mode="clip")
+            np.add.accumulate(acc, axis=0, out=acc)
+            out[s:e] = acc[T]
         _TOTALS["predict_seconds"] += time.perf_counter() - t0
+        return out

@@ -11,32 +11,29 @@ learners with second-order statistics under squared-error loss, supporting
 the regularisation knobs that matter for the reproduction: shrinkage
 (``learning_rate``), L2 leaf penalty (``reg_lambda``), complexity penalty
 (``gamma``), ``min_child_weight``, row subsampling and per-tree column
-subsampling, plus early stopping on a validation split.
+subsampling.  Like the paper's fits it runs a fixed number of rounds.
 
 A fit bins once, builds one :class:`~repro.ml.tree.BinLayout`, and grows
 every tree of :mod:`repro.ml.tree` on global row indices against it.
 The grower returns each leaf's rows, out-of-bag rows included, so the
-residuals are refreshed from that partition rather than by a
-``predict_binned`` pass per tree; ``predict_binned`` runs only for an
-``eval_set``.  Only fitting bins: ``predict`` runs :mod:`repro.ml.forest`
-on raw values, going right where ``x > upper_edges_[f][b]``, which is
-``code > b`` because the grower never cuts at a feature's last bin.
+residuals are refreshed from that partition, with no tree walk.  Only
+fitting bins: ``predict`` runs :mod:`repro.ml.forest` on raw values,
+going right where ``x > upper_edges_[f][b]``, which is ``code > b``
+because the grower never cuts at a feature's last bin.
 
 A fitted model crosses a process pipe (``repro.exec.parallel_map``
 hands fitted edges back from its workers) as one pickle state: the
 trees' eight node fields as one concatenated array each plus the cut
 offsets, rebuilt on load as views by offset slicing.  Plain pickling
 would send some 2,400 small arrays per 300-tree model, and the
-per-array overhead dominates.  The memoized forest and the training
-curves ride along.  The JSON codec of :mod:`repro.ml.persistence` stays
-the only on-disk format.
+per-array overhead dominates.  The memoized forest rides along.  The
+JSON codec of :mod:`repro.ml.persistence` stays the only on-disk format.
 
-Their oracles live in ``tests/``: a golden fingerprint of the grown trees
-(``tests/ml/test_tree.py``); the per-tree grower plus per-tree
-``predict_binned`` residual refresh that every tree, ``train_scores_``
-and ``eval_scores_`` must match bit for bit (``tests/ml/grower_oracle.py``);
-and a per-tree ``predict_binned`` loop that ``predict`` must match bit
-for bit (``tests/ml/test_forest.py``).
+Their oracles live in ``tests/ml/``: a golden fingerprint of the grown
+trees (``test_tree.py``); the per-node grower plus a per-tree binned walk
+refreshing the residuals, which every tree must match bit for bit
+(``grower_oracle.py``); and the per-tree binned walk summed in tree order,
+which ``predict`` must match bit for bit (``test_forest.py``).
 """
 
 from __future__ import annotations
@@ -69,9 +66,7 @@ def _pack_trees(trees: list[RegressionTree]) -> dict:
     return packed
 
 
-def _unpack_trees(
-    packed: dict, params: TreeGrowthParams, max_bins: int
-) -> list[RegressionTree]:
+def _unpack_trees(packed: dict, params: TreeGrowthParams) -> list[RegressionTree]:
     """Inverse of :func:`_pack_trees`: each tree's arrays are views into
     the packed ones, cut by plain slicing (``np.split`` costs about three
     times as much at these sizes)."""
@@ -83,7 +78,7 @@ def _unpack_trees(
     feature_arrays = [(name, packed[name]) for name in _FEATURE_FIELDS]
     trees = []
     for i in range(len(node_cuts) - 1):
-        tree = RegressionTree(params, max_bins)
+        tree = RegressionTree(params)
         lo, hi = node_cuts[i], node_cuts[i + 1]
         for name, arr in node_arrays:
             setattr(tree, name, arr[lo:hi])
@@ -100,7 +95,7 @@ class GradientBoostingRegressor:
     Parameters
     ----------
     n_estimators:
-        Maximum number of trees.
+        Number of trees (boosting rounds).
     learning_rate:
         Shrinkage applied to every tree's leaf weights.
     max_depth, min_child_weight, reg_lambda, gamma:
@@ -111,9 +106,6 @@ class GradientBoostingRegressor:
         Fraction of features eligible per tree.
     max_bins:
         Histogram resolution for split finding.
-    early_stopping_rounds:
-        If set, :meth:`fit` with ``eval_set`` stops when the validation RMSE
-        fails to improve for this many consecutive rounds.
     random_state:
         Seed for row/column subsampling.
 
@@ -139,7 +131,6 @@ class GradientBoostingRegressor:
         subsample: float = 1.0,
         colsample_bytree: float = 1.0,
         max_bins: int = 256,
-        early_stopping_rounds: int | None = None,
         random_state: int | None = None,
     ) -> None:
         if n_estimators < 1:
@@ -161,27 +152,18 @@ class GradientBoostingRegressor:
         self.subsample = subsample
         self.colsample_bytree = colsample_bytree
         self.max_bins = max_bins
-        self.early_stopping_rounds = early_stopping_rounds
         self.random_state = random_state
 
         self.trees_: list[RegressionTree] = []
         self.base_score_: float = 0.0
         self.binner_: QuantileBinner | None = None
         self.n_features_: int | None = None
-        self.train_scores_: list[float] = []
-        self.eval_scores_: list[float] = []
-        self.best_iteration_: int | None = None
         self._forest: FlattenedForest | None = None
 
     # -- fitting ----------------------------------------------------------
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        eval_set: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> "GradientBoostingRegressor":
-        """Fit on (X, y); optionally monitor (X_val, y_val) for early stop."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
+        """Fit ``n_estimators`` trees on (X, y)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -194,42 +176,22 @@ class GradientBoostingRegressor:
         rng = np.random.default_rng(self.random_state)
 
         self.binner_ = QuantileBinner(self.max_bins).fit(X)
-        codes = self.binner_.transform(X)
-        n_bins = self.binner_.n_bins_
-
         self.base_score_ = float(y.mean())
         pred = np.full(n, self.base_score_)
-
-        val_codes = None
-        val_pred = None
-        y_val = None
-        if eval_set is not None:
-            X_val, y_val = eval_set
-            y_val = np.asarray(y_val, dtype=np.float64).ravel()
-            if not np.isfinite(y_val).all():
-                raise ValueError("eval_set target contains NaN or infinite values")
-            val_codes = self.binner_.transform(np.asarray(X_val, dtype=np.float64))
-            val_pred = np.full(y_val.shape[0], self.base_score_)
-
         self.trees_ = []
         self._forest = None  # flattened snapshot is invalid once refit starts
-        self.train_scores_ = []
-        self.eval_scores_ = []
-        best_val = np.inf
-        rounds_since_best = 0
-        self.best_iteration_ = None
 
         n_sub = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample_bytree * self.n_features_)))
 
         # One bin layout per fit; every tree grows on global row indices.
-        layout = BinLayout(codes, n_bins)
+        layout = BinLayout(self.binner_.transform(X), self.binner_.n_bins_)
         all_rows = np.arange(n, dtype=np.int64)
         in_bag = np.zeros(n, dtype=bool)
         # Row 0 holds the gradients, row 1 the (unit) hessians.
         gh = np.ones((2, n), dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for it in range(self.n_estimators):
+            for _ in range(self.n_estimators):
                 np.subtract(pred, y, out=gh[0])  # d/dpred of 1/2 (pred - y)^2
 
                 if n_sub < n:
@@ -248,31 +210,11 @@ class GradientBoostingRegressor:
                 else:
                     cols = None
 
-                tree = RegressionTree(self.tree_params, self.max_bins)
+                tree = RegressionTree(self.tree_params)
                 leaves = tree._grow(layout, gh, rows, n_sub, layout.allowed(cols))
                 self.trees_.append(tree)
-
                 for node, leaf_rows in leaves:
                     pred[leaf_rows] += self.learning_rate * tree.node_value_[node]
-                self.train_scores_.append(float(np.sqrt(np.mean((pred - y) ** 2))))
-
-                if val_codes is not None:
-                    val_pred += self.learning_rate * tree.predict_binned(val_codes)
-                    val_rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
-                    self.eval_scores_.append(val_rmse)
-                    if val_rmse < best_val - 1e-12:
-                        best_val = val_rmse
-                        rounds_since_best = 0
-                        self.best_iteration_ = it
-                    else:
-                        rounds_since_best += 1
-                        if (
-                            self.early_stopping_rounds is not None
-                            and rounds_since_best >= self.early_stopping_rounds
-                        ):
-                            # Keep only the trees up to the best iteration.
-                            self.trees_ = self.trees_[: self.best_iteration_ + 1]
-                            break
         return self
 
     # -- pickling ---------------------------------------------------------
@@ -286,9 +228,7 @@ class GradientBoostingRegressor:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.trees_ = _unpack_trees(
-            state["trees_"], self.tree_params, self.max_bins
-        )
+        self.trees_ = _unpack_trees(state["trees_"], self.tree_params)
 
     # -- inference --------------------------------------------------------
 
@@ -300,7 +240,7 @@ class GradientBoostingRegressor:
             )
         return self._forest
 
-    def _check_predict_input(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         if self.binner_ is None:
             raise RuntimeError("model used before fit()")
         X = np.asarray(X, dtype=np.float64)
@@ -308,27 +248,7 @@ class GradientBoostingRegressor:
             raise ValueError(
                 f"X shape {X.shape} incompatible with {self.n_features_} features"
             )
-        return X
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_predict_input(X)
         return self._ensure_forest().predict(X)
-
-    def staged_predict(self, X: np.ndarray):
-        """Yield predictions after each boosting round (for learning curves).
-
-        Each yielded array is an independent snapshot of one row of a
-        single ``np.add.accumulate`` over the base row stacked on the leaf
-        value matrix: the same tree-order running sum ``predict`` rounds by.
-        """
-        X = self._check_predict_input(X)
-        vals = self._ensure_forest().leaf_value_matrix(X)
-        stages = np.empty((vals.shape[0] + 1, X.shape[0]))
-        stages[0] = self.base_score_
-        stages[1:] = vals
-        np.add.accumulate(stages, axis=0, out=stages)
-        for row in stages[1:]:
-            yield row.copy()
 
     # -- explanation ------------------------------------------------------
 

@@ -123,12 +123,10 @@ def _tree_to_dict(t: RegressionTree) -> dict:
     return {key: _arr(getattr(t, attr)) for attr, key, _ in FITTED_FIELDS}
 
 
-def _tree_from_dict(
-    d: dict, params: TreeGrowthParams, max_bins: int, index: int
-) -> RegressionTree:
+def _tree_from_dict(d: dict, params: TreeGrowthParams, index: int) -> RegressionTree:
     """Decode tree ``index``; a value its field's dtype cannot hold (a bin
     of 10**10 in an int32 field) raises ``ValueError`` naming both."""
-    t = RegressionTree(params, max_bins)
+    t = RegressionTree(params)
     for attr, key, dtype in FITTED_FIELDS:
         try:
             setattr(t, attr, np.array(d[key], dtype=dtype))
@@ -237,8 +235,7 @@ def _gbt_from_dict(d: dict) -> GradientBoostingRegressor:
     m.n_features_ = int(d["n_features"])
     m.binner_ = _binner_from_dict(d["binner"])
     m.trees_ = [
-        _tree_from_dict(td, m.tree_params, m.max_bins, i)
-        for i, td in enumerate(d["trees"])
+        _tree_from_dict(td, m.tree_params, i) for i, td in enumerate(d["trees"])
     ]
     _check_gbt(m)
     return m

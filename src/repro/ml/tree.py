@@ -7,12 +7,14 @@ Following Chen & Guestrin's formulation, a split of node statistics
     1/2 * [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda) ] - gamma
 
 and the optimal leaf weight is ``-G / (H + lambda)``.  With squared-error
-loss, ``g_i = (yhat_i - y_i)`` and ``h_i = 1``, which also makes this class a
-plain variance-reduction CART regressor when used standalone.
+loss, ``g_i = (yhat_i - y_i)`` and ``h_i = 1``.
 
 Split finding is histogram-based: features are pre-binned by
 :class:`repro.ml.binning.QuantileBinner` and per-node (G, H) histograms are
 accumulated with ``np.bincount`` — O(n) per feature per node, no sorting.
+A tree is its fitted node arrays (:data:`FITTED_FIELDS`) plus the grower
+that fills them; it has no walk of its own.  Prediction runs every tree
+of a model at once in :mod:`repro.ml.forest`.
 
 A :class:`BinLayout` lays the binned matrix out as one concatenated bin
 space (offsets, bin-to-feature map, segment starts, histogram keys and
@@ -24,7 +26,7 @@ vectorised over the concatenated bin space, and each split computes the
 histogram for the smaller child only — the larger child is ``parent -
 sibling`` (LightGBM's subtraction trick).  Out-of-bag rows ride through
 the row partition behind the in-bag prefix, so the grower hands back
-every row's leaf and boosting needs no ``predict_binned`` to refresh its
+every row's leaf and boosting needs no tree walk to refresh its
 residuals.
 
 The bits depend on three things, kept on purpose: each node sums its
@@ -37,10 +39,11 @@ not histogram width (``docs/performance.md``, "GBT fit").
 
 The oracles live in ``tests/ml/``: a brute-force per-feature ``bincount``
 + ``cumsum`` split scan that the root split must match and a golden
-fingerprint of the trees grown on seeded data (``test_tree.py``), and the
+fingerprint of the trees grown on seeded data (``test_tree.py``); the
 per-node grower that rebuilt its bin space for every tree, which every
 node array must match bit for bit (``grower_oracle.py``,
-``test_grower_parity.py``).
+``test_grower_parity.py``); and, beside it, the binned per-tree walk and
+the bin-then-grow helper those tests drive a lone tree with.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.ml.binning import QuantileBinner
 
 __all__ = ["BinLayout", "FITTED_FIELDS", "RegressionTree", "TreeGrowthParams"]
 
@@ -104,24 +105,15 @@ class TreeGrowthParams:
 
 
 class RegressionTree:
-    """A single gradient tree, stored in flat arrays for fast prediction.
+    """A single gradient tree, stored in flat arrays.
 
-    Standalone use fits squared error directly::
-
-        tree = RegressionTree(TreeGrowthParams(max_depth=3)).fit(X, y)
-        yhat = tree.predict(X)
-
-    Inside boosting, :meth:`fit_binned` consumes pre-binned codes plus
-    per-sample gradients/hessians.
+    :meth:`_grow` fills the arrays; boosting
+    (:class:`~repro.ml.gbt.GradientBoostingRegressor`) calls it once per
+    round and :mod:`repro.ml.forest` walks the result.
     """
 
-    def __init__(
-        self,
-        params: TreeGrowthParams | None = None,
-        max_bins: int = 256,
-    ):
-        self.params = params or TreeGrowthParams()
-        self.max_bins = max_bins
+    def __init__(self, params: TreeGrowthParams):
+        self.params = params
         # Flat node arrays, filled by _grow().
         self.node_feature_: np.ndarray | None = None  # int32, _LEAF for leaves
         self.node_bin_: np.ndarray | None = None      # int32 split bin code
@@ -131,108 +123,6 @@ class RegressionTree:
         self.node_gain_: np.ndarray | None = None     # float64 split gain
         self.feature_gain_: np.ndarray | None = None  # total gain per feature
         self.feature_count_: np.ndarray | None = None # split count per feature
-        self._binner: QuantileBinner | None = None    # standalone mode only
-
-    # -- public API -------------------------------------------------------
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        """Fit a squared-error regression tree on raw features."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes X{X.shape} y{y.shape}")
-        if not np.isfinite(y).all():
-            raise ValueError("y contains NaN or infinite values")
-        self._binner = QuantileBinner(self.max_bins).fit(X)
-        codes = self._binner.transform(X)
-        # Squared error with yhat = 0: g = -y, h = 1; leaf weight -G/(H+λ)
-        # then approximates the (regularised) node mean of y.
-        grad = -y
-        hess = np.ones_like(y)
-        self.fit_binned(codes, grad, hess, self._binner.n_bins_)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict raw features (standalone mode: bins internally)."""
-        if self._binner is None:
-            raise RuntimeError(
-                "predict() requires fit(); boosted trees use predict_binned()"
-            )
-        return self.predict_binned(self._binner.transform(X))
-
-    def fit_binned(
-        self,
-        codes: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        n_bins: np.ndarray,
-        feature_subset: np.ndarray | None = None,
-    ) -> "RegressionTree":
-        """Grow the tree on pre-binned codes with per-sample (g, h).
-
-        Parameters
-        ----------
-        codes:
-            uint16 array (n_samples, n_features) from
-            :class:`~repro.ml.binning.QuantileBinner`.
-        grad, hess:
-            First and second order loss derivatives per sample.
-        n_bins:
-            Bin count per feature (``QuantileBinner.n_bins_``).
-        feature_subset:
-            Optional indices of features eligible for splits (column
-            subsampling); all features by default.
-        """
-        codes = np.asarray(codes)
-        grad = np.asarray(grad, dtype=np.float64).ravel()
-        hess = np.asarray(hess, dtype=np.float64).ravel()
-        if codes.ndim != 2 or codes.shape[0] != grad.shape[0]:
-            raise ValueError(f"bad shapes codes{codes.shape} grad{grad.shape}")
-        if grad.shape != hess.shape:
-            raise ValueError("grad/hess shape mismatch")
-        layout = BinLayout(codes, n_bins)
-        rows = np.arange(codes.shape[0], dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._grow(
-                layout,
-                np.stack([grad, hess]),
-                rows,
-                rows.size,
-                layout.allowed(feature_subset),
-            )
-        return self
-
-    def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        """Predict on pre-binned codes (vectorised level-by-level walk)."""
-        if self.node_feature_ is None:
-            raise RuntimeError("tree used before fit")
-        codes = np.asarray(codes)
-        n = codes.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        # All samples descend in lock-step; at most max_depth iterations.
-        for _ in range(self.params.max_depth + 1):
-            feat = self.node_feature_[node]
-            active = feat != _LEAF
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            f = feat[idx]
-            go_left = codes[idx, f] <= self.node_bin_[node[idx]]
-            nxt = np.where(
-                go_left, self.node_left_[node[idx]], self.node_right_[node[idx]]
-            )
-            node[idx] = nxt
-        return self.node_value_[node]
-
-    @property
-    def n_nodes(self) -> int:
-        return 0 if self.node_feature_ is None else self.node_feature_.size
-
-    @property
-    def n_leaves(self) -> int:
-        if self.node_feature_ is None:
-            return 0
-        return int(np.sum(self.node_feature_ == _LEAF))
 
     # -- growth -----------------------------------------------------------
 

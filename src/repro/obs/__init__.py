@@ -116,32 +116,26 @@ class Observability:
     def create(
         cls,
         trace: bool = True,
-        max_spans: int = 4096,
-        drift_window: int = 256,
-        max_events: int = 2048,
         events_path: str | Path | None = None,
         slos: list[SLO] | None = None,
         flight_latency_s: float | None = None,
-        flight_tier: str | None = None,
     ) -> "Observability":
         """A fully wired bundle: every component shares the registry, so
         one export carries spans, counters, drift, events, and SLO burn.
 
         Pass ``slos`` to attach an :class:`SLOEngine` and
-        ``flight_latency_s`` (and/or ``flight_tier``) to attach a
-        :class:`FlightRecorder`; both wire themselves to the bundle's
-        event log so alerts and exemplars land in the same stream.
+        ``flight_latency_s`` to attach a :class:`FlightRecorder`; both wire
+        themselves to the bundle's event log so alerts and exemplars land
+        in the same stream.  Every component keeps its own default size;
+        build one by hand (``DriftMonitor(registry=obs.registry,
+        window=16)``) to change it.
         """
         registry = MetricsRegistry()
-        events = EventLog(
-            path=events_path, registry=registry, max_events=max_events)
+        events = EventLog(path=events_path, registry=registry)
         flight = None
-        if flight_latency_s is not None or flight_tier is not None:
+        if flight_latency_s is not None:
             flight = FlightRecorder(
-                latency_threshold_s=(
-                    flight_latency_s if flight_latency_s is not None else 0.25
-                ),
-                tier_threshold=flight_tier,
+                latency_threshold_s=flight_latency_s,
                 registry=registry,
                 events=events,
             )
@@ -151,8 +145,8 @@ class Observability:
                 slos, registry=registry, events=events, flight=flight)
         return cls(
             registry=registry,
-            tracer=Tracer(enabled=trace, max_spans=max_spans, registry=registry),
-            drift=DriftMonitor(registry=registry, window=drift_window),
+            tracer=Tracer(enabled=trace, registry=registry),
+            drift=DriftMonitor(registry=registry),
             events=events,
             slo=slo,
             flight=flight,

@@ -286,12 +286,6 @@ class SLOEngine:
                 labels={"slo": name},
             ).set(float(value))
 
-    def sample_registry(self, registry: MetricsRegistry, now: float) -> None:
-        """Record one sample per source-bearing SLO from a registry."""
-        for slo in self.slos.values():
-            if slo.source is not None:
-                self.record(slo.name, read_source(registry, slo.source), now)
-
     # -- evaluation --------------------------------------------------------
 
     def _burn(self, slo: SLO, window_s: float, now: float) -> tuple[float, int]:

@@ -74,7 +74,7 @@ class TestFitAllParity:
             for name in ("kept", "significance", "test_errors"):
                 assert_same_array(getattr(a, name), getattr(b, name))
             # The fit's own eval built the forest; it must come back too.
-            assert len(b.model.train_scores_) == 30
+            assert len(b.model.trees_) == 30
             assert b.model._forest is not None
             assert_same_gbt(a.model, b.model)
             assert a.scaler.ddof == b.scaler.ddof

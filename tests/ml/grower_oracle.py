@@ -1,11 +1,16 @@
-"""The per-node grower and the per-tree residual refresh, kept as oracles.
+"""The per-node grower, the binned tree walk and the per-tree residual
+refresh, kept as oracles.
 
 ``src/`` grows every tree of a boosting fit on one
-:class:`~repro.ml.tree.BinLayout` over global row indices, and refreshes
-the residuals from the grower's row partition.  The readable versions
+:class:`~repro.ml.tree.BinLayout` over global row indices, refreshes the
+residuals from the grower's row partition, and predicts with one walk
+over all trees at once (:mod:`repro.ml.forest`).  The readable versions
 below rebuild the bin space for every tree, grow on a copied in-bag
-subset, and refresh the residuals with one ``predict_binned`` per tree.
-``tests/ml/test_grower_parity.py`` holds the two to the same bits.
+subset, and walk one tree at a time over binned codes
+(:func:`predict_binned`).  ``tests/ml/test_grower_parity.py`` and
+``tests/ml/test_forest.py`` hold the two to the same bits.
+:func:`grow` and :func:`fit_tree` drive one tree of ``src/`` on its own,
+for the tree-behaviour tests of ``tests/ml/test_tree.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +19,66 @@ import numpy as np
 
 from repro.ml.binning import QuantileBinner
 from repro.ml.gbt import GradientBoostingRegressor
-from repro.ml.tree import _LEAF, RegressionTree, TreeGrowthParams
+from repro.ml.tree import _LEAF, BinLayout, RegressionTree, TreeGrowthParams
 
-__all__ = ["fit_reference", "grow_reference", "leaf_of"]
+__all__ = [
+    "fit_reference", "fit_tree", "grow", "grow_reference", "leaf_of",
+    "predict_binned",
+]
+
+
+def grow(
+    params: TreeGrowthParams,
+    codes: np.ndarray,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    n_bins: np.ndarray,
+    feature_subset: np.ndarray | None = None,
+) -> RegressionTree:
+    """One tree of ``src/`` grown on all rows of pre-binned codes."""
+    layout = BinLayout(codes, n_bins)
+    rows = np.arange(codes.shape[0], dtype=np.int64)
+    tree = RegressionTree(params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tree._grow(layout, np.stack([grad, hess]), rows, rows.size,
+                   layout.allowed(feature_subset))
+    return tree
+
+
+def fit_tree(
+    params: TreeGrowthParams, X: np.ndarray, y: np.ndarray, max_bins: int = 256
+) -> tuple[RegressionTree, np.ndarray]:
+    """Bin ``X`` and grow one squared-error tree on it; returns the tree
+    and the training rows' codes.
+
+    With ``yhat = 0``, ``g = -y`` and ``h = 1``, so the leaf weight
+    ``-G/(H+lambda)`` is the (regularised) node mean of ``y``.
+    """
+    binner = QuantileBinner(max_bins).fit(X)
+    codes = binner.transform(X)
+    tree = grow(params, codes, -y, np.ones_like(y), binner.n_bins_)
+    return tree, codes
+
+
+def leaf_of(tree: RegressionTree, codes: np.ndarray) -> np.ndarray:
+    """Leaf node index of every row: all rows descend one level at a time."""
+    node = np.zeros(codes.shape[0], dtype=np.int64)
+    for _ in range(tree.params.max_depth + 1):
+        feat = tree.node_feature_[node]
+        active = feat != _LEAF
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        go_left = codes[idx, feat[idx]] <= tree.node_bin_[node[idx]]
+        node[idx] = np.where(
+            go_left, tree.node_left_[node[idx]], tree.node_right_[node[idx]]
+        )
+    return node
+
+
+def predict_binned(tree: RegressionTree, codes: np.ndarray) -> np.ndarray:
+    """One tree's leaf weights for binned rows."""
+    return tree.node_value_[leaf_of(tree, codes)]
 
 
 def grow_reference(
@@ -169,30 +231,14 @@ def _best_split(
     return f, int(b - offsets[f]), float(gains[b])
 
 
-def leaf_of(tree: RegressionTree, codes: np.ndarray) -> np.ndarray:
-    """Leaf node index of every row, one row and one node at a time."""
-    out = np.empty(codes.shape[0], dtype=np.int64)
-    for i, row in enumerate(codes):
-        node = 0
-        while tree.node_feature_[node] != _LEAF:
-            f = tree.node_feature_[node]
-            node = (tree.node_left_[node] if row[f] <= tree.node_bin_[node]
-                    else tree.node_right_[node])
-        out[i] = node
-    return out
-
-
 def fit_reference(
-    model: GradientBoostingRegressor,
-    X: np.ndarray,
-    y: np.ndarray,
-    eval_set: tuple[np.ndarray, np.ndarray] | None = None,
+    model: GradientBoostingRegressor, X: np.ndarray, y: np.ndarray
 ) -> GradientBoostingRegressor:
     """``model.fit`` with a per-tree grower and a per-tree residual refresh.
 
     Draws the same row and column samples as ``fit`` from the same seed,
     grows each tree on a copy of its in-bag rows, and adds each tree to the
-    predictions with ``predict_binned`` over every row.
+    predictions with :func:`predict_binned` over every row.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -203,24 +249,13 @@ def fit_reference(
     n_bins = model.binner_.n_bins_
     model.base_score_ = float(y.mean())
     pred = np.full(n, model.base_score_)
-    val_codes = val_pred = y_val = None
-    if eval_set is not None:
-        X_val, y_val = eval_set
-        y_val = np.asarray(y_val, dtype=np.float64).ravel()
-        val_codes = model.binner_.transform(np.asarray(X_val, dtype=np.float64))
-        val_pred = np.full(y_val.shape[0], model.base_score_)
 
     model.trees_ = []
     model._forest = None
-    model.train_scores_ = []
-    model.eval_scores_ = []
-    model.best_iteration_ = None
-    best_val = np.inf
-    rounds_since_best = 0
     n_sub = max(1, int(round(model.subsample * n)))
     n_cols = max(1, int(round(model.colsample_bytree * model.n_features_)))
     hess = np.ones(n, dtype=np.float64)
-    for it in range(model.n_estimators):
+    for _ in range(model.n_estimators):
         grad = pred - y
         rows = rng.choice(n, size=n_sub, replace=False) if n_sub < n else None
         cols = None
@@ -233,22 +268,5 @@ def fit_reference(
                 model.tree_params, codes[rows], grad[rows], hess[rows], n_bins, cols
             )
         model.trees_.append(tree)
-        pred += model.learning_rate * tree.predict_binned(codes)
-        model.train_scores_.append(float(np.sqrt(np.mean((pred - y) ** 2))))
-        if val_codes is not None:
-            val_pred += model.learning_rate * tree.predict_binned(val_codes)
-            val_rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
-            model.eval_scores_.append(val_rmse)
-            if val_rmse < best_val - 1e-12:
-                best_val = val_rmse
-                rounds_since_best = 0
-                model.best_iteration_ = it
-            else:
-                rounds_since_best += 1
-                if (
-                    model.early_stopping_rounds is not None
-                    and rounds_since_best >= model.early_stopping_rounds
-                ):
-                    model.trees_ = model.trees_[: model.best_iteration_ + 1]
-                    break
+        pred += model.learning_rate * predict_binned(tree, codes)
     return model

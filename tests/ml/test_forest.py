@@ -2,12 +2,12 @@
 
 The kernel's contract is exact: ``GradientBoostingRegressor.predict``
 (one node table of raw thresholds, all trees at once) must be
-*bit-identical* to :func:`predict_tree_loop` (the per-tree
-``predict_binned`` loop over binned codes below) for any fitted model.
-These tests pin that property over randomized models — varied depth,
-bin budgets, subsampling, early-stop truncation — and at the edges of
-the raw compare (NaN, ±inf, exact thresholds), plus the
-staged-prediction and counter side contracts.
+*bit-identical* to :func:`predict_tree_loop` (the per-tree binned walk
+of ``tests/ml/grower_oracle.py`` over binned codes, summed in tree order)
+for any fitted model.  These tests pin that property over randomized
+models — varied depth, bin budgets, subsampling — and at the edges of
+the raw compare (NaN, ±inf, exact thresholds), plus the counter side
+contract.
 """
 
 import numpy as np
@@ -23,13 +23,15 @@ from repro.ml.forest import (
 )
 from repro.ml.gbt import GradientBoostingRegressor
 
+from tests.ml.grower_oracle import predict_binned
+
 
 def predict_tree_loop(model, X):
-    """Reference prediction: each tree's ``predict_binned``, summed in order."""
+    """Reference prediction: each tree's binned walk, summed in order."""
     codes = model.binner_.transform(np.asarray(X, dtype=np.float64))
     out = np.full(codes.shape[0], model.base_score_)
     for tree in model.trees_:
-        out += model.learning_rate * tree.predict_binned(codes)
+        out += model.learning_rate * predict_binned(tree, codes)
     return out
 
 
@@ -56,17 +58,6 @@ class TestForestParity:
         ).fit(X, y)
         one = X_test[:1]
         assert np.array_equal(model.predict(one), predict_tree_loop(model, one))
-
-    def test_early_stop_truncated_model(self):
-        X, y, X_test = _data(2, n=400)
-        model = GradientBoostingRegressor(
-            n_estimators=300,
-            max_depth=3,
-            random_state=0,
-            early_stopping_rounds=3,
-        ).fit(X[:300], y[:300], eval_set=(X[300:], y[300:]))
-        assert len(model.trees_) < 300  # truncation actually happened
-        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_unpacked_wide_bin_path(self):
         # Bin codes wider than 15 bits: raw thresholds see no bin width,
@@ -227,51 +218,6 @@ def _edge_rows(model, n: int, kind: str) -> np.ndarray:
         )
         X[-1] = np.nan
     return X
-
-
-class TestStagedPredict:
-    def test_snapshots_are_independent(self):
-        X, y, X_test = _data(6)
-        model = GradientBoostingRegressor(
-            n_estimators=8, max_depth=3, random_state=0
-        ).fit(X, y)
-        stages = list(model.staged_predict(X_test))
-        assert len(stages) == 8
-        # Mutating one yielded snapshot must not corrupt the others.
-        stages[0][:] = np.nan
-        assert np.isfinite(stages[1]).all()
-
-    def test_final_stage_matches_predict(self):
-        X, y, X_test = _data(7)
-        model = GradientBoostingRegressor(
-            n_estimators=12, max_depth=4, random_state=0
-        ).fit(X, y)
-        *_, last = model.staged_predict(X_test)
-        assert np.array_equal(last, model.predict(X_test))
-
-    def test_stage_t_matches_truncated_loop(self):
-        X, y, X_test = _data(8)
-        model = GradientBoostingRegressor(
-            n_estimators=6, max_depth=3, random_state=0
-        ).fit(X, y)
-        stages = list(model.staged_predict(X_test))
-        codes = model.binner_.transform(X_test)
-        ref = np.full(X_test.shape[0], model.base_score_)
-        for t, tree in enumerate(model.trees_):
-            ref += model.learning_rate * tree.predict_binned(codes)
-            assert np.array_equal(stages[t], ref)
-
-    def test_leaf_value_matrix_rows_sum_to_predict(self):
-        X, y, X_test = _data(9)
-        model = GradientBoostingRegressor(
-            n_estimators=10, max_depth=3, random_state=0
-        ).fit(X, y)
-        forest = model._ensure_forest()
-        vals = forest.leaf_value_matrix(X_test)
-        out = np.full(X_test.shape[0], model.base_score_)
-        for t in range(vals.shape[0]):
-            out += vals[t]
-        assert np.array_equal(out, model.predict(X_test))
 
 
 class TestForestTotals:

@@ -43,20 +43,16 @@ def assert_same_array(a, b):
 
 
 def assert_same_gbt(a, b):
-    """Two GBT models equal in every fitted attribute: trees, training
-    curves, binner and memoized forest."""
+    """Two GBT models equal in every fitted attribute: trees, binner and
+    memoized forest."""
     assert type(a) is type(b) is GradientBoostingRegressor
     assert a.base_score_ == b.base_score_
     assert a.n_features_ == b.n_features_
     assert len(a.trees_) == len(b.trees_)
     for ta, tb in zip(a.trees_, b.trees_):
         assert ta.params == tb.params
-        assert ta.max_bins == tb.max_bins
         for name in TREE_FIELDS:
             assert_same_array(getattr(ta, name), getattr(tb, name))
-    assert a.train_scores_ == b.train_scores_
-    assert a.eval_scores_ == b.eval_scores_
-    assert a.best_iteration_ == b.best_iteration_
     if a.binner_ is None:
         assert b.binner_ is None
     else:
@@ -83,7 +79,7 @@ def _data(seed, n=120, d=4):
     return X, y
 
 
-def _fit(n_estimators, depth, seed, early_stop):
+def _fit(n_estimators, depth, seed):
     X, y = _data(seed)
     model = GradientBoostingRegressor(
         n_estimators=n_estimators,
@@ -91,11 +87,8 @@ def _fit(n_estimators, depth, seed, early_stop):
         max_depth=depth,
         subsample=0.8,
         colsample_bytree=0.75,
-        early_stopping_rounds=3 if early_stop else None,
         random_state=seed,
     )
-    if early_stop:
-        return model.fit(X[:80], y[:80], eval_set=(X[80:], y[80:])), X
     return model.fit(X, y), X
 
 
@@ -126,22 +119,16 @@ def _census(model):
     n_estimators=st.integers(1, 40),
     depth=st.integers(1, 5),
     seed=st.integers(0, 10_000),
-    early_stop=st.booleans(),
     forest_built=st.booleans(),
 )
-def test_property_round_trip_is_bit_exact(
-    n_estimators, depth, seed, early_stop, forest_built
-):
-    model, X = _fit(n_estimators, depth, seed, early_stop)
+def test_property_round_trip_is_bit_exact(n_estimators, depth, seed, forest_built):
+    model, X = _fit(n_estimators, depth, seed)
     if forest_built:
         model.predict(X[:1])
     copy = _round_trip(model)
     assert_same_gbt(model, copy)
     X_new = np.random.default_rng(seed + 1).uniform(-0.5, 1.5, size=(40, 4))
     assert_same_array(copy.predict(X_new), model.predict(X_new))
-    for a, b in zip(copy.staged_predict(X_new), model.staged_predict(X_new),
-                    strict=True):
-        assert_same_array(a, b)
     for kind in ("gain", "count"):
         assert_same_array(
             copy.feature_importances(kind), model.feature_importances(kind)
@@ -149,17 +136,9 @@ def test_property_round_trip_is_bit_exact(
     assert model_to_dict(copy) == model_to_dict(model)
 
 
-def test_early_stopped_fit_keeps_its_curves():
-    model, X = _fit(40, 3, 7, early_stop=True)
-    assert len(model.trees_) < 40  # the stop actually cut trees
-    copy = _round_trip(model)
-    assert copy.eval_scores_ == model.eval_scores_
-    assert copy.best_iteration_ == model.best_iteration_ == len(copy.trees_) - 1
-
-
 def test_state_holds_a_fixed_number_of_arrays_and_no_trees():
-    small, X = _fit(1, 3, 3, early_stop=False)
-    large, _ = _fit(40, 3, 3, early_stop=False)
+    small, X = _fit(1, 3, 3)
+    large, _ = _fit(40, 3, 3)
     for model in (small, large):
         model.predict(X[:1])  # the memoized forest rides along
     counts = [_census(m) for m in (small, large)]
@@ -168,7 +147,7 @@ def test_state_holds_a_fixed_number_of_arrays_and_no_trees():
 
 
 def test_forest_rides_along():
-    model, X = _fit(20, 3, 5, early_stop=False)
+    model, X = _fit(20, 3, 5)
     model.predict(X[:1])
     copy = _round_trip(model)
     assert copy._forest is not None
@@ -178,7 +157,7 @@ def test_forest_rides_along():
 
 
 def test_refit_after_round_trip_grows_the_same_trees():
-    model, _ = _fit(25, 4, 11, early_stop=False)
+    model, _ = _fit(25, 4, 11)
     X, y = _data(12)
     refit = _round_trip(model).fit(X, y)
     fresh = GradientBoostingRegressor(

@@ -1,4 +1,10 @@
-"""Unit and property tests for repro.ml.tree."""
+"""Unit and property tests for repro.ml.tree.
+
+A lone tree is grown with the test-side helpers of
+``tests/ml/grower_oracle.py`` (:func:`fit_tree` bins raw rows and grows
+one squared-error tree; :func:`grow` grows on given codes and
+gradients) and read back with its binned walk.
+"""
 
 import hashlib
 
@@ -7,8 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import GradientBoostingRegressor, RegressionTree
+from repro.ml import GradientBoostingRegressor
 from repro.ml.tree import TreeGrowthParams, _LEAF
+
+from tests.ml.grower_oracle import fit_tree, grow, leaf_of, predict_binned
+
+
+def n_nodes(tree):
+    return tree.node_feature_.size
+
+
+def n_leaves(tree):
+    return int(np.sum(tree.node_feature_ == _LEAF))
 
 
 class TestTreeGrowthParams:
@@ -27,83 +43,64 @@ class TestRegressionTreeStandalone:
     def test_fits_step_function_exactly(self):
         X = np.linspace(0, 1, 200).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float) * 10.0
-        t = RegressionTree(TreeGrowthParams(max_depth=2, reg_lambda=0.0)).fit(X, y)
-        assert np.allclose(t.predict(X), y, atol=1e-9)
+        t, codes = fit_tree(TreeGrowthParams(max_depth=2, reg_lambda=0.0), X, y)
+        assert np.allclose(predict_binned(t, codes), y, atol=1e-9)
 
     def test_depth_limit_respected(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(500, 2))
         y = rng.normal(size=500)
         for depth in (1, 2, 3):
-            t = RegressionTree(TreeGrowthParams(max_depth=depth)).fit(X, y)
-            assert t.n_leaves <= 2**depth
-            assert t.n_nodes <= 2 ** (depth + 1) - 1
+            t, _ = fit_tree(TreeGrowthParams(max_depth=depth), X, y)
+            assert n_leaves(t) <= 2**depth
+            assert n_nodes(t) <= 2 ** (depth + 1) - 1
 
     def test_stump_splits_on_informative_feature(self):
         rng = np.random.default_rng(1)
         X = np.column_stack([rng.uniform(size=300), rng.uniform(size=300)])
         y = (X[:, 1] > 0.5) * 5.0
-        t = RegressionTree(TreeGrowthParams(max_depth=1)).fit(X, y)
+        t, _ = fit_tree(TreeGrowthParams(max_depth=1), X, y)
         assert t.node_feature_[0] == 1
 
     def test_leaf_value_is_regularised_mean(self):
         y = np.array([2.0, 4.0])
         X = np.zeros((2, 1))  # no split possible
-        t = RegressionTree(TreeGrowthParams(max_depth=2, reg_lambda=1.0)).fit(X, y)
+        t, _ = fit_tree(TreeGrowthParams(max_depth=2, reg_lambda=1.0), X, y)
         # root is leaf: value = sum(y)/(n + lambda) = 6/3
-        assert t.n_leaves == 1
+        assert n_leaves(t) == 1
         assert t.node_value_[0] == pytest.approx(2.0)
 
     def test_min_child_weight_blocks_small_splits(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.zeros(10)
         y[0] = 100.0  # only a 1-vs-9 split reduces loss
-        t = RegressionTree(
-            TreeGrowthParams(max_depth=3, min_child_weight=3.0, reg_lambda=0.0)
-        ).fit(X, y)
+        t, codes = fit_tree(
+            TreeGrowthParams(max_depth=3, min_child_weight=3.0, reg_lambda=0.0), X, y
+        )
         # The 1-sample child is forbidden; tree may split elsewhere but
         # never isolates fewer than 3 samples.
-        codes = t._binner.transform(X)
-        leaves = t.predict_binned(codes)
-        _, counts = np.unique(leaves, return_counts=True)
+        _, counts = np.unique(leaf_of(t, codes), return_counts=True)
         assert counts.min() >= 3
 
     def test_gamma_prunes_weak_splits(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(200, 1))
         y = rng.normal(0, 0.01, size=200)  # nearly no structure
-        t = RegressionTree(TreeGrowthParams(max_depth=4, gamma=100.0)).fit(X, y)
-        assert t.n_leaves == 1
+        t, _ = fit_tree(TreeGrowthParams(max_depth=4, gamma=100.0), X, y)
+        assert n_leaves(t) == 1
 
     def test_feature_gain_tracks_splits(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(400, 3))
         y = 10.0 * (X[:, 2] > 0.3)
-        t = RegressionTree(TreeGrowthParams(max_depth=3)).fit(X, y)
+        t, _ = fit_tree(TreeGrowthParams(max_depth=3), X, y)
         assert t.feature_gain_[2] == t.feature_gain_.max()
-        assert t.feature_count_.sum() == t.n_nodes - t.n_leaves
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            RegressionTree().predict(np.zeros((1, 1)))
-        with pytest.raises(RuntimeError):
-            RegressionTree().predict_binned(np.zeros((1, 1), dtype=np.uint16))
-
-    def test_bad_shapes(self):
-        with pytest.raises(ValueError):
-            RegressionTree().fit(np.ones((3, 1)), np.ones(4))
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_target_rejected(self, bad):
-        y = np.arange(6.0)
-        y[2] = bad
-        with pytest.raises(ValueError, match="y contains"):
-            RegressionTree().fit(np.arange(6.0).reshape(-1, 1), y)
+        assert t.feature_count_.sum() == n_nodes(t) - n_leaves(t)
 
 
 class TestTreeInvariants:
     def _structure_ok(self, t):
-        n = t.n_nodes
+        n = n_nodes(t)
         for i in range(n):
             if t.node_feature_[i] != _LEAF:
                 assert 0 < t.node_left_[i] < n
@@ -114,7 +111,7 @@ class TestTreeInvariants:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(300, 4))
         y = X[:, 0] ** 2 + rng.normal(0, 0.1, 300)
-        t = RegressionTree(TreeGrowthParams(max_depth=5)).fit(X, y)
+        t, _ = fit_tree(TreeGrowthParams(max_depth=5), X, y)
         self._structure_ok(t)
 
     def test_deeper_tree_never_worse_in_sample(self):
@@ -123,10 +120,10 @@ class TestTreeInvariants:
         y = np.sin(6 * X[:, 0]) + rng.normal(0, 0.05, 500)
         errs = []
         for depth in (1, 3, 6):
-            t = RegressionTree(TreeGrowthParams(max_depth=depth, reg_lambda=0.0)).fit(
-                X, y
+            t, codes = fit_tree(
+                TreeGrowthParams(max_depth=depth, reg_lambda=0.0), X, y
             )
-            errs.append(float(np.mean((t.predict(X) - y) ** 2)))
+            errs.append(float(np.mean((predict_binned(t, codes) - y) ** 2)))
         assert errs[0] >= errs[1] >= errs[2]
 
 
@@ -185,9 +182,7 @@ class TestSplitFinding:
             max_depth=1, min_child_weight=min_child_weight,
             reg_lambda=reg_lambda, gamma=gamma,
         )
-        tree = RegressionTree(params).fit_binned(
-            codes, grad, hess, n_bins, feature_subset=features
-        )
+        tree = grow(params, codes, grad, hess, n_bins, features)
         best, cuts = brute_force_split(codes, grad, hess, n_bins, features, params)
         if best is None:
             assert tree.node_feature_[0] == _LEAF
@@ -248,7 +243,7 @@ def test_property_in_sample_mse_never_exceeds_constant_model(n, depth, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = rng.normal(size=n)
-    t = RegressionTree(TreeGrowthParams(max_depth=depth, reg_lambda=0.0)).fit(X, y)
-    mse_tree = float(np.mean((t.predict(X) - y) ** 2))
+    t, codes = fit_tree(TreeGrowthParams(max_depth=depth, reg_lambda=0.0), X, y)
+    mse_tree = float(np.mean((predict_binned(t, codes) - y) ** 2))
     mse_mean = float(np.mean((y - y.mean()) ** 2))
     assert mse_tree <= mse_mean + 1e-9

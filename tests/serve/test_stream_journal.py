@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.logs.io import read_jsonl, write_jsonl
 from repro.ml.persistence import model_to_dict
-from repro.obs import Observability, stream_slos
+from repro.obs import DriftMonitor, Observability, stream_slos
 from repro.serve.fallback import FallbackChain
 from repro.serve.fixtures import make_synthetic_model
 from repro.serve.stream import (
@@ -43,8 +43,9 @@ def _fake_fit(task):
 
 def _build(root, live, store, crash_hook=None, **config):
     obs = Observability.create(
-        trace=False, drift_window=16, slos=stream_slos(),
+        trace=False, slos=stream_slos(),
         events_path=root / "state" / "events.jsonl")
+    obs.drift = DriftMonitor(registry=obs.registry, window=16)
     controller = RetrainController(
         FallbackChain.from_log(store), obs.drift,
         policy=RetrainPolicy(min_samples=3, min_fit_rows=4, buffer_rows=24,
