@@ -17,9 +17,11 @@ log imperfections), so ``read_csv``/``read_jsonl`` support two modes:
 
 One ingest rule holds for both readers and for the stream tail
 (:class:`repro.serve.stream.TailIngester`), because all three run one
-line path, :func:`decode_lines` → :func:`consume_header` (CSV only) →
-:func:`parse_log_lines`; a whole-file read is a tail read of the whole
-file:
+read loop, :func:`read_log_blocks`: blocks of about :data:`_READ_BLOCK`
+bytes of whole lines through :func:`decode_lines` →
+:func:`consume_header` (CSV only) → :func:`parse_log_lines`, so a read
+holds one block of text plus the kept rows.  A whole-file read is a tail
+read of the whole file:
 
 - a record is one ``\\n``-terminated line (a whole-file read also takes
   an unterminated last line; a tail holds it back until its newline
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -65,6 +68,7 @@ __all__ = [
     "read_csv",
     "write_jsonl",
     "read_jsonl",
+    "read_log_blocks",
     "decode_lines",
     "consume_header",
     "parse_log_lines",
@@ -83,8 +87,8 @@ _RAW_TRUNCATE = 160
 # which re-derives the exact per-row quarantine verdicts.
 _BULK_BATCH = 2048
 
-# Bytes a whole-file read takes at a time; each block is cut after its
-# last newline, so a read holds one block of text plus the kept rows.
+# Bytes read_log_blocks takes at a time; each block is cut after its
+# last newline.
 _READ_BLOCK = 1 << 20
 
 
@@ -125,6 +129,11 @@ class QuarantineReport:
     total_rows: int = 0
     kept_rows: int = 0
     rows: list[QuarantinedRow] = field(default_factory=list)
+    # Kept by add(), so a report without rows (a tail session) still
+    # counts: distinct lines (a line's violations arrive together) and
+    # violations per stable reason category.
+    quarantined_rows: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
 
     def add(
         self,
@@ -134,24 +143,30 @@ class QuarantineReport:
         raw: str = "",
         category: str = "",
     ) -> None:
-        self.rows.append(
-            QuarantinedRow(
-                line_no=line_no,
-                field=field_name,
-                reason=reason,
-                raw=raw[:_RAW_TRUNCATE],
-                category=category,
-            )
+        row = QuarantinedRow(
+            line_no=line_no,
+            field=field_name,
+            reason=reason,
+            raw=raw[:_RAW_TRUNCATE],
+            category=category,
         )
+        if not self.rows or self.rows[-1].line_no != line_no:
+            self.quarantined_rows += 1
+        self.rows.append(row)
+        key = row.reason_key
+        self.reasons[key] = self.reasons.get(key, 0) + 1
 
-    @property
-    def quarantined_rows(self) -> int:
-        """Distinct input lines quarantined (not violation count)."""
-        return len({r.line_no for r in self.rows})
+    def merge_counts(self, other: "QuarantineReport") -> None:
+        """Add ``other``'s counts to this report's, leaving its rows out."""
+        self.total_rows += other.total_rows
+        self.kept_rows += other.kept_rows
+        self.quarantined_rows += other.quarantined_rows
+        for key, n in other.reasons.items():
+            self.reasons[key] = self.reasons.get(key, 0) + n
 
     @property
     def ok(self) -> bool:
-        return not self.rows
+        return not self.quarantined_rows
 
     def reason_counts(self) -> dict[str, int]:
         """Violations per stable reason category, sorted by category.
@@ -160,11 +175,7 @@ class QuarantineReport:
         contributes 3 to ``missing_field``; :attr:`quarantined_rows` has
         the distinct-line count.
         """
-        counts: dict[str, int] = {}
-        for r in self.rows:
-            key = r.reason_key
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(self.reasons.items()))
 
     def as_dict(self) -> dict:
         return {
@@ -177,20 +188,22 @@ class QuarantineReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuarantineReport":
-        # reason_counts is derived, never read back.
-        return cls(
+        # The counts are re-derived from the rows, never read back.
+        report = cls(
             source=d.get("source", ""),
             total_rows=int(d.get("total_rows", 0)),
             kept_rows=int(d.get("kept_rows", 0)),
-            rows=[QuarantinedRow(**r) for r in d.get("rows", [])],
         )
+        for r in (QuarantinedRow(**row) for row in d.get("rows", [])):
+            report.add(r.line_no, r.field, r.reason, r.raw, r.category)
+        return report
 
     def summary(self) -> str:
         lines = [
             f"{self.source or '<log>'}: {self.kept_rows}/{self.total_rows} "
             f"rows kept, {self.quarantined_rows} quarantined"
         ]
-        if self.rows:
+        if self.reasons:
             by_reason = ", ".join(
                 f"{k}={n}" for k, n in self.reason_counts().items()
             )
@@ -272,24 +285,21 @@ def _read(
     registry: MetricsRegistry | None,
     tracer: Tracer | None,
 ):
-    """A whole-file read: the tail's line path over ``path``, one block of
-    whole lines at a time (:func:`_line_blocks`).  Strict mode stops after
-    the first block that quarantined a line."""
+    """A whole-file read: :func:`read_log_blocks` over all of ``path``, the
+    end of the file ending its last line.  Strict mode stops after the
+    first block that quarantined a line."""
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    line_no, header_seen = 1, fmt != "csv"
+    header_seen = False
     with maybe_span(tracer, f"ingest.read_{fmt}") as span:
         with path.open("rb") as fh:
-            for blob in _line_blocks(fh):
-                lines = decode_lines(blob, line_no)
-                line_no += len(lines)
-                if not header_seen:
-                    header_seen, lines = consume_header(lines, report)
-                chunks.append(parse_log_lines(lines, fmt, report))
+            for records, _, _, header_seen in read_log_blocks(
+                    fh, math.inf, fmt, report, 0, header_seen, final=True):
+                chunks.append(records)
                 if strict and report.rows:
                     break
-        if not header_seen:
+        if fmt == "csv" and not header_seen:
             report.add(0, "<header>", "empty file (no CSV header)",
                        category="bad_header")
         arr = (
@@ -307,20 +317,42 @@ def _read(
     return store if strict else (store, report)
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
-    """The bytes of binary file ``fh`` as blocks of whole ``\\n``-terminated
-    lines, about :data:`_READ_BLOCK` bytes each; the end of the file also
-    ends its last line."""
-    rest = b""
-    for block in iter(lambda: fh.read(_READ_BLOCK), b""):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield rest + block[:cut]
-            rest = block[cut:]
+def read_log_blocks(
+    fh, nbytes: float, fmt: str, report: QuarantineReport, line_no: int,
+    header_seen: bool, final: bool,
+) -> Iterator[tuple[np.ndarray, int, int, bool]]:
+    """Parse the next ``nbytes`` bytes of binary file ``fh`` (all of it
+    for ``math.inf``), one block of about :data:`_READ_BLOCK` bytes of
+    whole ``\\n``-terminated lines at a time: :func:`decode_lines` →
+    :func:`consume_header` (CSV, until ``header_seen``) →
+    :func:`parse_log_lines` into ``report``.
+
+    ``line_no`` counts the lines before the position.  With ``final``
+    the end also ends the last line (a whole-file read); without it a
+    last line with no newline yet is left unread (a tail).  Yields, per
+    block, its kept rows and the bytes consumed, line count and header
+    state after it: the resume point once the block is committed.
+    """
+    rest, read = b"", 0
+    while True:
+        block = fh.read(min(_READ_BLOCK, nbytes - read))
+        read += len(block)
+        if block:
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                rest += block
+                continue
+            blob, rest = rest + block[:cut], block[cut:]
+        elif final and rest:
+            blob, rest = rest + b"\n", b""
         else:
-            rest += block
-    if rest:
-        yield rest + b"\n"
+            return
+        lines = decode_lines(blob, line_no + 1)
+        line_no += len(lines)
+        if fmt == "csv" and not header_seen:
+            header_seen, lines = consume_header(lines, report)
+        yield (parse_log_lines(lines, fmt, report), read - len(rest),
+               line_no, header_seen)
 
 
 def decode_lines(

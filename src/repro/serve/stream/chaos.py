@@ -52,7 +52,7 @@ from repro.logs.store import LogStore
 from repro.ml.linear import LinearRegression
 from repro.obs import Observability
 from repro.obs.events import EventLog, read_events
-from repro.obs.slo import SLO, SLOEngine
+from repro.obs.slo import SLOEngine, stream_slos
 from repro.serve.chaos import (
     ChaosConfig,
     Verdict,
@@ -181,33 +181,23 @@ def _policy() -> RetrainPolicy:
     )
 
 
-def _chaos_slos() -> list:
-    """The two SLOs whose SLIs are pure functions of checkpointed state
-    (tail quarantine totals; data-time checkpoint staleness), so the
-    crash-resumed ledger can be compared bit-for-bit against the
-    uninterrupted reference.  Windows are effectively unbounded and
-    ``min_samples=2`` because the chaos log's data-time span is
-    arbitrary; the quarantine target sits far below the injected ~1/9
-    corruption rate (must fire), the staleness target far above anything
-    reachable (must stay quiet)."""
-    shared = dict(fast_window_s=1e12, slow_window_s=1e13, min_samples=2)
-    return [
-        SLO("stream_quarantine_rate",
-            "Cumulative quarantine rate of the tailed log.",
-            target=0.02, mode="max", **shared),
-        SLO("stream_checkpoint_staleness",
-            "Data time elapsed since the last checkpoint (seconds).",
-            target=1e15, mode="max", severity="critical", **shared),
-    ]
-
-
 def _attach_diagnosis(obs: Observability, path: Path) -> None:
     """Give ``obs`` a durable JSONL event sink at ``path`` (its seqs are
     checkpointed, so recovery must truncate and re-emit) and the
-    alert-deterministic SLO engine over :func:`_chaos_slos`."""
+    alert-deterministic SLO engine over the first two stream SLOs."""
     obs.events = EventLog(path=path, registry=obs.registry)
-    obs.slo = SLOEngine(_chaos_slos(), registry=obs.registry,
-                        events=obs.events)
+    # Only the two SLOs whose SLIs are pure functions of checkpointed
+    # state (tail quarantine totals; data-time checkpoint staleness), so
+    # the crash-resumed ledger can be compared bit-for-bit against the
+    # uninterrupted reference.  Windows are effectively unbounded and
+    # ``min_samples=2`` because the chaos log's data-time span is
+    # arbitrary; the quarantine target sits far below the injected ~1/9
+    # corruption rate (must fire), the staleness target far above
+    # anything reachable (must stay quiet).
+    slos = stream_slos(quarantine_rate=0.02, staleness_s=1e15,
+                       fast_window_s=1e12, slow_window_s=1e13,
+                       min_samples=2)[:2]
+    obs.slo = SLOEngine(slos, registry=obs.registry, events=obs.events)
 
 
 def _supervisor(root: Path, obs: Observability, log: LogStore, seed: int,

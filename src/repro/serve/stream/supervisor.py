@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.logs.schema import LOG_DTYPE
 from repro.obs import DriftMonitor, Observability
+from repro.obs.events import QuarantineBurstDetector
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.durability.segments import (DurablePrefix, JournalSegments,
@@ -197,14 +198,12 @@ class StreamSupervisor:
         self.drift = self.obs.drift
         self.events = self.obs.events
         self.slo = self.obs.slo
-        # Components constructed without an event log inherit the
-        # bundle's, so one sink carries the whole loop's events.
+        # The controller (unless built with one) and the tail get the
+        # bundle's event log, so one sink carries the whole loop's events.
         if self.events is not None:
             if getattr(controller, "events", None) is None:
                 controller.events = self.events
-            if getattr(tail, "events", None) is None:
-                from repro.obs.events import QuarantineBurstDetector
-
+            if tail.events is None:
                 tail.events = self.events
                 tail.burst = QuarantineBurstDetector(
                     self.events, source=tail.path.name)

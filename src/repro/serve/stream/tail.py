@@ -19,10 +19,10 @@ locks).  The ingester owns exactly that mess:
   ``stream_tail_resets_total{reason=...}`` — re-ingesting a replaced
   file is correct, silently reading garbage from the middle of it is
   not.
-- **lenient parsing**: complete lines run the batch readers' one line
-  path (:mod:`repro.logs.io`), so the tail quarantines per line what
-  ``read_csv``/``read_jsonl(strict=False)`` quarantine instead of
-  stalling.
+- **bounded lenient parsing**: a poll reads up to the size it stat'ed
+  through the batch readers' read loop (:mod:`repro.logs.io`, a block at
+  a time), so it quarantines per line what ``read_csv``/``read_jsonl``
+  quarantine instead of stalling; the session report keeps counts only.
 - **retry with backoff + jitter**: transient ``OSError`` reads are
   retried; :meth:`next_delay` grows exponentially with *consecutive*
   failures (deterministically jittered so a fleet of tails cannot
@@ -40,8 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exec.retry import BackoffPolicy
-from repro.logs.io import (QuarantineReport, consume_header, decode_lines,
-                          parse_log_lines)
+from repro.logs.io import QuarantineReport, read_log_blocks
 from repro.obs import MetricsRegistry
 from repro.obs.events import EventLog, QuarantineBurstDetector
 
@@ -50,15 +49,12 @@ __all__ = ["TailIngester", "TailBatch", "TailError"]
 # Bytes of file head hashed into the rotation signature.
 _SIGNATURE_BYTES = 4096
 
-# Read-retry backoff (seconds, exponential with jitter), the run of
-# failed reads that raises TailError, and the quarantine-burst window
-# (rows) and rate that raise an ingest alert.
+# Read-retry backoff (seconds, exponential with jitter) and the run of
+# failed reads that raises TailError.
 BACKOFF_BASE_S = 0.05
 BACKOFF_MAX_S = 5.0
 BACKOFF_JITTER = 0.25
 MAX_CONSECUTIVE_ERRORS = 8
-BURST_WINDOW_ROWS = 256
-BURST_MAX_RATE = 0.05
 
 
 class TailError(RuntimeError):
@@ -77,8 +73,6 @@ class TailBatch:
     records: np.ndarray
     start_offset: int
     end_offset: int
-    first_line_no: int
-    last_line_no: int
     quarantined: int
 
 
@@ -91,7 +85,6 @@ class TailIngester:
         fmt: str | None = None,
         registry: MetricsRegistry | None = None,
         seed: int = 0,
-        events: EventLog | None = None,
     ) -> None:
         self.path = Path(path)
         if fmt is None:
@@ -103,16 +96,11 @@ class TailIngester:
         self._backoff = BackoffPolicy(base_s=BACKOFF_BASE_S,
                                       max_s=BACKOFF_MAX_S,
                                       jitter=BACKOFF_JITTER, seed=seed)
+        # The session's counts; each poll's rows are dropped once merged.
         self.report = QuarantineReport(source=str(self.path))
-        self.events = events
+        # Attached by the supervisor that owns the event sink.
+        self.events: EventLog | None = None
         self.burst: QuarantineBurstDetector | None = None
-        if events is not None:
-            self.burst = QuarantineBurstDetector(
-                events,
-                window_rows=BURST_WINDOW_ROWS,
-                max_rate=BURST_MAX_RATE,
-                source=self.path.name,
-            )
 
         self.offset = 0          # byte offset of the first unconsumed byte
         self.line_no = 0         # complete lines consumed so far
@@ -138,6 +126,7 @@ class TailIngester:
             "header_consumed": bool(self.header_consumed),
             "total_rows": int(self.report.total_rows),
             "kept_rows": int(self.report.kept_rows),
+            "quarantined_rows": int(self.report.quarantined_rows),
             **({"burst": self.burst.state_dict()}
                if self.burst is not None else {}),
         }
@@ -155,6 +144,11 @@ class TailIngester:
         self.header_consumed = bool(state.get("header_consumed", False))
         self.report.total_rows = int(state.get("total_rows", 0))
         self.report.kept_rows = int(state.get("kept_rows", 0))
+        # Checkpoints written before the count was persisted: one
+        # quarantined line per refused row.
+        self.report.quarantined_rows = int(state.get(
+            "quarantined_rows",
+            self.report.total_rows - self.report.kept_rows))
         if self.burst is not None:
             self.burst.load_state(state.get("burst", {}))
         self.consecutive_errors = 0
@@ -169,6 +163,8 @@ class TailIngester:
         until ``MAX_CONSECUTIVE_ERRORS`` of them in a row, which raises
         :class:`TailError`.
         """
+        delta = QuarantineReport(source=str(self.path))
+        chunks: list[np.ndarray] = []
         try:
             size = self.path.stat().st_size
             with self.path.open("rb") as fh:
@@ -177,33 +173,29 @@ class TailIngester:
                     self._mark_ok(lag=0)
                     return None
                 fh.seek(self.offset)
-                blob = fh.read(size - self.offset)
+                # Only whole lines are consumed: a half-written trailing
+                # line stays in the file for the next poll.
+                for records, used, line_no, header in read_log_blocks(
+                        fh, size - self.offset, self.fmt, delta,
+                        self.line_no, self.header_consumed, final=False):
+                    chunks.append(records)
+                if chunks:
+                    fh.seek(0)
+                    head = fh.read(min(self.offset + used, _SIGNATURE_BYTES))
         except OSError as exc:
             self._mark_error(exc)
             return None
-        self._mark_ok(lag=len(blob))
-
-        # Only consume through the last newline: a half-written trailing
-        # line stays in the file for the next poll.
-        cut = blob.rfind(b"\n")
-        if cut < 0:
+        self._mark_ok(lag=size - self.offset)
+        if not chunks:
             return None
-        blob = blob[: cut + 1]
-        start_offset = self.offset
-        end_offset = self.offset + len(blob)
-
-        delta = QuarantineReport(source=str(self.path))
-        first_line_no = self.line_no + 1
-        lines = decode_lines(blob, first_line_no)
-        if self.fmt == "csv" and not self.header_consumed:
-            self.header_consumed, lines = consume_header(lines, delta)
-        records = parse_log_lines(lines, self.fmt, delta)
 
         # Commit the position only after the whole batch parsed.
-        self.offset = end_offset
-        self.line_no += blob.count(b"\n")
-        self._update_signature()
-        self._merge(delta)
+        start_offset = self.offset
+        self.offset += used
+        self.line_no, self.header_consumed = line_no, header
+        self.signature = hashlib.sha256(head).hexdigest()
+        self.signature_len = len(head)
+        self.report.merge_counts(delta)
         if self.burst is not None:
             self.burst.observe(
                 delta.total_rows, delta.quarantined_rows,
@@ -217,11 +209,10 @@ class TailIngester:
                 labels={"path": self.path.name},
             ).set(float(self.offset))
         return TailBatch(
-            records=records,
+            # One block (the usual poll) needs no np.concatenate copy.
+            records=chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
             start_offset=start_offset,
-            end_offset=end_offset,
-            first_line_no=first_line_no,
-            last_line_no=self.line_no,
+            end_offset=self.offset,
             quarantined=delta.quarantined_rows,
         )
 
@@ -264,21 +255,6 @@ class TailIngester:
                 "Tail position resets (file truncated or rotated).",
                 labels={"reason": reason},
             ).inc()
-
-    def _update_signature(self) -> None:
-        want = min(self.offset, _SIGNATURE_BYTES)
-        try:
-            with self.path.open("rb") as fh:
-                head = fh.read(want)
-        except OSError:
-            return  # keep the previous signature; next poll retries
-        self.signature = hashlib.sha256(head).hexdigest()
-        self.signature_len = len(head)
-
-    def _merge(self, delta: QuarantineReport) -> None:
-        self.report.total_rows += delta.total_rows
-        self.report.kept_rows += delta.kept_rows
-        self.report.rows.extend(delta.rows)
 
     def _mark_ok(self, lag: int) -> None:
         self.consecutive_errors = 0

@@ -8,6 +8,9 @@ reader taking the file in small blocks, a tail that sees the whole file
 in one poll, and a tail fed in appends that cut lines mid-way.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,7 @@ def test_batch_read_equals_tail(tmp_path, monkeypatch, store, fmt, damage):
         assert report.total_rows == batch_report.total_rows, step
         assert report.kept_rows == batch_report.kept_rows, step
         assert report.reason_counts() == batch_report.reason_counts(), step
+        assert report.quarantined_rows == batch_report.quarantined_rows, step
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -168,3 +172,29 @@ def test_strict_stops_at_the_first_bad_block(tmp_path, monkeypatch, store,
                        match=f":{line_no}: \\[<row>\\] undecodable"):
         reader(path)
     assert line_no <= parsed[-1][-1][0] < N_ROWS
+
+
+def _peak_bytes(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_tail_poll_peaks_no_higher_than_read_csv(tmp_path, monkeypatch):
+    """A fresh tail's first poll of a many-block file holds one block of
+    text at a time, as ``read_csv`` does, not the whole unread suffix."""
+    path = tmp_path / "log.csv"
+    write_csv(make_random_store(n=400, n_endpoints=4, seed=17), path)
+    monkeypatch.setattr(io, "_READ_BLOCK", 4096)
+    assert path.stat().st_size > 8 * io._READ_BLOCK
+    batch_peak = _peak_bytes(lambda: read_csv(path, strict=False))
+    tail = TailIngester(path, fmt="csv")
+    tail_peak = _peak_bytes(tail.poll)
+    assert tail.report.kept_rows == 400
+    # Both hold the kept rows twice (blocks + their concatenation);
+    # the slack absorbs allocator noise of a few hundred bytes.
+    assert tail_peak <= 1.05 * batch_peak, (tail_peak, batch_peak)

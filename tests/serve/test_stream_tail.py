@@ -1,7 +1,10 @@
 """TailIngester: offsets, partial lines, resets, retries, resume."""
 
+import json
+
 import pytest
 
+from repro.logs import io
 from repro.logs.io import write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.stream import TailError, TailIngester
@@ -92,6 +95,26 @@ class TestResume:
         assert len(batch.records) == 15
         assert resumed.report.kept_rows == 40
 
+    def test_quarantine_count_survives_restart(self, live, jsonl_lines):
+        tail = TailIngester(live)
+        _append(live, "{not json\n" * 20 + "".join(jsonl_lines[:5]))
+        tail.poll()
+        resumed = TailIngester(live)
+        resumed.load_state(json.loads(json.dumps(tail.state_dict())))
+        assert resumed.report.quarantined_rows == 20
+        _append(live, "[1, 2]\n")
+        resumed.poll()
+        assert resumed.report.quarantined_rows == 21
+
+    def test_checkpoint_without_count_loads_refused_rows(self, live):
+        """A checkpoint written before the count was persisted."""
+        tail = TailIngester(live)
+        state = tail.state_dict()
+        del state["quarantined_rows"]
+        state.update(total_rows=30, kept_rows=26)
+        tail.load_state(state)
+        assert tail.report.quarantined_rows == 4
+
     def test_format_mismatch_rejected(self, live):
         tail = TailIngester(live, fmt="jsonl")
         state = tail.state_dict()
@@ -126,6 +149,38 @@ class TestResets:
         assert tail.resets == 1
         assert registry.flat()[
             'stream_tail_resets_total{reason="rotated"}'] == 1.0
+
+
+    def test_rotation_keeps_counting_quarantined_lines(self, live,
+                                                      jsonl_lines):
+        """Line numbers restart with the new file; the count does not."""
+        tail = TailIngester(live)
+        bad = jsonl_lines[:2] + ["{not json\n"] + jsonl_lines[2:6]
+        _append(live, "".join(bad))
+        tail.poll()
+        assert tail.report.quarantined_rows == 1
+        rotated = list(bad)
+        rotated[0], rotated[4] = jsonl_lines[30], "[1, 2]\n"
+        live.write_text("".join(rotated))       # bad lines 3 and 5
+        tail.poll()
+        assert tail.resets == 1
+        assert tail.report.quarantined_rows == 3
+        assert (tail.report.total_rows - tail.report.kept_rows) == 3
+
+
+class TestSession:
+    def test_session_keeps_counts_not_rows(self, live, jsonl_lines,
+                                           monkeypatch):
+        monkeypatch.setattr(io, "_READ_BLOCK", 64)
+        tail = TailIngester(live)
+        for i in range(30):
+            _append(live, "{not json\n" * 3 + "[1]\n" + jsonl_lines[i])
+            assert tail.poll().quarantined == 4
+        assert tail.report.rows == []
+        assert tail.report.quarantined_rows == 120
+        assert tail.report.kept_rows == 30
+        assert tail.report.reason_counts() == {"invalid_json": 90,
+                                               "not_object": 30}
 
 
 class TestRetries:
@@ -175,4 +230,4 @@ class TestCsvHeader:
         tail = TailIngester(bad, fmt="csv")
         batch = tail.poll()
         assert len(batch.records) == 6          # rows still parse
-        assert any(r.category == "bad_header" for r in tail.report.rows)
+        assert tail.report.reason_counts() == {"bad_header": 1}
